@@ -141,8 +141,7 @@ def competitor_membership_max(family: CompetitorFamily, theta: np.ndarray,
     f = competitor_map(family, theta, base, e)
     gen = stream(seed, "membership", n, str(e.p))
     raw = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
-    a = np.abs(raw)
-    norms = a.max(axis=1) if e.is_inf else (a**e.p).sum(axis=1) ** (1.0 / e.p)
+    norms = lp_norm_value(raw, e.p)
     norms[norms == 0.0] = 1.0
     pts = raw / norms[:, None] * 0.999
     return float(np.max(np.abs(evaluate(f, pts))))
@@ -158,7 +157,7 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     best_val = -math.inf
     best_theta = np.zeros(dim)
     evals = 0
-    converged = False
+    converged = False  # whether the best start's ascent converged
     for _ in range(budget.starts):
         theta = gen.standard_normal(dim)
         nt = np.linalg.norm(theta)
@@ -167,6 +166,7 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
         val = objective(theta)
         evals += 1
         step = 0.5
+        start_converged = False
         for _ in range(budget.iters):
             improved = False
             for k in range(dim):
@@ -182,10 +182,10 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
             if not improved:
                 step *= 0.5
                 if step < 1e-6:
-                    converged = True
+                    start_converged = True
                     break
         if val > best_val:
-            best_val, best_theta = val, theta
+            best_val, best_theta, converged = val, theta, start_converged
     return OptResult(float(best_val), best_theta, converged, evals)
 
 

@@ -5,12 +5,14 @@
     schwarz-lab check NAME --map MAP [--point VEC] [-p P] [...]
     schwarz-lab caratheodory --dir VEC -p P [--base VEC] [--to VEC]
 
-Exit status is 0 iff every executed job passed; schema problems exit 2.
+Exit status is 0 iff every executed job passed; schema problems, including
+malformed arguments, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,8 +22,8 @@ from .suite import (
     emit_report,
     parse_suite,
     run_suite,
-    serialize_suite,
     suite_passed,
+    validate_overrides,
 )
 
 
@@ -50,15 +52,22 @@ def _parse_map_arg(text: str, params_text: str | None):
     # bare gallery name, params in a separate flag
     ref = {"gallery": text}
     if params_text:
-        ref["params"] = json.loads(params_text)
+        try:
+            ref["params"] = json.loads(params_text)
+        except ValueError:
+            raise SchemaError(
+                f"--map-params is not valid JSON: {params_text!r}") from None
     return ref
 
 
 def _parse_exponent_arg(text: str):
     if text in ("inf", "Inf", "oo"):
         return "inf"
-    value = float(text)
-    return int(value) if value == int(value) else value
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"cannot parse exponent argument {text!r}") from None
+    return int(value) if value.is_integer() else value
 
 
 def _tolerance_pairs(items):
@@ -67,7 +76,11 @@ def _tolerance_pairs(items):
         key, sep, value = item.partition("=")
         if not sep:
             raise SchemaError(f"--tolerance expects k=v, got {item!r}")
-        out[key] = float(value)
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise SchemaError(
+                f"--tolerance {key} expects a number, got {value!r}") from None
     return out
 
 
@@ -81,10 +94,10 @@ def _cmd_run(args) -> int:
     with open(args.suite, "rb") as fh:
         config = parse_suite(fh.read())
     if args.tolerance:
-        merged = dict(config.tolerance_overrides)
-        merged.update(_tolerance_pairs(args.tolerance))
-        config = parse_suite({**serialize_suite(config),
-                              "tolerance_overrides": merged})
+        merged = {**config.tolerance_overrides,
+                  **_tolerance_pairs(args.tolerance)}
+        config = dataclasses.replace(config,
+                                     tolerance_overrides=validate_overrides(merged))
     results = run_suite(config, workers=args.jobs)
     return _emit(results, args.format)
 

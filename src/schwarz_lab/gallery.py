@@ -41,6 +41,20 @@ def _check_dim(n) -> int:
     return n
 
 
+def _complex(value) -> complex:
+    """One complex parameter: a number or an [re, im] pair."""
+    if np.ndim(value) == 0:
+        return complex(value)
+    if np.shape(value) != (2,):
+        raise BadParams(f"expected a number or an [re, im] pair, got {value!r}")
+    return complex(value[0], value[1])
+
+
+def _complex_list(values) -> list[complex]:
+    """A vector parameter: one number, or a list of numbers and [re, im] pairs."""
+    return [_complex(v) for v in (values if np.ndim(values) else [values])]
+
+
 # ---------------------------------------------------------------------------
 # ball self-maps
 # ---------------------------------------------------------------------------
@@ -87,7 +101,7 @@ def build_diag_power(ks, units=None) -> MapExpr:
         raise BadParams("diag_power needs integer exponents k_j >= 1")
     if units is None:
         units = [1.0] * n
-    units = [complex(u[0], u[1]) if isinstance(u, (list, tuple)) else complex(u) for u in units]
+    units = _complex_list(units)
     if len(units) != n:
         raise BadParams("units and exponents must have the same length")
     if any(abs(abs(u) - 1.0) > _UNIT_TOL for u in units):
@@ -139,7 +153,7 @@ def build_zhu_extremal(a=0.0, d=0.0) -> MapExpr:
     a = f(0) (complex, |a| < 1), d = |f'(0)| with d <= 1 - |a|^2.
     With a = d = 0 the map degenerates to z -> z^2.
     """
-    a = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
+    a = _complex(a)
     d = float(d)
     if abs(a) >= 1.0:
         raise BadParams("zhu_extremal needs |a| < 1")
@@ -157,7 +171,7 @@ def build_kalaj_extremal(b, a=0.0, d=0.0, p=2) -> MapExpr:
     a = ||f(0)||, d = ||f'(0)||, both real with 0 <= a < 1 and d <= 1 - a^2.
     """
     p = as_exponent(p)
-    b = cvector([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else v for v in np.atleast_1d(b)])
+    b = cvector(_complex_list(b))
     if abs(norm_p(b, p) - 1.0) > _UNIT_TOL:
         raise BadParams("kalaj_extremal direction b must be a unit vector for the given p")
     a = float(a)
@@ -182,13 +196,8 @@ def build_moebius_fix1(a=0.0) -> MapExpr:
 def build_moebius_tuple(m, a, rotation=None) -> MapExpr:
     """Componentwise disk automorphism of the polydisk D^m."""
     m = _check_dim(m)
-    a = [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in np.atleast_1d(a)]
-    if rotation is None:
-        rotation = [1.0] * m
-    rotation = [
-        complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        for v in np.atleast_1d(rotation)
-    ]
+    a = _complex_list(a)
+    rotation = [1.0] * m if rotation is None else _complex_list(rotation)
     if len(a) != m or len(rotation) != m:
         raise BadParams("moebius_tuple needs m shifts and m rotations")
     return MapTuple(tuple(MoebiusDisk(a[i], rotation[i], Coordinate(i, m)) for i in range(m)))
@@ -387,7 +396,7 @@ def gallery(name: str, params: dict | None = None) -> MapExpr:
         raise BadParams(f"unknown gallery map '{name}' (see gallery_names())")
     try:
         return GALLERY[name].builder(**(params or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad parameters for gallery map '{name}': {exc}") from exc
 
 

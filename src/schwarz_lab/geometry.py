@@ -45,13 +45,6 @@ class Exponent:
             raise BadParams(f"exponent must satisfy p > 1, got {p}")
 
     @classmethod
-    def finite(cls, p) -> "Exponent":
-        p = float(p)
-        if math.isinf(p):
-            raise BadParams("finite exponent requested with p = inf")
-        return cls(p)
-
-    @classmethod
     def infinity(cls) -> "Exponent":
         return cls(math.inf)
 

@@ -53,13 +53,6 @@ class MapExpr:
             return False
         return all(c.is_holomorphic for c in self.children())
 
-    @property
-    def is_entire(self) -> bool:
-        """True when the tree has no Moebius node (hence no poles)."""
-        if isinstance(self, MoebiusDisk):
-            return False
-        return all(c.is_entire for c in self.children())
-
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
         raise NotImplementedError
 
@@ -575,7 +568,7 @@ def map_from_json(data: dict) -> MapExpr:
         if kind == "scale":
             return Scale(_j2c(data["factor"]), map_from_json(data["inner"]))
         if kind == "power":
-            return Power(int(data["exponent"]), map_from_json(data["inner"]))
+            return Power(data["exponent"], map_from_json(data["inner"]))
         if kind == "moebius":
             return MoebiusDisk(
                 _j2c(data["a"]), _j2c(data["rotation"]), map_from_json(data["inner"])
@@ -589,4 +582,6 @@ def map_from_json(data: dict) -> MapExpr:
             return MapTuple(tuple(map_from_json(c) for c in data["components"]))
     except KeyError as exc:
         raise BadParams(f"map JSON node '{kind}' is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"malformed map JSON node '{kind}': {exc}") from exc
     raise BadParams(f"unknown map node '{kind}'")

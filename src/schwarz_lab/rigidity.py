@@ -23,9 +23,16 @@ from .diff import (
     radial_boundary_derivative,
 )
 from .errors import BadParams, HypothesisFailed
-from .geometry import BoundaryPoint, as_exponent, norm_p, rigidity_v, schwarz_v
+from .geometry import (
+    BoundaryPoint,
+    as_exponent,
+    lp_norm_value,
+    norm_p,
+    rigidity_v,
+    schwarz_v,
+)
 from .maps import Compose, LinearMatrix, MapExpr, evaluate
-from .verify import HypothesisCheck, Verdict, _norms_batch
+from .verify import HypothesisCheck, Verdict
 
 __all__ = [
     "VARIANTS",
@@ -167,7 +174,7 @@ def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     u = sampler.random(count + 1)[1:]  # drop the all-zero first point
     x = 2.0 * u[:, : 2 * n] - 1.0
     z = x[:, :n] + 1j * x[:, n:]
-    norms = _norms_batch(z, e)
+    norms = lp_norm_value(z, e.p)
     norms[norms == 0.0] = 1.0
     radii = 0.999 * u[:, -1]
     return z / norms[:, None] * radii[:, None]
@@ -183,7 +190,7 @@ def _identity_residual(f: MapExpr, inst: RigidityInstance,
         for t in np.linspace(0.05, 0.99, 12):
             segs.append(t * a.point)
     pts = np.vstack([grid, np.array(segs)])
-    gaps = _norms_batch(evaluate(f, pts) - pts, e)
+    gaps = lp_norm_value(evaluate(f, pts) - pts, e.p)
     return float(np.max(gaps))
 
 
@@ -216,7 +223,7 @@ def check_rigidity(inst: RigidityInstance,
     from .verify import sample_ball
 
     pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
-    escape = float(np.max(_norms_batch(evaluate(f, pts), e)))
+    escape = float(np.max(lp_norm_value(evaluate(f, pts), e.p)))
     quantities["selfmap_escape"] = max(0.0, escape - 1.0)
     if escape > 1.0 + 1e-10:
         return partial(HYPOTHESES_FAIL, "map leaves the unit ball on samples")

@@ -27,14 +27,3 @@ def philox_key(*parts) -> np.ndarray:
 def stream(seed, *labels) -> np.random.Generator:
     """Generator for a named stream, deterministic in (seed, labels)."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
-
-
-def sample_stream(seed, label, index: int) -> np.random.Generator:
-    """Stream for one sample of one job.
-
-    The sample index is placed in the most significant counter word, so
-    streams of distinct samples never overlap no matter how much either
-    draws.
-    """
-    bg = np.random.Philox(counter=[0, 0, 0, int(index)], key=philox_key(seed, label))
-    return np.random.Generator(bg)

@@ -2,8 +2,10 @@
 
 A suite is one JSON document naming jobs; each job binds a check to a map
 (gallery reference or inline expression JSON), point data, and an exponent.
-Execution is deterministic: every random draw is keyed by the suite seed and
-the job id, so re-running a config byte-for-byte reproduces the report.
+Every input is parsed once, by ``parse_suite``; the runners read only the
+parsed values.  Execution is deterministic: every random draw is keyed by the
+suite seed and the job id, so re-running a config byte-for-byte reproduces the
+report.  Adding a check means adding one entry to ``CHECKS``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .caratheodory import (
 )
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
-from .geometry import BoundaryPoint, as_exponent, cvector
+from .geometry import BoundaryPoint, as_exponent
 from .maps import MapExpr, map_from_json
 from .rigidity import (
     RigidityConfig,
@@ -40,6 +44,7 @@ from .rigidity import (
     equality_case_1d,
 )
 from .verify import (
+    HypothesisCheck,
     Verdict,
     VerifyConfig,
     verify_kalaj,
@@ -53,25 +58,12 @@ from .verify import (
 
 RIGIDITY_VERDICTS = ("certified", "equations_fail", "hypotheses_fail")
 
-# per-check parameter contracts; "expect" and the common keys are handled
-# separately
-_CHECK_PARAMS = {
-    "schwarz_pick": ({"map", "exponent"}, {"samples"}),
-    "zhu": ({"map"}, set()),
-    "kalaj": ({"map", "exponent"}, set()),
-    "lp_boundary_schwarz": ({"map", "point", "exponent"}, set()),
-    "liu_wang": ({"map", "point"}, set()),
-    "product_slice": ({"map", "phi", "z_fix", "exponent", "n", "m"}, {"samples"}),
-    "pluriharmonic_boundary": ({"map", "point", "exponent"}, set()),
-    "rigidity": ({"map", "anchors", "exponent", "variant"},
-                 {"samples", "grid_points"}),
-    "proof_chain": ({"map", "anchors", "exponent", "variant"}, set()),
-    "equality_1d": ({"map"}, set()),
-    "polydisk_counterexample": ({"n"}, set()),
-    "caratheodory_metric": ({"direction", "exponent"},
-                            {"base", "family", "starts", "iters"}),
-    "caratheodory_distance": ({"z", "exponent"}, {"starts", "iters"}),
-}
+# Upper bound for every count in a job (samples, grid points, optimizer starts
+# and iterations, dimensions): each one sizes an allocation or a loop.
+MAX_COUNT = 10**6
+
+# Distance from the unit sphere allowed for boundary points and anchors.
+_BOUNDARY_TOL = 1e-8
 
 _VERIFY_TOL_KEYS = ("hypothesis_tol", "margin_tol", "tangent_tol",
                     "slope_rel_tol")
@@ -82,10 +74,14 @@ _KNOWN_TOL_KEYS = set(_VERIFY_TOL_KEYS) | set(_RIGIDITY_TOL_KEYS) | {"attain_tol
 
 @dataclass(frozen=True)
 class JobSpec:
+    """One validated job: raw JSON inputs in ``params`` (for ``serialize_suite``),
+    and in ``parsed`` as the runners read them (MapExpr, read-only arrays, Exponent)."""
+
     id: str
     check: str
     expect: str
     params: dict
+    parsed: dict = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,13 @@ def _finite_or_none(x):
 
 
 def _fail(path: str, message: str):
-    raise SchemaError(f"{path}: {message}")
+    raise SchemaError(message, path=path)
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number; booleans do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _want_str(value, path: str) -> str:
@@ -156,11 +158,19 @@ def _want_vector(value, path: str) -> np.ndarray:
     out = np.empty(len(value), dtype=complex)
     for i, entry in enumerate(value):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                           for t in entry)):
+                or not all(_is_real(t) for t in entry)):
             _fail(f"{path}/{i}", "expected an [re, im] number pair")
         out[i] = complex(entry[0], entry[1])
+    # shared by every run of the job, so no runner may write to it
+    out.flags.writeable = False
     return out
+
+
+def _want_anchors(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty array of vectors")
+    return tuple(_want_vector(entry, f"{path}/{i}")
+                 for i, entry in enumerate(value))
 
 
 def _want_exponent(value, path: str):
@@ -168,7 +178,7 @@ def _want_exponent(value, path: str):
         _fail(path, "expected a number greater than 1 or the string 'inf'")
     try:
         return as_exponent(value)
-    except SchwarzLabError as exc:
+    except (SchwarzLabError, ValueError, OverflowError) as exc:
         _fail(path, str(exc))
 
 
@@ -195,18 +205,23 @@ def _want_map(value, path: str) -> MapExpr:
         _fail(path, str(exc))
 
 
-def _want_count(value, path: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        _fail(path, f"expected an integer >= {minimum}")
+def _want_count(value, path: str) -> int:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= MAX_COUNT):
+        _fail(path, f"expected an integer in [1, {MAX_COUNT}]")
     return value
 
 
-def _valid_expect(value: str, check: str) -> bool:
-    if value.startswith("raises:"):
-        return value[len("raises:"):].isidentifier()
-    if check == "rigidity":
-        return value in RIGIDITY_VERDICTS
-    return value in ("pass", "fail")
+# one parser per job key; each returns the value the runners read
+_PARSERS = {
+    **dict.fromkeys(("map", "phi"), _want_map),
+    **dict.fromkeys(("point", "z_fix", "direction", "base", "z"), _want_vector),
+    **dict.fromkeys(("samples", "grid_points", "starts", "iters", "n", "m"),
+                    _want_count),
+    **dict.fromkeys(("variant", "family"), _want_str),
+    "anchors": _want_anchors,
+    "exponent": _want_exponent,
+}
 
 
 def _validate_job(raw: dict, index: int) -> JobSpec:
@@ -215,64 +230,54 @@ def _validate_job(raw: dict, index: int) -> JobSpec:
         _fail(path, "expected an object")
     job_id = _want_str(raw.get("id"), f"{path}/id")
     check = _want_str(raw.get("check"), f"{path}/check")
-    if check not in _CHECK_PARAMS:
+    spec = CHECKS.get(check)
+    if spec is None:
         _fail(f"{path}/check", f"unknown check {check!r}; "
-              f"expected one of {sorted(_CHECK_PARAMS)}")
-    required, optional = _CHECK_PARAMS[check]
+              f"expected one of {sorted(CHECKS)}")
     params = {k: v for k, v in raw.items() if k not in ("id", "check", "expect")}
-    missing = required - set(params)
+    missing = spec.required - set(params)
     if missing:
         _fail(path, f"missing required keys for {check}: {sorted(missing)}")
-    extra = set(params) - required - optional
+    extra = set(params) - spec.required - spec.optional
     if extra:
         _fail(path, f"unexpected keys for {check}: {sorted(extra)}")
 
-    expect = raw.get("expect", "certified" if check == "rigidity" else "pass")
-    expect = _want_str(expect, f"{path}/expect")
-    if not _valid_expect(expect, check):
+    expect = _want_str(raw.get("expect", spec.verdicts[0]), f"{path}/expect")
+    raises = expect.startswith("raises:") and expect[len("raises:"):].isidentifier()
+    if not raises and expect not in spec.verdicts:
         _fail(f"{path}/expect", f"invalid expectation {expect!r} for {check}")
 
     # structural validation; runtime errors stay with the job result
-    dims = []
-    f = None
-    if "map" in params:
-        f = _want_map(params["map"], f"{path}/map")
-        dims.append(f.input_dim)
-    if "phi" in params:
-        _want_map(params["phi"], f"{path}/phi")
-    for key in ("point", "z_fix", "direction", "base", "z", "w"):
-        if key in params:
-            vec = _want_vector(params[key], f"{path}/{key}")
-            if key == "point":
-                dims.append(vec.shape[0])
-    if "anchors" in params:
-        if not isinstance(params["anchors"], list) or not params["anchors"]:
-            _fail(f"{path}/anchors", "expected a non-empty array of vectors")
-        for i, entry in enumerate(params["anchors"]):
-            vec = _want_vector(entry, f"{path}/anchors/{i}")
-            dims.append(vec.shape[0])
-    if "exponent" in params:
-        _want_exponent(params["exponent"], f"{path}/exponent")
-    for key in ("samples", "grid_points", "starts", "iters"):
-        if key in params:
-            _want_count(params[key], f"{path}/{key}")
-    if "n" in params:
-        _want_count(params["n"], f"{path}/n")
-    if "m" in params:
-        _want_count(params["m"], f"{path}/m")
-    if "variant" in params:
-        _want_str(params["variant"], f"{path}/variant")
-    if "family" in params:
-        _want_str(params["family"], f"{path}/family")
-    if len(set(dims)) > 1 and check != "product_slice":
-        _fail(path, f"inconsistent dimensions {sorted(set(dims))}")
-    return JobSpec(job_id, check, expect, params)
+    parsed = {key: _PARSERS[key](value, f"{path}/{key}")
+              for key, value in params.items()}
+    dims = {v.shape[0] for v in parsed.get("anchors", ())}
+    if "point" in parsed:
+        dims.add(parsed["point"].shape[0])
+    if "map" in parsed:
+        dims.add(parsed["map"].input_dim)
+    if len(dims) > 1:
+        _fail(path, f"inconsistent dimensions {sorted(dims)}")
+    return JobSpec(job_id, check, expect, params, parsed)
+
+
+def validate_overrides(overrides) -> dict:
+    """Check tolerance overrides (known names, positive numbers); SchemaError if not."""
+    if not isinstance(overrides, dict):
+        _fail("/tolerance_overrides", "expected an object")
+    clean = {}
+    for key, value in overrides.items():
+        if key not in _KNOWN_TOL_KEYS:
+            _fail(f"/tolerance_overrides/{key}", "unknown tolerance name")
+        if not _is_real(value) or value <= 0:
+            _fail(f"/tolerance_overrides/{key}", "expected a positive number")
+        clean[key] = float(value)
+    return clean
 
 
 def parse_suite(source) -> SuiteConfig:
     """Validate a suite document (dict, JSON text, or bytes) into a SuiteConfig.
 
-    Raises SchemaError carrying a JSON-pointer path to the offending field.
+    Raises SchemaError whose ``path`` is a JSON pointer to the offending field.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -291,16 +296,7 @@ def parse_suite(source) -> SuiteConfig:
         _fail("/seed", "expected a non-negative integer (wall-clock seeding "
               "is not allowed)")
 
-    overrides = source.get("tolerance_overrides", {})
-    if not isinstance(overrides, dict):
-        _fail("/tolerance_overrides", "expected an object")
-    clean = {}
-    for key, value in overrides.items():
-        if key not in _KNOWN_TOL_KEYS:
-            _fail(f"/tolerance_overrides/{key}", "unknown tolerance name")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            _fail(f"/tolerance_overrides/{key}", "expected a positive number")
-        clean[key] = float(value)
+    overrides = validate_overrides(source.get("tolerance_overrides", {}))
 
     raw_jobs = source.get("jobs")
     if not isinstance(raw_jobs, list):
@@ -311,7 +307,7 @@ def parse_suite(source) -> SuiteConfig:
         if job.id in seen:
             _fail(f"/jobs/{i}/id", f"duplicate job id {job.id!r}")
         seen.add(job.id)
-    return SuiteConfig(name, seed, clean, jobs)
+    return SuiteConfig(name, seed, overrides, jobs)
 
 
 def serialize_suite(config: SuiteConfig) -> dict:
@@ -342,37 +338,29 @@ class _RunContext:
     seed: int
     overrides: dict
 
-    def verify_cfg(self, job: JobSpec, **extra) -> VerifyConfig:
+    def verify_cfg(self, job: JobSpec) -> VerifyConfig:
         kw = {k: self.overrides[k] for k in _VERIFY_TOL_KEYS
               if k in self.overrides}
-        kw.update(extra)
+        if "samples" in job.parsed:
+            kw["samples"] = job.parsed["samples"]
         return VerifyConfig(seed=_job_seed(self.seed, job.id), **kw)
 
     def rigidity_cfg(self, job: JobSpec) -> RigidityConfig:
         kw = {k: self.overrides[k] for k in _RIGIDITY_TOL_KEYS
               if k in self.overrides}
-        if "samples" in job.params:
-            kw["selfmap_samples"] = job.params["samples"]
-        if "grid_points" in job.params:
-            kw["grid_points"] = job.params["grid_points"]
+        if "samples" in job.parsed:
+            kw["selfmap_samples"] = job.parsed["samples"]
+        if "grid_points" in job.parsed:
+            kw["grid_points"] = job.parsed["grid_points"]
         return RigidityConfig(seed=_job_seed(self.seed, job.id), **kw)
+
+    def opt_budget(self, job: JobSpec) -> OptBudget:
+        return OptBudget(starts=job.parsed.get("starts", 24),
+                         iters=job.parsed.get("iters", 150),
+                         seed=_job_seed(self.seed, job.id))
 
     def attain_tol(self) -> float:
         return self.overrides.get("attain_tol", 1e-3)
-
-
-def _job_map(job: JobSpec, key: str = "map") -> MapExpr:
-    return _want_map(job.params[key], key)
-
-
-def _job_point(job: JobSpec, key: str = "point") -> BoundaryPoint:
-    vec = _want_vector(job.params[key], key)
-    return BoundaryPoint(vec, as_exponent(job.params["exponent"]),
-                         tolerance=1e-8)
-
-
-def _expectation_pass(expect: str, raw_pass: bool) -> bool:
-    return raw_pass if expect == "pass" else (not raw_pass)
 
 
 def _row_from_verdict(job: JobSpec, verdict: Verdict) -> JobResult:
@@ -385,7 +373,7 @@ def _row_from_verdict(job: JobSpec, verdict: Verdict) -> JobResult:
     return JobResult(
         job_id=job.id,
         theorem_id=verdict.theorem_id,
-        passed=_expectation_pass(job.expect, verdict.passed),
+        passed=verdict.passed if job.expect == "pass" else not verdict.passed,
         margin=float(verdict.margin),
         quantities=quantities,
         hypotheses=hyps,
@@ -439,19 +427,22 @@ def _row_from_error(job: JobSpec, exc: Exception) -> JobResult:
     )
 
 
+# Boundary points are built per run: NotOnBoundary is a job result, not a
+# schema error.
+def _boundary_point(job: JobSpec, exponent=None) -> BoundaryPoint:
+    e = job.parsed["exponent"] if exponent is None else exponent
+    return BoundaryPoint(job.parsed["point"], e, tolerance=_BOUNDARY_TOL)
+
+
 def _rigidity_instance(job: JobSpec) -> RigidityInstance:
-    e = as_exponent(job.params["exponent"])
-    anchors = tuple(
-        BoundaryPoint(_want_vector(a, f"anchors/{i}"), e, tolerance=1e-8)
-        for i, a in enumerate(job.params["anchors"])
-    )
-    return RigidityInstance(_job_map(job), anchors, e, job.params["variant"])
+    a = job.parsed
+    anchors = tuple(BoundaryPoint(v, a["exponent"], tolerance=_BOUNDARY_TOL)
+                    for v in a["anchors"])
+    return RigidityInstance(a["map"], anchors, a["exponent"], a["variant"])
 
 
 def _attainment_verdict(theorem_id: str, closed: float, out, membership: float,
                         tol: float) -> Verdict:
-    from .verify import HypothesisCheck
-
     gap = closed - out.value
     margin = min(tol - gap, gap + 1e-9)
     checks = (
@@ -468,95 +459,103 @@ def _attainment_verdict(theorem_id: str, closed: float, out, membership: float,
     return Verdict(theorem_id, checks, quantities, margin, tolerance=0.0)
 
 
-def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> JobResult:
-    p = as_exponent(job.params["exponent"])
-    direction = _want_vector(job.params["direction"], "direction")
-    n = direction.shape[0]
-    base = (_want_vector(job.params["base"], "base")
-            if "base" in job.params else np.zeros(n, dtype=complex))
+def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
+    a = job.parsed
+    p, direction = a["exponent"], a["direction"]
+    base = a["base"] if "base" in a else np.zeros_like(direction)
     if np.any(base):
         raise SchwarzLabError(
             "metric check compares against the origin closed form; base must be 0")
-    family = CompetitorFamily(job.params.get("family", "linear_dual"))
-    budget = OptBudget(starts=job.params.get("starts", 24),
-                       iters=job.params.get("iters", 150),
-                       seed=_job_seed(ctx.seed, job.id))
-    out = metric_lower_bound_opt(MetricQuery(base, direction, p), family, budget)
+    family = CompetitorFamily(a.get("family", "linear_dual"))
+    out = metric_lower_bound_opt(MetricQuery(base, direction, p), family,
+                                 ctx.opt_budget(job))
     membership = competitor_membership_max(family, out.params, base, p)
     closed = metric_origin_closed(direction, p)
-    verdict = _attainment_verdict("caratheodory_metric_origin", closed, out,
-                                  membership, ctx.attain_tol())
-    return _row_from_verdict(job, verdict)
+    return _attainment_verdict("caratheodory_metric_origin", closed, out,
+                               membership, ctx.attain_tol())
 
 
-def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> JobResult:
-    p = as_exponent(job.params["exponent"])
-    z = _want_vector(job.params["z"], "z")
+def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> Verdict:
+    p, z = job.parsed["exponent"], job.parsed["z"]
     w = np.zeros_like(z)
-    budget = OptBudget(starts=job.params.get("starts", 24),
-                       iters=job.params.get("iters", 150),
-                       seed=_job_seed(ctx.seed, job.id))
-    out = distance_lower_bound_opt(z, w, p, budget=budget)
+    out = distance_lower_bound_opt(z, w, p, budget=ctx.opt_budget(job))
     membership = competitor_membership_max(CompetitorFamily("linear_moebius"),
                                            out.params, w, p)
     closed = distance_origin_closed(z, p)
-    verdict = _attainment_verdict("caratheodory_distance_origin", closed, out,
-                                  membership, ctx.attain_tol())
-    return _row_from_verdict(job, verdict)
+    return _attainment_verdict("caratheodory_distance_origin", closed, out,
+                               membership, ctx.attain_tol())
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One check: the job keys it requires and also accepts, ``run(job, ctx)``
+    (a Verdict or RigidityReport), and the outcomes a job may expect, default first."""
+
+    required: set
+    optional: set
+    run: Callable
+    verdicts: tuple = ("pass", "fail")
+
+
+CHECKS = {
+    "schwarz_pick": CheckSpec(
+        {"map", "exponent"}, {"samples"},
+        lambda job, ctx: verify_schwarz_pick(
+            job.parsed["map"], job.parsed["exponent"], cfg=ctx.verify_cfg(job))),
+    "zhu": CheckSpec(
+        {"map"}, set(),
+        lambda job, ctx: verify_zhu(job.parsed["map"], ctx.verify_cfg(job))),
+    "kalaj": CheckSpec(
+        {"map", "exponent"}, set(),
+        lambda job, ctx: verify_kalaj(
+            job.parsed["map"], job.parsed["exponent"], ctx.verify_cfg(job))),
+    "lp_boundary_schwarz": CheckSpec(
+        {"map", "point", "exponent"}, set(),
+        lambda job, ctx: verify_lp_boundary_schwarz(
+            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))[0]),
+    "liu_wang": CheckSpec(
+        {"map", "point"}, set(),
+        lambda job, ctx: verify_liu_wang(
+            job.parsed["map"], _boundary_point(job, 2), ctx.verify_cfg(job))),
+    "product_slice": CheckSpec(
+        {"map", "phi", "z_fix", "exponent", "n", "m"}, {"samples"},
+        lambda job, ctx: verify_product_slice(
+            *(job.parsed[k] for k in ("map", "phi", "z_fix", "exponent", "n", "m")),
+            ctx.verify_cfg(job))),
+    "pluriharmonic_boundary": CheckSpec(
+        {"map", "point", "exponent"}, set(),
+        lambda job, ctx: verify_pluriharmonic_boundary(
+            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))),
+    "rigidity": CheckSpec(
+        {"map", "anchors", "exponent", "variant"}, {"samples", "grid_points"},
+        lambda job, ctx: check_rigidity(
+            _rigidity_instance(job), ctx.rigidity_cfg(job)),
+        RIGIDITY_VERDICTS),
+    "proof_chain": CheckSpec(
+        {"map", "anchors", "exponent", "variant"}, set(),
+        lambda job, ctx: check_proof_chain(
+            _rigidity_instance(job), ctx.rigidity_cfg(job))),
+    "equality_1d": CheckSpec(
+        {"map"}, set(),
+        lambda job, ctx: equality_case_1d(job.parsed["map"], ctx.rigidity_cfg(job))),
+    "polydisk_counterexample": CheckSpec(
+        {"n"}, set(),
+        lambda job, ctx: counterexample_polydisk_eigen(
+            job.parsed["n"], ctx.rigidity_cfg(job))),
+    "caratheodory_metric": CheckSpec(
+        {"direction", "exponent"}, {"base", "family", "starts", "iters"},
+        _run_caratheodory_metric),
+    "caratheodory_distance": CheckSpec(
+        {"z", "exponent"}, {"starts", "iters"},
+        _run_caratheodory_distance),
+}
 
 
 def _run_job(job: JobSpec, ctx: _RunContext) -> JobResult:
-    if job.check == "schwarz_pick":
-        v = verify_schwarz_pick(_job_map(job), job.params["exponent"],
-                                samples=job.params.get("samples"),
-                                cfg=ctx.verify_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "zhu":
-        return _row_from_verdict(job, verify_zhu(_job_map(job),
-                                                 ctx.verify_cfg(job)))
-    if job.check == "kalaj":
-        return _row_from_verdict(job, verify_kalaj(
-            _job_map(job), job.params["exponent"], ctx.verify_cfg(job)))
-    if job.check == "lp_boundary_schwarz":
-        v, _cert = verify_lp_boundary_schwarz(_job_map(job), _job_point(job),
-                                              ctx.verify_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "liu_wang":
-        vec = _want_vector(job.params["point"], "point")
-        z0 = BoundaryPoint(vec, 2, tolerance=1e-8)
-        return _row_from_verdict(job, verify_liu_wang(_job_map(job), z0,
-                                                      ctx.verify_cfg(job)))
-    if job.check == "product_slice":
-        extra = ({"samples": job.params["samples"]}
-                 if "samples" in job.params else {})
-        v = verify_product_slice(
-            _job_map(job), _job_map(job, "phi"),
-            _want_vector(job.params["z_fix"], "z_fix"),
-            job.params["exponent"], job.params["n"], job.params["m"],
-            ctx.verify_cfg(job, **extra))
-        return _row_from_verdict(job, v)
-    if job.check == "pluriharmonic_boundary":
-        v = verify_pluriharmonic_boundary(_job_map(job), _job_point(job),
-                                          ctx.verify_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "rigidity":
-        report = check_rigidity(_rigidity_instance(job), ctx.rigidity_cfg(job))
-        return _row_from_rigidity(job, report)
-    if job.check == "proof_chain":
-        v = check_proof_chain(_rigidity_instance(job), ctx.rigidity_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "equality_1d":
-        v = equality_case_1d(_job_map(job), ctx.rigidity_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "polydisk_counterexample":
-        v = counterexample_polydisk_eigen(job.params["n"],
-                                          ctx.rigidity_cfg(job))
-        return _row_from_verdict(job, v)
-    if job.check == "caratheodory_metric":
-        return _run_caratheodory_metric(job, ctx)
-    if job.check == "caratheodory_distance":
-        return _run_caratheodory_distance(job, ctx)
-    raise SchwarzLabError(f"no runner for check {job.check!r}")
+    out = CHECKS[job.check].run(job, ctx)
+    if isinstance(out, RigidityReport):
+        return _row_from_rigidity(job, out)
+    return _row_from_verdict(job, out)
 
 
 def run_suite(config: SuiteConfig, workers: int = 1) -> list:

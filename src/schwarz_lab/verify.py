@@ -29,6 +29,7 @@ from .geometry import (
     cinner,
     cvector,
     grad_rho,
+    lp_norm_value,
     norm_p,
     normal_tangent_decompose,
     norming_functional,
@@ -130,20 +131,12 @@ class VerifyConfig:
 DEFAULT_CONFIG = VerifyConfig()
 
 
-def _norms_batch(points: np.ndarray, p) -> np.ndarray:
-    e = as_exponent(p)
-    a = np.abs(points)
-    if e.is_inf:
-        return a.max(axis=-1)
-    return (a**e.p).sum(axis=-1) ** (1.0 / e.p)
-
-
 def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.999):
     """Deterministic interior sample: p-sphere directions times uniform radii."""
     e = as_exponent(p)
     gen = stream(seed, label, n, str(e.p))
     raw = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
-    norms = _norms_batch(raw, p)
+    norms = lp_norm_value(raw, e.p)
     norms[norms == 0.0] = 1.0
     radii = gen.uniform(0.0, shell, count)
     return raw / norms[:, None] * radii[:, None]
@@ -227,8 +220,8 @@ def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | N
 
     pts = sample_ball(e, n, count, sd, "schwarz-pick", cfg.interior_shell)
     vals = evaluate(f, pts)
-    in_norms = _norms_batch(pts, e)
-    out_norms = _norms_batch(vals, e)
+    in_norms = lp_norm_value(pts, e.p)
+    out_norms = lp_norm_value(vals, e.p)
     margin = float(np.min(in_norms - out_norms))
 
     J0 = complex_jacobian(f, origin, cfg.cauchy).matrix
@@ -282,7 +275,7 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     bound = 2.0 * abs(1.0 - f0) ** 2 / (1.0 - abs(f0) ** 2 + d)
 
     pts = sample_ball(2, 1, 500, cfg.seed, "zhu-selfmap", cfg.interior_shell)
-    escape = float(np.max(_norms_batch(evaluate(f, pts), 2)))
+    escape = float(np.max(lp_norm_value(evaluate(f, pts), 2.0)))
 
     checks = (
         HypothesisCheck("fixes_one_radially", True, fix_res),
@@ -725,7 +718,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     f0 = evaluate(f, np.zeros(n, dtype=complex))
     f0r = realify(f0)
     mid = (1.0 - float(f0r @ V)) / 2.0
-    low = (1.0 - norm_p_real(f0r, e)) / 2.0
+    low = (1.0 - lp_norm_value(f0r, e.p)) / 2.0
 
     # Harnack certificate for phi(zeta) = 1 - (f(zeta z0))' . V
     angles = 2.0 * np.pi * np.arange(cfg.grid_angles) / cfg.grid_angles
@@ -757,12 +750,3 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     margin = min(lhs - mid, mid - low)
     return Verdict("pluriharmonic_boundary_schwarz", checks, quantities, margin,
                    cfg.margin_tol)
-
-
-def norm_p_real(x: np.ndarray, e) -> float:
-    """Real lp norm of a realified vector (sup norm at p = inf)."""
-    ee = as_exponent(e)
-    a = np.abs(np.asarray(x, dtype=float))
-    if ee.is_inf:
-        return float(a.max())
-    return float((a**ee.p).sum() ** (1.0 / ee.p))

@@ -13,6 +13,7 @@ from schwarz_lab.caratheodory import (
     MetricQuery,
     OptBudget,
     OptResult,
+    _coordinate_ascent,
     competitor_map,
     competitor_membership_max,
     distance_lower_bound_opt,
@@ -123,3 +124,23 @@ def test_moebius_family_off_origin_bound():
     out = metric_lower_bound_opt(q, CompetitorFamily("linear_moebius"), FAST)
     # n=1 Poincare metric of the disk: 1/(1-|z|^2)
     assert out.value == pytest.approx(1.0 / (1.0 - 0.25), abs=1e-3)
+
+
+def test_converged_flag_belongs_to_the_best_start():
+    # The first start sees a flat objective: no candidate improves, so its
+    # step halves from 0.5 to below 1e-6 in 19 passes of 2 * dim candidates
+    # and it converges.  Every later call returns a new maximum, so the second
+    # start is the best one and is still improving when its passes run out.
+    dim = 2
+    flat_calls = 1 + 19 * 2 * dim
+    calls = iter(range(10**6))
+
+    def objective(theta):
+        k = next(calls)
+        return 0.0 if k < flat_calls else float(k)
+
+    out = _coordinate_ascent(objective, dim, OptBudget(starts=2, iters=30),
+                             "flat-then-rising")
+    assert out.evaluations == flat_calls + 1 + 30 * 2 * dim
+    assert out.value > 0.0
+    assert not out.converged

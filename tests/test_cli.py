@@ -67,6 +67,17 @@ def test_tolerance_flag_overrides(suite_file, capsys):
     assert "FAIL  zhu" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "SUITE", "--tolerance", "margin_tol=abc"],
+    ["check", "zhu", "--map", "zhu_extremal", "--map-params", "{bad"],
+    ["caratheodory", "--dir", "0.3,0.4", "-p", "abc"],
+])
+def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
+    argv = [str(suite_file) if a == "SUITE" else a for a in argv]
+    assert main(argv) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_gallery_list(capsys):
     assert main(["gallery", "list"]) == 0
     names = capsys.readouterr().out.split()

@@ -196,6 +196,15 @@ def test_gallery_kalaj_unit_direction_enforced():
     assert norm_p(w, 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gallery_vector_params_accept_pairs():
+    kalaj = gallery("kalaj_extremal", {"b": [[0.6, 0.0], [0.8, 0.0]],
+                                       "a": 0.4, "d": 0.2, "p": 2})
+    tuple_map = gallery("moebius_tuple", {"m": 2, "a": [[0.3, 0.1], [-0.2, 0.0]],
+                                          "rotation": [[0.0, 1.0], [1.0, 0.0]]})
+    assert kalaj.output_dim == 2
+    assert tuple_map.output_dim == 2
+
+
 def test_gallery_self_map_property_sampled():
     gen = stream(8, "selfmap")
     for p in (2.0, 3.0, np.inf):

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from schwarz_lab import SchemaError
+from schwarz_lab import SchemaError, suite
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -73,6 +73,31 @@ def test_schema_round_trip_idempotent():
     (lambda d: d["jobs"][0].update(expect="maybe"), "/jobs/0/expect"),
     (lambda d: d["jobs"][1].update(exponent=1.0), "/jobs/1/exponent"),
     (lambda d: d["jobs"][1].update(samples=0), "/jobs/1/samples"),
+    # new cases carry ids, so the generated ids above stay unique
+    pytest.param(lambda d: d["jobs"][1].update(samples=10**12),
+                 "/jobs/1/samples", id="samples-over-cap"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent="abc"),
+                 "/jobs/1/exponent", id="exponent-not-a-number"),
+    pytest.param(lambda d: d["jobs"][0].update(map={"node": "sum", "terms": 5}),
+                 "/jobs/0/map", id="map-sum-terms-not-a-list"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "coordinate", "index": [1], "dim": 1}),
+                 "/jobs/0/map", id="map-coordinate-index-list"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "power", "exponent": 2.5,
+             "inner": {"node": "coordinate", "index": 0, "dim": 1}}),
+                 "/jobs/0/map", id="map-power-exponent-not-integer"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(n="two"),
+                 "/jobs/1/map/params", id="gallery-n-string"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(n=1e400),
+                 "/jobs/1/map/params", id="gallery-n-overflow"),
+    pytest.param(lambda d: d.update(tolerance_overrides={"margin_tol": float("nan")}),
+                 "/tolerance_overrides/margin_tol", id="tolerance-nan"),
+    pytest.param(lambda d: d["jobs"].append(
+        {"id": "lw", "check": "liu_wang",
+         "map": {"gallery": "identity", "params": {"n": 2}},
+         "point": [[1.0, 0.0], [10**400, 0.0]]}),
+                 "/jobs/2/point/1", id="point-entry-overflow"),
 ])
 def test_schema_errors_carry_json_pointers(mutate, pointer):
     doc = small_config()
@@ -80,6 +105,12 @@ def test_schema_errors_carry_json_pointers(mutate, pointer):
     with pytest.raises(SchemaError) as err:
         parse_suite(doc)
     assert str(err.value).startswith(pointer + ":"), str(err.value)
+    assert err.value.path == pointer
+
+
+def test_every_check_key_has_a_parser():
+    for name, spec in suite.CHECKS.items():
+        assert spec.required | spec.optional <= set(suite._PARSERS), name
 
 
 def test_invalid_json_text_is_schema_error():
@@ -204,6 +235,18 @@ def test_seed_changes_samples_not_stability():
     row_b = run_suite(other)[1]
     assert row_a.passed and row_b.passed
     assert row_a.margin != row_b.margin
+
+
+def test_runs_read_only_parsed_inputs(monkeypatch):
+    config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
+
+    def reparse(*args, **kwargs):
+        raise AssertionError("a map was built again at run time")
+
+    monkeypatch.setattr(suite, "gallery", reparse)
+    monkeypatch.setattr(suite, "map_from_json", reparse)
+    results = run_suite(config)
+    assert [r.job_id for r in results if not r.passed] == []
 
 
 def test_shipped_suite_all_pass():
