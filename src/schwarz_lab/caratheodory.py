@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, OutsideBall
-from .geometry import as_exponent, cvector, lp_norm_value, norm_p
+from .geometry import as_exponent, cvector, lp_norm_value, norm_p, with_lp_norms
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
@@ -141,9 +141,7 @@ def competitor_membership_max(family: CompetitorFamily, theta: np.ndarray,
     f = competitor_map(family, theta, base, e)
     gen = stream(seed, "membership", n, str(e.p))
     raw = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
-    norms = lp_norm_value(raw, e.p)
-    norms[norms == 0.0] = 1.0
-    pts = raw / norms[:, None] * 0.999
+    pts = with_lp_norms(raw, e.p, 0.999)
     return float(np.max(np.abs(evaluate(f, pts))))
 
 

@@ -126,7 +126,7 @@ def _cmd_check(args) -> int:
         job["point"] = _parse_vector_arg(args.point)
     if args.exponent is not None:
         job["exponent"] = _parse_exponent_arg(args.exponent)
-    if args.samples:
+    if args.samples is not None:
         job["samples"] = args.samples
     if args.variant:
         job["variant"] = args.variant
@@ -152,9 +152,9 @@ def _cmd_caratheodory(args) -> int:
             job["base"] = _parse_vector_arg(args.base)
         if args.family:
             job["family"] = args.family
-    if args.starts:
+    if args.starts is not None:
         job["starts"] = args.starts
-    if args.iters:
+    if args.iters is not None:
         job["iters"] = args.iters
     config = parse_suite(_single_job_config(
         job, args.seed, _tolerance_pairs(args.tolerance)))

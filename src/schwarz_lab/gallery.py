@@ -8,7 +8,6 @@ validation lives in the builders; anything out of range raises BadParams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +26,15 @@ from .maps import (
     Product,
     Scale,
     Sum,
-    conjugate_tuple,
     identity_map,
+    json_int,
 )
 
 _UNIT_TOL = 1e-9
 
 
 def _check_dim(n) -> int:
-    n = int(n)
+    n = json_int(n)
     if n < 1:
         raise BadParams(f"dimension must be >= 1, got {n}")
     return n
@@ -67,7 +66,7 @@ def build_identity(n) -> MapExpr:
 def build_scaled_identity(n, t=0.5) -> MapExpr:
     n = _check_dim(n)
     t = complex(t)
-    if abs(t) > 1.0:
+    if not abs(t) <= 1.0:
         raise BadParams("scaling factor must satisfy |t| <= 1 for a ball self-map")
     return MapTuple(tuple(Scale(t, Coordinate(j, n)) for j in range(n)))
 
@@ -95,7 +94,7 @@ def build_first_times_last(n) -> MapExpr:
 
 def build_diag_power(ks, units=None) -> MapExpr:
     """z -> (u_j z_j^{k_j}) with unimodular u_j and integer k_j >= 1."""
-    ks = [int(k) for k in np.atleast_1d(ks)]
+    ks = [json_int(k) for k in (ks if np.ndim(ks) else [ks])]
     n = len(ks)
     if n < 1 or any(k < 1 for k in ks):
         raise BadParams("diag_power needs integer exponents k_j >= 1")
@@ -155,9 +154,9 @@ def build_zhu_extremal(a=0.0, d=0.0) -> MapExpr:
     """
     a = _complex(a)
     d = float(d)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise BadParams("zhu_extremal needs |a| < 1")
-    if d < 0.0 or d > 1.0 - abs(a) ** 2 + 1e-12:
+    if not 0.0 <= d <= 1.0 - abs(a) ** 2 + 1e-12:
         raise BadParams("zhu_extremal needs 0 <= d <= 1 - |a|^2")
     c = min(d / (1.0 - abs(a) ** 2), 1.0)
     inner = _inner_factor(c)
@@ -178,7 +177,7 @@ def build_kalaj_extremal(b, a=0.0, d=0.0, p=2) -> MapExpr:
     d = float(d)
     if not 0.0 <= a < 1.0:
         raise BadParams("kalaj_extremal needs 0 <= a < 1")
-    if d < 0.0 or d > 1.0 - a**2 + 1e-12:
+    if not 0.0 <= d <= 1.0 - a**2 + 1e-12:
         raise BadParams("kalaj_extremal needs 0 <= d <= 1 - a^2")
     c = min(d / (1.0 - a**2), 1.0)
     sigma = MoebiusDisk(a, 1.0, _inner_factor(c)) if a > 0 else _inner_factor(c)
@@ -242,7 +241,7 @@ def build_product_mixed(n, m) -> MapExpr:
 
 def build_conjugate(n) -> MapExpr:
     """z -> conj(z); anti-holomorphic, pluriharmonic."""
-    return conjugate_tuple(_check_dim(n))
+    return identity_map(_check_dim(n)).conjugate()
 
 
 def build_ph_linear_blend(n, mix=0.5) -> MapExpr:
@@ -266,7 +265,7 @@ def build_ph_blend(n, mix=0.5, shift_holo=0.0, shift_anti=0.0, anchor=0) -> MapE
     (mix * a + (1 - mix) * b) e_k.
     """
     n = _check_dim(n)
-    k = int(anchor)
+    k = json_int(anchor)
     if not 0 <= k < n:
         raise BadParams("anchor index out of range")
     s = float(mix)
@@ -291,103 +290,24 @@ def build_ph_blend(n, mix=0.5, shift_holo=0.0, shift_anti=0.0, anchor=0) -> MapE
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    builder: object
-    summary: str
-    params: dict
-
-
-GALLERY: dict[str, GalleryEntry] = {}
-
-
-def _register(name, builder, summary, params):
-    GALLERY[name] = GalleryEntry(name, builder, summary, dict(params))
-
-
-_register("identity", build_identity, "z -> z on C^n", {"n": "dimension"})
-_register(
-    "scaled_identity",
-    build_scaled_identity,
-    "z -> t z, |t| <= 1",
-    {"n": "dimension", "t": "complex factor, |t| <= 1 (default 0.5)"},
-)
-_register("square_first", build_square_first, "(z1^2, z2, ..., zn)", {"n": "dimension"})
-_register(
-    "first_times_last",
-    build_first_times_last,
-    "(z1 zn, z2, ..., zn)",
-    {"n": "dimension >= 2"},
-)
-_register(
-    "diag_power",
-    build_diag_power,
-    "(u_j z_j^{k_j}) with |u_j| = 1, k_j >= 1",
-    {"ks": "list of integer exponents", "units": "optional unimodular factors"},
-)
-_register("unitary", build_unitary, "z -> U z, U unitary", {"matrix": "unitary matrix"})
-_register(
-    "zhu_extremal",
-    build_zhu_extremal,
-    "sharp disk extremal with f(0) = a, |f'(0)| = d",
-    {"a": "complex, |a| < 1", "d": "0 <= d <= 1 - |a|^2"},
-)
-_register(
-    "kalaj_extremal",
-    build_kalaj_extremal,
-    "disk-to-ball extremal b * (A + a)/(1 + a A)",
-    {"b": "unit vector", "a": "[0, 1)", "d": "0 <= d <= 1 - a^2", "p": "ball exponent"},
-)
-_register(
-    "moebius_fix1",
-    build_moebius_fix1,
-    "(z + a)/(1 + a z), fixes 1",
-    {"a": "real shift in (-1, 1)"},
-)
-_register(
-    "moebius_tuple",
-    build_moebius_tuple,
-    "componentwise disk automorphism of D^m",
-    {"m": "dimension", "a": "shifts", "rotation": "optional unimodular factors"},
-)
-_register(
-    "product_projection",
-    build_product_projection,
-    "(z, w) -> w",
-    {"n": "ball factor dim", "m": "polydisk factor dim"},
-)
-_register(
-    "product_moebius",
-    build_product_moebius,
-    "(z, w) -> componentwise Moebius of w",
-    {"n": "ball factor dim", "m": "polydisk factor dim", "a": "shifts", "rotation": "optional"},
-)
-_register(
-    "product_mixed",
-    build_product_mixed,
-    "(z, w) -> ((w_i + z_1 w_i^2)/2), fixes no slice",
-    {"n": "ball factor dim", "m": "polydisk factor dim"},
-)
-_register("conjugate", build_conjugate, "z -> conj(z)", {"n": "dimension"})
-_register(
-    "ph_linear_blend",
-    build_ph_linear_blend,
-    "mix * z + (1 - mix) * conj(z)",
-    {"n": "dimension", "mix": "[0, 1]"},
-)
-_register(
-    "ph_blend",
-    build_ph_blend,
-    "one-slot blend of Moebius and conjugated Moebius",
-    {
-        "n": "dimension",
-        "mix": "[0, 1]",
-        "shift_holo": "real in (-1, 1)",
-        "shift_anti": "real in (-1, 1)",
-        "anchor": "slot index",
-    },
-)
+GALLERY = {
+    "identity": build_identity,
+    "scaled_identity": build_scaled_identity,
+    "square_first": build_square_first,
+    "first_times_last": build_first_times_last,
+    "diag_power": build_diag_power,
+    "unitary": build_unitary,
+    "zhu_extremal": build_zhu_extremal,
+    "kalaj_extremal": build_kalaj_extremal,
+    "moebius_fix1": build_moebius_fix1,
+    "moebius_tuple": build_moebius_tuple,
+    "product_projection": build_product_projection,
+    "product_moebius": build_product_moebius,
+    "product_mixed": build_product_mixed,
+    "conjugate": build_conjugate,
+    "ph_linear_blend": build_ph_linear_blend,
+    "ph_blend": build_ph_blend,
+}
 
 
 def gallery(name: str, params: dict | None = None) -> MapExpr:
@@ -395,7 +315,7 @@ def gallery(name: str, params: dict | None = None) -> MapExpr:
     if name not in GALLERY:
         raise BadParams(f"unknown gallery map '{name}' (see gallery_names())")
     try:
-        return GALLERY[name].builder(**(params or {}))
+        return GALLERY[name](**(params or {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad parameters for gallery map '{name}': {exc}") from exc
 

@@ -112,6 +112,14 @@ def lp_norm_value(x, q: float) -> float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
+    """Rows of z rescaled to lq norms `radii` (one per row, or one for all);
+    zero rows stay zero."""
+    norms = lp_norm_value(z, q)
+    norms[norms == 0.0] = 1.0
+    return z / norms[:, None] * np.reshape(radii, (-1, 1))
+
+
 def norm_p(z, p) -> float:
     """lp norm of a complex vector; p may be an Exponent or a number."""
     p = as_exponent(p)

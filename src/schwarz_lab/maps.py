@@ -4,12 +4,16 @@ A MapExpr is a small AST that can be evaluated at single points or batches,
 serialized to JSON, and differentiated numerically (see diff.py).  Scalar
 nodes produce one output; MapTuple and LinearMatrix assemble vector maps.
 Holomorphy is syntactic: a tree is holomorphic iff it contains no
-ConjugateCoordinate leaf.
+ConjugateCoordinate leaf.  Each node class is the one description of its
+node: a JSON ``tag``, and dataclass fields that are its JSON keys, in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+import numbers
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -17,6 +21,10 @@ from .errors import BadParams, DimensionMismatch, PoleHit
 
 _POLE_TOL = 1e-14
 _UNIT_TOL = 1e-12
+
+# Upper bound for every count in a suite job and every dimension or index read
+# from JSON: each one sizes an allocation or a loop.
+MAX_COUNT = 10**6
 
 
 class _EvalCtx:
@@ -30,15 +38,19 @@ class _EvalCtx:
 
 @dataclass(frozen=True, eq=False)
 class MapExpr:
-    """Base class.  Subclasses implement _eval and the dimension properties."""
+    """Base class.  Subclasses set ``tag`` and implement _eval; leaves also
+    implement input_dim, and vector nodes output_dim and component."""
+
+    tag: ClassVar[str]
 
     @property
     def input_dim(self) -> int:
-        raise NotImplementedError
+        # children share the node's input, except Compose's outer (listed first)
+        return self.children()[-1].input_dim
 
     @property
     def output_dim(self) -> int:
-        raise NotImplementedError
+        return 1
 
     @property
     def is_scalar(self) -> bool:
@@ -49,9 +61,16 @@ class MapExpr:
 
     @property
     def is_holomorphic(self) -> bool:
-        if isinstance(self, ConjugateCoordinate):
-            return False
         return all(c.is_holomorphic for c in self.children())
+
+    def conjugate(self) -> "MapExpr":
+        """z -> conj(f(z)); by default conjugates complex fields and subtrees."""
+        return type(self)(*(_FIELD_TYPES[kind].conjugate(getattr(self, name))
+                            for name, kind in _FIELDS[type(self)]))
+
+    def component(self, i: int) -> "MapExpr":
+        """Scalar component i, for 0 <= i < output_dim; a scalar map is its own."""
+        return self
 
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
         raise NotImplementedError
@@ -100,6 +119,13 @@ def min_moebius_denominator(f: MapExpr, points) -> float:
     return float(ctx.min_denominator)
 
 
+def _finite(value, what: str) -> complex:
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise BadParams(f"{what} must be finite, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # leaf nodes
 # ---------------------------------------------------------------------------
@@ -109,6 +135,7 @@ def min_moebius_denominator(f: MapExpr, points) -> float:
 class Coordinate(MapExpr):
     """z -> z_j (0-indexed) on C^dim."""
 
+    tag = "coordinate"
     index: int
     dim: int
 
@@ -120,32 +147,26 @@ class Coordinate(MapExpr):
     def input_dim(self):
         return self.dim
 
-    @property
-    def output_dim(self):
-        return 1
+    def conjugate(self):
+        return ConjugateCoordinate(self.index, self.dim)
 
     def _eval(self, z, ctx):
         return z[:, self.index]
 
 
 @dataclass(frozen=True, eq=False)
-class ConjugateCoordinate(MapExpr):
-    """z -> conj(z_j); the only anti-holomorphic leaf."""
+class ConjugateCoordinate(Coordinate):
+    """z -> conj(z_j); the only anti-holomorphic leaf.  Its fields and checks
+    are Coordinate's."""
 
-    index: int
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.dim:
-            raise BadParams(f"coordinate index {self.index} out of range for C^{self.dim}")
+    tag = "conjugate_coordinate"
 
     @property
-    def input_dim(self):
-        return self.dim
+    def is_holomorphic(self):
+        return False
 
-    @property
-    def output_dim(self):
-        return 1
+    def conjugate(self):
+        return Coordinate(self.index, self.dim)
 
     def _eval(self, z, ctx):
         return np.conj(z[:, self.index])
@@ -155,21 +176,18 @@ class ConjugateCoordinate(MapExpr):
 class Constant(MapExpr):
     """Constant scalar value viewed as a map on C^dim."""
 
+    tag = "constant"
     value: complex
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "value", _finite(self.value, "constant value"))
         if self.dim < 1:
             raise BadParams("constant map needs a positive input dimension")
 
     @property
     def input_dim(self):
         return self.dim
-
-    @property
-    def output_dim(self):
-        return 1
 
     def _eval(self, z, ctx):
         return np.full(z.shape[0], self.value, dtype=complex)
@@ -195,18 +213,11 @@ def _check_scalar_children(kind: str, nodes):
 
 @dataclass(frozen=True, eq=False)
 class Sum(MapExpr):
+    tag = "sum"
     terms: tuple[MapExpr, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _check_scalar_children("Sum", self.terms))
-
-    @property
-    def input_dim(self):
-        return self.terms[0].input_dim
-
-    @property
-    def output_dim(self):
-        return 1
 
     def children(self):
         return self.terms
@@ -220,18 +231,11 @@ class Sum(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Product(MapExpr):
+    tag = "product"
     factors: tuple[MapExpr, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _check_scalar_children("Product", self.factors))
-
-    @property
-    def input_dim(self):
-        return self.factors[0].input_dim
-
-    @property
-    def output_dim(self):
-        return 1
 
     def children(self):
         return self.factors
@@ -247,15 +251,12 @@ class Product(MapExpr):
 class Scale(MapExpr):
     """Componentwise multiplication by a fixed complex factor."""
 
+    tag = "scale"
     factor: complex
     inner: MapExpr
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", complex(self.factor))
-
-    @property
-    def input_dim(self):
-        return self.inner.input_dim
+        object.__setattr__(self, "factor", _finite(self.factor, "scale factor"))
 
     @property
     def output_dim(self):
@@ -263,6 +264,9 @@ class Scale(MapExpr):
 
     def children(self):
         return (self.inner,)
+
+    def component(self, i):
+        return Scale(self.factor, self.inner.component(i))
 
     def _eval(self, z, ctx):
         return self.factor * self.inner._eval(z, ctx)
@@ -272,6 +276,7 @@ class Scale(MapExpr):
 class Power(MapExpr):
     """Integer power w -> w^k, k >= 0, of a scalar map."""
 
+    tag = "power"
     exponent: int
     inner: MapExpr
 
@@ -281,14 +286,6 @@ class Power(MapExpr):
         object.__setattr__(self, "exponent", int(self.exponent))
         if not self.inner.is_scalar:
             raise BadParams("Power applies to scalar maps")
-
-    @property
-    def input_dim(self):
-        return self.inner.input_dim
-
-    @property
-    def output_dim(self):
-        return 1
 
     def children(self):
         return (self.inner,)
@@ -305,27 +302,20 @@ class MoebiusDisk(MapExpr):
     Sends 0 to a; with a = 0 it is a pure rotation.
     """
 
+    tag = "moebius"
     a: complex
     rotation: complex
     inner: MapExpr
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "rotation", complex(self.rotation))
+        object.__setattr__(self, "a", _finite(self.a, "Moebius parameter"))
+        object.__setattr__(self, "rotation", _finite(self.rotation, "Moebius rotation"))
         if abs(self.a) >= 1.0:
             raise BadParams(f"Moebius parameter needs |a| < 1, got |a| = {abs(self.a):.6f}")
         if abs(abs(self.rotation) - 1.0) > _UNIT_TOL:
             raise BadParams("Moebius rotation must be unimodular")
         if not self.inner.is_scalar:
             raise BadParams("MoebiusDisk applies to scalar maps")
-
-    @property
-    def input_dim(self):
-        return self.inner.input_dim
-
-    @property
-    def output_dim(self):
-        return 1
 
     def children(self):
         return (self.inner,)
@@ -350,6 +340,7 @@ class MoebiusDisk(MapExpr):
 class LinearMatrix(MapExpr):
     """z -> M z for a fixed complex m-by-n matrix."""
 
+    tag = "linear"
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -368,6 +359,14 @@ class LinearMatrix(MapExpr):
     def output_dim(self):
         return self.matrix.shape[0]
 
+    def conjugate(self):
+        conj_z = identity_map(self.input_dim).conjugate()
+        return Compose(LinearMatrix(np.conj(self.matrix)), conj_z)
+
+    def component(self, i):
+        n = self.input_dim
+        return Sum(tuple(Scale(self.matrix[i, j], Coordinate(j, n)) for j in range(n)))
+
     def _eval(self, z, ctx):
         return z @ self.matrix.T
 
@@ -376,6 +375,7 @@ class LinearMatrix(MapExpr):
 class Compose(MapExpr):
     """outer after inner."""
 
+    tag = "compose"
     outer: MapExpr
     inner: MapExpr
 
@@ -387,15 +387,17 @@ class Compose(MapExpr):
             )
 
     @property
-    def input_dim(self):
-        return self.inner.input_dim
-
-    @property
     def output_dim(self):
         return self.outer.output_dim
 
     def children(self):
         return (self.outer, self.inner)
+
+    def conjugate(self):
+        return Compose(self.outer.conjugate(), self.inner)
+
+    def component(self, i):
+        return Compose(self.outer.component(i), self.inner)
 
     def _eval(self, z, ctx):
         mid = self.inner._eval(z, ctx)
@@ -408,6 +410,7 @@ class Compose(MapExpr):
 class MapTuple(MapExpr):
     """Bundle scalar maps with a common input into a vector map."""
 
+    tag = "tuple"
     components: tuple[MapExpr, ...]
 
     def __post_init__(self):
@@ -416,15 +419,14 @@ class MapTuple(MapExpr):
         )
 
     @property
-    def input_dim(self):
-        return self.components[0].input_dim
-
-    @property
     def output_dim(self):
         return len(self.components)
 
     def children(self):
         return self.components
+
+    def component(self, i):
+        return self.components[i]
 
     def _eval(self, z, ctx):
         return np.stack([c._eval(z, ctx) for c in self.components], axis=-1)
@@ -439,63 +441,33 @@ def identity_map(n: int) -> MapExpr:
     return MapTuple(tuple(Coordinate(j, n) for j in range(n)))
 
 
-def conjugate_tuple(n: int) -> MapExpr:
-    return MapTuple(tuple(ConjugateCoordinate(j, n) for j in range(n)))
-
-
 def component(f: MapExpr, i: int) -> MapExpr:
     """Scalar component i of a vector map, as an expression tree."""
     if not 0 <= i < f.output_dim:
         raise BadParams(f"component {i} out of range for output dimension {f.output_dim}")
-    if f.is_scalar:
-        return f
-    if isinstance(f, MapTuple):
-        return f.components[i]
-    if isinstance(f, LinearMatrix):
-        n = f.input_dim
-        row = f.matrix[i]
-        return Sum(tuple(Scale(row[j], Coordinate(j, n)) for j in range(n)))
-    if isinstance(f, Scale):
-        return Scale(f.factor, component(f.inner, i))
-    if isinstance(f, Compose):
-        return Compose(component(f.outer, i), f.inner)
-    raise BadParams(f"cannot extract a component from {type(f).__name__}")
+    return f.component(i)
 
 
 def conjugate_map(f: MapExpr) -> MapExpr:
-    """The map z -> conj(f(z)), as an expression tree.
-
-    Swaps Coordinate and ConjugateCoordinate leaves and conjugates every
-    fixed constant; composition conjugates the outer map only.
-    """
-    if isinstance(f, Coordinate):
-        return ConjugateCoordinate(f.index, f.dim)
-    if isinstance(f, ConjugateCoordinate):
-        return Coordinate(f.index, f.dim)
-    if isinstance(f, Constant):
-        return Constant(np.conj(f.value), f.dim)
-    if isinstance(f, Sum):
-        return Sum(tuple(conjugate_map(t) for t in f.terms))
-    if isinstance(f, Product):
-        return Product(tuple(conjugate_map(t) for t in f.factors))
-    if isinstance(f, Scale):
-        return Scale(np.conj(f.factor), conjugate_map(f.inner))
-    if isinstance(f, Power):
-        return Power(f.exponent, conjugate_map(f.inner))
-    if isinstance(f, MoebiusDisk):
-        return MoebiusDisk(np.conj(f.a), np.conj(f.rotation), conjugate_map(f.inner))
-    if isinstance(f, LinearMatrix):
-        return Compose(LinearMatrix(np.conj(f.matrix)), conjugate_tuple(f.input_dim))
-    if isinstance(f, Compose):
-        return Compose(conjugate_map(f.outer), f.inner)
-    if isinstance(f, MapTuple):
-        return MapTuple(tuple(conjugate_map(c) for c in f.components))
-    raise BadParams(f"cannot conjugate {type(f).__name__}")
+    """The map z -> conj(f(z)), as an expression tree."""
+    return f.conjugate()
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
+
+NODES: dict[str, type[MapExpr]] = {cls.tag: cls for cls in (
+    Coordinate, ConjugateCoordinate, Constant, Sum, Product, Scale, Power,
+    MoebiusDisk, LinearMatrix, Compose, MapTuple)}
+
+
+def json_int(value) -> int:
+    """An integral number of magnitude <= MAX_COUNT (2.0 reads as 2), else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= MAX_COUNT or value != int(value)):
+        raise ValueError(f"expected an integer of magnitude <= {MAX_COUNT}, got {value!r}")
+    return int(value)
 
 
 def _c2j(value: complex) -> list[float]:
@@ -513,75 +485,45 @@ def _j2c(pair) -> complex:
 
 def map_to_json(f: MapExpr) -> dict:
     """Node-tagged JSON encoding; inverse of map_from_json."""
-    if isinstance(f, Coordinate):
-        return {"node": "coordinate", "index": f.index, "dim": f.dim}
-    if isinstance(f, ConjugateCoordinate):
-        return {"node": "conjugate_coordinate", "index": f.index, "dim": f.dim}
-    if isinstance(f, Constant):
-        return {"node": "constant", "value": _c2j(f.value), "dim": f.dim}
-    if isinstance(f, Sum):
-        return {"node": "sum", "terms": [map_to_json(t) for t in f.terms]}
-    if isinstance(f, Product):
-        return {"node": "product", "factors": [map_to_json(t) for t in f.factors]}
-    if isinstance(f, Scale):
-        return {"node": "scale", "factor": _c2j(f.factor), "inner": map_to_json(f.inner)}
-    if isinstance(f, Power):
-        return {"node": "power", "exponent": f.exponent, "inner": map_to_json(f.inner)}
-    if isinstance(f, MoebiusDisk):
-        return {
-            "node": "moebius",
-            "a": _c2j(f.a),
-            "rotation": _c2j(f.rotation),
-            "inner": map_to_json(f.inner),
-        }
-    if isinstance(f, LinearMatrix):
-        return {
-            "node": "linear",
-            "matrix": [[_c2j(v) for v in row] for row in f.matrix],
-        }
-    if isinstance(f, Compose):
-        return {
-            "node": "compose",
-            "outer": map_to_json(f.outer),
-            "inner": map_to_json(f.inner),
-        }
-    if isinstance(f, MapTuple):
-        return {"node": "tuple", "components": [map_to_json(c) for c in f.components]}
-    raise BadParams(f"cannot serialize {type(f).__name__}")
+    return {"node": f.tag, **{name: _FIELD_TYPES[kind].encode(getattr(f, name))
+                              for name, kind in _FIELDS[type(f)]}}
 
 
 def map_from_json(data: dict) -> MapExpr:
     if not isinstance(data, dict) or "node" not in data:
         raise BadParams("map JSON must be an object with a 'node' tag")
-    kind = data["node"]
+    tag = data["node"]
+    cls = NODES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise BadParams(f"unknown map node '{tag}'")
     try:
-        if kind == "coordinate":
-            return Coordinate(int(data["index"]), int(data["dim"]))
-        if kind == "conjugate_coordinate":
-            return ConjugateCoordinate(int(data["index"]), int(data["dim"]))
-        if kind == "constant":
-            return Constant(_j2c(data["value"]), int(data["dim"]))
-        if kind == "sum":
-            return Sum(tuple(map_from_json(t) for t in data["terms"]))
-        if kind == "product":
-            return Product(tuple(map_from_json(t) for t in data["factors"]))
-        if kind == "scale":
-            return Scale(_j2c(data["factor"]), map_from_json(data["inner"]))
-        if kind == "power":
-            return Power(data["exponent"], map_from_json(data["inner"]))
-        if kind == "moebius":
-            return MoebiusDisk(
-                _j2c(data["a"]), _j2c(data["rotation"]), map_from_json(data["inner"])
-            )
-        if kind == "linear":
-            rows = [[_j2c(v) for v in row] for row in data["matrix"]]
-            return LinearMatrix(np.array(rows, dtype=complex))
-        if kind == "compose":
-            return Compose(map_from_json(data["outer"]), map_from_json(data["inner"]))
-        if kind == "tuple":
-            return MapTuple(tuple(map_from_json(c) for c in data["components"]))
+        return cls(*(_FIELD_TYPES[kind].decode(data[name]) for name, kind in _FIELDS[cls]))
     except KeyError as exc:
-        raise BadParams(f"map JSON node '{kind}' is missing field {exc}") from exc
+        raise BadParams(f"map JSON node '{tag}' is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParams(f"malformed map JSON node '{kind}': {exc}") from exc
-    raise BadParams(f"unknown map node '{kind}'")
+        raise BadParams(f"malformed map JSON node '{tag}': {exc}") from exc
+
+
+class _FieldType(NamedTuple):
+    encode: Callable
+    decode: Callable
+    conjugate: Callable
+
+
+# how each field type is written to JSON, read back and conjugated; an int
+# is its own encoding and its own conjugate
+_FIELD_TYPES = {
+    int: _FieldType(int, json_int, int),
+    complex: _FieldType(_c2j, _j2c, complex.conjugate),
+    MapExpr: _FieldType(map_to_json, map_from_json, lambda f: f.conjugate()),
+    tuple[MapExpr, ...]: _FieldType(lambda fs: [map_to_json(f) for f in fs],
+                                    lambda ds: tuple(map_from_json(d) for d in ds),
+                                    lambda fs: tuple(f.conjugate() for f in fs)),
+    np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m],
+                           lambda rows: np.array([[_j2c(v) for v in row] for row in rows]),
+                           np.conj),
+}
+
+# (name, type) of each node's fields, in JSON key order
+_FIELDS = {cls: tuple((f.name, get_type_hints(cls)[f.name]) for f in fields(cls))
+           for cls in NODES.values()}

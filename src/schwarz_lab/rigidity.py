@@ -30,6 +30,7 @@ from .geometry import (
     norm_p,
     rigidity_v,
     schwarz_v,
+    with_lp_norms,
 )
 from .maps import Compose, LinearMatrix, MapExpr, evaluate
 from .verify import HypothesisCheck, Verdict
@@ -174,10 +175,7 @@ def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     u = sampler.random(count + 1)[1:]  # drop the all-zero first point
     x = 2.0 * u[:, : 2 * n] - 1.0
     z = x[:, :n] + 1j * x[:, n:]
-    norms = lp_norm_value(z, e.p)
-    norms[norms == 0.0] = 1.0
-    radii = 0.999 * u[:, -1]
-    return z / norms[:, None] * radii[:, None]
+    return with_lp_norms(z, e.p, 0.999 * u[:, -1])
 
 
 def _identity_residual(f: MapExpr, inst: RigidityInstance,

@@ -33,7 +33,7 @@ from .caratheodory import (
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
 from .geometry import BoundaryPoint, as_exponent
-from .maps import MapExpr, map_from_json
+from .maps import MAX_COUNT, MapExpr, map_from_json
 from .rigidity import (
     RigidityConfig,
     RigidityInstance,
@@ -57,10 +57,6 @@ from .verify import (
 )
 
 RIGIDITY_VERDICTS = ("certified", "equations_fail", "hypotheses_fail")
-
-# Upper bound for every count in a job (samples, grid points, optimizer starts
-# and iterations, dimensions): each one sizes an allocation or a loop.
-MAX_COUNT = 10**6
 
 # Distance from the unit sphere allowed for boundary points and anchors.
 _BOUNDARY_TOL = 1e-8

@@ -36,6 +36,7 @@ from .geometry import (
     pluriharmonic_V,
     realify,
     schwarz_v,
+    with_lp_norms,
 )
 from .maps import Compose, LinearMatrix, MapExpr, evaluate
 from .rng import stream
@@ -136,10 +137,7 @@ def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.9
     e = as_exponent(p)
     gen = stream(seed, label, n, str(e.p))
     raw = gen.standard_normal((count, n)) + 1j * gen.standard_normal((count, n))
-    norms = lp_norm_value(raw, e.p)
-    norms[norms == 0.0] = 1.0
-    radii = gen.uniform(0.0, shell, count)
-    return raw / norms[:, None] * radii[:, None]
+    return with_lp_norms(raw, e.p, gen.uniform(0.0, shell, count))
 
 
 def _holomorphy_check(f: MapExpr, probe: np.ndarray, tol: float) -> HypothesisCheck:

@@ -71,6 +71,10 @@ def test_tolerance_flag_overrides(suite_file, capsys):
     ["run", "SUITE", "--tolerance", "margin_tol=abc"],
     ["check", "zhu", "--map", "zhu_extremal", "--map-params", "{bad"],
     ["caratheodory", "--dir", "0.3,0.4", "-p", "abc"],
+    ["check", "schwarz_pick", "--map", "identity", "--map-params", '{"n": 2}',
+     "-p", "2", "--samples", "0"],
+    ["caratheodory", "--dir", "0.3,0.4", "-p", "2", "--starts", "0"],
+    ["caratheodory", "--dir", "0.3,0.4", "-p", "2", "--iters", "0"],
 ])
 def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
     argv = [str(suite_file) if a == "SUITE" else a for a in argv]

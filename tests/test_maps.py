@@ -1,9 +1,12 @@
 """Map AST: evaluation, structure, serialization, gallery constructors."""
 
+import cmath
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from schwarz_lab import (
     BadParams,
@@ -31,7 +34,8 @@ from schwarz_lab import (
     map_to_json,
     norm_p,
 )
-from schwarz_lab.maps import min_moebius_denominator
+from schwarz_lab import maps
+from schwarz_lab.maps import MapExpr, NODES, min_moebius_denominator
 from schwarz_lab.rng import stream
 
 
@@ -153,6 +157,98 @@ def test_json_roundtrip_all_nodes():
     assert np.allclose(evaluate(back, pts), evaluate(full, pts), atol=0)
     # serialization is stable under a second round trip
     assert map_to_json(back) == json.loads(blob)
+
+
+# random trees over every node class, for the node protocol properties
+_small = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+_unimodular = st.floats(0.0, 6.3).map(lambda t: cmath.exp(1j * t))
+
+
+def _matrices(m, n):
+    return st.lists(_small, min_size=m * n, max_size=m * n).map(
+        lambda v: LinearMatrix(np.array(v).reshape(m, n)))
+
+
+def _scalars(n):
+    leaves = st.one_of(
+        st.builds(Coordinate, st.integers(0, n - 1), st.just(n)),
+        st.builds(ConjugateCoordinate, st.integers(0, n - 1), st.just(n)),
+        st.builds(Constant, _small, st.just(n)),
+    )
+
+    def grow(trees):
+        operands = st.lists(trees, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(Sum, operands),
+            st.builds(Product, operands),
+            st.builds(Scale, _small, trees),
+            st.builds(Power, st.integers(0, 3), trees),
+            st.builds(MoebiusDisk, _small, _unimodular, trees),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=5)
+
+
+def _vectors(n):
+    return st.integers(2, 3).flatmap(lambda m: st.one_of(
+        st.lists(_scalars(n), min_size=m, max_size=m).map(lambda c: MapTuple(tuple(c))),
+        _matrices(m, n),
+    ))
+
+
+def _maps(n):
+    def compose(inner):
+        outer = st.one_of(_scalars(inner.output_dim), _vectors(inner.output_dim))
+        return outer.map(lambda f: Compose(f, inner))
+
+    vectors = _vectors(n)
+    return st.one_of(
+        _scalars(n),
+        vectors,
+        st.builds(Scale, _small, vectors),
+        vectors.flatmap(compose),
+    )
+
+
+_trees = st.integers(1, 3).flatmap(_maps)
+
+
+def _points(n):
+    gen = stream(5, "node-protocol", n)
+    return 0.5 * (gen.standard_normal((6, n)) + 1j * gen.standard_normal((6, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_trees)
+def test_node_protocol_properties(f):
+    pts = _points(f.input_dim)
+    try:
+        vals = evaluate(f, pts)
+    except PoleHit:
+        reject()
+    close = dict(rtol=1e-12, atol=1e-14)
+    blob = json.loads(json.dumps(map_to_json(f)))
+    back = map_from_json(blob)
+    assert map_to_json(back) == blob
+    assert np.array_equal(evaluate(back, pts), vals)
+    conj = conjugate_map(f)
+    np.testing.assert_allclose(evaluate(conj, pts), np.conj(vals), **close)
+    np.testing.assert_allclose(evaluate(conjugate_map(conj), pts), vals, **close)
+    for i in range(f.output_dim):
+        np.testing.assert_allclose(evaluate(component(f, i), pts)[:, 0], vals[:, i], **close)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_node_class_is_tagged_and_typed():
+    for cls in _subclasses(MapExpr):
+        assert NODES.get(cls.tag) is cls, cls.__name__
+        for name, kind in maps._FIELDS[cls]:
+            assert kind in maps._FIELD_TYPES, (cls.__name__, name)
 
 
 def test_json_rejects_garbage():

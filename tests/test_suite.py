@@ -98,6 +98,49 @@ def test_schema_round_trip_idempotent():
          "map": {"gallery": "identity", "params": {"n": 2}},
          "point": [[1.0, 0.0], [10**400, 0.0]]}),
                  "/jobs/2/point/1", id="point-entry-overflow"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"node": "coordinate", "index": 1.5, "dim": 2.9}),
+                 "/jobs/1/map", id="map-coordinate-fractional"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "power", "exponent": True,
+             "inner": {"node": "coordinate", "index": 0, "dim": 1}}),
+                 "/jobs/0/map", id="map-power-exponent-bool"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "scale", "factor": float("nan"),
+             "inner": {"node": "coordinate", "index": 0, "dim": 1}}),
+                 "/jobs/0/map", id="map-scale-factor-nan"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "constant", "value": [float("nan"), 0.0], "dim": 1}),
+                 "/jobs/0/map", id="map-constant-value-nan"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "moebius", "a": float("nan"), "rotation": 1.0,
+             "inner": {"node": "coordinate", "index": 0, "dim": 1}}),
+                 "/jobs/0/map", id="map-moebius-a-nan"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"node": "coordinate", "index": 0, "dim": 10**7}),
+                 "/jobs/1/map", id="map-dim-over-cap"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(n=2.5),
+                 "/jobs/1/map/params", id="gallery-n-fractional"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(n=True),
+                 "/jobs/1/map/params", id="gallery-n-bool"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(n=10**7),
+                 "/jobs/1/map/params", id="gallery-n-over-cap"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(t=float("nan")),
+                 "/jobs/1/map/params", id="gallery-scaled-identity-t-nan"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"gallery": "ph_blend", "params": {"n": 2, "anchor": 1.7}}),
+                 "/jobs/1/map/params", id="gallery-anchor-fractional"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"gallery": "diag_power", "params": {"ks": [2.5, 1]}}),
+                 "/jobs/1/map/params", id="gallery-ks-fractional"),
+    pytest.param(lambda d: d["jobs"][0]["map"]["params"].update(a=float("nan")),
+                 "/jobs/0/map/params", id="gallery-zhu-a-nan"),
+    pytest.param(lambda d: d["jobs"][0]["map"]["params"].update(d=float("nan")),
+                 "/jobs/0/map/params", id="gallery-zhu-d-nan"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"gallery": "moebius_tuple",
+             "params": {"m": 2, "a": [float("nan"), 0.0]}}),
+                 "/jobs/1/map/params", id="gallery-moebius-tuple-a-nan"),
 ])
 def test_schema_errors_carry_json_pointers(mutate, pointer):
     doc = small_config()
