@@ -79,18 +79,22 @@ def _eval_guarded(f: MapExpr, points, floor: float, err_cls, what: str) -> np.nd
 # complex Jacobians
 # ---------------------------------------------------------------------------
 
+# Fourth-order central difference: f'(x) ~ sum_k w_k f(x + o_k h) / (12 h).
+_FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_FD4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
+
 
 def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> JacobianRecord:
     """Cauchy-integral Jacobian at an interior point of analyticity.
 
     Column j is (1/(2K r)) * sum_k f(z + r w^k e_j) w^{-k} over 2K roots of
     unity; the even-node subsum gives the K-point rule and the discrepancy
-    between the two rules is the reported error estimate.
+    between the two rules is the reported error estimate.  All n circles
+    are evaluated as one batch.
     """
     cfg = cfg or CauchyConfig()
     z = cvector(z)
     n = z.size
-    m = f.output_dim
     K = int(cfg.nodes)
     r = float(cfg.radius)
     if K < 4 or r <= 0.0:
@@ -98,16 +102,14 @@ def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> Jacobian
     angles = 2.0 * np.pi * np.arange(2 * K) / (2 * K)
     roots = np.exp(1j * angles)
     weights = np.exp(-1j * angles)
-    jac2 = np.empty((m, n), dtype=complex)
-    jac1 = np.empty((m, n), dtype=complex)
-    for j in range(n):
-        pts = np.tile(z, (2 * K, 1))
-        pts[:, j] += r * roots
-        vals = _eval_guarded(
-            f, pts, cfg.denominator_floor, InsufficientClearance, "cauchy quadrature"
-        )
-        jac2[:, j] = (weights[:, None] * vals).sum(axis=0) / (2 * K * r)
-        jac1[:, j] = (weights[::2, None] * vals[::2]).sum(axis=0) / (K * r)
+    pts = np.tile(z, (n, 2 * K, 1))
+    cols = np.arange(n)
+    pts[cols, :, cols] += r * roots
+    vals = _eval_guarded(
+        f, pts.reshape(-1, n), cfg.denominator_floor, InsufficientClearance, "cauchy quadrature"
+    ).reshape(n, 2 * K, -1)
+    jac2 = np.stack([(weights[:, None] * v).sum(axis=0) for v in vals], axis=1) / (2 * K * r)
+    jac1 = np.stack([(weights[::2, None] * v[::2]).sum(axis=0) for v in vals], axis=1) / (K * r)
     err = float(np.max(np.abs(jac2 - jac1))) if jac2.size else 0.0
     if err > cfg.divergence_tol:
         raise QuadratureDivergence(
@@ -117,68 +119,46 @@ def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> Jacobian
     return JacobianRecord(jac2, "cauchy_integral", r, err)
 
 
-def _fd4_pair(f: MapExpr, z, j: int, h: float, floor: float):
-    """Fourth-order dRe/dIm derivatives of f along coordinate j."""
+def _fd4(f: MapExpr, z, h: float, what: str) -> np.ndarray:
+    """Fourth-order derivatives of f along the 2n real directions e_j, i e_j.
+
+    Returns shape (m, 2n), the x-directions first; the 8n probe points are
+    evaluated as one batch.
+    """
     n = z.size
-    ej = np.zeros(n, dtype=complex)
-    ej[j] = 1.0
-    offs = np.array([-2.0, -1.0, 1.0, 2.0])
-    pts = np.concatenate(
-        [z + (o * h) * ej for o in offs] + [z + (o * h * 1j) * ej for o in offs]
-    ).reshape(8, n)
-    vals = _eval_guarded(f, pts, floor, StepTooLarge, "finite difference")
-    coef = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    dx = (coef[:, None] * vals[:4]).sum(axis=0)
-    dy = (coef[:, None] * vals[4:]).sum(axis=0)
-    return dx, dy
+    dirs = np.vstack([np.eye(n), 1j * np.eye(n)])
+    pts = z + (_FD4_OFFSETS[:, None, None] * h) * dirs
+    vals = _eval_guarded(
+        f, pts.reshape(-1, n), CauchyConfig.denominator_floor, StepTooLarge, what
+    ).reshape(len(_FD4_OFFSETS), 2 * n, -1)
+    coef = _FD4_WEIGHTS / (12.0 * h)
+    return np.stack([(coef[:, None] * vals[:, d]).sum(axis=0) for d in range(2 * n)], axis=1)
 
 
-def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4, cfg: CauchyConfig | None = None) -> JacobianRecord:
+def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     """Finite-difference Jacobian: (d/dx - i d/dy)/2 per coordinate.
 
     Independent of the quadrature route; used as its cross-check.  The
     error estimate compares steps h and 2h.
     """
-    cfg = cfg or CauchyConfig()
     z = cvector(z)
     n = z.size
-    m = f.output_dim
-    jac = np.empty((m, n), dtype=complex)
-    jac_coarse = np.empty((m, n), dtype=complex)
-    for j in range(n):
-        dx, dy = _fd4_pair(f, z, j, h, cfg.denominator_floor)
-        jac[:, j] = 0.5 * (dx - 1j * dy)
-        dx2, dy2 = _fd4_pair(f, z, j, 2.0 * h, cfg.denominator_floor)
-        jac_coarse[:, j] = 0.5 * (dx2 - 1j * dy2)
+    d, d2 = (_fd4(f, z, step, "finite difference") for step in (h, 2.0 * h))
+    jac = 0.5 * (d[:, :n] - 1j * d[:, n:])
+    jac_coarse = 0.5 * (d2[:, :n] - 1j * d2[:, n:])
     err = float(np.max(np.abs(jac - jac_coarse))) / 15.0 if jac.size else 0.0
     return JacobianRecord(jac, "central_difference", h, err)
 
 
-def real_jacobian(f: MapExpr, z, h: float = 1e-4, cfg: CauchyConfig | None = None) -> JacobianRecord:
+def real_jacobian(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     """Real 2m-by-2n Jacobian acting on realifications (Re, Im stacked).
 
     D maps the realification of an input perturbation to the realification
     of the output change: rows are (Re f, Im f), columns (x_j then y_j).
     Fourth-order central differences in each of the 2n real directions.
     """
-    cfg = cfg or CauchyConfig()
-    z = cvector(z)
-    n = z.size
-    m = f.output_dim
-    out = np.empty((2 * m, 2 * n))
-    offs = np.array([-2.0, -1.0, 1.0, 2.0])
-    coef = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    for col in range(2 * n):
-        step = np.zeros(n, dtype=complex)
-        if col < n:
-            step[col] = 1.0
-        else:
-            step[col - n] = 1j
-        pts = np.stack([z + o * h * step for o in offs])
-        vals = _eval_guarded(f, pts, cfg.denominator_floor, StepTooLarge, "real jacobian")
-        deriv = (coef[:, None] * vals).sum(axis=0)
-        out[:, col] = np.concatenate([deriv.real, deriv.imag])
-    return JacobianRecord(out, "real_central_difference", h, math.nan)
+    d = _fd4(f, cvector(z), h, "real jacobian")
+    return JacobianRecord(np.vstack([d.real, d.imag]), "real_central_difference", h, math.nan)
 
 
 def cr_blocks(real_jac: np.ndarray):
@@ -203,27 +183,24 @@ def holomorphy_residual(f: MapExpr, z, h: float = 1e-4) -> float:
     return float(np.linalg.norm(a - d) + np.linalg.norm(b + c))
 
 
-def pluriharmonic_residual(
-    f: MapExpr, z, h: float = 2e-4, num_lines: int = 8, seed=0
-) -> float:
-    """Max 5-point discrete Laplacian of f along random complex lines through z.
+def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0) -> float:
+    """Max 5-point discrete Laplacian of f along 8 random complex lines through z.
 
     Pluriharmonic maps are harmonic on every complex line, so the residual
     is O(h^2) for them and order-one for genuinely non-harmonic maps such
-    as z -> |z_1|^2.
+    as z -> |z_1|^2.  All 40 probe points are evaluated as one batch.
     """
     z = cvector(z)
     n = z.size
     gen = _rng.stream(seed, "ph-residual", n)
-    worst = 0.0
-    for _ in range(int(num_lines)):
+    pts = []
+    for _ in range(8):
         d = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         d /= np.linalg.norm(d)
-        pts = np.stack([z + h * d, z - h * d, z + 1j * h * d, z - 1j * h * d, z])
-        vals = evaluate(f, pts)
-        lap = (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / h**2
-        worst = max(worst, float(np.max(np.abs(lap))))
-    return worst
+        pts += [z + h * d, z - h * d, z + 1j * h * d, z - 1j * h * d, z]
+    v = evaluate(f, np.array(pts)).reshape(8, 5, -1)
+    lap = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3] - 4.0 * v[:, 4]) / h**2
+    return float(np.max(np.abs(lap)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ from .maps import (
     Scale,
     Sum,
     identity_map,
+    json_complex,
     json_int,
+    json_matrix,
+    json_real,
 )
 
 _UNIT_TOL = 1e-9
@@ -40,18 +43,9 @@ def _check_dim(n) -> int:
     return n
 
 
-def _complex(value) -> complex:
-    """One complex parameter: a number or an [re, im] pair."""
-    if np.ndim(value) == 0:
-        return complex(value)
-    if np.shape(value) != (2,):
-        raise BadParams(f"expected a number or an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
-
-
 def _complex_list(values) -> list[complex]:
     """A vector parameter: one number, or a list of numbers and [re, im] pairs."""
-    return [_complex(v) for v in (values if np.ndim(values) else [values])]
+    return [json_complex(v) for v in (values if np.ndim(values) else [values])]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +59,7 @@ def build_identity(n) -> MapExpr:
 
 def build_scaled_identity(n, t=0.5) -> MapExpr:
     n = _check_dim(n)
-    t = complex(t)
+    t = json_complex(t)
     if not abs(t) <= 1.0:
         raise BadParams("scaling factor must satisfy |t| <= 1 for a ball self-map")
     return MapTuple(tuple(Scale(t, Coordinate(j, n)) for j in range(n)))
@@ -110,16 +104,14 @@ def build_diag_power(ks, units=None) -> MapExpr:
 
 def build_unitary(matrix) -> MapExpr:
     """z -> U z for a unitary U; a ball self-map for p = 2."""
-    m = np.asarray(matrix)
-    if m.ndim == 3:  # [[re, im], ...] encoding
-        m = m[..., 0] + 1j * m[..., 1]
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    lin = LinearMatrix(json_matrix(matrix))
+    m = lin.matrix
+    if m.shape[0] != m.shape[1]:
         raise BadParams("unitary matrix must be square")
     defect = np.max(np.abs(np.conj(m.T) @ m - np.eye(m.shape[0])))
     if defect > 1e-9:
         raise BadParams(f"matrix is not unitary (defect {defect:.2e})")
-    return LinearMatrix(m)
+    return lin
 
 
 def haar_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
@@ -152,8 +144,8 @@ def build_zhu_extremal(a=0.0, d=0.0) -> MapExpr:
     a = f(0) (complex, |a| < 1), d = |f'(0)| with d <= 1 - |a|^2.
     With a = d = 0 the map degenerates to z -> z^2.
     """
-    a = _complex(a)
-    d = float(d)
+    a = json_complex(a)
+    d = json_real(d)
     if not abs(a) < 1.0:
         raise BadParams("zhu_extremal needs |a| < 1")
     if not 0.0 <= d <= 1.0 - abs(a) ** 2 + 1e-12:
@@ -173,8 +165,8 @@ def build_kalaj_extremal(b, a=0.0, d=0.0, p=2) -> MapExpr:
     b = cvector(_complex_list(b))
     if abs(norm_p(b, p) - 1.0) > _UNIT_TOL:
         raise BadParams("kalaj_extremal direction b must be a unit vector for the given p")
-    a = float(a)
-    d = float(d)
+    a = json_real(a)
+    d = json_real(d)
     if not 0.0 <= a < 1.0:
         raise BadParams("kalaj_extremal needs 0 <= a < 1")
     if not 0.0 <= d <= 1.0 - a**2 + 1e-12:
@@ -186,7 +178,7 @@ def build_kalaj_extremal(b, a=0.0, d=0.0, p=2) -> MapExpr:
 
 def build_moebius_fix1(a=0.0) -> MapExpr:
     """Disk automorphism (z + a)/(1 + a z), a real: fixes 1, sends 0 to a."""
-    a = float(a)
+    a = json_real(a)
     if not -1.0 < a < 1.0:
         raise BadParams("moebius_fix1 needs a real shift in (-1, 1)")
     return MoebiusDisk(a, 1.0, Coordinate(0, 1))
@@ -247,7 +239,7 @@ def build_conjugate(n) -> MapExpr:
 def build_ph_linear_blend(n, mix=0.5) -> MapExpr:
     """z -> mix * z + (1 - mix) * conj(z); fixes every real boundary point."""
     n = _check_dim(n)
-    s = float(mix)
+    s = json_real(mix)
     if not 0.0 <= s <= 1.0:
         raise BadParams("mix must lie in [0, 1]")
     comps = tuple(
@@ -268,10 +260,10 @@ def build_ph_blend(n, mix=0.5, shift_holo=0.0, shift_anti=0.0, anchor=0) -> MapE
     k = json_int(anchor)
     if not 0 <= k < n:
         raise BadParams("anchor index out of range")
-    s = float(mix)
+    s = json_real(mix)
     if not 0.0 <= s <= 1.0:
         raise BadParams("mix must lie in [0, 1]")
-    a, b = float(shift_holo), float(shift_anti)
+    a, b = json_real(shift_holo), json_real(shift_anti)
     if not (-1.0 < a < 1.0 and -1.0 < b < 1.0):
         raise BadParams("shifts must lie in (-1, 1)")
     holo = MoebiusDisk(a, 1.0, Coordinate(k, n)) if a != 0.0 else Coordinate(k, n)

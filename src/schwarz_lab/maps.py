@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, NamedTuple, get_type_hints
 
@@ -475,12 +476,31 @@ def _c2j(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
-def _j2c(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise BadParams(f"complex scalar must be [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def is_real(value) -> bool:
+    """A finite real number; booleans and numeric strings do not count."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def json_real(value) -> float:
+    """A finite real number (see is_real), else ValueError."""
+    if not is_real(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def json_complex(value) -> complex:
+    """A finite number or an [re, im] pair of finite reals, else ValueError."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        return complex(json_real(value.real), json_real(value.imag))
+    if np.shape(value) != (2,):
+        raise ValueError(f"expected a number or an [re, im] pair, got {value!r}")
+    return complex(json_real(value[0]), json_real(value[1]))
+
+
+def json_matrix(rows) -> np.ndarray:
+    """A complex matrix given as rows of json_complex entries."""
+    return np.array([[json_complex(v) for v in row] for row in rows])
 
 
 def map_to_json(f: MapExpr) -> dict:
@@ -514,13 +534,13 @@ class _FieldType(NamedTuple):
 # is its own encoding and its own conjugate
 _FIELD_TYPES = {
     int: _FieldType(int, json_int, int),
-    complex: _FieldType(_c2j, _j2c, complex.conjugate),
+    complex: _FieldType(_c2j, json_complex, complex.conjugate),
     MapExpr: _FieldType(map_to_json, map_from_json, lambda f: f.conjugate()),
     tuple[MapExpr, ...]: _FieldType(lambda fs: [map_to_json(f) for f in fs],
                                     lambda ds: tuple(map_from_json(d) for d in ds),
                                     lambda fs: tuple(f.conjugate() for f in fs)),
     np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m],
-                           lambda rows: np.array([[_j2c(v) for v in row] for row in rows]),
+                           json_matrix,
                            np.conj),
 }
 

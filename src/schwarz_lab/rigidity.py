@@ -313,24 +313,24 @@ def check_proof_chain(inst: RigidityInstance,
     f = inst.map
     e = inst.exponent
     n = inst.dim
-    gen_pts = halton_ball_grid(2, 1, 200)[:, 0]
+    # each anchor's slice is probed once on the Halton disk grid plus the ts grid
+    ts = np.linspace(0.05, 0.95, 10)
+    probes = np.concatenate([halton_ball_grid(2, 1, 200), ts.astype(complex)[:, None]])
 
     a_res = 0.0
     b_res = 0.0
     c_res = 0.0
     for a in inst.anchors:
         psi = _slice_map(inst, a)
-        vals = evaluate(psi, gen_pts[:, None])
-        a_res = max(a_res, float(np.max(np.abs(vals))) - 1.0)
+        vals = evaluate(psi, probes)
+        a_res = max(a_res, float(np.max(np.abs(vals[:-ts.size]))) - 1.0)
         psi0 = complex(evaluate(psi, np.zeros(1, dtype=complex))[0])
         psi1 = complex(evaluate(psi, np.ones(1, dtype=complex))[0])
         der = radial_boundary_derivative(psi, np.ones(1, dtype=complex),
                                          np.ones(1, dtype=complex), cfg.richardson)
         b_res = max(b_res, abs(psi0), abs(psi1 - 1.0),
                     abs(complex(der.value[0]) - 1.0))
-        ts = np.linspace(0.05, 0.95, 10)
-        ids = evaluate(psi, ts.astype(complex)[:, None])[:, 0]
-        c_res = max(c_res, float(np.max(np.abs(ids - ts))))
+        c_res = max(c_res, float(np.max(np.abs(vals[-ts.size:, 0] - ts))))
 
     d_res = max(report.jf0_residuals)
     full_rank = report.rank == n

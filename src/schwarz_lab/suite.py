@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,7 +32,7 @@ from .caratheodory import (
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
 from .geometry import BoundaryPoint, as_exponent
-from .maps import MAX_COUNT, MapExpr, map_from_json
+from .maps import MAX_COUNT, MapExpr, is_real, map_from_json
 from .rigidity import (
     RigidityConfig,
     RigidityInstance,
@@ -136,12 +135,6 @@ def _fail(path: str, message: str):
     raise SchemaError(message, path=path)
 
 
-def _is_real(value) -> bool:
-    """A finite JSON number; booleans do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _want_str(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "expected a non-empty string")
@@ -154,7 +147,7 @@ def _want_vector(value, path: str) -> np.ndarray:
     out = np.empty(len(value), dtype=complex)
     for i, entry in enumerate(value):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(_is_real(t) for t in entry)):
+                or not all(is_real(t) for t in entry)):
             _fail(f"{path}/{i}", "expected an [re, im] number pair")
         out[i] = complex(entry[0], entry[1])
     # shared by every run of the job, so no runner may write to it
@@ -264,7 +257,7 @@ def validate_overrides(overrides) -> dict:
     for key, value in overrides.items():
         if key not in _KNOWN_TOL_KEYS:
             _fail(f"/tolerance_overrides/{key}", "unknown tolerance name")
-        if not _is_real(value) or value <= 0:
+        if not is_real(value) or value <= 0:
             _fail(f"/tolerance_overrides/{key}", "expected a positive number")
         clean[key] = float(value)
     return clean

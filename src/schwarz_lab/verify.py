@@ -164,9 +164,9 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
     best = 0.0
     for _ in range(starts):
         xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        xi /= norm_p(xi, pval)
+        xi /= lp_norm_value(xi, pval)
         step = 0.5
-        val = norm_p(J @ xi, pval)
+        val = lp_norm_value(J @ xi, pval)
         for _ in range(iters):
             y = J @ xi
             ay = np.abs(y)
@@ -175,11 +175,11 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
             if gn == 0.0:
                 break
             cand = xi + step * grad / gn
-            cn = norm_p(cand, pval)
+            cn = lp_norm_value(cand, pval)
             if cn == 0.0:
                 break
             cand /= cn
-            cval = norm_p(J @ cand, pval)
+            cval = lp_norm_value(J @ cand, pval)
             if cval > val:
                 xi, val = cand, cval
             else:
@@ -720,13 +720,9 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
 
     # Harnack certificate for phi(zeta) = 1 - (f(zeta z0))' . V
     angles = 2.0 * np.pi * np.arange(cfg.grid_angles) / cfg.grid_angles
-    vals = np.empty((len(cfg.grid_radii), cfg.grid_angles))
-    for i, r in enumerate(cfg.grid_radii):
-        zetas = r * np.exp(1j * angles)
-        pts = zetas[:, None] * z0.point[None, :]
-        fvals = evaluate(f, pts)
-        for a in range(cfg.grid_angles):
-            vals[i, a] = 1.0 - float(realify(fvals[a]) @ V)
+    zetas = np.asarray(cfg.grid_radii)[:, None] * np.exp(1j * angles)
+    fvals = evaluate(f, (zetas[:, :, None] * z0.point).reshape(-1, n))
+    vals = np.array([1.0 - float(realify(w) @ V) for w in fvals]).reshape(zetas.shape)
     phi0 = 1.0 - float(f0r @ V)
     harnack = harnack_certificate(DiskGrid(tuple(cfg.grid_radii), vals, phi0))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
 
 from schwarz_lab import (
     BoundaryPoint,
@@ -14,6 +15,7 @@ from schwarz_lab import (
     NoConvergence,
     QuadratureDivergence,
     Product,
+    StepTooLarge,
     complex_jacobian,
     complex_jacobian_fd,
     cr_blocks,
@@ -24,7 +26,9 @@ from schwarz_lab import (
     radial_boundary_derivative,
     real_jacobian,
 )
+from schwarz_lab import diff
 from schwarz_lab.rng import stream
+from test_maps import _trees
 
 
 def test_square_jacobian_frozen():
@@ -71,6 +75,37 @@ def test_cauchy_vs_fd_cross_validation():
         a = complex_jacobian(f, z).matrix
         b = complex_jacobian_fd(f, z).matrix
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_trees.filter(lambda f: f.is_holomorphic))
+def test_cauchy_and_fd_jacobians_agree_on_random_trees(f):
+    n = f.input_dim
+    gen = stream(13, "xval-trees", n)
+    z = 0.3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    try:
+        a = complex_jacobian(f, z).matrix
+        b = complex_jacobian_fd(f, z).matrix
+    except (InsufficientClearance, QuadratureDivergence, StepTooLarge):
+        reject()
+    assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+
+
+def test_each_derivative_evaluates_one_batch(monkeypatch):
+    calls = []
+
+    def counting(f, z, ctx=None):
+        calls.append(np.shape(z))
+        return evaluate(f, z, ctx=ctx)
+
+    monkeypatch.setattr(diff, "evaluate", counting)
+    f = gallery("square_first", {"n": 3})
+    z = np.array([0.1, 0.2j, -0.3])
+    for routine, batches in [(complex_jacobian, 1), (real_jacobian, 1),
+                             (pluriharmonic_residual, 1), (complex_jacobian_fd, 2)]:
+        calls.clear()
+        routine(f, z)
+        assert len(calls) == batches, (routine.__name__, calls)
 
 
 def test_chain_rule_holds():

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ def test_every_node_class_is_tagged_and_typed():
         assert NODES.get(cls.tag) is cls, cls.__name__
         for name, kind in maps._FIELDS[cls]:
             assert kind in maps._FIELD_TYPES, (cls.__name__, name)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unitary_rejects_non_finite_entries_without_warnings():
+    with pytest.raises(BadParams):
+        gallery("unitary", {"matrix": [[math.inf, 0.0], [0.0, 1.0]]})
 
 
 def test_json_rejects_garbage():

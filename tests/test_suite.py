@@ -141,6 +141,22 @@ def test_schema_round_trip_idempotent():
         map={"gallery": "moebius_tuple",
              "params": {"m": 2, "a": [float("nan"), 0.0]}}),
                  "/jobs/1/map/params", id="gallery-moebius-tuple-a-nan"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "constant", "value": ["1", "2"], "dim": 1}),
+                 "/jobs/0/map", id="map-constant-value-strings"),
+    pytest.param(lambda d: d["jobs"][0].update(
+        map={"node": "scale", "factor": True,
+             "inner": {"node": "coordinate", "index": 0, "dim": 1}}),
+                 "/jobs/0/map", id="map-scale-factor-bool"),
+    pytest.param(lambda d: d["jobs"][0]["map"]["params"].update(a="0.2", d="0.1"),
+                 "/jobs/0/map/params", id="gallery-zhu-a-d-strings"),
+    pytest.param(lambda d: d["jobs"][0]["map"]["params"].update(d="0.1"),
+                 "/jobs/0/map/params", id="gallery-zhu-d-string"),
+    pytest.param(lambda d: d["jobs"][1]["map"]["params"].update(t=True),
+                 "/jobs/1/map/params", id="gallery-scaled-identity-t-bool"),
+    pytest.param(lambda d: d["jobs"][1].update(
+        map={"gallery": "unitary", "params": {"matrix": [["1", 0], [0, 1]]}}),
+                 "/jobs/1/map/params", id="gallery-unitary-entry-string"),
 ])
 def test_schema_errors_carry_json_pointers(mutate, pointer):
     doc = small_config()
@@ -149,6 +165,36 @@ def test_schema_errors_carry_json_pointers(mutate, pointer):
         parse_suite(doc)
     assert str(err.value).startswith(pointer + ":"), str(err.value)
     assert err.value.path == pointer
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "paper.jsonl"
+
+
+def _close(got, want) -> bool:
+    """Equal structure and flags; numbers within rel 1e-6 / abs 1e-9."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return got.keys() == want.keys() and all(_close(got[k], want[k]) for k in got)
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(got, (bool, type(None))) or isinstance(want, (bool, type(None))):
+        return got is want
+    if isinstance(got, (int, float)) and isinstance(want, (int, float)):
+        return got == want or abs(got - want) <= max(1e-9, 1e-6 * max(abs(got), abs(want)))
+    return got == want
+
+
+def test_shipped_suite_matches_golden_report():
+    # tests/golden/paper.jsonl is `schwarz-lab run suites/paper.json --format jsonl`
+    config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
+    report = emit_report(run_suite(config), "jsonl")
+    got = [json.loads(line) for line in report.decode().splitlines()]
+    want = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert [r["id"] for r in got] == [r["id"] for r in want]
+    for g, w in zip(got, want):
+        assert (g["theorem_id"], g["passed"]) == (w["theorem_id"], w["passed"]), g["id"]
+        assert ([(h["name"], h["ok"]) for h in g["hypotheses"]]
+                == [(h["name"], h["ok"]) for h in w["hypotheses"]]), g["id"]
+        assert _close(g, w), g["id"]
 
 
 def test_every_check_key_has_a_parser():
