@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, OutsideBall
-from .geometry import as_exponent, cvector, lp_norm_value, norm_p, with_lp_norms
+from .geometry import as_exponent, cvector, l2_norm_rows, lp_norm_rows, norm_p, with_lp_norms
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
@@ -101,12 +101,26 @@ def distance_origin_closed(z, p) -> float:
     return 0.5 * math.log((1.0 + r) / (1.0 - r))
 
 
-def _theta_to_coefficients(theta: np.ndarray, n: int, q: float):
-    g = theta[:n] + 1j * theta[n:]
-    gn = lp_norm_value(g, q)
-    if gn == 0.0:
-        return None
-    return g / gn
+def _coefficients(theta: np.ndarray, q: float):
+    """Rows (k, 2n) of theta -> the lq-normalised coefficient rows c (k, n)
+    and the mask of rows whose coefficient vector is zero (their c is zero)."""
+    n = theta.shape[1] // 2
+    g = theta[:, :n] + 1j * theta[:, n:]
+    gn = lp_norm_rows(g, q)
+    zero = gn == 0.0
+    gn[zero] = 1.0
+    return g / gn[:, None], zero
+
+
+def _pair(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.sum(row * v) per row of c, bit for bit; as a broadcast 1-D operand, v
+    would send a one-element product down numpy's unfused scalar loop."""
+    return (c * v[None, :]).sum(axis=1)
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise by hypot, as Python's abs(complex) computes it."""
+    return np.hypot(z.real, z.imag)
 
 
 def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray,
@@ -118,15 +132,15 @@ def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2 * n,):
         raise BadParams("theta must have 2n real entries")
-    c = _theta_to_coefficients(theta, n, e.conjugate_value)
-    if c is None:
+    c, zero = _coefficients(theta[None, :], e.conjugate_value)
+    if zero[0]:
         raise BadParams("degenerate parameters: zero coefficient vector")
-    lin = LinearMatrix(c[None, :])
+    lin = LinearMatrix(c)
     if family.kind == "linear_dual":
         if float(norm_p(base, e)) > 0.0:
             raise BadParams("linear_dual competitors require base 0")
         return lin
-    a0 = complex(np.sum(c * base))
+    a0 = complex(np.sum(c[0] * base))
     moeb = MoebiusDisk(-a0, 1.0, Coordinate(0, 1))
     return Compose(moeb, lin)
 
@@ -149,42 +163,41 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     """Multi-start coordinate ascent for objectives invariant to theta scaling.
 
     Candidates stay on the unit sphere (the parameterization is projective),
-    so a fixed step always means a comparable change of direction.
+    so a fixed step always means a comparable change of direction.  All
+    starts advance together: `objective` maps (k, dim) thetas to k values, and
+    each (pass, k, sign) sweep is one call over the starts still running.
     """
     gen = stream(budget.seed, "caratheodory-opt", label, dim)
-    best_val = -math.inf
-    best_theta = np.zeros(dim)
-    evals = 0
-    converged = False  # whether the best start's ascent converged
-    for _ in range(budget.starts):
-        theta = gen.standard_normal(dim)
-        nt = np.linalg.norm(theta)
-        if nt > 0.0:
-            theta /= nt
-        val = objective(theta)
-        evals += 1
-        step = 0.5
-        start_converged = False
-        for _ in range(budget.iters):
-            improved = False
-            for k in range(dim):
-                for sign in (1.0, -1.0):
-                    cand = theta.copy()
-                    cand[k] += sign * step
-                    cand /= np.linalg.norm(cand)
-                    cv = objective(cand)
-                    evals += 1
-                    if cv > val:
-                        theta, val = cand, cv
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-6:
-                    start_converged = True
-                    break
-        if val > best_val:
-            best_val, best_theta, converged = val, theta, start_converged
-    return OptResult(float(best_val), best_theta, converged, evals)
+    theta = gen.standard_normal((budget.starts, dim))
+    nt = l2_norm_rows(theta)
+    theta /= np.where(nt > 0.0, nt, 1.0)[:, None]
+    val = objective(theta)
+    evals = budget.starts
+    step = np.full(budget.starts, 0.5)  # a start has converged once its step < 1e-6
+    live = np.arange(budget.starts)
+    for _ in range(budget.iters):
+        T, V, S = theta[live], val[live], step[live]
+        improved = np.zeros(live.size, dtype=bool)
+        for k in range(dim):
+            for move in (S, -S):
+                cand = T.copy()
+                cand[:, k] += move
+                cand /= l2_norm_rows(cand)[:, None]
+                cv = objective(cand)
+                better = cv > V
+                np.copyto(T, cand, where=better[:, None])
+                np.copyto(V, cv, where=better)
+                improved |= better
+        evals += 2 * dim * live.size
+        theta[live], val[live] = T, V
+        step[live[~improved]] *= 0.5
+        live = live[step[live] >= 1e-6]
+        if not live.size:
+            break
+    best = int(np.argmax(val))  # the first maximum, as a strict > scan keeps
+    if val[best] == -math.inf:
+        return OptResult(-math.inf, np.zeros(dim), False, evals)
+    return OptResult(float(val[best]), theta[best], bool(step[best] < 1e-6), evals)
 
 
 def metric_lower_bound_opt(query: MetricQuery, family: CompetitorFamily,
@@ -193,21 +206,17 @@ def metric_lower_bound_opt(query: MetricQuery, family: CompetitorFamily,
     e = query.exponent
     n = query.base.shape[0]
     q = e.conjugate_value
-    xi = query.direction
-    base = query.base
-    base_norm = float(norm_p(base, e))
-    if family.kind == "linear_dual" and base_norm > 0.0:
+    if family.kind == "linear_dual" and float(norm_p(query.base, e)) > 0.0:
         raise BadParams("linear_dual competitors require base 0")
 
-    def objective(theta):
-        c = _theta_to_coefficients(theta, n, q)
-        if c is None:
-            return -math.inf
-        pairing = abs(complex(np.sum(c * xi)))
-        if family.kind == "linear_dual":
-            return pairing
-        a0 = abs(complex(np.sum(c * base)))
-        return pairing / (1.0 - a0 * a0)
+    def objective(thetas):
+        c, zero = _coefficients(thetas, q)
+        val = _modulus(_pair(c, query.direction))
+        if family.kind == "linear_moebius":
+            a0 = _modulus(_pair(c, query.base))
+            val /= 1.0 - a0 * a0
+        val[zero] = -math.inf
+        return val
 
     return _coordinate_ascent(objective, 2 * n, budget,
                               f"metric-{family.kind}-{e.p}")
@@ -223,23 +232,23 @@ def distance_lower_bound_opt(z, w, p, family: CompetitorFamily | None = None,
         raise BadParams("z and w must share a dimension")
     if norm_p(z, e) >= 1.0 or norm_p(w, e) >= 1.0:
         raise OutsideBall("distance endpoints must lie in the open ball")
-    if family is None:
-        family = CompetitorFamily("linear_moebius")
-    if family.kind != "linear_moebius":
+    if family is not None and family.kind != "linear_moebius":
         raise BadParams("distance optimization needs the Moebius-normalized family")
     n = z.shape[0]
     q = e.conjugate_value
 
-    def objective(theta):
-        c = _theta_to_coefficients(theta, n, q)
-        if c is None:
-            return -math.inf
-        a0 = complex(np.sum(c * z))
-        b0 = complex(np.sum(c * w))
-        img = (b0 - a0) / (1.0 - np.conj(a0) * b0)
-        r = abs(img)
-        if r >= 1.0:
-            return -math.inf
-        return math.atanh(r)
+    def objective(thetas):
+        c, zero = _coefficients(thetas, q)
+        a0 = _pair(c, z)
+        b0 = _pair(c, w)
+        # 1 - conj(a0) b0 written out: numpy's complex array product fuses
+        # a multiply-add, which its one-point scalar product does not.
+        den = (1.0 - (a0.real * b0.real + a0.imag * b0.imag)
+               + 1j * (0.0 - (a0.real * b0.imag - a0.imag * b0.real)))
+        r = _modulus((b0 - a0) / den)
+        val = np.full(r.size, -math.inf)
+        keep = ~(zero | (r >= 1.0))
+        val[keep] = [math.atanh(x) for x in r[keep].tolist()]
+        return val
 
     return _coordinate_ascent(objective, 2 * n, budget, f"distance-{e.p}")

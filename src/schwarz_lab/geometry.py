@@ -104,12 +104,29 @@ def cinner(a, b) -> complex:
 
 
 def lp_norm_value(x, q: float) -> float:
-    """||x||_q for q in [1, inf], on real or complex arrays (last axis)."""
+    """||x||_q for q in [1, inf], on real or complex arrays (last axis).
+
+    A row of a 2-D batch can differ by 1 ulp from the same vector passed
+    alone, because numpy's vectorised pow takes the batch's root; use
+    lp_norm_rows where each row must match.
+    """
     mags = np.abs(np.asarray(x))
-    if math.isinf(q):
-        return float(np.max(mags, axis=-1)) if mags.ndim == 1 else np.max(mags, axis=-1)
-    out = np.sum(mags**q, axis=-1) ** (1.0 / q)
+    out = np.max(mags, axis=-1) if math.isinf(q) else np.sum(mags**q, axis=-1) ** (1.0 / q)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """lp_norm_value(row, q) of each row of a 2-D array, bit for bit (libm pow per row)."""
+    mags = np.abs(x)
+    if math.isinf(q):
+        return np.max(mags, axis=-1)
+    return np.array([s ** (1.0 / q) for s in (mags**q).sum(axis=-1).tolist()])
+
+
+def l2_norm_rows(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(row) of each row of a 2-D array, bit for bit (one BLAS dot per row)."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum((a[:, None, :] @ a[:, :, None])[:, 0, 0] for a in parts))
 
 
 def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:

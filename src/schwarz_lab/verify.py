@@ -29,6 +29,8 @@ from .geometry import (
     cinner,
     cvector,
     grad_rho,
+    l2_norm_rows,
+    lp_norm_rows,
     lp_norm_value,
     norm_p,
     normal_tangent_decompose,
@@ -150,7 +152,8 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
     """Lower estimate of the p->p operator norm of a complex matrix.
 
     Exact for p = 2 (largest singular value) and p = inf (max row l1 norm);
-    otherwise multi-start projected ascent over the unit p-sphere.
+    otherwise multi-start projected ascent over the unit p-sphere, all starts
+    in lockstep; stacked matmuls give each start the gemv a lone start gets.
     """
     J = np.asarray(matrix, dtype=complex)
     e = as_exponent(p)
@@ -158,36 +161,34 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
         return float(np.abs(J).sum(axis=1).max())
     if e.p == 2.0:
         return float(np.linalg.svd(J, compute_uv=False)[0])
-    m, n = J.shape
+    n = J.shape[1]
     gen = stream(seed, "opnorm", n, e.p)
-    pval = e.p
-    best = 0.0
-    for _ in range(starts):
-        xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        xi /= lp_norm_value(xi, pval)
-        step = 0.5
-        val = lp_norm_value(J @ xi, pval)
-        for _ in range(iters):
-            y = J @ xi
-            ay = np.abs(y)
-            grad = np.conj(J).T @ (ay ** (pval - 2.0) * y)
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                break
-            cand = xi + step * grad / gn
-            cn = lp_norm_value(cand, pval)
-            if cn == 0.0:
-                break
-            cand /= cn
-            cval = lp_norm_value(J @ cand, pval)
-            if cval > val:
-                xi, val = cand, cval
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        best = max(best, float(val))
-    return best
+    raw = gen.standard_normal((starts, 2, n))
+    xi = raw[:, 0] + 1j * raw[:, 1]
+    xi /= lp_norm_rows(xi, e.p)[:, None]
+    y = (J @ xi[:, :, None])[:, :, 0]  # J xi for each start's current xi
+    val = lp_norm_rows(y, e.p)
+    step = np.full(starts, 0.5)
+    live = np.arange(starts)
+    for _ in range(iters):
+        w = np.abs(y[live]) ** (e.p - 2.0) * y[live]
+        grad = (np.conj(J).T @ w[:, :, None])[:, :, 0]
+        gn = l2_norm_rows(grad)
+        live, grad, gn = live[gn != 0.0], grad[gn != 0.0], gn[gn != 0.0]
+        cand = xi[live] + step[live, None] * grad / gn[:, None]
+        cn = lp_norm_rows(cand, e.p)
+        live, cand, cn = live[cn != 0.0], cand[cn != 0.0], cn[cn != 0.0]
+        cand /= cn[:, None]
+        cy = (J @ cand[:, :, None])[:, :, 0]
+        cval = lp_norm_rows(cy, e.p)
+        better = cval > val[live]
+        up = live[better]
+        xi[up], y[up], val[up] = cand[better], cy[better], cval[better]
+        step[live[~better]] *= 0.5
+        live = live[step[live] >= 1e-9]
+        if not live.size:
+            break
+    return max([0.0, *val.tolist()])
 
 
 # ---------------------------------------------------------------------------

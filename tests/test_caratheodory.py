@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from schwarz_lab import hyperbolic_distance, norm_p
 from schwarz_lab.caratheodory import (
+    FAMILY_KINDS,
     CompetitorFamily,
     MetricQuery,
     OptBudget,
     OptResult,
+    _coefficients,
     _coordinate_ascent,
     competitor_map,
     competitor_membership_max,
@@ -22,6 +24,7 @@ from schwarz_lab.caratheodory import (
     metric_origin_closed,
 )
 from schwarz_lab.errors import BadParams, OutsideBall
+from schwarz_lab.geometry import as_exponent, cvector, lp_norm_value
 from schwarz_lab.maps import evaluate
 from schwarz_lab.rng import stream
 
@@ -129,18 +132,162 @@ def test_moebius_family_off_origin_bound():
 def test_converged_flag_belongs_to_the_best_start():
     # The first start sees a flat objective: no candidate improves, so its
     # step halves from 0.5 to below 1e-6 in 19 passes of 2 * dim candidates
-    # and it converges.  Every later call returns a new maximum, so the second
-    # start is the best one and is still improving when its passes run out.
+    # and it converges.  The second start sees a new maximum at every call,
+    # so it is the best one and is still improving when its passes run out.
+    # Rows come in start order, and start 1 outlives start 0, so the last
+    # row of every batch is start 1's.
     dim = 2
-    flat_calls = 1 + 19 * 2 * dim
-    calls = iter(range(10**6))
+    rising = iter(range(1, 10**6))
 
-    def objective(theta):
-        k = next(calls)
-        return 0.0 if k < flat_calls else float(k)
+    def objective(thetas):
+        vals = np.zeros(len(thetas))
+        vals[-1] = next(rising)
+        return vals
 
     out = _coordinate_ascent(objective, dim, OptBudget(starts=2, iters=30),
                              "flat-then-rising")
-    assert out.evaluations == flat_calls + 1 + 30 * 2 * dim
+    assert out.evaluations == 1 + 19 * 2 * dim + 1 + 30 * 2 * dim
     assert out.value > 0.0
     assert not out.converged
+
+
+# ---------------------------------------------------------------------------
+# scalar references: the one-start-at-a-time ascent the batched one replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_coefficients(theta, n, q):
+    g = theta[:n] + 1j * theta[n:]
+    gn = lp_norm_value(g, q)
+    if gn == 0.0:
+        return None
+    return g / gn
+
+
+def _ref_ascent(objective, dim, budget, label):
+    gen = stream(budget.seed, "caratheodory-opt", label, dim)
+    best_val = -math.inf
+    best_theta = np.zeros(dim)
+    evals = 0
+    converged = False
+    for _ in range(budget.starts):
+        theta = gen.standard_normal(dim)
+        nt = np.linalg.norm(theta)
+        if nt > 0.0:
+            theta /= nt
+        val = objective(theta)
+        evals += 1
+        step = 0.5
+        start_converged = False
+        for _ in range(budget.iters):
+            improved = False
+            for k in range(dim):
+                for sign in (1.0, -1.0):
+                    cand = theta.copy()
+                    cand[k] += sign * step
+                    cand /= np.linalg.norm(cand)
+                    cv = objective(cand)
+                    evals += 1
+                    if cv > val:
+                        theta, val = cand, cv
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-6:
+                    start_converged = True
+                    break
+        if val > best_val:
+            best_val, best_theta, converged = val, theta, start_converged
+    return OptResult(float(best_val), best_theta, converged, evals)
+
+
+def _ref_metric(query, family, budget):
+    e = query.exponent
+    n = query.base.shape[0]
+    q = e.conjugate_value
+
+    def objective(theta):
+        c = _ref_coefficients(theta, n, q)
+        if c is None:
+            return -math.inf
+        pairing = abs(complex(np.sum(c * query.direction)))
+        if family.kind == "linear_dual":
+            return pairing
+        a0 = abs(complex(np.sum(c * query.base)))
+        return pairing / (1.0 - a0 * a0)
+
+    return _ref_ascent(objective, 2 * n, budget, f"metric-{family.kind}-{e.p}")
+
+
+def _ref_distance(z, w, p, budget):
+    e = as_exponent(p)
+    n = z.shape[0]
+    q = e.conjugate_value
+
+    def objective(theta):
+        c = _ref_coefficients(theta, n, q)
+        if c is None:
+            return -math.inf
+        a0 = complex(np.sum(c * z))
+        b0 = complex(np.sum(c * w))
+        img = (b0 - a0) / (1.0 - np.conj(a0) * b0)
+        r = abs(img)
+        if r >= 1.0:
+            return -math.inf
+        return math.atanh(r)
+
+    return _ref_ascent(objective, 2 * n, budget, f"distance-{e.p}")
+
+
+def _assert_same(got, want):
+    assert got.value == want.value
+    assert np.array_equal(got.params, want.params)
+    assert got.converged == want.converged
+    assert got.evaluations == want.evaluations
+
+
+def _ball_point(gen, n, p, radius):
+    z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    return z * (radius / float(norm_p(z, p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), p=st.sampled_from([1.5, 2, 3, 4, "inf"]),
+       seed=st.integers(0, 2**32 - 1), starts=st.integers(1, 4),
+       iters=st.integers(1, 40), kind=st.sampled_from(FAMILY_KINDS))
+def test_batched_ascents_equal_scalar_reference(n, p, seed, starts, iters, kind):
+    gen = stream(seed, "ascent-reference", n)
+    budget = OptBudget(starts=starts, iters=iters, seed=seed)
+    base = np.zeros(n, dtype=complex)
+    if kind == "linear_moebius":
+        base = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
+    xi = cvector(gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    query = MetricQuery(base, xi, p)
+    family = CompetitorFamily(kind)
+    _assert_same(metric_lower_bound_opt(query, family, budget),
+                 _ref_metric(query, family, budget))
+    z = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
+    w = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
+    _assert_same(distance_lower_bound_opt(z, w, p, budget=budget),
+                 _ref_distance(z, w, p, budget))
+
+
+def test_all_minus_inf_objective_matches_scalar_reference():
+    budget = OptBudget(starts=3, iters=25, seed=5)
+    got = _coordinate_ascent(lambda thetas: np.full(len(thetas), -math.inf), 3,
+                             budget, "all-minus-inf")
+    want = _ref_ascent(lambda theta: -math.inf, 3, budget, "all-minus-inf")
+    _assert_same(got, want)
+    assert got.value == -math.inf and not got.params.any()
+
+
+def test_zero_coefficient_rows_are_flagged():
+    theta = stream(6, "zero-coefficients").standard_normal((3, 6))
+    theta[1] = 0.0
+    c, zero = _coefficients(theta, 1.5)
+    assert zero.tolist() == [False, True, False]
+    assert not c[1].any()
+    for i in (0, 2):
+        assert np.array_equal(c[i], _ref_coefficients(theta[i], 3, 1.5))
+    with pytest.raises(BadParams):
+        competitor_map(CompetitorFamily("linear_dual"), np.zeros(6), np.zeros(3), 3)

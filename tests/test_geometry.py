@@ -32,7 +32,7 @@ from schwarz_lab import (
     tangent_residuals,
     unrealify,
 )
-from schwarz_lab.geometry import lp_norm_value
+from schwarz_lab.geometry import l2_norm_rows, lp_norm_rows, lp_norm_value
 from schwarz_lab.rng import stream
 
 
@@ -283,3 +283,17 @@ def test_hyperbolic_distance_moebius_invariance():
         assert hyperbolic_distance(mu, mv) == pytest.approx(
             hyperbolic_distance(u, v), rel=1e-10, abs=1e-10
         )
+
+
+@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_row_norms_match_one_vector_norms_bit_for_bit(q):
+    # A 2-D lp_norm_value batch may differ from lone vectors in the last
+    # bit; the row helpers must not.
+    gen = stream(12, "row-norms", str(q))
+    for n in (1, 2, 3, 5):
+        x = gen.standard_normal((400, n))
+        for rows in (x, x + 1j * gen.standard_normal((400, n))):
+            want = np.array([lp_norm_value(r, q) for r in rows])
+            assert lp_norm_rows(rows, q).tobytes() == want.tobytes()
+            want = np.array([np.linalg.norm(r) for r in rows])
+            assert l2_norm_rows(rows).tobytes() == want.tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_lab import (
     BadParams,
@@ -23,6 +25,8 @@ from schwarz_lab import (
     verify_schwarz_pick,
     verify_zhu,
 )
+from schwarz_lab.geometry import as_exponent, lp_norm_value
+from schwarz_lab.rng import stream
 
 CFG = VerifyConfig(samples=500)
 
@@ -44,6 +48,62 @@ def test_operator_norm_ascent_matches_known_p3():
     J = np.diag([0.7, 0.4, 0.9]).astype(complex)
     est = operator_norm_lower(J, 3, starts=16, iters=60)
     assert est == pytest.approx(0.9, abs=1e-6)
+
+
+def _ref_operator_norm_lower(J, p, starts, iters, seed):
+    """The one-start-at-a-time projected ascent the batched one replaced."""
+    e = as_exponent(p)
+    if e.is_inf:
+        return float(np.abs(J).sum(axis=1).max())
+    if e.p == 2.0:
+        return float(np.linalg.svd(J, compute_uv=False)[0])
+    n = J.shape[1]
+    gen = stream(seed, "opnorm", n, e.p)
+    pval = e.p
+    best = 0.0
+    for _ in range(starts):
+        xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        xi /= lp_norm_value(xi, pval)
+        step = 0.5
+        val = lp_norm_value(J @ xi, pval)
+        for _ in range(iters):
+            y = J @ xi
+            ay = np.abs(y)
+            grad = np.conj(J).T @ (ay ** (pval - 2.0) * y)
+            gn = np.linalg.norm(grad)
+            if gn == 0.0:
+                break
+            cand = xi + step * grad / gn
+            cn = lp_norm_value(cand, pval)
+            if cn == 0.0:
+                break
+            cand /= cn
+            cval = lp_norm_value(J @ cand, pval)
+            if cval > val:
+                xi, val = cand, cval
+            else:
+                step *= 0.5
+                if step < 1e-9:
+                    break
+        best = max(best, float(val))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 4),
+       p=st.sampled_from([1.5, 2, 3, 4, "inf"]), seed=st.integers(0, 2**32 - 1),
+       starts=st.integers(1, 6), iters=st.integers(1, 40))
+def test_operator_norm_lower_equals_scalar_reference(m, n, p, seed, starts, iters):
+    gen = stream(seed, "opnorm-reference", m, n)
+    J = gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n))
+    assert operator_norm_lower(J, p, starts, iters, seed) == \
+        _ref_operator_norm_lower(J, p, starts, iters, seed)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_operator_norm_lower_zero_gradient_stops_each_start(p):
+    Z = np.zeros((2, 3), dtype=complex)
+    assert operator_norm_lower(Z, p, 4, 10) == _ref_operator_norm_lower(Z, p, 4, 10, 0) == 0.0
 
 
 # ---------------------------------------------------------------------------
