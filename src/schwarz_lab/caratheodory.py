@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, OutsideBall
-from .geometry import as_exponent, cvector, l2_norm_rows, lp_norm_rows, norm_p, with_lp_norms
+from .geometry import (as_exponent, cvector, l2_norm_rows, lp_norm_rows, modulus, norm_p,
+                       with_lp_norms)
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
@@ -118,11 +119,6 @@ def _pair(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (c * v[None, :]).sum(axis=1)
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise by hypot, as Python's abs(complex) computes it."""
-    return np.hypot(z.real, z.imag)
-
-
 def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray,
                    p) -> MapExpr:
     """Materialize one family member as an expression tree."""
@@ -211,9 +207,9 @@ def metric_lower_bound_opt(query: MetricQuery, family: CompetitorFamily,
 
     def objective(thetas):
         c, zero = _coefficients(thetas, q)
-        val = _modulus(_pair(c, query.direction))
+        val = modulus(_pair(c, query.direction))
         if family.kind == "linear_moebius":
-            a0 = _modulus(_pair(c, query.base))
+            a0 = modulus(_pair(c, query.base))
             val /= 1.0 - a0 * a0
         val[zero] = -math.inf
         return val
@@ -245,7 +241,7 @@ def distance_lower_bound_opt(z, w, p, family: CompetitorFamily | None = None,
         # a multiply-add, which its one-point scalar product does not.
         den = (1.0 - (a0.real * b0.real + a0.imag * b0.imag)
                + 1j * (0.0 - (a0.real * b0.imag - a0.imag * b0.real)))
-        r = _modulus((b0 - a0) / den)
+        r = modulus((b0 - a0) / den)
         val = np.full(r.size, -math.inf)
         keep = ~(zero | (r >= 1.0))
         val[keep] = [math.atanh(x) for x in r[keep].tolist()]

@@ -26,7 +26,7 @@ from .errors import (
     QuadratureDivergence,
     StepTooLarge,
 )
-from .geometry import BoundaryPoint, cvector, realify
+from .geometry import BoundaryPoint, cvector, l2_norm_rows
 from .maps import MapExpr, _EvalCtx, evaluate
 from . import rng as _rng
 
@@ -79,6 +79,22 @@ def _eval_guarded(f: MapExpr, points, floor: float, err_cls, what: str) -> np.nd
 # complex Jacobians
 # ---------------------------------------------------------------------------
 
+def _stack(z):
+    """One point (n,) or a stack (k, n) as a validated (k, n) array, plus the
+    leading shape to give the results back in."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return cvector(z).reshape(-1, z.shape[-1]), z.shape[:-1]
+
+
+def _weighted_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """(k, c, s, m) samples -> (k, m, c) sums over s weighted by w.
+
+    One numpy sum per (k, c) slice, as a one-point call takes it: a single
+    sum over the s axis of the whole stack can round differently.
+    """
+    return np.array([np.stack([(w[:, None] * v).sum(axis=0) for v in g], axis=1) for g in vals])
+
+
 # Fourth-order central difference: f'(x) ~ sum_k w_k f(x + o_k h) / (12 h).
 _FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
@@ -89,12 +105,15 @@ def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> Jacobian
 
     Column j is (1/(2K r)) * sum_k f(z + r w^k e_j) w^{-k} over 2K roots of
     unity; the even-node subsum gives the K-point rule and the discrepancy
-    between the two rules is the reported error estimate.  All n circles
-    are evaluated as one batch.
+    between the two rules is the reported error estimate.  z is one point
+    (n,), giving an (m, n) matrix, or a stack (k, n), giving (k, m, n)
+    matrices and the worst error estimate; a stack's matrices equal the
+    one-point results bit for bit.  All n circles of every point are
+    evaluated as one batch.
     """
     cfg = cfg or CauchyConfig()
-    z = cvector(z)
-    n = z.size
+    zs, lead = _stack(z)
+    k, n = zs.shape
     K = int(cfg.nodes)
     r = float(cfg.radius)
     if K < 4 or r <= 0.0:
@@ -102,37 +121,39 @@ def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> Jacobian
     angles = 2.0 * np.pi * np.arange(2 * K) / (2 * K)
     roots = np.exp(1j * angles)
     weights = np.exp(-1j * angles)
-    pts = np.tile(z, (n, 2 * K, 1))
+    pts = np.tile(zs[:, None, None, :], (1, n, 2 * K, 1))
     cols = np.arange(n)
-    pts[cols, :, cols] += r * roots
+    pts[:, cols, :, cols] += r * roots
     vals = _eval_guarded(
         f, pts.reshape(-1, n), cfg.denominator_floor, InsufficientClearance, "cauchy quadrature"
-    ).reshape(n, 2 * K, -1)
-    jac2 = np.stack([(weights[:, None] * v).sum(axis=0) for v in vals], axis=1) / (2 * K * r)
-    jac1 = np.stack([(weights[::2, None] * v[::2]).sum(axis=0) for v in vals], axis=1) / (K * r)
+    ).reshape(k, n, 2 * K, -1)
+    jac2 = _weighted_sums(weights, vals) / (2 * K * r)
+    jac1 = _weighted_sums(weights[::2], vals[:, :, ::2]) / (K * r)
     err = float(np.max(np.abs(jac2 - jac1))) if jac2.size else 0.0
     if err > cfg.divergence_tol:
         raise QuadratureDivergence(
             f"doubling the node count moved entries by {err:.2e} "
             f"(tol {cfg.divergence_tol:.1e}); point too close to a singularity?"
         )
-    return JacobianRecord(jac2, "cauchy_integral", r, err)
+    return JacobianRecord(jac2.reshape(lead + jac2.shape[1:]), "cauchy_integral", r, err)
 
 
 def _fd4(f: MapExpr, z, h: float, what: str) -> np.ndarray:
     """Fourth-order derivatives of f along the 2n real directions e_j, i e_j.
 
-    Returns shape (m, 2n), the x-directions first; the 8n probe points are
-    evaluated as one batch.
+    Returns shape (m, 2n) for one point, (k, m, 2n) for a (k, n) stack, the
+    x-directions first.  The 8n probe points of every point are evaluated as
+    one batch.
     """
-    n = z.size
+    zs, lead = _stack(z)
+    k, n = zs.shape
     dirs = np.vstack([np.eye(n), 1j * np.eye(n)])
-    pts = z + (_FD4_OFFSETS[:, None, None] * h) * dirs
+    pts = zs[:, None, None, :] + (_FD4_OFFSETS[:, None, None] * h) * dirs
     vals = _eval_guarded(
         f, pts.reshape(-1, n), CauchyConfig.denominator_floor, StepTooLarge, what
-    ).reshape(len(_FD4_OFFSETS), 2 * n, -1)
-    coef = _FD4_WEIGHTS / (12.0 * h)
-    return np.stack([(coef[:, None] * vals[:, d]).sum(axis=0) for d in range(2 * n)], axis=1)
+    ).reshape(k, len(_FD4_OFFSETS), 2 * n, -1)
+    d = _weighted_sums(_FD4_WEIGHTS / (12.0 * h), vals.transpose(0, 2, 1, 3))
+    return d.reshape(lead + d.shape[1:])
 
 
 def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
@@ -156,31 +177,36 @@ def real_jacobian(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     D maps the realification of an input perturbation to the realification
     of the output change: rows are (Re f, Im f), columns (x_j then y_j).
     Fourth-order central differences in each of the 2n real directions.
+    A (k, n) stack of points gives a (k, 2m, 2n) stack of matrices.
     """
-    d = _fd4(f, cvector(z), h, "real jacobian")
-    return JacobianRecord(np.vstack([d.real, d.imag]), "real_central_difference", h, math.nan)
+    d = _fd4(f, z, h, "real jacobian")
+    return JacobianRecord(np.concatenate([d.real, d.imag], axis=-2), "real_central_difference",
+                          h, math.nan)
 
 
 def cr_blocks(real_jac: np.ndarray):
-    """Split a 2m-by-2n real Jacobian into its (A, B; C, D) blocks."""
-    two_m, two_n = real_jac.shape
+    """Split a 2m-by-2n real Jacobian (or a stack of them) into its (A, B; C, D) blocks."""
+    two_m, two_n = real_jac.shape[-2:]
     m, n = two_m // 2, two_n // 2
     return (
-        real_jac[:m, :n],
-        real_jac[:m, n:],
-        real_jac[m:, :n],
-        real_jac[m:, n:],
+        real_jac[..., :m, :n],
+        real_jac[..., :m, n:],
+        real_jac[..., m:, :n],
+        real_jac[..., m:, n:],
     )
 
 
-def holomorphy_residual(f: MapExpr, z, h: float = 1e-4) -> float:
+def holomorphy_residual(f: MapExpr, z, h: float = 1e-4):
     """Cauchy-Riemann defect ||A - D||_F + ||B + C||_F of the real Jacobian.
 
-    Zero (to discretization error) iff f is holomorphic near z.
+    Zero (to discretization error) iff f is holomorphic near z.  One point
+    gives a float; a (k, n) stack gives the k defects from one real-Jacobian
+    batch, each equal to its one-point value bit for bit.
     """
-    rec = real_jacobian(f, z, h=h)
-    a, b, c, d = cr_blocks(rec.matrix)
-    return float(np.linalg.norm(a - d) + np.linalg.norm(b + c))
+    a, b, c, d = cr_blocks(real_jacobian(f, z, h=h).matrix)
+    size = a.shape[-2] * a.shape[-1]
+    res = l2_norm_rows((a - d).reshape(-1, size)) + l2_norm_rows((b + c).reshape(-1, size))
+    return res if a.ndim == 3 else float(res[0])
 
 
 def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0) -> float:

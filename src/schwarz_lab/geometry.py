@@ -129,6 +129,11 @@ def l2_norm_rows(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sum((a[:, None, :] @ a[:, :, None])[:, 0, 0] for a in parts))
 
 
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise by hypot, as Python's abs(complex) computes it."""
+    return np.hypot(z.real, z.imag)
+
+
 def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
     """Rows of z rescaled to lq norms `radii` (one per row, or one for all);
     zero rows stay zero."""

@@ -3,14 +3,15 @@
 A rigidity instance bundles a self-map, a set of boundary anchors, and one of
 four pairing variants.  The checker evaluates the anchor equations and, when
 they pass with a full-rank anchor set, certifies the conclusion f = id on a
-low-discrepancy interior grid.  The proof-chain verifier walks the
-intermediate identities one link at a time.
+low-discrepancy interior grid.  Both it and the proof-chain verifier, which
+walks the intermediate identities one link at a time, run one shared core
+that checks all anchors as stacked batches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import qmc
@@ -23,9 +24,11 @@ from .diff import (
     radial_boundary_derivative,
 )
 from .errors import BadParams, HypothesisFailed
+from .gallery import gallery
 from .geometry import (
     BoundaryPoint,
     as_exponent,
+    lp_norm_rows,
     lp_norm_value,
     norm_p,
     rigidity_v,
@@ -33,7 +36,7 @@ from .geometry import (
     with_lp_norms,
 )
 from .maps import Compose, LinearMatrix, MapExpr, evaluate
-from .verify import HypothesisCheck, Verdict
+from .verify import HypothesisCheck, Verdict, sample_ball
 
 __all__ = [
     "VARIANTS",
@@ -109,9 +112,8 @@ class RigidityInstance:
             for a in anchors:
                 if not a.on_distinguished_boundary():
                     raise BadParams("polydisk anchors must be torus points")
-        if self.variant == "schwarz_v" and not e.is_inf:
-            if e.p < 2.0:
-                raise BadParams("the schwarz_v variant requires p >= 2 or inf")
+        if self.variant == "schwarz_v" and not e.is_inf and e.p < 2.0:
+            raise BadParams("the schwarz_v variant requires p >= 2 or inf")
         if self.variant == "schwarz_v" and e.is_inf:
             for a in anchors:
                 if not a.on_distinguished_boundary():
@@ -140,24 +142,6 @@ class RigidityReport:
     identity_residual: float
     quantities: dict
 
-    @property
-    def certified(self) -> bool:
-        return self.verdict == CERTIFIED
-
-    def to_json(self) -> dict:
-        eq = [[v.real, v.imag] for v in self.equation_values]
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "fixed_point_residuals": list(self.fixed_point_residuals),
-            "equation_values": eq,
-            "rank": self.rank,
-            "nonneg_ok": self.nonneg_ok,
-            "jf0_residuals": list(self.jf0_residuals),
-            "identity_residual": self.identity_residual,
-            "quantities": dict(self.quantities),
-        }
-
 
 def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
     """Row vector r with equation value r . (J alpha)."""
@@ -178,32 +162,33 @@ def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     return with_lp_norms(z, e.p, 0.999 * u[:, -1])
 
 
-def _identity_residual(f: MapExpr, inst: RigidityInstance,
-                       cfg: RigidityConfig) -> float:
+def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
     e = inst.exponent
-    n = inst.dim
-    grid = halton_ball_grid(e, n, cfg.grid_points)
-    segs = []
-    for a in inst.anchors:
-        for t in np.linspace(0.05, 0.99, 12):
-            segs.append(t * a.point)
-    pts = np.vstack([grid, np.array(segs)])
-    gaps = lp_norm_value(evaluate(f, pts) - pts, e.p)
-    return float(np.max(gaps))
+    grid = halton_ball_grid(e, inst.dim, cfg.grid_points)
+    A = np.array([a.point for a in inst.anchors])
+    segs = (np.linspace(0.05, 0.99, 12)[None, :, None] * A[:, None, :]).reshape(-1, inst.dim)
+    pts = np.vstack([grid, segs])
+    return float(np.max(lp_norm_value(evaluate(inst.map, pts) - pts, e.p)))
 
 
-def check_rigidity(inst: RigidityInstance,
-                   cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> RigidityReport:
-    """Evaluate the anchor equations and certify or refute the identity conclusion."""
+def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
+    """Every rigidity check short of the identity residual, anchors stacked.
+
+    Checks the origin, holomorphy, the self-map samples, the fixed points and
+    the pairing equations in that order, stopping at the first failure; then
+    the nonneg test and the rank.  Returns (report, J0): the report's verdict
+    is final when a check failed and "" when the equations passed; J_f(0) is
+    None until the one Cauchy batch over the origin and the anchors ran.
+    """
     f = inst.map
     e = inst.exponent
     n = inst.dim
+    A = np.array([a.point for a in inst.anchors])
     quantities: dict = {}
 
-    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True,
-                jf0=(), ident=math.nan):
+    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True, jf0=(), J0=None):
         return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), rank,
-                              nonneg, tuple(jf0), ident, dict(quantities))
+                              nonneg, tuple(jf0), math.nan, quantities), J0
 
     f0 = evaluate(f, np.zeros(n, dtype=complex))
     origin_res = float(norm_p(f0, e))
@@ -211,14 +196,10 @@ def check_rigidity(inst: RigidityInstance,
     if origin_res > cfg.origin_tol:
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    worst_holo = 0.0
-    for a in inst.anchors:
-        worst_holo = max(worst_holo, float(holomorphy_residual(f, a.point)))
+    worst_holo = float(max(0.0, *holomorphy_residual(f, A)))
     quantities["holomorphy_residual"] = worst_holo
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
-
-    from .verify import sample_ball
 
     pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
     escape = float(np.max(lp_norm_value(evaluate(f, pts), e.p)))
@@ -226,34 +207,26 @@ def check_rigidity(inst: RigidityInstance,
     if escape > 1.0 + 1e-10:
         return partial(HYPOTHESES_FAIL, "map leaves the unit ball on samples")
 
-    fixed = []
-    for a in inst.anchors:
-        fixed.append(float(norm_p(evaluate(f, a.point) - a.point, e)))
+    fixed = lp_norm_rows(evaluate(f, A) - A, e.p).tolist()
     if max(fixed) > cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
-    J0 = complex_jacobian(f, np.zeros(n, dtype=complex), cfg.cauchy).matrix
-    eqs = []
-    jf0 = []
-    holder_norms = []
-    for a in inst.anchors:
-        row = _pairing_row(inst, a)
-        J = complex_jacobian(f, a.point, cfg.cauchy).matrix
-        eqs.append(complex(row @ (J @ a.point)))
-        jf0.append(float(norm_p(J0 @ a.point - a.point, e)))
-        holder_norms.append(float(norm_p(J0 @ a.point, e)))
+    jacs = complex_jacobian(f, np.vstack([np.zeros(n, dtype=complex), A]), cfg.cauchy).matrix
+    J0 = jacs[0]
+    eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs[1:])]
+    J0A = np.array([J0 @ a for a in A])
+    jf0 = lp_norm_rows(J0A - A, e.p).tolist()
+    holder_norms = lp_norm_rows(J0A, e.p).tolist()
     quantities["holder_norm_max"] = max(holder_norms)
     quantities["holder_norm_min"] = min(holder_norms)
 
     eq_gap = max(abs(v - inst.target) for v in eqs)
     quantities["equation_gap"] = eq_gap
     if eq_gap > cfg.equation_tol:
-        return partial(EQUATIONS_FAIL,
-                       f"pairing equations miss the target {inst.target}",
-                       fixed=fixed, eqs=eqs, jf0=jf0)
+        return partial(EQUATIONS_FAIL, f"pairing equations miss the target {inst.target}",
+                       fixed=fixed, eqs=eqs, jf0=jf0, J0=J0)
 
     # variant hypothesis: real anchors with nonnegative coordinates
-    A = np.array([a.point for a in inst.anchors])
     nonneg = True
     if inst.variant == "rigidity_v":
         max_imag = float(np.max(np.abs(A.imag)))
@@ -267,26 +240,26 @@ def check_rigidity(inst: RigidityInstance,
     svals = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
     quantities["rank"] = float(rank)
+    return partial("", "", fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0, J0=J0)
 
-    ident = _identity_residual(f, inst, cfg)
-    quantities["identity_residual"] = ident
 
-    if not nonneg:
-        return partial(HYPOTHESES_FAIL,
-                       "anchors must be real with nonnegative coordinates",
-                       fixed=fixed, eqs=eqs, rank=rank, nonneg=False,
-                       jf0=jf0, ident=ident)
-    if rank < n:
-        return partial(HYPOTHESES_FAIL, "insufficient anchors",
-                       fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg,
-                       jf0=jf0, ident=ident)
-    if ident > cfg.identity_tol:
-        return partial(HYPOTHESES_FAIL,
-                       "identity residual too large despite passing equations",
-                       fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg,
-                       jf0=jf0, ident=ident)
-    return partial(CERTIFIED, "", fixed=fixed, eqs=eqs, rank=rank,
-                   nonneg=nonneg, jf0=jf0, ident=ident)
+def check_rigidity(inst: RigidityInstance,
+                   cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> RigidityReport:
+    """Evaluate the anchor equations and certify or refute the identity conclusion."""
+    report, _ = _rigidity_core(inst, cfg)
+    if report.verdict:
+        return report
+    ident = _identity_residual(inst, cfg)
+    if not report.nonneg_ok:
+        verdict, reason = HYPOTHESES_FAIL, "anchors must be real with nonnegative coordinates"
+    elif report.rank < inst.dim:
+        verdict, reason = HYPOTHESES_FAIL, "insufficient anchors"
+    elif ident > cfg.identity_tol:
+        verdict, reason = HYPOTHESES_FAIL, "identity residual too large despite passing equations"
+    else:
+        verdict, reason = CERTIFIED, ""
+    return replace(report, verdict=verdict, reason=reason, identity_residual=ident,
+                   quantities=dict(report.quantities, identity_residual=ident))
 
 
 def _slice_map(inst: RigidityInstance, anchor: BoundaryPoint) -> MapExpr:
@@ -303,39 +276,36 @@ def check_proof_chain(inst: RigidityInstance,
     Links per anchor: (a) the slice psi maps the disk into the closed disk,
     (b) psi(0) = 0, psi(1) = 1, psi'(1) = 1, (c) psi = id on a radial grid,
     (d) J_f(0) anchor = anchor; then (e) full anchor rank forces J_f(0) = I.
+    The hypotheses, the rank, J_f(0) and the link (d) residuals come from
+    the rigidity core shared with the certificate check; the chain computes
+    no identity residual, so grid_points does not enter it.
     """
-    report = check_rigidity(inst, cfg)
+    report, J0 = _rigidity_core(inst, cfg)
     if report.verdict == EQUATIONS_FAIL:
         raise HypothesisFailed("pairing equations fail; no chain to certify")
-    if not report.equation_values:
+    if report.verdict:
         raise HypothesisFailed(f"instance rejected before equations: {report.reason}")
 
-    f = inst.map
-    e = inst.exponent
     n = inst.dim
-    # each anchor's slice is probed once on the Halton disk grid plus the ts grid
+    # each anchor's slice is probed once: the Halton disk grid, the ts grid, 0 and 1
     ts = np.linspace(0.05, 0.95, 10)
-    probes = np.concatenate([halton_ball_grid(2, 1, 200), ts.astype(complex)[:, None]])
+    grid = halton_ball_grid(2, 1, 200)
+    probes = np.concatenate([grid, np.r_[ts, 0.0, 1.0][:, None]])
 
-    a_res = 0.0
-    b_res = 0.0
-    c_res = 0.0
+    a_res = b_res = c_res = 0.0
     for a in inst.anchors:
         psi = _slice_map(inst, a)
         vals = evaluate(psi, probes)
-        a_res = max(a_res, float(np.max(np.abs(vals[:-ts.size]))) - 1.0)
-        psi0 = complex(evaluate(psi, np.zeros(1, dtype=complex))[0])
-        psi1 = complex(evaluate(psi, np.ones(1, dtype=complex))[0])
+        a_res = max(a_res, float(np.max(np.abs(vals[:len(grid)]))) - 1.0)
+        psi0, psi1 = complex(vals[-2, 0]), complex(vals[-1, 0])
         der = radial_boundary_derivative(psi, np.ones(1, dtype=complex),
                                          np.ones(1, dtype=complex), cfg.richardson)
         b_res = max(b_res, abs(psi0), abs(psi1 - 1.0),
                     abs(complex(der.value[0]) - 1.0))
-        c_res = max(c_res, float(np.max(np.abs(vals[-ts.size:, 0] - ts))))
+        c_res = max(c_res, float(np.max(np.abs(vals[len(grid):-2, 0] - ts))))
 
     d_res = max(report.jf0_residuals)
-    full_rank = report.rank == n
-    J0 = complex_jacobian(f, np.zeros(n, dtype=complex), cfg.cauchy).matrix
-    e_res = float(np.linalg.norm(J0 - np.eye(n))) if full_rank else math.inf
+    e_res = float(np.linalg.norm(J0 - np.eye(n))) if report.rank == n else math.inf
 
     checks = (
         HypothesisCheck("slice_into_disk", a_res <= 1e-10, max(0.0, a_res)),
@@ -404,8 +374,6 @@ def counterexample_polydisk_eigen(n: int = 3,
     The Jacobian applied to the torus point has least-squares proportionality
     residual sqrt((n-1)/n) against the point itself, far from zero.
     """
-    from .gallery import gallery
-
     if n < 2:
         raise BadParams("the counterexample needs n >= 2")
     f = gallery("square_first", {"n": n})

@@ -32,6 +32,7 @@ from .geometry import (
     l2_norm_rows,
     lp_norm_rows,
     lp_norm_value,
+    modulus,
     norm_p,
     normal_tangent_decompose,
     norming_functional,
@@ -88,19 +89,6 @@ class Verdict:
         if math.isnan(self.margin):
             return False
         return self.margin >= -self.tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "hypotheses": [
-                {"name": h.name, "ok": h.ok, "residual": h.residual}
-                for h in self.hypotheses
-            ],
-            "quantities": dict(self.quantities),
-            "margin": self.margin,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
 
 
 @dataclass(frozen=True)
@@ -505,16 +493,34 @@ def pseudo_hyperbolic_distance(a: np.ndarray, b: np.ndarray, p) -> float:
     e = as_exponent(p)
     a = cvector(a)
     b = cvector(b)
+    if not (e.is_inf or e.p == 2.0):
+        raise BadParams("pseudo-hyperbolic distance implemented for p in {2, inf}")
+    return float(_pseudo_hyperbolic_rows(a[None, :], b, e)[0])
+
+
+def _square(x):
+    """x ** 2 by libm pow, as Python's float ** 2 rounds it; an array's ** 2
+    multiplies, which can differ in the last bit."""
+    return np.float_power(x, 2.0)
+
+
+def _cmul(a, b):
+    """a * b elementwise, rounded as numpy's one-point (unfused) complex product."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _pseudo_hyperbolic_rows(a: np.ndarray, b: np.ndarray, e) -> np.ndarray:
+    """Pseudo-hyperbolic distance from each row of a (k, n) to b, for p in {2, inf}."""
     if e.is_inf:
         num = np.abs(a - b)
-        den = np.abs(1.0 - np.conj(a) * b)
-        return float(np.max(num / den))
-    if e.p == 2.0:
-        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-        cross = abs(1.0 - complex(cinner(b, a))) ** 2
-        inside = 1.0 - (1.0 - na**2) * (1.0 - nb**2) / cross
-        return math.sqrt(max(0.0, inside))
-    raise BadParams("pseudo-hyperbolic distance implemented for p in {2, inf}")
+        den = np.abs(1.0 - np.conj(a) * b[None, :])
+        return np.max(num / den, axis=1)
+    cross = (b[None, :] * np.conj(a)).sum(axis=1)  # cinner(b, row)
+    cross = _square(modulus(1.0 - cross))
+    inside = 1.0 - (1.0 - _square(l2_norm_rows(a))) * (1.0 - float(np.linalg.norm(b)) ** 2) / cross
+    return np.sqrt(np.maximum(0.0, inside))
 
 
 def _fit_moebius_3pt(xs, ys):
@@ -530,9 +536,21 @@ def _moebius_apply(coef, x):
     return (al * x + be) / (ga * x + 1.0)
 
 
-def _moebius_invert(coef, y):
-    al, be, ga = coef
-    return (y - be) / (al - ga * y)
+def _slice_chain(zs, ws, vals, coefs, z_fix, e):
+    """Least slacks of the proof's two inequalities over the rows (z, w) -> f(z, w).
+
+    With v the Moebius-normalised value of each f-row, the chain is
+    |w - v|^2 <= |1 - conj(w) v|^2 <= (1 - |w|^2) / (1 - delta(z, z_fix)^2).
+    """
+    delta = _pseudo_hyperbolic_rows(zs, z_fix, e)
+    cap = 1.0 / np.maximum(1e-15, 1.0 - _square(delta))
+    al, be, ga = np.array(coefs).T
+    norm_val = (vals - be) / (al - _cmul(ga, vals))
+    lhs1 = _square(modulus(ws - norm_val))
+    mid1 = _square(modulus(1.0 - _cmul(np.conj(ws), norm_val)))
+    rhs = (1.0 - _square(modulus(ws))) * cap[:, None]
+    return (float(np.min(mid1 - lhs1, initial=math.inf)),
+            float(np.min(rhs - mid1, initial=math.inf)))
 
 
 def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
@@ -569,7 +587,8 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
     zs = sample_ball(e, n, cfg.samples, cfg.seed, "product-z", 0.98)
     ws = sample_ball("inf", m, cfg.samples, cfg.seed, "product-w", 0.98)
     pts = np.concatenate([zs, ws], axis=1)
-    gap = float(np.max(np.abs(evaluate(f, pts) - evaluate(phi, ws))))
+    fvals = evaluate(f, pts)
+    gap = float(np.max(np.abs(fvals - evaluate(phi, ws))))
     margin = -gap
 
     # normalize phi to the identity, one disk Moebius per component
@@ -595,22 +614,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
     if fit_res > 1e-9:
         raise BadParams("phi must act componentwise by disk Moebius maps")
 
-    chain_first = math.inf
-    chain_second = math.inf
-    check_pts = pts[:256]
-    check_ws = ws[:256]
-    vals = evaluate(f, check_pts)
-    for k in range(check_pts.shape[0]):
-        delta = pseudo_hyperbolic_distance(zs[k], z_fix, e)
-        cap = 1.0 / max(1e-15, 1.0 - delta**2)
-        for i in range(m):
-            wi = check_ws[k, i]
-            norm_val = complex(_moebius_invert(coefs[i], vals[k, i]))
-            lhs1 = abs(wi - norm_val) ** 2
-            mid1 = abs(1.0 - np.conj(wi) * norm_val) ** 2
-            rhs = (1.0 - abs(wi) ** 2) * cap
-            chain_first = min(chain_first, mid1 - lhs1)
-            chain_second = min(chain_second, rhs - mid1)
+    chain_first, chain_second = _slice_chain(zs[:256], ws[:256], fvals[:256], coefs, z_fix, e)
 
     checks = (
         HypothesisCheck("slice_is_fixed", True, slice_gap),

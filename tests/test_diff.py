@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from schwarz_lab import (
     BoundaryPoint,
@@ -13,6 +14,7 @@ from schwarz_lab import (
     InsufficientClearance,
     MoebiusDisk,
     NoConvergence,
+    PoleHit,
     QuadratureDivergence,
     Product,
     StepTooLarge,
@@ -89,6 +91,56 @@ def test_cauchy_and_fd_jacobians_agree_on_random_trees(f):
     except (InsufficientClearance, QuadratureDivergence, StepTooLarge):
         reject()
     assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_trees.filter(lambda f: f.is_holomorphic), k=st.integers(1, 4),
+       seed=st.integers(0, 10_000))
+def test_stacked_derivatives_match_per_point_calls_bit_for_bit(f, k, seed):
+    n = f.input_dim
+    gen = stream(seed, "stacked", n)
+    zs = 0.4 * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
+    try:
+        singles = [complex_jacobian(f, z) for z in zs]
+        residuals = [holomorphy_residual(f, z) for z in zs]
+    except (PoleHit, InsufficientClearance, QuadratureDivergence, StepTooLarge):
+        reject()
+    rec = complex_jacobian(f, zs)
+    assert rec.matrix.shape == (k, f.output_dim, n)
+    assert rec.matrix.tobytes() == np.stack([r.matrix for r in singles]).tobytes()
+    assert rec.error_estimate == max(r.error_estimate for r in singles)
+    assert holomorphy_residual(f, zs).tolist() == residuals
+    # the one-point residual is still the two Frobenius norms of the CR defect
+    for z, res in zip(zs, residuals):
+        a, b, c, d = cr_blocks(real_jacobian(f, z).matrix)
+        assert res == float(np.linalg.norm(a - d) + np.linalg.norm(b + c))
+    assert real_jacobian(f, zs).matrix.tobytes() == np.stack(
+        [real_jacobian(f, z).matrix for z in zs]).tobytes()
+
+
+def _ref_cauchy_jacobian(f, z, cfg=CauchyConfig()):
+    """The one-point Cauchy rule as it was before stacks: one sum per circle."""
+    n, K, r = z.size, cfg.nodes, cfg.radius
+    angles = 2.0 * np.pi * np.arange(2 * K) / (2 * K)
+    pts = np.tile(z, (n, 2 * K, 1))
+    pts[np.arange(n), :, np.arange(n)] += r * np.exp(1j * angles)
+    vals = evaluate(f, pts.reshape(-1, n)).reshape(n, 2 * K, -1)
+    weights = np.exp(-1j * angles)
+    return np.stack([(weights[:, None] * v).sum(axis=0) for v in vals], axis=1) / (2 * K * r)
+
+
+@pytest.mark.parametrize("name", ["square_first", "first_times_last", "scaled_identity"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cauchy_jacobian_keeps_the_one_point_sums(name, n):
+    f = gallery(name, {"n": n})
+    gen = stream(n, "one-point-sums", name)
+    shifts = 0.4 * (gen.standard_normal((3, n)) + 1j * gen.standard_normal((3, n)))
+    zs = np.vstack([np.ones(n), shifts])
+    want = np.stack([_ref_cauchy_jacobian(f, z) for z in zs])
+    assert complex_jacobian(f, zs).matrix.tobytes() == want.tobytes()
+    for z, ref in zip(zs, want):
+        # products with the matrix depend on its memory layout too
+        assert (complex_jacobian(f, z).matrix @ z).tobytes() == (ref @ z).tobytes()
 
 
 def test_each_derivative_evaluates_one_batch(monkeypatch):

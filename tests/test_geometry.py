@@ -297,3 +297,16 @@ def test_row_norms_match_one_vector_norms_bit_for_bit(q):
             assert lp_norm_rows(rows, q).tobytes() == want.tobytes()
             want = np.array([np.linalg.norm(r) for r in rows])
             assert l2_norm_rows(rows).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, math.inf]), seed=st.integers(0, 10_000),
+       order=st.permutations(range(5)), n=st.integers(1, 5))
+def test_lp_norm_invariant_under_permutations_and_unimodular_factors(q, seed, order, n):
+    gen = stream(seed, "lp-invariance", n)
+    x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    phases = np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n))
+    perm = [i for i in order if i < n]
+    base = lp_norm_value(x, q)
+    for y in (x[perm], phases * x, phases * x[perm]):
+        assert abs(lp_norm_value(y, q) - base) <= 1e-12 * base

@@ -4,17 +4,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schwarz_lab import BadParams, BoundaryPoint, HypothesisFailed, gallery, identity_map
+from schwarz_lab import (
+    BadParams,
+    BoundaryPoint,
+    Compose,
+    HypothesisFailed,
+    LinearMatrix,
+    complex_jacobian,
+    evaluate,
+    gallery,
+    haar_unitary,
+    holomorphy_residual,
+    identity_map,
+    norm_p,
+    sample_ball,
+)
+from schwarz_lab import diff, rigidity
+from schwarz_lab.geometry import lp_norm_value
 from schwarz_lab.rigidity import (
     RigidityConfig,
     RigidityInstance,
+    RigidityReport,
     check_proof_chain,
     check_rigidity,
     counterexample_polydisk_eigen,
     equality_case_1d,
     halton_ball_grid,
 )
+from schwarz_lab.rng import stream
 
 FAST = RigidityConfig(selfmap_samples=400, grid_points=1500)
 
@@ -192,3 +212,218 @@ def test_gallery_completeness_no_false_certificates():
         f = gallery(name, params)
         rep = check_rigidity(RigidityInstance(f, anchors, 2, "p2"), FAST)
         assert rep.verdict != "certified", name
+
+
+# ---------------------------------------------------------------------------
+# the one-anchor-at-a-time checker, kept as the reference for the stacked one
+
+
+def _ref_identity_residual(f, inst, cfg):
+    e = inst.exponent
+    grid = halton_ball_grid(e, inst.dim, cfg.grid_points)
+    segs = []
+    for a in inst.anchors:
+        for t in np.linspace(0.05, 0.99, 12):
+            segs.append(t * a.point)
+    pts = np.vstack([grid, np.array(segs)])
+    return float(np.max(lp_norm_value(evaluate(f, pts) - pts, e.p)))
+
+
+def _ref_check_rigidity(inst, cfg):
+    f = inst.map
+    e = inst.exponent
+    n = inst.dim
+    quantities = {}
+
+    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True,
+                jf0=(), ident=math.nan):
+        return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), rank,
+                              nonneg, tuple(jf0), ident, dict(quantities))
+
+    origin_res = float(norm_p(evaluate(f, np.zeros(n, dtype=complex)), e))
+    quantities["origin_residual"] = origin_res
+    if origin_res > cfg.origin_tol:
+        return partial("hypotheses_fail", "map does not fix the origin")
+    worst_holo = 0.0
+    for a in inst.anchors:
+        worst_holo = max(worst_holo, float(holomorphy_residual(f, a.point)))
+    quantities["holomorphy_residual"] = worst_holo
+    if not f.is_holomorphic or worst_holo > cfg.holo_tol:
+        return partial("hypotheses_fail", "map is not holomorphic at the anchors")
+    pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
+    escape = float(np.max(lp_norm_value(evaluate(f, pts), e.p)))
+    quantities["selfmap_escape"] = max(0.0, escape - 1.0)
+    if escape > 1.0 + 1e-10:
+        return partial("hypotheses_fail", "map leaves the unit ball on samples")
+    fixed = [float(norm_p(evaluate(f, a.point) - a.point, e)) for a in inst.anchors]
+    if max(fixed) > cfg.fixed_tol:
+        return partial("hypotheses_fail", "anchor is not a fixed point", fixed=fixed)
+
+    J0 = complex_jacobian(f, np.zeros(n, dtype=complex), cfg.cauchy).matrix
+    eqs, jf0, holder_norms = [], [], []
+    for a in inst.anchors:
+        row = rigidity._pairing_row(inst, a)
+        J = complex_jacobian(f, a.point, cfg.cauchy).matrix
+        eqs.append(complex(row @ (J @ a.point)))
+        jf0.append(float(norm_p(J0 @ a.point - a.point, e)))
+        holder_norms.append(float(norm_p(J0 @ a.point, e)))
+    quantities["holder_norm_max"] = max(holder_norms)
+    quantities["holder_norm_min"] = min(holder_norms)
+    eq_gap = max(abs(v - inst.target) for v in eqs)
+    quantities["equation_gap"] = eq_gap
+    if eq_gap > cfg.equation_tol:
+        return partial("equations_fail", f"pairing equations miss the target {inst.target}",
+                       fixed=fixed, eqs=eqs, jf0=jf0)
+
+    A = np.array([a.point for a in inst.anchors])
+    nonneg = True
+    if inst.variant == "rigidity_v":
+        max_imag = float(np.max(np.abs(A.imag)))
+        min_real = float(np.min(A.real))
+        quantities["anchor_max_imag"] = max_imag
+        quantities["anchor_min_real"] = min_real
+        nonneg = max_imag <= 1e-12 and min_real >= -1e-12
+    M = A.real if inst.variant == "rigidity_v" else A
+    svals = np.linalg.svd(M, compute_uv=False)
+    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
+    quantities["rank"] = float(rank)
+    ident = _ref_identity_residual(f, inst, cfg)
+    quantities["identity_residual"] = ident
+    rest = dict(fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0, ident=ident)
+    if not nonneg:
+        return partial("hypotheses_fail", "anchors must be real with nonnegative coordinates",
+                       **rest)
+    if rank < n:
+        return partial("hypotheses_fail", "insufficient anchors", **rest)
+    if ident > cfg.identity_tol:
+        return partial("hypotheses_fail",
+                       "identity residual too large despite passing equations", **rest)
+    return partial("certified", "", **rest)
+
+
+# Gallery self-maps of C^n.  "unitary" is left out on purpose: a LinearMatrix
+# evaluated on a stack of anchors can differ by an ulp from one-point calls.
+_SELF_MAPS = {
+    "identity": {},
+    "first_times_last": {},
+    "square_first": {},
+    "scaled_identity": {"t": 0.5},
+    "ph_linear_blend": {"mix": 0.5},
+}
+_EXPONENTS = {"p2": [2], "polydisk": ["inf"], "schwarz_v": [2, 3, 4, "inf"],
+              "rigidity_v": [1.5, 2, 3]}
+
+
+def _random_anchors(variant, p, n, k, kind, seed):
+    gen = stream(seed, "rigidity-anchors", n)
+    torus = p == "inf"
+    out = []
+    for j in range(k):
+        if kind == "basis" and not torus:
+            v = np.zeros(n, dtype=complex)
+            v[j] = 1.0
+        elif torus:
+            v = np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n))
+        elif kind in ("real", "nonneg"):
+            v = gen.standard_normal(n) + 0j
+            v = np.abs(v) if kind == "nonneg" else v
+        else:
+            v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        out.append(BoundaryPoint(v / norm_p(v, p), p, tolerance=1e-9))
+    return out
+
+
+@st.composite
+def _instances(draw):
+    variant = draw(st.sampled_from(sorted(_EXPONENTS)))
+    p = draw(st.sampled_from(_EXPONENTS[variant]))
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["basis", "nonneg", "real", "random"]))
+    # the identity fixes every anchor, so it reaches the equations and beyond
+    name = draw(st.one_of(st.just("identity"), st.sampled_from(sorted(_SELF_MAPS))))
+    anchors = _random_anchors(variant, p, n, k, kind, draw(st.integers(0, 10_000)))
+    f = gallery(name, dict(_SELF_MAPS[name], n=n))
+    return RigidityInstance(f, anchors, p, variant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=_instances(), seed=st.integers(0, 3))
+def test_stacked_rigidity_equals_the_per_anchor_reference(inst, seed):
+    cfg = RigidityConfig(selfmap_samples=64, grid_points=64, seed=seed)
+    assert check_rigidity(inst, cfg) == _ref_check_rigidity(inst, cfg)
+
+
+@pytest.mark.parametrize("p, variant", [(1.5, "rigidity_v"), (2, "p2"), (3, "schwarz_v")])
+def test_stacked_fixed_point_residuals_equal_one_anchor_norms(p, variant):
+    # many anchors that the map moves: each row's root must match its lone norm
+    f = gallery("scaled_identity", {"n": 3, "t": 0.5})
+    anchors = _random_anchors(variant, p, 3, 60, "random", 5)
+    rep = check_rigidity(RigidityInstance(f, anchors, p, variant), FAST)
+    assert rep.reason == "anchor is not a fixed point"
+    assert rep.fixed_point_residuals == tuple(
+        float(norm_p(evaluate(f, a.point) - a.point, p)) for a in anchors)
+
+
+def _count_evaluate_calls(monkeypatch):
+    calls = []
+
+    def counting(f, z, ctx=None):
+        calls.append(np.shape(z))
+        return evaluate(f, z, ctx=ctx)
+
+    monkeypatch.setattr(rigidity, "evaluate", counting)
+    monkeypatch.setattr(diff, "evaluate", counting)
+    return calls
+
+
+def test_rigidity_batches_do_not_grow_with_the_anchors(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    counts = []
+    for k in (2, 3):
+        inst = RigidityInstance(identity_map(3), basis_anchors(3, 2)[:k], 2, "p2")
+        calls.clear()
+        check_rigidity(inst, FAST)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_proof_chain_reuses_the_core_without_an_identity_residual(monkeypatch):
+    seen = {"identity": 0, "rigidity": 0, "grids": []}
+    real_identity_residual = rigidity._identity_residual
+
+    def identity_residual(*args):
+        seen["identity"] += 1
+        return real_identity_residual(*args)
+
+    def rigidity_check(*args):
+        seen["rigidity"] += 1
+        return check_rigidity(*args)
+
+    def grid(p, n, count):
+        seen["grids"].append(count)
+        return halton_ball_grid(p, n, count)
+
+    monkeypatch.setattr(rigidity, "_identity_residual", identity_residual)
+    monkeypatch.setattr(rigidity, "check_rigidity", rigidity_check)
+    monkeypatch.setattr(rigidity, "halton_ball_grid", grid)
+    inst = RigidityInstance(identity_map(2), basis_anchors(2, 2), 2, "p2")
+    assert check_proof_chain(inst, FAST).passed
+    assert seen["identity"] == 0
+    assert seen["rigidity"] == 0
+    assert FAST.grid_points not in seen["grids"]
+
+
+@pytest.mark.parametrize("name, k", [("identity", 3), ("first_times_last", 2)])
+def test_p2_rigidity_invariant_under_unitary_conjugation(name, k):
+    n = 3
+    f = gallery(name, {"n": n})
+    anchors = basis_anchors(n, 2)[n - k:]
+    rep = check_rigidity(RigidityInstance(f, anchors, 2, "p2"), FAST)
+    for seed in range(4):
+        U = haar_unitary(n, stream(seed, "conjugation", n))
+        g = Compose(LinearMatrix(U), Compose(f, LinearMatrix(U.conj().T)))
+        moved = [BoundaryPoint(U @ a.point, 2, tolerance=1e-9) for a in anchors]
+        rep_u = check_rigidity(RigidityInstance(g, moved, 2, "p2"), FAST)
+        assert (rep_u.verdict, rep_u.rank) == (rep.verdict, rep.rank)
+        assert np.max(np.abs(np.subtract(rep_u.equation_values, rep.equation_values))) <= 1e-9

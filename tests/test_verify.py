@@ -1,5 +1,7 @@
 """Verifier verdicts: frozen values, extremal equality, hypothesis gating."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from schwarz_lab import (
     verify_schwarz_pick,
     verify_zhu,
 )
-from schwarz_lab.geometry import as_exponent, lp_norm_value
+from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm_value
+from schwarz_lab.verify import _slice_chain, _square
 from schwarz_lab.rng import stream
 
 CFG = VerifyConfig(samples=500)
@@ -351,6 +354,57 @@ def test_pseudo_hyperbolic_frozen():
     assert pseudo_hyperbolic_distance(c, c, 2) == pytest.approx(0.0, abs=1e-7)
     with pytest.raises(BadParams):
         pseudo_hyperbolic_distance(a, b, 3)
+
+
+def _ref_pseudo_hyperbolic(a, b, e):
+    """The scalar distance the row form replaced."""
+    a, b = cvector(a), cvector(b)
+    if e.is_inf:
+        return float(np.max(np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)))
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    cross = abs(1.0 - complex(cinner(b, a))) ** 2
+    return math.sqrt(max(0.0, 1.0 - (1.0 - na**2) * (1.0 - nb**2) / cross))
+
+
+def _ref_slice_chain(zs, ws, vals, coefs, z_fix, e):
+    """The point-by-point chain loop of verify_product_slice the rows replaced."""
+    chain_first = chain_second = math.inf
+    for k in range(zs.shape[0]):
+        cap = 1.0 / max(1e-15, 1.0 - _ref_pseudo_hyperbolic(zs[k], z_fix, e) ** 2)
+        for i in range(ws.shape[1]):
+            wi = ws[k, i]
+            al, be, ga = coefs[i]
+            norm_val = complex((vals[k, i] - be) / (al - ga * vals[k, i]))
+            lhs1 = abs(wi - norm_val) ** 2
+            mid1 = abs(1.0 - np.conj(wi) * norm_val) ** 2
+            rhs = (1.0 - abs(wi) ** 2) * cap
+            chain_first = min(chain_first, mid1 - lhs1)
+            chain_second = min(chain_second, rhs - mid1)
+    return chain_first, chain_second
+
+
+def test_square_rounds_as_python_float_power():
+    # an array's ** 2 multiplies; libm pow differs from that in the last bit
+    x = stream(3, "square").uniform(0.0, 2.0, 100_000)
+    assert _square(x).tolist() == [v ** 2 for v in x.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, "inf"]), n=st.integers(1, 3), m=st.integers(1, 3),
+       rows=st.integers(1, 40), seed=st.integers(0, 10_000))
+def test_slice_chain_rows_equal_the_scalar_loop(p, n, m, rows, seed):
+    gen = stream(seed, "slice-chain", n, m)
+
+    def cplx(*shape):
+        return 0.4 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+    e = as_exponent(p)
+    zs, ws, vals, z_fix = cplx(rows, n), cplx(rows, m), cplx(rows, m), cplx(n)
+    coefs = [cplx(3) for _ in range(m)]
+    assert _slice_chain(zs, ws, vals, coefs, z_fix, e) == \
+        _ref_slice_chain(zs, ws, vals, coefs, z_fix, e)
+    for z in zs:
+        assert pseudo_hyperbolic_distance(z, z_fix, p) == _ref_pseudo_hyperbolic(z, z_fix, e)
 
 
 # ---------------------------------------------------------------------------
