@@ -159,9 +159,21 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     """Multi-start coordinate ascent for objectives invariant to theta scaling.
 
     Candidates stay on the unit sphere (the parameterization is projective),
-    so a fixed step always means a comparable change of direction.  All
-    starts advance together: `objective` maps (k, dim) thetas to k values, and
-    each (pass, k, sign) sweep is one call over the starts still running.
+    so a fixed step always means a comparable change of direction.  A pass
+    tries the 2 * dim moves (k, +step), (k, -step) in that order and accepts
+    each one that beats the current value.
+
+    All starts advance together, and a pass is scored speculatively:
+    `objective` maps (m, dim) thetas to m values, and one call scores every
+    move of every running start from the pass's starting theta.  Each row
+    accepts its first move that beats its value; the moves after it were
+    scored from the old theta, so the rows that accepted one score their
+    remaining moves again, built from the new theta, until no row accepts.
+    This equals the one-move-at-a-time scan bit for bit, because every
+    helper of the objectives is row-exact: a move scored before a row's
+    first acceptance is the same float vector, with the same value, as the
+    sequential scan computes.  `evaluations` counts the moves of that scan,
+    2 * dim per running start and pass.
     """
     gen = stream(budget.seed, "caratheodory-opt", label, dim)
     theta = gen.standard_normal((budget.starts, dim))
@@ -171,20 +183,35 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     evals = budget.starts
     step = np.full(budget.starts, 0.5)  # a start has converged once its step < 1e-6
     live = np.arange(budget.starts)
+    moves = 2 * dim
+    order = np.arange(moves)
+    # Move 2k adds +step to coordinate k and move 2k + 1 adds -step; the
+    # other coordinates get + 0.0, which leaves them as they are (it could
+    # only turn a -0.0 into +0.0).
+    delta = np.zeros((moves, dim))
+    delta[order, order // 2] = np.tile([1.0, -1.0], dim)
     for _ in range(budget.iters):
-        T, V, S = theta[live], val[live], step[live]
+        T, V = theta[live], val[live]
+        rows = np.arange(live.size)
+        steps = step[live, None, None] * delta
         improved = np.zeros(live.size, dtype=bool)
-        for k in range(dim):
-            for move in (S, -S):
-                cand = T.copy()
-                cand[:, k] += move
-                cand /= l2_norm_rows(cand)[:, None]
-                cv = objective(cand)
-                better = cv > V
-                np.copyto(T, cand, where=better[:, None])
-                np.copyto(V, cv, where=better)
-                improved |= better
-        evals += 2 * dim * live.size
+        first = np.zeros(live.size, dtype=np.intp)  # each row's first move not yet scored
+        while first.min() < moves:
+            cand = T[:, None, :] + steps  # |T| is 1 (or 0) and step <= 0.5: no move is 0
+            cand /= l2_norm_rows(cand.reshape(-1, dim)).reshape(-1, moves, 1)
+            todo = order >= first[:, None]
+            cv = np.full(todo.shape, -math.inf)
+            cv[todo] = objective(cand[todo])
+            better = cv > V[:, None]
+            hit = better.any(axis=1)
+            if not hit.any():
+                break
+            j = better.argmax(axis=1)
+            np.copyto(T, cand[rows, j], where=hit[:, None])
+            np.copyto(V, cv[rows, j], where=hit)
+            improved |= hit
+            first = np.where(hit, j + 1, moves)
+        evals += moves * live.size
         theta[live], val[live] = T, V
         step[live[~improved]] *= 0.5
         live = live[step[live] >= 1e-6]

@@ -116,11 +116,15 @@ def lp_norm_value(x, q: float) -> float:
 
 
 def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """lp_norm_value(row, q) of each row of a 2-D array, bit for bit (libm pow per row)."""
+    """lp_norm_value(row, q) of each row of a 2-D array, bit for bit.
+
+    np.float_power takes each root with libm pow, as the lone vector's
+    scalar pow does; np.power and np.sqrt can differ from it in the last bit.
+    """
     mags = np.abs(x)
     if math.isinf(q):
         return np.max(mags, axis=-1)
-    return np.array([s ** (1.0 / q) for s in (mags**q).sum(axis=-1).tolist()])
+    return np.float_power((mags**q).sum(axis=-1), 1.0 / q)
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:

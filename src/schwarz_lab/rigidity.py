@@ -10,6 +10,7 @@ that checks all anchors as stacked batches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -152,11 +153,19 @@ def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
     return rigidity_v(anchor)  # real; the theorem pairs without conjugating J alpha
 
 
-def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy interior grid of the unit p-ball."""
-    e = as_exponent(p)
+@functools.lru_cache(maxsize=8)
+def _halton_unit(n: int, count: int) -> np.ndarray:
+    """The unscrambled Halton sample in [0, 1)^(2n+1), built once per size."""
     sampler = qmc.Halton(d=2 * n + 1, scramble=False)
     u = sampler.random(count + 1)[1:]  # drop the all-zero first point
+    u.setflags(write=False)
+    return u
+
+
+def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy interior grid of the unit p-ball (a fresh array per call)."""
+    e = as_exponent(p)
+    u = _halton_unit(n, count)
     x = 2.0 * u[:, : 2 * n] - 1.0
     z = x[:, :n] + 1j * x[:, n:]
     return with_lp_norms(z, e.p, 0.999 * u[:, -1])

@@ -1,13 +1,16 @@
 """Closed forms at the origin against the optimizer oracle."""
 
+import json
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarz_lab import hyperbolic_distance, norm_p
+from schwarz_lab import caratheodory, hyperbolic_distance, norm_p
 from schwarz_lab.caratheodory import (
     FAMILY_KINDS,
     CompetitorFamily,
@@ -27,7 +30,9 @@ from schwarz_lab.errors import BadParams, OutsideBall
 from schwarz_lab.geometry import as_exponent, cvector, lp_norm_value
 from schwarz_lab.maps import evaluate
 from schwarz_lab.rng import stream
+from schwarz_lab.suite import parse_suite, run_suite
 
+SUITE_DIR = pathlib.Path(__file__).resolve().parent.parent / "suites"
 FAST = OptBudget(starts=6, iters=80, seed=0)
 
 
@@ -164,13 +169,16 @@ def _ref_coefficients(theta, n, q):
     return g / gn
 
 
-def _ref_ascent(objective, dim, budget, label):
+def _ref_ascent(objective, dim, budget, label, accepted=None):
+    """The scan one start and one move at a time; each acceptance is appended
+    to `accepted` as (start, pass, move), move 2k for +step and 2k + 1 for
+    -step at coordinate k."""
     gen = stream(budget.seed, "caratheodory-opt", label, dim)
     best_val = -math.inf
     best_theta = np.zeros(dim)
     evals = 0
     converged = False
-    for _ in range(budget.starts):
+    for start in range(budget.starts):
         theta = gen.standard_normal(dim)
         nt = np.linalg.norm(theta)
         if nt > 0.0:
@@ -179,7 +187,7 @@ def _ref_ascent(objective, dim, budget, label):
         evals += 1
         step = 0.5
         start_converged = False
-        for _ in range(budget.iters):
+        for sweep in range(budget.iters):
             improved = False
             for k in range(dim):
                 for sign in (1.0, -1.0):
@@ -191,6 +199,8 @@ def _ref_ascent(objective, dim, budget, label):
                     if cv > val:
                         theta, val = cand, cv
                         improved = True
+                        if accepted is not None:
+                            accepted.append((start, sweep, 2 * k + (sign < 0.0)))
             if not improved:
                 step *= 0.5
                 if step < 1e-6:
@@ -291,3 +301,100 @@ def test_zero_coefficient_rows_are_flagged():
         assert np.array_equal(c[i], _ref_coefficients(theta[i], 3, 1.5))
     with pytest.raises(BadParams):
         competitor_map(CompetitorFamily("linear_dual"), np.zeros(6), np.zeros(3), 3)
+
+
+# ---------------------------------------------------------------------------
+# the speculative sweep replay against the one-move-at-a-time scan
+# ---------------------------------------------------------------------------
+
+
+def _bumpy(seed, dim, cutoff=math.inf):
+    """A smooth objective with many local maxima; -inf where |theta_0| > cutoff."""
+    gen = stream(seed, "bumpy", dim)
+    W = 3.0 * gen.standard_normal((4, dim))
+    c = gen.uniform(0.0, 2.0 * math.pi, 4)
+
+    def f(theta):
+        if abs(theta[0]) > cutoff:
+            return -math.inf
+        return float(np.sum(np.cos(W @ theta + c)))
+
+    return f
+
+
+def _stop_pass(accepted, start, iters):
+    """The pass in which `start` converges (its 19th pass without an
+    acceptance halves the step below 1e-6), or None if it never does."""
+    improving = {sweep for s, sweep, _ in accepted if s == start}
+    misses = 0
+    for sweep in range(iters):
+        misses += sweep not in improving
+        if misses == 19:
+            return sweep
+    return None
+
+
+def test_sweep_replay_matches_scalar_scan_on_hard_cases():
+    # Row-wise objectives, so only the replay of acceptances is under test.
+    # The scan's log must show every case the replay has to get right.
+    seen = set()
+    for dim in (2, 3, 4):
+        for seed in range(3):
+            for cutoff in (math.inf, 0.5):
+                f = _bumpy(seed, dim, cutoff)
+                budget = OptBudget(starts=6, iters=60, seed=seed)
+                accepted = []
+                want = _ref_ascent(f, dim, budget, "bumpy", accepted)
+                got = _coordinate_ascent(lambda T: np.array([f(t) for t in T]), dim,
+                                         budget, "bumpy")
+                _assert_same(got, want)
+                moves = set(accepted)
+                per_sweep = Counter((s, sweep) for s, sweep, _ in accepted)
+                stops = {_stop_pass(accepted, s, budget.iters) for s in range(6)}
+                if any(j == 2 * dim - 1 for _, _, j in accepted):
+                    seen.add("accepts the last move")
+                if any(j % 2 == 0 and (s, sweep, j + 1) in moves for s, sweep, j in accepted):
+                    seen.add("accepts +step then -step at one k")
+                if max(per_sweep.values(), default=0) >= 3:
+                    seen.add("three or more acceptances in one sweep")
+                if len(stops - {None}) >= 2:
+                    seen.add("starts converge at different passes")
+                if 0 < len({s for s, _, _ in accepted}) < 6:
+                    seen.add("starts stuck at -inf beside improving ones")
+    assert len(seen) == 5, seen
+
+
+def _counting(monkeypatch):
+    """Count the objective calls of every ascent from here on."""
+    calls = []
+    ascent = caratheodory._coordinate_ascent
+
+    def counted(objective, *args):
+        def objective_counted(thetas):
+            calls.append(len(thetas))
+            return objective(thetas)
+        return ascent(objective_counted, *args)
+
+    monkeypatch.setattr(caratheodory, "_coordinate_ascent", counted)
+    return calls
+
+
+def test_sweep_without_an_acceptance_is_one_objective_call(monkeypatch):
+    calls = _counting(monkeypatch)
+    budget = OptBudget(starts=3, iters=7, seed=1)
+    out = caratheodory._coordinate_ascent(lambda thetas: np.zeros(len(thetas)), 4,
+                                          budget, "flat")
+    assert out.evaluations == 3 + 7 * 2 * 4 * 3
+    assert calls == [3] + [2 * 4 * 3] * 7
+
+
+def test_metric_p2_job_makes_fewer_objective_calls_than_moves(monkeypatch):
+    # The one-move-at-a-time scan made 321 calls for this job: one for the
+    # starts and 2 * dim per pass.  Scoring a sweep at once needs less than
+    # half of that.
+    doc = json.loads((SUITE_DIR / "paper.json").read_text())
+    doc["jobs"] = [job for job in doc["jobs"] if job["id"] == "metric-p2"]
+    calls = _counting(monkeypatch)
+    (result,) = run_suite(parse_suite(doc))
+    assert result.passed
+    assert len(calls) < 321 // 2, len(calls)

@@ -290,13 +290,21 @@ def test_row_norms_match_one_vector_norms_bit_for_bit(q):
     # A 2-D lp_norm_value batch may differ from lone vectors in the last
     # bit; the row helpers must not.
     gen = stream(12, "row-norms", str(q))
-    for n in (1, 2, 3, 5):
-        x = gen.standard_normal((400, n))
-        for rows in (x, x + 1j * gen.standard_normal((400, n))):
-            want = np.array([lp_norm_value(r, q) for r in rows])
-            assert lp_norm_rows(rows, q).tobytes() == want.tobytes()
-            want = np.array([np.linalg.norm(r) for r in rows])
-            assert l2_norm_rows(rows).tobytes() == want.tobytes()
+    # Entry scales: ordinary, near the ends of the float range (where the
+    # q-th powers overflow or underflow), and one whose power sums are
+    # subnormal.
+    subnormal = 1e-310 ** (1.0 / q) if math.isfinite(q) else 1e-310
+    for scale in (1.0, 1e-300, 1e300, subnormal):
+        for n in (1, 2, 3, 5):
+            for count in (1, 2, 7, 200, 400):
+                x = scale * gen.standard_normal((count, n))
+                x[gen.uniform(size=count) < 0.1] = 0.0
+                for rows in (x, x + 1j * scale * gen.standard_normal((count, n))):
+                    with np.errstate(over="ignore", under="ignore"):
+                        want = np.array([lp_norm_value(r, q) for r in rows])
+                        assert lp_norm_rows(rows, q).tobytes() == want.tobytes()
+                        want = np.array([np.linalg.norm(r) for r in rows])
+                        assert l2_norm_rows(rows).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

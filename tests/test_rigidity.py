@@ -200,6 +200,20 @@ def test_halton_grid_deterministic_and_interior():
     assert norms.max() < 1.0
 
 
+def test_halton_grid_is_fresh_on_every_call():
+    # The raw Halton sample is built once per size; each call still returns
+    # its own writable grid.
+    g1 = halton_ball_grid(3, 2, 500)
+    kept = g1.copy()
+    g1[:] = 0.0
+    g2 = halton_ball_grid(3, 2, 500)
+    g3 = halton_ball_grid(3, 2, 500)
+    assert np.array_equal(g2, kept) and np.array_equal(g3, kept)
+    assert not np.shares_memory(g2, g3)
+    assert g2.flags.writeable
+    assert np.allclose(halton_ball_grid(3, 2, 400), kept[:400], rtol=1e-14, atol=0.0)
+
+
 def test_gallery_completeness_no_false_certificates():
     # every non-identity origin-fixing gallery self-map must fail something
     n = 2

@@ -1,9 +1,14 @@
 """Suite parsing, execution, report emission, and the shipped suite file."""
 
+import copy
+import functools
 import json
+import operator
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_lab import SchemaError, suite
 from schwarz_lab.suite import (
@@ -344,3 +349,80 @@ def test_shipped_suite_all_pass():
     failed = [r.job_id for r in results if not r.passed]
     assert failed == []
     assert len(results) == len(config.jobs)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: single-value mutants of the shipped suite
+# ---------------------------------------------------------------------------
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_type(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return (int, float) if isinstance(value, (int, float)) else type(value)
+
+
+def _resolve(doc, pointer: str, missing_ok: bool = False):
+    """Follow a JSON pointer ('/' is the root); KeyError/IndexError if it dangles.
+
+    With missing_ok, the last token may also name a member absent from the
+    object it ends in: that is how a missing required field is pointed at.
+    """
+    node = doc
+    tokens = pointer.strip("/").split("/") if pointer != "/" else []
+    for i, token in enumerate(tokens):
+        token = token.replace("~1", "/").replace("~0", "~")
+        if isinstance(node, list):
+            if not token.isdigit():
+                raise KeyError(token)
+            node = node[int(token)]
+        elif isinstance(node, dict):
+            if missing_ok and i == len(tokens) - 1 and token not in node:
+                return None
+            node = node[token]
+        else:
+            raise KeyError(token)
+    return node
+
+
+PAPER = json.loads((SUITE_DIR / "paper.json").read_text())
+PAPER_PATHS = list(_json_paths(PAPER))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                           max_leaves=6)
+RETYPED = (None, True, 0, -1, 2.5, 1e400, "", "x", [], [1.0], {}, {"x": 1})
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(PAPER_PATHS), action=st.sampled_from(["delete", "retype",
+                                                                 "replace"]),
+       data=st.data())
+def test_mutated_shipped_suite_parses_or_points_at_its_error(path, action, data):
+    # A mutant either parses, or fails with a SchemaError whose pointer
+    # resolves in the mutant; any other exception is a defect.
+    doc = copy.deepcopy(PAPER)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    if action == "delete":
+        del parent[key]
+    elif action == "retype":
+        old = _json_type(parent[key])
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in RETYPED if _json_type(v) != old]))
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    try:
+        parse_suite(doc)
+    except SchemaError as err:
+        _resolve(doc, err.path, missing_ok=True)

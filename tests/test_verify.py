@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from schwarz_lab import (
     BadParams,
     BoundaryPoint,
+    Compose,
     DiskGrid,
     HypothesisFailed,
+    LinearMatrix,
     VerifyConfig,
     boundary_slope_check,
     gallery,
+    haar_unitary,
     harnack_certificate,
     identity_map,
     operator_norm_lower,
@@ -139,6 +142,45 @@ def test_schwarz_pick_first_times_last_p3():
                             samples=2000, seed=2, cfg=CFG)
     assert v.passed
     assert v.margin >= -1e-10
+
+
+def _unitary_conjugate(f, U):
+    """U o f o U*."""
+    return Compose(LinearMatrix(U), Compose(f, LinearMatrix(U.conj().T)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 10_000),
+       t=st.one_of(st.floats(0.1, 0.999), st.just(1.0), st.floats(1.001, 1.5)))
+def test_schwarz_pick_margin_is_unitarily_invariant_at_p2(n, seed, t):
+    # The 2-norm is unitarily invariant, so U o f o U* meets the Schwarz-Pick
+    # bound exactly as f does.  The margin is a minimum over sampled points,
+    # and U o f o U* at z is f at U* z, so it is the same minimum only when
+    # ||f(z)||_2 depends on ||z||_2 alone: the maps t W with W unitary, which
+    # pass for t <= 1 and fail beyond.
+    gen = stream(seed, "pick-unitary", n)
+    f = LinearMatrix(t * haar_unitary(n, gen))
+    U = haar_unitary(n, gen)
+    v = verify_schwarz_pick(f, 2, samples=300, seed=seed, cfg=CFG)
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, samples=300, seed=seed, cfg=CFG)
+    assert vu.passed == v.passed == (t <= 1.0)
+    assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
+    assert abs(vu.margin - v.margin) <= 1e-9
+
+
+@pytest.mark.parametrize("name, params", [
+    ("first_times_last", {"n": 3}), ("square_first", {"n": 2}),
+    ("diag_power", {"ks": [2, 1, 3]})])
+def test_schwarz_pick_verdict_is_unitarily_invariant_at_p2(name, params):
+    # Nonlinear maps: the sampled margins differ by sampling error, the
+    # verdicts agree.
+    f = gallery(name, params)
+    U = haar_unitary(f.input_dim, stream(9, "pick-unitary-nonlinear"))
+    v = verify_schwarz_pick(f, 2, samples=300, seed=4, cfg=CFG)
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, samples=300, seed=4, cfg=CFG)
+    assert v.passed and vu.passed
+    assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
+    assert vu.margin >= 0.0 and abs(vu.margin - v.margin) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
