@@ -209,24 +209,28 @@ def holomorphy_residual(f: MapExpr, z, h: float = 1e-4):
     return res if a.ndim == 3 else float(res[0])
 
 
-def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0) -> float:
+def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
     """Max 5-point discrete Laplacian of f along 8 random complex lines through z.
 
     Pluriharmonic maps are harmonic on every complex line, so the residual
     is O(h^2) for them and order-one for genuinely non-harmonic maps such
-    as z -> |z_1|^2.  All 40 probe points are evaluated as one batch.
+    as z -> |z_1|^2.  One point (n,) gives a float; a (k, n) stack gives the
+    k residuals, each equal to its one-point value bit for bit, because
+    every point uses the same 8 lines.  The 40 probe points of every point
+    are evaluated as one batch.
     """
-    z = cvector(z)
-    n = z.size
+    zs, lead = _stack(z)
+    k, n = zs.shape
     gen = _rng.stream(seed, "ph-residual", n)
-    pts = []
-    for _ in range(8):
-        d = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        d /= np.linalg.norm(d)
-        pts += [z + h * d, z - h * d, z + 1j * h * d, z - 1j * h * d, z]
-    v = evaluate(f, np.array(pts)).reshape(8, 5, -1)
-    lap = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3] - 4.0 * v[:, 4]) / h**2
-    return float(np.max(np.abs(lap)))
+    d = gen.standard_normal((8, 2, n))
+    d = d[:, 0] + 1j * d[:, 1]
+    d /= l2_norm_rows(d)[:, None]
+    c = np.broadcast_to(zs[:, None, :], (k, 8, n))
+    pts = np.stack([c + h * d, c - h * d, c + 1j * h * d, c - 1j * h * d, c], axis=2)
+    v = evaluate(f, pts.reshape(-1, n)).reshape(k, 8, 5, -1)
+    lap = (v[:, :, 0] + v[:, :, 1] + v[:, :, 2] + v[:, :, 3] - 4.0 * v[:, :, 4]) / h**2
+    res = np.max(np.abs(lap).reshape(k, -1), axis=1)
+    return res.reshape(lead) if lead else float(res[0])
 
 
 # ---------------------------------------------------------------------------

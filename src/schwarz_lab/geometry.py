@@ -111,7 +111,11 @@ def lp_norm_value(x, q: float) -> float:
     lp_norm_rows where each row must match.
     """
     mags = np.abs(np.asarray(x))
-    out = np.max(mags, axis=-1) if math.isinf(q) else np.sum(mags**q, axis=-1) ** (1.0 / q)
+    if math.isinf(q):
+        out = np.max(mags, axis=-1)
+    else:
+        with np.errstate(over="ignore"):  # a huge entry gives the IEEE norm inf
+            out = np.sum(mags**q, axis=-1) ** (1.0 / q)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -124,7 +128,8 @@ def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
     mags = np.abs(x)
     if math.isinf(q):
         return np.max(mags, axis=-1)
-    return np.float_power((mags**q).sum(axis=-1), 1.0 / q)
+    with np.errstate(over="ignore"):
+        return np.float_power((mags**q).sum(axis=-1), 1.0 / q)
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:

@@ -337,10 +337,13 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 def boundary_slope_check(f: MapExpr, z0: BoundaryPoint, lam: float,
                          t: float = 1e-3) -> float:
     """Relative error of (1 - ||f(z0 - t v)||_p^p)/t against p*lambda*||v||_2^2."""
-    e = z0.exponent
     v = schwarz_v(z0)
-    inner_pt = z0.point - t * v
-    val = evaluate(f, inner_pt)
+    return _slope_rel_error(evaluate(f, z0.point - t * v), z0, v, lam, t)
+
+
+def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
+    """boundary_slope_check given val = f(z0 - t v) and v = schwarz_v(z0)."""
+    e = z0.exponent
     slope = (1.0 - float(norm_p(val, e)) ** e.p) / t
     target = e.p * lam * float(np.linalg.norm(v)) ** 2
     if target == 0.0:
@@ -367,19 +370,19 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     if not f.is_holomorphic or holo_res > 1e-7:
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
-    w0 = evaluate(f, z0.point)
+    # one batch: f(z0), f(0) and the slope probe f(z0 - t v)
+    vz = schwarz_v(z0)
+    w0, f0, slope_val = evaluate(
+        f, np.stack([z0.point, np.zeros(n, dtype=complex), z0.point - cfg.slope_t * vz]))
     w_norm = float(norm_p(w0, e))
     if abs(w_norm - 1.0) > cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
     w0bp = BoundaryPoint(w0, e, tolerance=max(1e-9, 4.0 * e.p * cfg.hypothesis_tol))
 
-    origin = np.zeros(n, dtype=complex)
-    f0 = evaluate(f, origin)
     origin_res = float(norm_p(f0, e))
     fixes_origin = origin_res <= cfg.hypothesis_tol
 
     J = complex_jacobian(f, z0.point, cfg.cauchy).matrix
-    vz = schwarz_v(z0)
     vw = schwarz_v(w0bp)
     pulled = np.conj(J).T @ vw
     vz_sq = float(np.linalg.norm(vz)) ** 2
@@ -403,7 +406,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
             tangent_res = max(tangent_res, abs(complex(cinner(image, gw)).real))
             checked += 1
 
-    slope_rel = boundary_slope_check(f, z0, lam, cfg.slope_t)
+    slope_rel = _slope_rel_error(slope_val, z0, vz, lam, cfg.slope_t)
 
     checks = (
         HypothesisCheck("fixes_origin", fixes_origin, origin_res),
@@ -642,6 +645,16 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
 # ---------------------------------------------------------------------------
 
 
+def _pair_rows(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """realify(row) @ V for each row of w, bit for bit (one BLAS dot per row).
+
+    R @ V and (R * V).sum(1) can round differently from the per-row dot.
+    """
+    cvector(w)  # rejects non-finite entries, as realify does
+    R = np.concatenate([w.real, w.imag], axis=1)
+    return (R[:, None, :] @ V[:, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Real samples of a function on concentric circles plus the center value."""
@@ -689,19 +702,22 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     n = z0.dim
     if f.input_dim != n:
         raise BadParams("map input dimension must match the boundary point")
-    N = f.output_dim
 
     # interior pluriharmonicity
-    ph_res = 0.0
     gen = stream(cfg.seed, "ph-interior", n)
     probes = 0.3 * (gen.standard_normal((4, n)) + 1j * gen.standard_normal((4, n)))
     probes = np.vstack([probes, 0.9 * z0.point[None, :]])
-    for row in probes:
-        ph_res = max(ph_res, float(pluriharmonic_residual(f, row, seed=cfg.seed)))
+    # Python's max, as a loop over the probes takes it (a NaN residual is dropped)
+    ph_res = max(0.0, *pluriharmonic_residual(f, probes, seed=cfg.seed).tolist())
     if ph_res > 1e-6:
         raise HypothesisFailed(f"map is not pluriharmonic (residual {ph_res:.2e})")
 
-    w0 = evaluate(f, z0.point)
+    # one batch: f(z0), f(0) and the Harnack grid of phi(zeta) = 1 - (f(zeta z0))' . V
+    angles = 2.0 * np.pi * np.arange(cfg.grid_angles) / cfg.grid_angles
+    zetas = np.asarray(cfg.grid_radii)[:, None] * np.exp(1j * angles)
+    fvals = evaluate(f, np.vstack([z0.point, np.zeros(n, dtype=complex),
+                                   (zetas[:, :, None] * z0.point).reshape(-1, n)]))
+    w0, f0, fvals = fvals[0], fvals[1], fvals[2:]
     w_norm = float(norm_p(w0, e))
     if abs(w_norm - 1.0) > cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
@@ -718,16 +734,11 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
 
     z0r = realify(z0.point)
     lhs = float((Jh2 @ z0r) @ V)
-    f0 = evaluate(f, np.zeros(n, dtype=complex))
     f0r = realify(f0)
     mid = (1.0 - float(f0r @ V)) / 2.0
     low = (1.0 - lp_norm_value(f0r, e.p)) / 2.0
 
-    # Harnack certificate for phi(zeta) = 1 - (f(zeta z0))' . V
-    angles = 2.0 * np.pi * np.arange(cfg.grid_angles) / cfg.grid_angles
-    zetas = np.asarray(cfg.grid_radii)[:, None] * np.exp(1j * angles)
-    fvals = evaluate(f, (zetas[:, :, None] * z0.point).reshape(-1, n))
-    vals = np.array([1.0 - float(realify(w) @ V) for w in fvals]).reshape(zetas.shape)
+    vals = (1.0 - _pair_rows(fvals, V)).reshape(zetas.shape)
     phi0 = 1.0 - float(f0r @ V)
     harnack = harnack_certificate(DiskGrid(tuple(cfg.grid_radii), vals, phi0))
 

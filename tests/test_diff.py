@@ -158,6 +158,46 @@ def test_each_derivative_evaluates_one_batch(monkeypatch):
         calls.clear()
         routine(f, z)
         assert len(calls) == batches, (routine.__name__, calls)
+    # a (k, n) stack is still one batch
+    zs = np.stack([z, 0.5 * z, -z, 1j * z])
+    for routine in (complex_jacobian, real_jacobian, holomorphy_residual,
+                    pluriharmonic_residual):
+        calls.clear()
+        routine(f, zs)
+        assert len(calls) == 1, (routine.__name__, calls)
+
+
+def _ref_pluriharmonic_residual(f, z, h=2e-4, seed=0):
+    """The one-point residual as it was before stacks: one line at a time."""
+    n = z.size
+    gen = stream(seed, "ph-residual", n)
+    pts = []
+    for _ in range(8):
+        d = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        d /= np.linalg.norm(d)
+        pts += [z + h * d, z - h * d, z + 1j * h * d, z - 1j * h * d, z]
+    v = evaluate(f, np.array(pts)).reshape(8, 5, -1)
+    lap = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3] - 4.0 * v[:, 4]) / h**2
+    return float(np.max(np.abs(lap)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["ph_linear_blend", "ph_blend"]), n=st.integers(1, 4),
+       k=st.integers(1, 6), mix=st.floats(0.0, 1.0), shifts=st.tuples(
+           st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), seed=st.integers(0, 10_000))
+def test_stacked_pluriharmonic_residual_matches_per_point_calls(name, n, k, mix, shifts, seed):
+    params = {"n": n, "mix": mix}
+    if name == "ph_blend":
+        params.update(shift_holo=shifts[0], shift_anti=shifts[1], anchor=seed % n)
+    f = gallery(name, params)
+    gen = stream(seed, "stacked-ph", n)
+    zs = gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n))
+    # interior points, norms up to 0.95
+    zs *= gen.uniform(0.0, 0.95, (k, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+    stacked = pluriharmonic_residual(f, zs, seed=seed)
+    assert stacked.shape == (k,)
+    assert stacked.tolist() == [pluriharmonic_residual(f, z, seed=seed) for z in zs]
+    assert stacked.tolist() == [_ref_pluriharmonic_residual(f, z, seed=seed) for z in zs]
 
 
 def test_chain_rule_holds():

@@ -5,6 +5,7 @@ import functools
 import json
 import operator
 import pathlib
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,17 @@ def test_schema_errors_carry_json_pointers(mutate, pointer):
         parse_suite(doc)
     assert str(err.value).startswith(pointer + ":"), str(err.value)
     assert err.value.path == pointer
+
+
+def test_huge_kalaj_direction_is_schema_error_without_warnings():
+    doc = json.loads((SUITE_DIR / "paper.json").read_text())
+    assert doc["jobs"][7]["map"]["gallery"] == "kalaj_extremal"
+    doc["jobs"][7]["map"]["params"]["b"] = [[1e308, 0], [0.5, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError) as err:
+            parse_suite(doc)
+    assert err.value.path == "/jobs/7/map/params"
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "paper.jsonl"

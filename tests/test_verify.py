@@ -16,6 +16,7 @@ from schwarz_lab import (
     LinearMatrix,
     VerifyConfig,
     boundary_slope_check,
+    evaluate,
     gallery,
     haar_unitary,
     harnack_certificate,
@@ -30,8 +31,10 @@ from schwarz_lab import (
     verify_schwarz_pick,
     verify_zhu,
 )
-from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm_value
-from schwarz_lab.verify import _slice_chain, _square
+from schwarz_lab import diff as diff_module
+from schwarz_lab import verify as verify_module
+from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm_value, realify
+from schwarz_lab.verify import _pair_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
 
 CFG = VerifyConfig(samples=500)
@@ -285,6 +288,48 @@ def test_lp_boundary_interior_diagonal_anchor():
     z0 = BoundaryPoint(np.array([c, c], dtype=complex), p)
     verdict, cert = verify_lp_boundary_schwarz(identity_map(2), z0, CFG)
     assert verdict.passed and cert.lambda_ == pytest.approx(1.0, abs=1e-10)
+
+
+def test_lp_boundary_slope_residual_is_boundary_slope_check():
+    f = gallery("diag_power", {"ks": [2, 1, 3], "units": [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]})
+    for p in (2, 3, 4):
+        z0 = BoundaryPoint(np.array([0.0, 0.0, np.exp(0.7j)]), p)
+        verdict, cert = verify_lp_boundary_schwarz(f, z0, CFG)
+        slope = {h.name: h.residual for h in verdict.hypotheses}["radial_slope_identity"]
+        assert slope == boundary_slope_check(f, z0, cert.lambda_, CFG.slope_t)
+        assert slope == verdict.quantities["slope_rel_error"]
+
+
+def test_boundary_verifiers_batch_their_probes(monkeypatch):
+    calls = []
+
+    def counting(f, z, ctx=None):
+        calls.append(np.shape(z))
+        return evaluate(f, z, ctx=ctx)
+
+    for module in (diff_module, verify_module):
+        monkeypatch.setattr(module, "evaluate", counting)
+    z0 = BoundaryPoint(np.array([0.0, 1.0, 0.0], dtype=complex), 3)
+    verify_lp_boundary_schwarz(gallery("square_first", {"n": 3}), z0, CFG)
+    # holomorphy batch, one batch of f(z0), f(0) and the slope probe, Cauchy batch
+    assert len(calls) <= 3, calls
+    calls.clear()
+    f = gallery("ph_blend", {"n": 2, "mix": 0.4, "shift_holo": 0.3, "shift_anti": -0.2,
+                             "anchor": 1})
+    verify_pluriharmonic_boundary(f, BoundaryPoint(np.array([0.0, 1.0 + 0j]), 2), CFG)
+    # residual batch, one batch of f(z0), f(0) and the Harnack grid, two real Jacobians
+    assert len(calls) <= 4, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), rows=st.integers(1, 20), lo=st.integers(-5, 5),
+       seed=st.integers(0, 10_000))
+def test_harnack_pairing_rows_equal_per_row_dots(n, rows, lo, seed):
+    gen = stream(seed, "pair-rows", n)
+    scale = 10.0 ** gen.uniform(lo, 5, (rows, 1))
+    w = scale * (gen.standard_normal((rows, n)) + 1j * gen.standard_normal((rows, n)))
+    V = 10.0 ** gen.uniform(-5, 5) * gen.standard_normal(2 * n)
+    assert _pair_rows(w, V).tolist() == [float(realify(row) @ V) for row in w]
 
 
 def test_lp_boundary_rejects_infinite_p_and_small_p():
