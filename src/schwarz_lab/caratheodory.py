@@ -161,28 +161,35 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     Candidates stay on the unit sphere (the parameterization is projective),
     so a fixed step always means a comparable change of direction.  A pass
     tries the 2 * dim moves (k, +step), (k, -step) in that order and accepts
-    each one that beats the current value.
+    each one that beats the current value; a pass without an acceptance
+    halves the step.  A start stops at a pass boundary, once its step is
+    below 1e-6 or it has run `iters` passes.
 
-    All starts advance together, and a pass is scored speculatively:
-    `objective` maps (m, dim) thetas to m values, and one call scores every
-    move of every running start from the pass's starting theta.  Each row
-    accepts its first move that beats its value; the moves after it were
-    scored from the old theta, so the rows that accepted one score their
-    remaining moves again, built from the new theta, until no row accepts.
+    Every start runs this cyclic scan on its own state: theta, value, step,
+    its next move `first` (the pass has improved iff first > 0) and its pass
+    count.  `objective` maps (m, dim) thetas to m values, and a round scores
+    all 2 * dim moves of every live start, built from its current theta, in
+    one call.  Each start then takes its first move from `first` on that
+    beats its value; the moves after it were scored from the old theta, so
+    its next round scores them again.  When the rest of an improved pass has
+    no hit, the next pass starts from the same theta with the same step, so
+    its moves before `first` are the ones just scored: the start wraps round
+    and takes its first acceptance from them.  If there is none, that whole
+    pass accepts nothing and the step halves in the same round.
+
     This equals the one-move-at-a-time scan bit for bit, because every
-    helper of the objectives is row-exact: a move scored before a row's
-    first acceptance is the same float vector, with the same value, as the
-    sequential scan computes.  `evaluations` counts the moves of that scan,
-    2 * dim per running start and pass.
+    helper of the objectives is row-exact: a scored move is the same float
+    vector, with the same value, as the sequential scan computes at that
+    point.  `evaluations` counts the moves of that scan, 2 * dim per pass
+    and start.
     """
     gen = stream(budget.seed, "caratheodory-opt", label, dim)
     theta = gen.standard_normal((budget.starts, dim))
     nt = l2_norm_rows(theta)
     theta /= np.where(nt > 0.0, nt, 1.0)[:, None]
     val = objective(theta)
-    evals = budget.starts
-    step = np.full(budget.starts, 0.5)  # a start has converged once its step < 1e-6
-    live = np.arange(budget.starts)
+    step = np.full(budget.starts, 0.5)
+    passes = np.zeros(budget.starts, dtype=np.intp)
     moves = 2 * dim
     order = np.arange(moves)
     # Move 2k adds +step to coordinate k and move 2k + 1 adds -step; the
@@ -190,33 +197,41 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     # only turn a -0.0 into +0.0).
     delta = np.zeros((moves, dim))
     delta[order, order // 2] = np.tile([1.0, -1.0], dim)
-    for _ in range(budget.iters):
-        T, V = theta[live], val[live]
-        rows = np.arange(live.size)
-        steps = step[live, None, None] * delta
-        improved = np.zeros(live.size, dtype=bool)
-        first = np.zeros(live.size, dtype=np.intp)  # each row's first move not yet scored
-        while first.min() < moves:
-            cand = T[:, None, :] + steps  # |T| is 1 (or 0) and step <= 0.5: no move is 0
-            cand /= l2_norm_rows(cand.reshape(-1, dim)).reshape(-1, moves, 1)
-            todo = order >= first[:, None]
-            cv = np.full(todo.shape, -math.inf)
-            cv[todo] = objective(cand[todo])
-            better = cv > V[:, None]
-            hit = better.any(axis=1)
-            if not hit.any():
-                break
-            j = better.argmax(axis=1)
-            np.copyto(T, cand[rows, j], where=hit[:, None])
-            np.copyto(V, cv[rows, j], where=hit)
-            improved |= hit
-            first = np.where(hit, j + 1, moves)
-        evals += moves * live.size
-        theta[live], val[live] = T, V
-        step[live[~improved]] *= 0.5
-        live = live[step[live] >= 1e-6]
-        if not live.size:
-            break
+    # cyc[f, j]: the place of move j in a scan that starts at move f and
+    # wraps round into the next pass.
+    cyc = (order[None, :] - order[:, None]) % moves
+    live = np.arange(budget.starts)
+    T, V, S, P = theta.copy(), val.copy(), step.copy(), passes.copy()
+    first = np.zeros(budget.starts, dtype=np.intp)
+    rows = live.copy()
+    while live.size:
+        cand = T[:, None, :] + S[:, None, None] * delta  # |T| is 1 (or 0) and S <= 0.5: no move is 0
+        cand /= l2_norm_rows(cand)[:, :, None]
+        cv = objective(cand.reshape(-1, dim)).reshape(-1, moves)
+        rank = np.where(cv > V[:, None], cyc[first], moves)
+        j = rank.argmin(axis=1)
+        k = rank[rows, j]
+        cross = k >= moves - first  # the current pass ends without a further acceptance
+        P += cross & (first > 0)  # an improved pass ends
+        more = P < budget.iters
+        accept = (k < moves) & (more | ~cross)
+        idle = cross & ~accept & more  # a pass without acceptance
+        np.multiply(S, 0.5, out=S, where=idle)
+        P += idle
+        np.copyto(T, cand[rows, j], where=accept[:, None])
+        np.copyto(V, cv[rows, j], where=accept)
+        first = np.where(accept, j + 1, 0)
+        full = first == moves  # the pass ended on its last move's acceptance
+        P += full
+        first[full] = 0
+        stop = (P >= budget.iters) | (S < 1e-6)
+        if np.count_nonzero(stop):
+            out = live[stop]
+            theta[out], val[out], step[out], passes[out] = T[stop], V[stop], S[stop], P[stop]
+            keep = ~stop
+            live, T, V, S, P, first = live[keep], T[keep], V[keep], S[keep], P[keep], first[keep]
+            rows = np.arange(live.size)
+    evals = budget.starts + moves * int(passes.sum())
     best = int(np.argmax(val))  # the first maximum, as a strict > scan keeps
     if val[best] == -math.inf:
         return OptResult(-math.inf, np.zeros(dim), False, evals)

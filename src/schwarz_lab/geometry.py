@@ -133,9 +133,10 @@ def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(row) of each row of a 2-D array, bit for bit (one BLAS dot per row)."""
+    """np.linalg.norm(row) of each row (last axis) of an array, bit for bit
+    (one BLAS dot per row)."""
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.sqrt(sum((a[:, None, :] @ a[:, :, None])[:, 0, 0] for a in parts))
+    return np.sqrt(sum((a[..., None, :] @ a[..., :, None])[..., 0, 0] for a in parts))
 
 
 def modulus(z: np.ndarray) -> np.ndarray:

@@ -341,27 +341,43 @@ def test_sweep_replay_matches_scalar_scan_on_hard_cases():
     for dim in (2, 3, 4):
         for seed in range(3):
             for cutoff in (math.inf, 0.5):
-                f = _bumpy(seed, dim, cutoff)
-                budget = OptBudget(starts=6, iters=60, seed=seed)
-                accepted = []
-                want = _ref_ascent(f, dim, budget, "bumpy", accepted)
-                got = _coordinate_ascent(lambda T: np.array([f(t) for t in T]), dim,
-                                         budget, "bumpy")
-                _assert_same(got, want)
-                moves = set(accepted)
-                per_sweep = Counter((s, sweep) for s, sweep, _ in accepted)
-                stops = {_stop_pass(accepted, s, budget.iters) for s in range(6)}
-                if any(j == 2 * dim - 1 for _, _, j in accepted):
-                    seen.add("accepts the last move")
-                if any(j % 2 == 0 and (s, sweep, j + 1) in moves for s, sweep, j in accepted):
-                    seen.add("accepts +step then -step at one k")
-                if max(per_sweep.values(), default=0) >= 3:
-                    seen.add("three or more acceptances in one sweep")
-                if len(stops - {None}) >= 2:
-                    seen.add("starts converge at different passes")
-                if 0 < len({s for s, _, _ in accepted}) < 6:
-                    seen.add("starts stuck at -inf beside improving ones")
-    assert len(seen) == 5, seen
+                for starts, iters in ((6, 60), (1, 60), (3, 1), (3, 2)):
+                    f = _bumpy(seed, dim, cutoff)
+                    budget = OptBudget(starts=starts, iters=iters, seed=seed)
+                    accepted = []
+                    want = _ref_ascent(f, dim, budget, "bumpy", accepted)
+                    got = _coordinate_ascent(lambda T: np.array([f(t) for t in T]), dim,
+                                             budget, "bumpy")
+                    _assert_same(got, want)
+                    seen |= _log_cases(accepted, dim, starts, iters)
+    assert len(seen) == 7, seen
+
+
+def _log_cases(accepted, dim, starts, iters):
+    """The cases of the replay that the scan's acceptance log shows."""
+    seen = set()
+    moves = set(accepted)
+    per_sweep = Counter((s, sweep) for s, sweep, _ in accepted)
+    last = {(s, sweep): j for s, sweep, j in accepted}  # each pass's last acceptance
+    stops = {_stop_pass(accepted, s, iters) for s in range(starts)}
+    if any(j == 2 * dim - 1 for _, _, j in accepted):
+        seen.add("accepts the last move")
+    if any(j % 2 == 0 and (s, sweep, j + 1) in moves for s, sweep, j in accepted):
+        seen.add("accepts +step then -step at one k")
+    if max(per_sweep.values(), default=0) >= 3:
+        seen.add("three or more acceptances in one sweep")
+    if len(stops - {None}) >= 2:
+        seen.add("starts converge at different passes")
+    if 0 < len({s for s, _, _ in accepted}) < starts:
+        seen.add("starts stuck at -inf beside improving ones")
+    for (s, sweep), j in last.items():
+        if sweep + 1 >= iters:
+            continue
+        if (s, sweep + 1) not in last:
+            seen.add("an improved pass, then a pass without acceptance")
+        elif j < 2 * dim - 1:  # the next pass's first acceptance was scored with this pass's tail
+            seen.add("an improved pass wraps round into an improved pass")
+    return seen
 
 
 def _counting(monkeypatch):
@@ -398,3 +414,16 @@ def test_metric_p2_job_makes_fewer_objective_calls_than_moves(monkeypatch):
     (result,) = run_suite(parse_suite(doc))
     assert result.passed
     assert len(calls) < 321 // 2, len(calls)
+
+
+def test_shipped_caratheodory_jobs_halve_their_objective_calls(monkeypatch):
+    # Rows waiting for the slowest start at every pass boundary made 549
+    # calls for these four jobs; each start scanning on its own, and wrapping
+    # round into its next pass, needs about half of that.
+    doc = json.loads((SUITE_DIR / "paper.json").read_text())
+    doc["jobs"] = [job for job in doc["jobs"] if job["check"].startswith("caratheodory_")]
+    calls = _counting(monkeypatch)
+    results = run_suite(parse_suite(doc))
+    assert len(results) == 4 and all(r.passed for r in results)
+    assert sum(r.quantities["evaluations"] for r in results) == 19_896
+    assert len(calls) <= 280, len(calls)
