@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
 )
 
 DEFAULT_BOUNDARY_TOL = 1e-9
+_NORMAL_MIN = np.finfo(float).tiny  # the least positive normal float
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,37 @@ def cinner(a, b) -> complex:
     return complex(np.sum(a * np.conj(b)))
 
 
+def _lp_last_axis(mags: np.ndarray, q: float, root) -> np.ndarray:
+    """root(sum(mags**q), 1/q) over the last axis, for finite q.
+
+    Where that power sum overflowed to inf or underflowed below the normal
+    floats on a row whose largest modulus top is finite and nonzero, the row
+    is top * root(sum((mags/top)**q), 1/q) instead: the norm is then inf only
+    past the float range and 0.0 only for a zero row.  Every other row keeps
+    the plain formula's bits.  Only an inexact result can overflow, or
+    underflow to 0.0, so the IEEE flags, which numpy raises here as
+    FloatingPointError, tell when to look for such rows (an exact subnormal
+    sum raises no flag, and its root is accurate as it stands).
+    """
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return root((mags**q).sum(axis=-1), 1.0 / q)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore"):  # only a norm past the float range is inf
+        s = (mags**q).sum(axis=-1)
+        out = root(s, 1.0 / q)
+        top = np.max(mags, axis=-1)
+        lost = ((s == math.inf) | (s < _NORMAL_MIN)) & np.isfinite(top) & (top > 0.0)
+        if np.ndim(s) == 0:
+            if lost:
+                out = top * root(((mags / top) ** q).sum(), 1.0 / q)
+        elif lost.any():
+            t = top[lost]
+            out[lost] = t * root(((mags[lost] / t[:, None]) ** q).sum(axis=-1), 1.0 / q)
+    return out
+
+
 def lp_norm_value(x, q: float) -> float:
     """||x||_q for q in [1, inf], on real or complex arrays (last axis).
 
@@ -114,8 +147,7 @@ def lp_norm_value(x, q: float) -> float:
     if math.isinf(q):
         out = np.max(mags, axis=-1)
     else:
-        with np.errstate(over="ignore"):  # a huge entry gives the IEEE norm inf
-            out = np.sum(mags**q, axis=-1) ** (1.0 / q)
+        out = _lp_last_axis(mags, q, operator.pow)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -128,8 +160,7 @@ def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
     mags = np.abs(x)
     if math.isinf(q):
         return np.max(mags, axis=-1)
-    with np.errstate(over="ignore"):
-        return np.float_power((mags**q).sum(axis=-1), 1.0 / q)
+    return _lp_last_axis(mags, q, np.float_power)
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:

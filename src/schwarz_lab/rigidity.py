@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .diff import (
     CauchyConfig,
@@ -153,11 +152,42 @@ def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
     return rigidity_v(anchor)  # real; the theorem pairs without conjugating J alpha
 
 
+def _first_primes(k: int) -> np.ndarray:
+    """The first k primes, from a sieve of Eratosthenes doubled until it holds k."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = False
+        primes = np.flatnonzero(sieve)
+        if primes.size >= k:
+            return primes[:k]
+        limit *= 2
+
+
 @functools.lru_cache(maxsize=8)
 def _halton_unit(n: int, count: int) -> np.ndarray:
-    """The unscrambled Halton sample in [0, 1)^(2n+1), built once per size."""
-    sampler = qmc.Halton(d=2 * n + 1, scramble=False)
-    u = sampler.random(count + 1)[1:]  # drop the all-zero first point
+    """The unscrambled Halton sample in [0, 1)^(2n+1), built once per size.
+
+    Column j is the van der Corput sequence in the j-th prime base at indices
+    1..count (index 0, the all-zero point, is dropped).  Each radical inverse
+    adds digit * b2r from the lowest digit up, with b2r = 1/base and then
+    b2r /= base per digit; that order of roundings is part of the sample,
+    which tests/test_rigidity.py pins to the reference Halton sampler bit for
+    bit.  The columns are stored contiguously, as that sampler stores them,
+    so each coordinate of the grids built from them is a contiguous column.
+    """
+    idx = np.arange(1, count + 1)
+    columns = np.zeros((2 * n + 1, count))
+    for col, base in zip(columns, _first_primes(2 * n + 1).tolist()):
+        q, b2r = idx, 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            col += digit * b2r
+            b2r /= base
+    u = columns.T
     u.setflags(write=False)
     return u
 

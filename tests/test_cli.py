@@ -1,9 +1,14 @@
 """End-to-end command line behavior."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import schwarz_lab
 from schwarz_lab.cli import main
 
 
@@ -133,3 +138,15 @@ def test_caratheodory_distance(capsys):
     row = json.loads(out)
     assert row["theorem_id"] == "caratheodory_distance_origin"
     assert row["passed"]
+
+
+def test_import_path_loads_no_scipy():
+    # The package and its CLI need numpy alone; scipy is a test-time comparator.
+    code = ("import sys, schwarz_lab, schwarz_lab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(pathlib.Path(schwarz_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "[]"

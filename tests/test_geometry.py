@@ -318,3 +318,41 @@ def test_lp_norm_invariant_under_permutations_and_unimodular_factors(q, seed, or
     base = lp_norm_value(x, q)
     for y in (x[perm], phases * x, phases * x[perm]):
         assert abs(lp_norm_value(y, q) - base) <= 1e-12 * base
+
+
+@pytest.mark.parametrize("x, q, want", [([1e200, 0.0], 3.0, 1e200),
+                                        ([1e-200, 0.0], 3.0, 1e-200),
+                                        ([1e308, 1e308], 1.5, 1e308 * 2.0 ** (1 / 1.5))])
+def test_norms_survive_power_sums_past_the_float_range(x, q, want):
+    # The q-th powers overflow or underflow; the norm itself is in range.
+    assert norm_p(x, q) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert lp_norm_rows(np.array([x, x]), q) == pytest.approx([want, want], rel=1e-12, abs=0.0)
+
+
+_DECADES = (-320, -300, -200, -105, 0, 105, 200, 300, 307)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 100.0]), seed=st.integers(0, 10_000),
+       count=st.integers(1, 8), n=st.integers(1, 5))
+def test_norms_keep_their_bits_unless_the_power_sum_leaves_the_normal_floats(q, seed,
+                                                                              count, n):
+    gen = stream(seed, "lp-range", q, count, n)
+    scale = 10.0 ** gen.choice(_DECADES, size=(count, 1))
+    x = scale * (gen.uniform(-1.0, 1.0, (count, n)) + 1j * gen.uniform(-1.0, 1.0, (count, n)))
+    x[gen.uniform(size=(count, n)) < 0.2] = 0.0
+    mags = np.abs(x)
+    with np.errstate(over="ignore", under="ignore"):  # the plain formulas
+        sums = (mags**q).sum(axis=-1)
+        plain_rows = np.float_power(sums, 1.0 / q)
+        plain_batch = sums ** (1.0 / q)
+    top = mags.max(axis=-1)
+    kept = ((sums >= np.finfo(float).tiny) & (sums < math.inf)) | (top == 0.0)
+    rows, batch = lp_norm_rows(x, q), lp_norm_value(x, q)
+    assert rows[kept].tobytes() == plain_rows[kept].tobytes()
+    assert batch[kept].tobytes() == plain_batch[kept].tobytes()
+    for i in np.flatnonzero(~kept):
+        want = top[i] * math.fsum((m / top[i]) ** q for m in mags[i].tolist()) ** (1.0 / q)
+        assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert batch[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert lp_norm_value(x[i], q) == rows[i]

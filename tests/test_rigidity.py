@@ -214,6 +214,24 @@ def test_halton_grid_is_fresh_on_every_call():
     assert np.allclose(halton_ball_grid(3, 2, 400), kept[:400], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("count", [1, 2, 600, 1000, 2000, 7500])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+def test_halton_sample_equals_scipy_bit_for_bit(n, count):
+    # n = 12 takes 25 bases, past the fifteen primes up to 47.
+    qmc = pytest.importorskip("scipy.stats").qmc
+    want = qmc.Halton(d=2 * n + 1, scramble=False).random(count + 1)[1:]
+    got = rigidity._halton_unit(n, count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.strides[0] == want.strides[0] == got.itemsize  # stored column by column
+
+
+def test_first_primes_grow_past_the_first_sieve():
+    primes = rigidity._first_primes(1000)
+    assert primes[:10].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes[-1] == 7919 and np.all(np.diff(primes) > 0)
+    assert all(all(p % d for d in range(2, math.isqrt(int(p)) + 1)) for p in primes)
+
+
 def test_gallery_completeness_no_false_certificates():
     # every non-identity origin-fixing gallery self-map must fail something
     n = 2

@@ -59,6 +59,11 @@ def test_operator_norm_ascent_matches_known_p3():
     assert est == pytest.approx(0.9, abs=1e-6)
 
 
+def test_operator_norm_lower_is_finite_when_powers_overflow():
+    # (1e4)^100 overflows; the p->p norm of the diagonal matrix is 1e4.
+    assert operator_norm_lower(np.diag([1e4, 1.0]), 100) == pytest.approx(1e4, rel=1e-12)
+
+
 def _ref_dual(v, r):
     """|v|^(r-1) sign(v), 0 where v is 0, after scaling v to largest modulus 1."""
     top = np.max(np.abs(v))
