@@ -1,12 +1,11 @@
-"""Numerical differentiation of map expressions.
+"""Differentiation of map expressions.
 
-Two independent routes to the complex Jacobian are kept deliberately
-separate so they can cross-check each other:
-
-* complex_jacobian: trapezoidal Cauchy-integral quadrature on small circles
-  (spectrally accurate for analytic maps);
-* complex_jacobian_fd: fourth-order central differences in the real and
-  imaginary directions, combined via the Cauchy-Riemann relations.
+* complex_jacobian, real_jacobian and holomorphy_residual read exact
+  derivatives from one forward-mode tangent pass (Griewank and Walther,
+  Evaluating Derivatives, 2nd ed., 2008): each node's _tangent carries f(z)
+  and df/dz . v + df/dz-bar . conj(v) along the directions v = e_j, i e_j;
+* complex_jacobian_fd: fourth-order central differences along the same
+  directions, via the Cauchy-Riemann relations; the exact route's cross-check.
 
 The one-sided boundary derivative uses a Richardson ladder on the radial
 difference quotient.
@@ -15,28 +14,17 @@ difference quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientClearance,
-    NoConvergence,
-    PoleHit,
-    QuadratureDivergence,
-    StepTooLarge,
-)
+from .errors import InsufficientClearance, NoConvergence, PoleHit, StepTooLarge
 from .geometry import BoundaryPoint, cvector, l2_norm_rows
-from .maps import MapExpr, _EvalCtx, evaluate
+from .maps import MapExpr, _as_points, _EvalCtx, evaluate
 from . import rng as _rng
 
-
-@dataclass(frozen=True)
-class CauchyConfig:
-    nodes: int = 32             # quadrature points on the base circle
-    radius: float = 1e-2        # circle radius per coordinate
-    divergence_tol: float = 1e-8  # allowed change when doubling the node count
-    denominator_floor: float = 1e-6  # smallest admissible Moebius denominator
+# smallest admissible Moebius denominator at a differentiation point or probe
+_DENOMINATOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,7 +38,7 @@ class RichardsonConfig:
 class JacobianRecord:
     matrix: np.ndarray
     method: str
-    scale: float                # circle radius or step size
+    scale: float                # step size
     error_estimate: float
 
 
@@ -61,22 +49,21 @@ class RadialDerivative:
     stages_used: int
 
 
-def _eval_guarded(f: MapExpr, points, floor: float, err_cls, what: str) -> np.ndarray:
-    """Evaluate f on a batch, rejecting near-pole samples."""
+def _guarded(run, err_cls, what: str):
+    """run(ctx) on a fresh evaluation context, rejecting near-pole points."""
     ctx = _EvalCtx()
     try:
-        vals = evaluate(f, points, ctx=ctx)
+        out = run(ctx)
     except PoleHit as exc:
         raise err_cls(f"{what}: {exc}") from exc
-    if ctx.min_denominator < floor:
-        raise err_cls(
-            f"{what}: Moebius denominator {ctx.min_denominator:.2e} below floor {floor:.1e}"
-        )
-    return vals
+    if ctx.min_denominator < _DENOMINATOR_FLOOR:
+        raise err_cls(f"{what}: Moebius denominator {ctx.min_denominator:.2e} "
+                      f"below floor {_DENOMINATOR_FLOOR:.1e}")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# complex Jacobians
+# Jacobians
 # ---------------------------------------------------------------------------
 
 def _stack(z):
@@ -86,13 +73,32 @@ def _stack(z):
     return cvector(z).reshape(-1, z.shape[-1]), z.shape[:-1]
 
 
-def _weighted_sums(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """(k, c, s, m) samples -> (k, m, c) sums over s weighted by w.
-
-    One numpy sum per (k, c) slice, as a one-point call takes it: a single
-    sum over the s axis of the whole stack can round differently.
+def _derivatives(f: MapExpr, z) -> np.ndarray:
+    """Exact derivatives of f along the 2n real directions e_j, i e_j, laid out
+    as _fd4's: (m, 2n), x-directions first; a (k, n) stack gives (k, m, 2n).  The
+    2n directions of every point are the rows of one tangent pass; a pole hit or
+    a Moebius denominator under the floor at a point raises InsufficientClearance.
     """
-    return np.array([np.stack([(w[:, None] * v).sum(axis=0) for v in g], axis=1) for g in vals])
+    zs, lead = _stack(z)
+    k, n = zs.shape
+    pts, _ = _as_points(np.repeat(zs, 2 * n, axis=0), f.input_dim)
+    dirs = np.tile(np.vstack([np.eye(n), 1j * np.eye(n)]), (k, 1))
+    _, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
+                    "tangent pass")
+    # C order: products with the matrices round by their memory layout
+    d = np.ascontiguousarray(d.reshape(k, 2 * n, -1).transpose(0, 2, 1))
+    return d.reshape(lead + d.shape[1:])
+
+
+def complex_jacobian(f: MapExpr, z) -> np.ndarray:
+    """Exact complex Jacobian df/dz = (d/dx - i d/dy)/2 per coordinate.
+
+    z is one point (n,), giving an (m, n) matrix, or a stack (k, n), giving
+    (k, m, n) matrices equal to the one-point results bit for bit.
+    """
+    d = _derivatives(f, z)
+    n = d.shape[-1] // 2
+    return 0.5 * (d[..., :n] - 1j * d[..., n:])
 
 
 # Fourth-order central difference: f'(x) ~ sum_k w_k f(x + o_k h) / (12 h).
@@ -100,67 +106,26 @@ _FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 
 
-def complex_jacobian(f: MapExpr, z, cfg: CauchyConfig | None = None) -> JacobianRecord:
-    """Cauchy-integral Jacobian at an interior point of analyticity.
-
-    Column j is (1/(2K r)) * sum_k f(z + r w^k e_j) w^{-k} over 2K roots of
-    unity; the even-node subsum gives the K-point rule and the discrepancy
-    between the two rules is the reported error estimate.  z is one point
-    (n,), giving an (m, n) matrix, or a stack (k, n), giving (k, m, n)
-    matrices and the worst error estimate; a stack's matrices equal the
-    one-point results bit for bit.  All n circles of every point are
-    evaluated as one batch.
-    """
-    cfg = cfg or CauchyConfig()
-    zs, lead = _stack(z)
-    k, n = zs.shape
-    K = int(cfg.nodes)
-    r = float(cfg.radius)
-    if K < 4 or r <= 0.0:
-        raise QuadratureDivergence("quadrature needs nodes >= 4 and radius > 0")
-    angles = 2.0 * np.pi * np.arange(2 * K) / (2 * K)
-    roots = np.exp(1j * angles)
-    weights = np.exp(-1j * angles)
-    pts = np.tile(zs[:, None, None, :], (1, n, 2 * K, 1))
-    cols = np.arange(n)
-    pts[:, cols, :, cols] += r * roots
-    vals = _eval_guarded(
-        f, pts.reshape(-1, n), cfg.denominator_floor, InsufficientClearance, "cauchy quadrature"
-    ).reshape(k, n, 2 * K, -1)
-    jac2 = _weighted_sums(weights, vals) / (2 * K * r)
-    jac1 = _weighted_sums(weights[::2], vals[:, :, ::2]) / (K * r)
-    err = float(np.max(np.abs(jac2 - jac1))) if jac2.size else 0.0
-    if err > cfg.divergence_tol:
-        raise QuadratureDivergence(
-            f"doubling the node count moved entries by {err:.2e} "
-            f"(tol {cfg.divergence_tol:.1e}); point too close to a singularity?"
-        )
-    return JacobianRecord(jac2.reshape(lead + jac2.shape[1:]), "cauchy_integral", r, err)
-
-
 def _fd4(f: MapExpr, z, h: float, what: str) -> np.ndarray:
-    """Fourth-order derivatives of f along the 2n real directions e_j, i e_j.
-
-    Returns shape (m, 2n) for one point, (k, m, 2n) for a (k, n) stack, the
-    x-directions first.  The 8n probe points of every point are evaluated as
-    one batch.
+    """Fourth-order derivatives of f at one point along the 2n real directions
+    e_j, i e_j: shape (m, 2n), the x-directions first.  The 8n probe points
+    are evaluated as one batch.
     """
-    zs, lead = _stack(z)
-    k, n = zs.shape
-    dirs = np.vstack([np.eye(n), 1j * np.eye(n)])
-    pts = zs[:, None, None, :] + (_FD4_OFFSETS[:, None, None] * h) * dirs
-    vals = _eval_guarded(
-        f, pts.reshape(-1, n), CauchyConfig.denominator_floor, StepTooLarge, what
-    ).reshape(k, len(_FD4_OFFSETS), 2 * n, -1)
-    d = _weighted_sums(_FD4_WEIGHTS / (12.0 * h), vals.transpose(0, 2, 1, 3))
-    return d.reshape(lead + d.shape[1:])
+    z = cvector(z)
+    n = z.size
+    pts = z + (_FD4_OFFSETS[:, None, None] * h) * np.vstack([np.eye(n), 1j * np.eye(n)])
+    vals = _guarded(lambda ctx: evaluate(f, pts.reshape(-1, n), ctx=ctx), StepTooLarge,
+                    what).reshape(len(_FD4_OFFSETS), 2 * n, -1)
+    w = _FD4_WEIGHTS[:, None] / (12.0 * h)
+    # one sum per direction: one sum over the whole batch can round differently
+    return np.stack([(w * vals[:, c]).sum(axis=0) for c in range(2 * n)], axis=1)
 
 
 def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     """Finite-difference Jacobian: (d/dx - i d/dy)/2 per coordinate.
 
-    Independent of the quadrature route; used as its cross-check.  The
-    error estimate compares steps h and 2h.
+    Independent of the tangent pass; used as its cross-check.  The error
+    estimate compares steps h and 2h.
     """
     z = cvector(z)
     n = z.size
@@ -171,17 +136,15 @@ def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     return JacobianRecord(jac, "central_difference", h, err)
 
 
-def real_jacobian(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
-    """Real 2m-by-2n Jacobian acting on realifications (Re, Im stacked).
+def real_jacobian(f: MapExpr, z) -> np.ndarray:
+    """Exact real 2m-by-2n Jacobian acting on realifications (Re, Im stacked).
 
     D maps the realification of an input perturbation to the realification
     of the output change: rows are (Re f, Im f), columns (x_j then y_j).
-    Fourth-order central differences in each of the 2n real directions.
     A (k, n) stack of points gives a (k, 2m, 2n) stack of matrices.
     """
-    d = _fd4(f, z, h, "real jacobian")
-    return JacobianRecord(np.concatenate([d.real, d.imag], axis=-2), "real_central_difference",
-                          h, math.nan)
+    d = _derivatives(f, z)
+    return np.concatenate([d.real, d.imag], axis=-2)
 
 
 def cr_blocks(real_jac: np.ndarray):
@@ -196,14 +159,15 @@ def cr_blocks(real_jac: np.ndarray):
     )
 
 
-def holomorphy_residual(f: MapExpr, z, h: float = 1e-4):
+def holomorphy_residual(f: MapExpr, z):
     """Cauchy-Riemann defect ||A - D||_F + ||B + C||_F of the real Jacobian.
 
-    Zero (to discretization error) iff f is holomorphic near z.  One point
-    gives a float; a (k, n) stack gives the k defects from one real-Jacobian
-    batch, each equal to its one-point value bit for bit.
+    It equals ||Re s||_F + ||Im s||_F for s = d/dx + i d/dy = 2 df/dz-bar, so
+    it vanishes, up to rounding, on holomorphic maps.  One point gives a
+    float; a (k, n) stack gives the k defects from one tangent pass, each
+    equal to its one-point value bit for bit.
     """
-    a, b, c, d = cr_blocks(real_jacobian(f, z, h=h).matrix)
+    a, b, c, d = cr_blocks(real_jacobian(f, z))
     size = a.shape[-2] * a.shape[-1]
     res = l2_norm_rows((a - d).reshape(-1, size)) + l2_norm_rows((b + c).reshape(-1, size))
     return res if a.ndim == 3 else float(res[0])

@@ -44,11 +44,7 @@ class PoleHit(SchwarzLabError):
 
 
 class InsufficientClearance(SchwarzLabError):
-    """Quadrature circle comes too close to a pole of the map."""
-
-
-class QuadratureDivergence(SchwarzLabError):
-    """Doubling the quadrature order changed the result beyond tolerance."""
+    """A Moebius denominator at a point to differentiate at is under the clearance floor."""
 
 
 class StepTooLarge(SchwarzLabError):

@@ -1,11 +1,12 @@
 """Expression trees for holomorphic and pluriharmonic maps between complex balls.
 
 A MapExpr is a small AST that can be evaluated at single points or batches,
-serialized to JSON, and differentiated numerically (see diff.py).  Scalar
-nodes produce one output; MapTuple and LinearMatrix assemble vector maps.
-Holomorphy is syntactic: a tree is holomorphic iff it contains no
-ConjugateCoordinate leaf.  Each node class is the one description of its
-node: a JSON ``tag``, and dataclass fields that are its JSON keys, in order.
+serialized to JSON, and differentiated exactly by a forward-mode tangent
+pass (see diff.py).  Scalar nodes produce one output; MapTuple and
+LinearMatrix assemble vector maps.  Holomorphy is syntactic: a tree is
+holomorphic iff it contains no ConjugateCoordinate leaf.  Each node class is
+the one description of its node: a JSON ``tag``, dataclass fields that are
+its JSON keys, in order, and its value (_eval) and derivative (_tangent).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class _EvalCtx:
 
 @dataclass(frozen=True, eq=False)
 class MapExpr:
-    """Base class.  Subclasses set ``tag`` and implement _eval; leaves also
-    implement input_dim, and vector nodes output_dim and component."""
+    """Base class.  Subclasses set ``tag`` and implement _eval and _tangent;
+    leaves also implement input_dim, and vector nodes output_dim and component."""
 
     tag: ClassVar[str]
 
@@ -74,6 +75,11 @@ class MapExpr:
         return self
 
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
+        raise NotImplementedError
+
+    def _tangent(self, z: np.ndarray, v: np.ndarray, ctx: _EvalCtx):
+        """(f(z), df/dz . v + df/dz-bar . conj(v)) row by row: the values _eval
+        gives and the exact derivative along the real direction v of each row."""
         raise NotImplementedError
 
     def __call__(self, z):
@@ -154,6 +160,10 @@ class Coordinate(MapExpr):
     def _eval(self, z, ctx):
         return z[:, self.index]
 
+    def _tangent(self, z, v, ctx):
+        # real-linear, as is ConjugateCoordinate: the derivative along v is the value at v
+        return self._eval(z, ctx), self._eval(v, ctx)
+
 
 @dataclass(frozen=True, eq=False)
 class ConjugateCoordinate(Coordinate):
@@ -193,6 +203,9 @@ class Constant(MapExpr):
     def _eval(self, z, ctx):
         return np.full(z.shape[0], self.value, dtype=complex)
 
+    def _tangent(self, z, v, ctx):
+        return self._eval(z, ctx), np.zeros(z.shape[0], dtype=complex)
+
 
 # ---------------------------------------------------------------------------
 # scalar combinators
@@ -229,6 +242,13 @@ class Sum(MapExpr):
             acc = acc + t._eval(z, ctx)
         return acc
 
+    def _tangent(self, z, v, ctx):
+        acc, dacc = self.terms[0]._tangent(z, v, ctx)
+        for t in self.terms[1:]:
+            val, dval = t._tangent(z, v, ctx)
+            acc, dacc = acc + val, dacc + dval
+        return acc, dacc
+
 
 @dataclass(frozen=True, eq=False)
 class Product(MapExpr):
@@ -246,6 +266,13 @@ class Product(MapExpr):
         for t in self.factors[1:]:
             acc = acc * t._eval(z, ctx)
         return acc
+
+    def _tangent(self, z, v, ctx):
+        acc, dacc = self.factors[0]._tangent(z, v, ctx)
+        for t in self.factors[1:]:
+            val, dval = t._tangent(z, v, ctx)
+            acc, dacc = acc * val, dacc * val + acc * dval
+        return acc, dacc
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +299,10 @@ class Scale(MapExpr):
     def _eval(self, z, ctx):
         return self.factor * self.inner._eval(z, ctx)
 
+    def _tangent(self, z, v, ctx):
+        val, dval = self.inner._tangent(z, v, ctx)
+        return self.factor * val, self.factor * dval
+
 
 @dataclass(frozen=True, eq=False)
 class Power(MapExpr):
@@ -293,6 +324,11 @@ class Power(MapExpr):
 
     def _eval(self, z, ctx):
         return self.inner._eval(z, ctx) ** self.exponent
+
+    def _tangent(self, z, v, ctx):
+        w, dw = self.inner._tangent(z, v, ctx)
+        k = self.exponent
+        return w**k, (k * w ** max(k - 1, 0)) * dw
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,15 +357,26 @@ class MoebiusDisk(MapExpr):
     def children(self):
         return (self.inner,)
 
-    def _eval(self, z, ctx):
-        w = self.rotation * self.inner._eval(z, ctx)
+    def _rotated(self, u, ctx):
+        """(rotation * u, its denominator 1 + conj(a) rotation u), guarding the pole."""
+        w = self.rotation * u
         den = 1.0 + np.conj(self.a) * w
         dmin = float(np.min(np.abs(den)))
         if dmin < ctx.min_denominator:
             ctx.min_denominator = dmin
         if dmin <= _POLE_TOL:
             raise PoleHit("Moebius denominator vanished")
+        return w, den
+
+    def _eval(self, z, ctx):
+        w, den = self._rotated(self.inner._eval(z, ctx), ctx)
         return (self.a + w) / den
+
+    def _tangent(self, z, v, ctx):
+        u, du = self.inner._tangent(z, v, ctx)
+        w, den = self._rotated(u, ctx)
+        # d/du (a + rotation u) / den = rotation (1 - |a|^2) / den^2
+        return (self.a + w) / den, (self.rotation * (1.0 - abs(self.a) ** 2) / den**2) * du
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +418,9 @@ class LinearMatrix(MapExpr):
     def _eval(self, z, ctx):
         return z @ self.matrix.T
 
+    def _tangent(self, z, v, ctx):
+        return self._eval(z, ctx), self._eval(v, ctx)
+
 
 @dataclass(frozen=True, eq=False)
 class Compose(MapExpr):
@@ -406,6 +456,13 @@ class Compose(MapExpr):
             mid = mid.reshape(-1, 1)
         return self.outer._eval(mid, ctx)
 
+    def _tangent(self, z, v, ctx):
+        # chain rule: the inner derivative is the outer map's direction
+        mid, dmid = self.inner._tangent(z, v, ctx)
+        if mid.ndim == 1:
+            mid, dmid = mid.reshape(-1, 1), dmid.reshape(-1, 1)
+        return self.outer._tangent(mid, dmid, ctx)
+
 
 @dataclass(frozen=True, eq=False)
 class MapTuple(MapExpr):
@@ -431,6 +488,10 @@ class MapTuple(MapExpr):
 
     def _eval(self, z, ctx):
         return np.stack([c._eval(z, ctx) for c in self.components], axis=-1)
+
+    def _tangent(self, z, v, ctx):
+        parts = zip(*(c._tangent(z, v, ctx) for c in self.components))
+        return tuple(np.stack(p, axis=-1) for p in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diff import (
-    CauchyConfig,
-    RichardsonConfig,
-    complex_jacobian,
-    holomorphy_residual,
-    radial_boundary_derivative,
-)
+from .diff import complex_jacobian, holomorphy_residual, radial_boundary_derivative
 from .errors import BadParams, HypothesisFailed
 from .gallery import gallery
 from .geometry import (
@@ -67,8 +61,6 @@ class RigidityConfig:
     selfmap_samples: int = 2000
     grid_points: int = 10_000
     seed: int = 0
-    cauchy: CauchyConfig = field(default_factory=CauchyConfig)
-    richardson: RichardsonConfig = field(default_factory=RichardsonConfig)
 
 
 DEFAULT_RIGIDITY_CONFIG = RigidityConfig()
@@ -217,7 +209,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     the pairing equations in that order, stopping at the first failure; then
     the nonneg test and the rank.  Returns (report, J0): the report's verdict
     is final when a check failed and "" when the equations passed; J_f(0) is
-    None until the one Cauchy batch over the origin and the anchors ran.
+    None until the one Jacobian pass over the origin and the anchors ran.
     """
     f = inst.map
     e = inst.exponent
@@ -250,7 +242,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if max(fixed) > cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
-    jacs = complex_jacobian(f, np.vstack([np.zeros(n, dtype=complex), A]), cfg.cauchy).matrix
+    jacs = complex_jacobian(f, np.vstack([np.zeros(n, dtype=complex), A]))
     J0 = jacs[0]
     eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs[1:])]
     J0A = np.array([J0 @ a for a in A])
@@ -338,7 +330,7 @@ def check_proof_chain(inst: RigidityInstance,
         a_res = max(a_res, float(np.max(np.abs(vals[:len(grid)]))) - 1.0)
         psi0, psi1 = complex(vals[-2, 0]), complex(vals[-1, 0])
         der = radial_boundary_derivative(psi, np.ones(1, dtype=complex),
-                                         np.ones(1, dtype=complex), cfg.richardson)
+                                         np.ones(1, dtype=complex))
         b_res = max(b_res, abs(psi0), abs(psi1 - 1.0),
                     abs(complex(der.value[0]) - 1.0))
         c_res = max(c_res, float(np.max(np.abs(vals[len(grid):-2, 0] - ts))))
@@ -378,8 +370,7 @@ def equality_case_1d(f: MapExpr, cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) 
     f1 = complex(evaluate(f, np.ones(1, dtype=complex))[0])
     if abs(f1 - 1.0) > cfg.fixed_tol:
         raise HypothesisFailed(f"f(1) = {f1}, expected 1")
-    der = radial_boundary_derivative(f, np.ones(1, dtype=complex),
-                                     np.ones(1, dtype=complex), cfg.richardson)
+    der = radial_boundary_derivative(f, np.ones(1, dtype=complex), np.ones(1, dtype=complex))
     fprime1 = complex(der.value[0])
     equality = abs(fprime1 - 1.0) <= cfg.fixed_tol
 
@@ -417,7 +408,7 @@ def counterexample_polydisk_eigen(n: int = 3,
         raise BadParams("the counterexample needs n >= 2")
     f = gallery("square_first", {"n": n})
     z0 = np.ones(n, dtype=complex)
-    J = complex_jacobian(f, z0, cfg.cauchy).matrix
+    J = complex_jacobian(f, z0)
     expected = np.diag([2.0] + [1.0] * (n - 1)).astype(complex)
     diag_res = float(np.max(np.abs(J - expected)))
     jw = J @ z0

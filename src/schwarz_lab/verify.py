@@ -9,13 +9,11 @@ softer sanity checks are recorded in the verdict and gate ``passed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diff import (
-    CauchyConfig,
-    RichardsonConfig,
     complex_jacobian,
     holomorphy_residual,
     pluriharmonic_residual,
@@ -113,8 +111,6 @@ class VerifyConfig:
     slope_rel_tol: float = 0.02
     opnorm_starts: int = 64
     opnorm_iters: int = 80
-    cauchy: CauchyConfig = field(default_factory=CauchyConfig)
-    richardson: RichardsonConfig = field(default_factory=RichardsonConfig)
     grid_radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     grid_angles: int = 16
 
@@ -223,7 +219,7 @@ def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | N
     out_norms = lp_norm_value(vals, e.p)
     margin = float(np.min(in_norms - out_norms))
 
-    J0 = complex_jacobian(f, origin, cfg.cauchy).matrix
+    J0 = complex_jacobian(f, origin)
     opnorm = operator_norm_lower(J0, e, cfg.opnorm_starts, cfg.opnorm_iters, sd)
 
     probe = pts[0] * 0.5
@@ -264,13 +260,12 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     if fix_res > cfg.hypothesis_tol:
         raise HypothesisFailed(f"radial limit at 1 is {f1}, not 1")
 
-    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]),
-                                     np.array([1.0 + 0.0j]), cfg.richardson)
+    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
     fprime1 = complex(rad.value[0])
     imag_res = abs(fprime1.imag)
 
     f0 = complex(evaluate(f, np.zeros(1, dtype=complex))[0])
-    d = abs(complex_jacobian(f, np.zeros(1, dtype=complex), cfg.cauchy).matrix[0, 0])
+    d = abs(complex_jacobian(f, np.zeros(1, dtype=complex))[0, 0])
     bound = 2.0 * abs(1.0 - f0) ** 2 / (1.0 - abs(f0) ** 2 + d)
 
     pts = sample_ball(2, 1, 500, cfg.seed, "zhu-selfmap", cfg.interior_shell)
@@ -308,14 +303,13 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     if abs(b_norm - 1.0) > cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(1)||_p = {b_norm}, expected 1")
 
-    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]),
-                                     np.array([1.0 + 0.0j]), cfg.richardson)
+    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
     fprime1_norm = float(norm_p(rad.value, e))
 
     zero = np.zeros(1, dtype=complex)
     f0 = evaluate(f, zero)
     a = float(norm_p(f0, e))
-    col = complex_jacobian(f, zero, cfg.cauchy).matrix[:, 0]
+    col = complex_jacobian(f, zero)[:, 0]
     d = float(norm_p(col, e))
     bound = 2.0 * (1.0 - a) ** 2 / (1.0 - a**2 + d)
 
@@ -394,7 +388,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     origin_res = float(norm_p(f0, e))
     fixes_origin = origin_res <= cfg.hypothesis_tol
 
-    J = complex_jacobian(f, z0.point, cfg.cauchy).matrix
+    J = complex_jacobian(f, z0.point)
     vw = schwarz_v(w0bp)
     pulled = np.conj(J).T @ vw
     vz_sq = float(np.linalg.norm(vz)) ** 2
@@ -464,7 +458,7 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
     if not f.is_holomorphic or holo_res > 1e-7:
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
-    J = complex_jacobian(f, z0.point, cfg.cauchy).matrix
+    J = complex_jacobian(f, z0.point)
     pairing = complex(cinner(J @ z0.point, z0.point))
     lam = pairing.real
     imag_res = abs(pairing.imag)
@@ -737,15 +731,11 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     w0bp = BoundaryPoint(w0, e, tolerance=slack)
     V = pluriharmonic_V(w0bp)
 
-    # C1 at z0: two ladder rungs of the real Jacobian must agree
-    Jh = real_jacobian(f, z0.point, h=1e-4).matrix
-    Jh2 = real_jacobian(f, z0.point, h=5e-5).matrix
-    c1_res = float(np.max(np.abs(Jh - Jh2)))
-    if c1_res > 1e-5:
-        raise HypothesisFailed(f"real Jacobian ladder disagrees ({c1_res:.2e})")
-
+    # C1 at z0: the tangent pass's pole guard backs the c1_at_boundary row,
+    # whose residual is 0 because an exact Jacobian has no ladder to disagree
+    J = real_jacobian(f, z0.point)
     z0r = realify(z0.point)
-    lhs = float((Jh2 @ z0r) @ V)
+    lhs = float((J @ z0r) @ V)
     f0r = realify(f0)
     mid = (1.0 - float(f0r @ V)) / 2.0
     low = (1.0 - lp_norm_value(f0r, e.p)) / 2.0
@@ -757,7 +747,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     checks = (
         HypothesisCheck("pluriharmonic", True, ph_res),
         HypothesisCheck("boundary_to_boundary", True, abs(w_norm - 1.0)),
-        HypothesisCheck("c1_at_boundary", True, c1_res),
+        HypothesisCheck("c1_at_boundary", True, 0.0),
         HypothesisCheck("low_positive", low > 0.0, max(0.0, -low)),
         HypothesisCheck("harnack", harnack.passed, max(0.0, -harnack.margin)),
     )

@@ -291,11 +291,11 @@ def _ref_check_rigidity(inst, cfg):
     if max(fixed) > cfg.fixed_tol:
         return partial("hypotheses_fail", "anchor is not a fixed point", fixed=fixed)
 
-    J0 = complex_jacobian(f, np.zeros(n, dtype=complex), cfg.cauchy).matrix
+    J0 = complex_jacobian(f, np.zeros(n, dtype=complex))
     eqs, jf0, holder_norms = [], [], []
     for a in inst.anchors:
         row = rigidity._pairing_row(inst, a)
-        J = complex_jacobian(f, a.point, cfg.cauchy).matrix
+        J = complex_jacobian(f, a.point)
         eqs.append(complex(row @ (J @ a.point)))
         jf0.append(float(norm_p(J0 @ a.point - a.point, e)))
         holder_norms.append(float(norm_p(J0 @ a.point, e)))
