@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, OutsideBall
-from .geometry import (as_exponent, cvector, l2_norm_rows, lp_norm_rows, modulus, norm_p,
-                       with_lp_norms)
+from .geometry import as_exponent, cvector, l2_norm_rows, lp_norm, modulus, norm_p, with_lp_norms
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
@@ -72,8 +71,8 @@ class CompetitorFamily:
 
 @dataclass(frozen=True)
 class OptBudget:
-    starts: int = 32
-    iters: int = 200
+    starts: int = 24
+    iters: int = 150
     seed: int = 0
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ def _coefficients(theta: np.ndarray, q: float):
     and the mask of rows whose coefficient vector is zero (their c is zero)."""
     n = theta.shape[1] // 2
     g = theta[:, :n] + 1j * theta[:, n:]
-    gn = lp_norm_rows(g, q)
+    gn = lp_norm(g, q)
     zero = gn == 0.0
     gn[zero] = 1.0
     return g / gn[:, None], zero

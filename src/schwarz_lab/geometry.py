@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,62 +104,44 @@ def cinner(a, b) -> complex:
     return complex(np.sum(a * np.conj(b)))
 
 
-def _lp_last_axis(mags: np.ndarray, q: float, root) -> np.ndarray:
-    """root(sum(mags**q), 1/q) over the last axis, for finite q.
+def _lp_last_axis(mags: np.ndarray, q: float) -> np.ndarray:
+    """float_power(sum(mags**q), 1/q) over the last axis, for finite q.
 
     Where that power sum overflowed to inf or underflowed below the normal
     floats on a row whose largest modulus top is finite and nonzero, the row
-    is top * root(sum((mags/top)**q), 1/q) instead: the norm is then inf only
-    past the float range and 0.0 only for a zero row.  Every other row keeps
-    the plain formula's bits.  Only an inexact result can overflow, or
-    underflow to 0.0, so the IEEE flags, which numpy raises here as
+    is top * float_power(sum((mags/top)**q), 1/q) instead: the norm is then
+    inf only past the float range and 0.0 only for a zero row.  Every other
+    row keeps the plain formula's bits.  Only an inexact result can overflow,
+    or underflow to 0.0, so the IEEE flags, which numpy raises here as
     FloatingPointError, tell when to look for such rows (an exact subnormal
     sum raises no flag, and its root is accurate as it stands).
     """
     try:
         with np.errstate(over="raise", under="raise"):
-            return root((mags**q).sum(axis=-1), 1.0 / q)
+            return np.float_power((mags**q).sum(axis=-1), 1.0 / q)
     except FloatingPointError:
         pass
-    with np.errstate(over="ignore", under="ignore"):  # only a norm past the float range is inf
+    # only a norm past the float range is inf; the rescaled branch of a zero
+    # row divides by zero, and np.where drops it
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         s = (mags**q).sum(axis=-1)
-        out = root(s, 1.0 / q)
         top = np.max(mags, axis=-1)
+        rescaled = top * np.float_power(((mags / top[..., None]) ** q).sum(axis=-1), 1.0 / q)
         lost = ((s == math.inf) | (s < _NORMAL_MIN)) & np.isfinite(top) & (top > 0.0)
-        if np.ndim(s) == 0:
-            if lost:
-                out = top * root(((mags / top) ** q).sum(), 1.0 / q)
-        elif lost.any():
-            t = top[lost]
-            out[lost] = t * root(((mags[lost] / t[:, None]) ** q).sum(axis=-1), 1.0 / q)
-    return out
+        return np.where(lost, rescaled, np.float_power(s, 1.0 / q))
 
 
-def lp_norm_value(x, q: float) -> float:
-    """||x||_q for q in [1, inf], on real or complex arrays (last axis).
+def lp_norm(x, q: float):
+    """||x||_q for q in [1, inf] over the last axis of a real or complex array:
+    a float for a vector, one norm per row for a 2-D array.
 
-    A row of a 2-D batch can differ by 1 ulp from the same vector passed
-    alone, because numpy's vectorised pow takes the batch's root; use
-    lp_norm_rows where each row must match.
+    np.float_power takes every root with libm pow, as Python's scalar pow
+    does, so each row of a batch equals the same vector passed alone bit for
+    bit (np.power and np.sqrt can differ from it in the last bit).
     """
     mags = np.abs(np.asarray(x))
-    if math.isinf(q):
-        out = np.max(mags, axis=-1)
-    else:
-        out = _lp_last_axis(mags, q, operator.pow)
+    out = np.max(mags, axis=-1) if math.isinf(q) else _lp_last_axis(mags, q)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def lp_norm_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """lp_norm_value(row, q) of each row of a 2-D array, bit for bit.
-
-    np.float_power takes each root with libm pow, as the lone vector's
-    scalar pow does; np.power and np.sqrt can differ from it in the last bit.
-    """
-    mags = np.abs(x)
-    if math.isinf(q):
-        return np.max(mags, axis=-1)
-    return _lp_last_axis(mags, q, np.float_power)
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:
@@ -168,6 +149,20 @@ def l2_norm_rows(x: np.ndarray) -> np.ndarray:
     (one BLAS dot per row)."""
     parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
     return np.sqrt(sum((a[..., None, :] @ a[..., :, None])[..., 0, 0] for a in parts))
+
+
+def duality_map(x, p: float) -> np.ndarray:
+    """J_p(x) = |x_j|^(p-2) x_j entrywise, with 0 where x_j = 0; finite p > 1.
+
+    It is the direction of the lp sphere's normal and, divided by
+    ||x||_p^(p-1), the norming functional: Re<J_p(x), x> = ||x||_p^p and
+    ||J_p(x)||_q = ||x||_p^(p-1) for the conjugate exponent q.
+    """
+    x = np.asarray(x)
+    mags = np.abs(x)
+    weights = np.zeros(mags.shape)
+    np.power(mags, p - 2.0, out=weights, where=mags > 0.0)
+    return weights * x
 
 
 def modulus(z: np.ndarray) -> np.ndarray:
@@ -178,7 +173,7 @@ def modulus(z: np.ndarray) -> np.ndarray:
 def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
     """Rows of z rescaled to lq norms `radii` (one per row, or one for all);
     zero rows stay zero."""
-    norms = lp_norm_value(z, q)
+    norms = lp_norm(z, q)
     norms[norms == 0.0] = 1.0
     return z / norms[:, None] * np.reshape(radii, (-1, 1))
 
@@ -186,7 +181,7 @@ def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
 def norm_p(z, p) -> float:
     """lp norm of a complex vector; p may be an Exponent or a number."""
     p = as_exponent(p)
-    return lp_norm_value(cvector(z), p.p)
+    return lp_norm(cvector(z), p.p)
 
 
 def realify(z) -> np.ndarray:
@@ -228,12 +223,9 @@ def grad_rho(z, p) -> np.ndarray:
     if p.is_inf:
         raise BadParams("gradient of the defining function needs finite p")
     z = cvector(z)
-    mags = np.abs(z)
-    if p.p < 2.0 and np.any(mags == 0.0):
+    if p.p < 2.0 and np.any(z == 0.0):
         raise SingularGradient(f"grad rho singular at zero coordinate for p = {p.p}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(mags > 0.0, mags ** (p.p - 2.0), 0.0 if p.p > 2.0 else 1.0)
-    return p.p * weights * z
+    return p.p * duality_map(z, p.p)
 
 
 @dataclass(frozen=True)
@@ -282,12 +274,7 @@ def schwarz_v(bp: BoundaryPoint) -> np.ndarray:
                 "polydisk normal vector needs all |z_j| = 1 (distinguished boundary)"
             )
         return z / z.size
-    p = bp.exponent.p
-    mags = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(mags > 0.0, mags ** (p - 2.0), 0.0)
-    # |z_j|^{p-2} z_j -> 0 as z_j -> 0 for every p > 1, so 0 is the right fill
-    return weights * z
+    return duality_map(z, bp.exponent.p)
 
 
 def rigidity_v(bp: BoundaryPoint) -> np.ndarray:
@@ -315,21 +302,18 @@ def pluriharmonic_V(bp: BoundaryPoint) -> np.ndarray:
     if bp.exponent.is_inf:
         if not bp.on_distinguished_boundary():
             raise HypothesisFailed("image must lie on the distinguished boundary")
-        if abs(lp_norm_value(wr, math.inf) - 1.0) > tol:
+        if abs(lp_norm(wr, math.inf) - 1.0) > tol:
             raise HypothesisFailed("realified image must lie on the sup-norm unit sphere")
         return wr / (2.0 * w.size)
     p = bp.exponent.p
     if p < 2.0:
         raise HypothesisFailed("pluriharmonic pairing vector needs p >= 2")
-    gap = abs(lp_norm_value(wr, p) - 1.0)
+    gap = abs(lp_norm(wr, p) - 1.0)
     if gap > tol:
         raise HypothesisFailed(
             f"realification misses the real lp sphere by {gap:.3e} (tol {tol:.1e})"
         )
-    mags = np.abs(wr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(mags > 0.0, mags ** (p - 2.0), 0.0)
-    return weights * wr
+    return duality_map(wr, p)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +384,7 @@ def norming_functional(x, p) -> np.ndarray:
         c = np.zeros_like(x)
         c[j] = np.conj(x[j]) / abs(x[j])
         return c
-    mags = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(mags > 0.0, mags ** (p.p - 2.0), 0.0)
-    return weights * np.conj(x) / nx ** (p.p - 1.0)
+    return np.conj(duality_map(x, p.p)) / nx ** (p.p - 1.0)
 
 
 def hyperbolic_distance(a, b) -> float:

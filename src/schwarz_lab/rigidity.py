@@ -22,8 +22,7 @@ from .gallery import gallery
 from .geometry import (
     BoundaryPoint,
     as_exponent,
-    lp_norm_rows,
-    lp_norm_value,
+    lp_norm,
     norm_p,
     rigidity_v,
     schwarz_v,
@@ -199,7 +198,7 @@ def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
     A = np.array([a.point for a in inst.anchors])
     segs = (np.linspace(0.05, 0.99, 12)[None, :, None] * A[:, None, :]).reshape(-1, inst.dim)
     pts = np.vstack([grid, segs])
-    return float(np.max(lp_norm_value(evaluate(inst.map, pts) - pts, e.p)))
+    return float(np.max(lp_norm(evaluate(inst.map, pts) - pts, e.p)))
 
 
 def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
@@ -224,36 +223,36 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     f0 = evaluate(f, np.zeros(n, dtype=complex))
     origin_res = float(norm_p(f0, e))
     quantities["origin_residual"] = origin_res
-    if origin_res > cfg.origin_tol:
+    if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    worst_holo = float(max(0.0, *holomorphy_residual(f, A)))
+    worst_holo = float(np.max(holomorphy_residual(f, A)))
     quantities["holomorphy_residual"] = worst_holo
-    if not f.is_holomorphic or worst_holo > cfg.holo_tol:
+    if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
     pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
-    escape = float(np.max(lp_norm_value(evaluate(f, pts), e.p)))
-    quantities["selfmap_escape"] = max(0.0, escape - 1.0)
-    if escape > 1.0 + 1e-10:
+    escape = float(np.max(lp_norm(evaluate(f, pts), e.p)))
+    quantities["selfmap_escape"] = float(np.maximum(0.0, escape - 1.0))
+    if not escape <= 1.0 + 1e-10:
         return partial(HYPOTHESES_FAIL, "map leaves the unit ball on samples")
 
-    fixed = lp_norm_rows(evaluate(f, A) - A, e.p).tolist()
-    if max(fixed) > cfg.fixed_tol:
+    fixed = lp_norm(evaluate(f, A) - A, e.p).tolist()
+    if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
     jacs = complex_jacobian(f, np.vstack([np.zeros(n, dtype=complex), A]))
     J0 = jacs[0]
     eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs[1:])]
     J0A = np.array([J0 @ a for a in A])
-    jf0 = lp_norm_rows(J0A - A, e.p).tolist()
-    holder_norms = lp_norm_rows(J0A, e.p).tolist()
-    quantities["holder_norm_max"] = max(holder_norms)
-    quantities["holder_norm_min"] = min(holder_norms)
+    jf0 = lp_norm(J0A - A, e.p).tolist()
+    holder_norms = lp_norm(J0A, e.p).tolist()
+    quantities["holder_norm_max"] = float(np.max(holder_norms))
+    quantities["holder_norm_min"] = float(np.min(holder_norms))
 
-    eq_gap = max(abs(v - inst.target) for v in eqs)
+    eq_gap = float(np.max([abs(v - inst.target) for v in eqs]))
     quantities["equation_gap"] = eq_gap
-    if eq_gap > cfg.equation_tol:
+    if not eq_gap <= cfg.equation_tol:
         return partial(EQUATIONS_FAIL, f"pairing equations miss the target {inst.target}",
                        fixed=fixed, eqs=eqs, jf0=jf0, J0=J0)
 
@@ -285,7 +284,7 @@ def check_rigidity(inst: RigidityInstance,
         verdict, reason = HYPOTHESES_FAIL, "anchors must be real with nonnegative coordinates"
     elif report.rank < inst.dim:
         verdict, reason = HYPOTHESES_FAIL, "insufficient anchors"
-    elif ident > cfg.identity_tol:
+    elif not ident <= cfg.identity_tol:
         verdict, reason = HYPOTHESES_FAIL, "identity residual too large despite passing equations"
     else:
         verdict, reason = CERTIFIED, ""
@@ -327,15 +326,15 @@ def check_proof_chain(inst: RigidityInstance,
     for a in inst.anchors:
         psi = _slice_map(inst, a)
         vals = evaluate(psi, probes)
-        a_res = max(a_res, float(np.max(np.abs(vals[:len(grid)]))) - 1.0)
+        a_res = float(np.max([a_res, np.max(np.abs(vals[:len(grid)])) - 1.0]))
         psi0, psi1 = complex(vals[-2, 0]), complex(vals[-1, 0])
         der = radial_boundary_derivative(psi, np.ones(1, dtype=complex),
                                          np.ones(1, dtype=complex))
-        b_res = max(b_res, abs(psi0), abs(psi1 - 1.0),
-                    abs(complex(der.value[0]) - 1.0))
-        c_res = max(c_res, float(np.max(np.abs(vals[len(grid):-2, 0] - ts))))
+        b_res = float(np.max([b_res, abs(psi0), abs(psi1 - 1.0),
+                              abs(complex(der.value[0]) - 1.0)]))
+        c_res = float(np.max([c_res, np.max(np.abs(vals[len(grid):-2, 0] - ts))]))
 
-    d_res = max(report.jf0_residuals)
+    d_res = float(np.max(report.jf0_residuals))
     e_res = float(np.linalg.norm(J0 - np.eye(n))) if report.rank == n else math.inf
 
     checks = (
@@ -365,10 +364,10 @@ def equality_case_1d(f: MapExpr, cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) 
     if f.input_dim != 1 or f.output_dim != 1:
         raise BadParams("expected a scalar self-map of the disk")
     f0 = complex(evaluate(f, np.zeros(1, dtype=complex))[0])
-    if abs(f0) > cfg.origin_tol:
+    if not abs(f0) <= cfg.origin_tol:
         raise HypothesisFailed(f"f(0) = {f0}, expected 0")
     f1 = complex(evaluate(f, np.ones(1, dtype=complex))[0])
-    if abs(f1 - 1.0) > cfg.fixed_tol:
+    if not abs(f1 - 1.0) <= cfg.fixed_tol:
         raise HypothesisFailed(f"f(1) = {f1}, expected 1")
     der = radial_boundary_derivative(f, np.ones(1, dtype=complex), np.ones(1, dtype=complex))
     fprime1 = complex(der.value[0])

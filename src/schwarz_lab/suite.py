@@ -344,9 +344,8 @@ class _RunContext:
         return RigidityConfig(seed=_job_seed(self.seed, job.id), **kw)
 
     def opt_budget(self, job: JobSpec) -> OptBudget:
-        return OptBudget(starts=job.parsed.get("starts", 24),
-                         iters=job.parsed.get("iters", 150),
-                         seed=_job_seed(self.seed, job.id))
+        return OptBudget(seed=_job_seed(self.seed, job.id),
+                         **{k: job.parsed[k] for k in ("starts", "iters") if k in job.parsed})
 
     def attain_tol(self) -> float:
         return self.overrides.get("attain_tol", 1e-3)
@@ -501,7 +500,7 @@ CHECKS = {
     "lp_boundary_schwarz": CheckSpec(
         {"map", "point", "exponent"}, set(),
         lambda job, ctx: verify_lp_boundary_schwarz(
-            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))[0]),
+            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))),
     "liu_wang": CheckSpec(
         {"map", "point"}, set(),
         lambda job, ctx: verify_liu_wang(

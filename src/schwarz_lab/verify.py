@@ -26,10 +26,10 @@ from .geometry import (
     as_exponent,
     cinner,
     cvector,
+    duality_map,
     grad_rho,
     l2_norm_rows,
-    lp_norm_rows,
-    lp_norm_value,
+    lp_norm,
     modulus,
     norm_p,
     normal_tangent_decompose,
@@ -45,7 +45,6 @@ from .rng import stream
 __all__ = [
     "HypothesisCheck",
     "Verdict",
-    "LambdaCertificate",
     "VerifyConfig",
     "DiskGrid",
     "sample_ball",
@@ -90,32 +89,20 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class LambdaCertificate:
-    """Eigenvalue data for the boundary normal at a fixed-norm pair."""
-
-    lambda_: float
-    imag_residual: float
-    proportionality_residual: float
-    tangent_samples_checked: int
-
-
-@dataclass(frozen=True)
 class VerifyConfig:
     hypothesis_tol: float = 1e-8
     margin_tol: float = 1e-7
     samples: int = 2000
     seed: int = 0
-    interior_shell: float = 0.999
     tangent_tol: float = 1e-7
-    slope_t: float = 1e-3
     slope_rel_tol: float = 0.02
-    opnorm_starts: int = 64
-    opnorm_iters: int = 80
-    grid_radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    grid_angles: int = 16
 
 
 DEFAULT_CONFIG = VerifyConfig()
+SLOPE_T = 1e-3  # inward step of the lp verifier's radial slope probe
+# the circles of the pluriharmonic chain's Harnack grid, and the angles on each
+HARNACK_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+HARNACK_ANGLES = 16
 
 
 def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.999):
@@ -132,15 +119,11 @@ def _holomorphy_check(f: MapExpr, probe: np.ndarray, tol: float) -> HypothesisCh
 
 
 def _dual_rows(v: np.ndarray, r: float) -> np.ndarray:
-    """|v|^(r-1) sign(v) entrywise, 0 where v is 0, for each row scaled by its
-    largest modulus (the maps below normalise, so the scale is free, and every
-    power is then of a number in (0, 1])."""
+    """duality_map(row, r) of each row scaled by its largest modulus (the maps
+    below normalise, so the scale is free, and every power is then of a
+    number in (0, 1])."""
     top = np.abs(v).max(axis=1, keepdims=True)
-    u = v / np.where(top > 0.0, top, 1.0)
-    a = np.abs(u)
-    w = np.zeros_like(a)
-    np.power(a, r - 2.0, out=w, where=a > 0.0)
-    return u * w
+    return duality_map(v / np.where(top > 0.0, top, 1.0), r)
 
 
 def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80,
@@ -167,24 +150,24 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
     gen = stream(seed, "opnorm", n, e.p)
     raw = gen.standard_normal((starts, 2, n))
     x = raw[:, 0] + 1j * raw[:, 1]
-    x /= lp_norm_rows(x, e.p)[:, None]
+    x /= lp_norm(x, e.p)[:, None]
     y = (J @ x[:, :, None])[:, :, 0]  # J x for each start's current x
-    val = lp_norm_rows(y, e.p)
+    val = lp_norm(y, e.p)
     live = np.arange(starts)
     for _ in range(iters):
         z = (JH @ _dual_rows(y[live], e.p)[:, :, None])[:, :, 0]
         cand = _dual_rows(z, e.conjugate_value)
-        cn = lp_norm_rows(cand, e.p)
+        cn = lp_norm(cand, e.p)
         live, cand, cn = live[cn != 0.0], cand[cn != 0.0], cn[cn != 0.0]
         cand /= cn[:, None]
         cy = (J @ cand[:, :, None])[:, :, 0]
-        cval = lp_norm_rows(cy, e.p)
+        cval = lp_norm(cy, e.p)
         better = cval > val[live]
         live = live[better]
         y[live], val[live] = cy[better], cval[better]
         if not live.size:
             break
-    return max([0.0, *val.tolist()])
+    return float(np.max(val))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +175,7 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
 # ---------------------------------------------------------------------------
 
 
-def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | None = None,
-                        cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     """Norm decrease under an origin-fixing self-map, plus derivative norm at 0.
 
     margin = min over samples of ||z||_p - ||f(z)||_p.
@@ -202,9 +184,6 @@ def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | N
     n = f.input_dim
     if f.output_dim != n:
         raise BadParams("self-map verification needs matching dimensions")
-    count = cfg.samples if samples is None else int(samples)
-    sd = cfg.seed if seed is None else int(seed)
-
     origin = np.zeros(n, dtype=complex)
     f0 = evaluate(f, origin)
     origin_res = float(norm_p(f0, e)) if np.any(f0) else 0.0
@@ -213,14 +192,14 @@ def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | N
             f"map must fix the origin; ||f(0)||_p = {origin_res:.3e}"
         )
 
-    pts = sample_ball(e, n, count, sd, "schwarz-pick", cfg.interior_shell)
+    pts = sample_ball(e, n, cfg.samples, cfg.seed, "schwarz-pick")
     vals = evaluate(f, pts)
-    in_norms = lp_norm_value(pts, e.p)
-    out_norms = lp_norm_value(vals, e.p)
+    in_norms = lp_norm(pts, e.p)
+    out_norms = lp_norm(vals, e.p)
     margin = float(np.min(in_norms - out_norms))
 
     J0 = complex_jacobian(f, origin)
-    opnorm = operator_norm_lower(J0, e, cfg.opnorm_starts, cfg.opnorm_iters, sd)
+    opnorm = operator_norm_lower(J0, e, seed=cfg.seed)
 
     probe = pts[0] * 0.5
     checks = (
@@ -232,7 +211,7 @@ def verify_schwarz_pick(f: MapExpr, p, samples: int | None = None, seed: int | N
     quantities = {
         "worst_norm_gap": margin,
         "opnorm_lower_estimate": opnorm,
-        "samples": float(count),
+        "samples": float(cfg.samples),
     }
     return Verdict("schwarz_pick_lp_ball", checks, quantities, margin,
                    max(1e-10, cfg.margin_tol * 1e-3))
@@ -268,8 +247,8 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     d = abs(complex_jacobian(f, np.zeros(1, dtype=complex))[0, 0])
     bound = 2.0 * abs(1.0 - f0) ** 2 / (1.0 - abs(f0) ** 2 + d)
 
-    pts = sample_ball(2, 1, 500, cfg.seed, "zhu-selfmap", cfg.interior_shell)
-    escape = float(np.max(lp_norm_value(evaluate(f, pts), 2.0)))
+    pts = sample_ball(2, 1, 500, cfg.seed, "zhu-selfmap")
+    escape = float(np.max(lp_norm(evaluate(f, pts), 2.0)))
 
     checks = (
         HypothesisCheck("fixes_one_radially", True, fix_res),
@@ -341,7 +320,7 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 
 
 def boundary_slope_check(f: MapExpr, z0: BoundaryPoint, lam: float,
-                         t: float = 1e-3) -> float:
+                         t: float = SLOPE_T) -> float:
     """Relative error of (1 - ||f(z0 - t v)||_p^p)/t against p*lambda*||v||_2^2."""
     v = schwarz_v(z0)
     return _slope_rel_error(evaluate(f, z0.point - t * v), z0, v, lam, t)
@@ -361,7 +340,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
                                cfg: VerifyConfig = DEFAULT_CONFIG):
     """Normal-eigenvalue certificate at a boundary point carried to the boundary.
 
-    Returns (Verdict, LambdaCertificate).  When f does not fix the origin the
+    The eigenvalue is quantities["lambda"].  When f does not fix the origin the
     eigenvalue is still reported but the margin is withheld (nan): the lower
     bound lambda >= 1 is only claimed for origin-fixing maps.
     """
@@ -379,7 +358,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     # one batch: f(z0), f(0) and the slope probe f(z0 - t v)
     vz = schwarz_v(z0)
     w0, f0, slope_val = evaluate(
-        f, np.stack([z0.point, np.zeros(n, dtype=complex), z0.point - cfg.slope_t * vz]))
+        f, np.stack([z0.point, np.zeros(n, dtype=complex), z0.point - SLOPE_T * vz]))
     w_norm = float(norm_p(w0, e))
     if abs(w_norm - 1.0) > cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
@@ -401,7 +380,6 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     # parts through J; images must stay tangent at w0
     gw = grad_rho(w0bp.point, e)
     tangent_res = 0.0
-    checked = 0
     for j in range(n):
         for probe in (np.eye(n, dtype=complex)[j], 1j * np.eye(n, dtype=complex)[j]):
             _, beta = normal_tangent_decompose(probe, z0)
@@ -410,9 +388,8 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
                 continue
             image = J @ (beta / bn)
             tangent_res = max(tangent_res, abs(complex(cinner(image, gw)).real))
-            checked += 1
 
-    slope_rel = _slope_rel_error(slope_val, z0, vz, lam, cfg.slope_t)
+    slope_rel = _slope_rel_error(slope_val, z0, vz, lam, SLOPE_T)
 
     checks = (
         HypothesisCheck("fixes_origin", fixes_origin, origin_res),
@@ -434,9 +411,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
         "origin_residual": origin_res,
     }
     margin = lam - 1.0 if fixes_origin else math.nan
-    cert = LambdaCertificate(lam, imag_res, prop_res, checked)
-    return Verdict("lp_boundary_schwarz", checks, quantities, margin,
-                   cfg.margin_tol), cert
+    return Verdict("lp_boundary_schwarz", checks, quantities, margin, cfg.margin_tol)
 
 
 def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
@@ -713,14 +688,13 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     gen = stream(cfg.seed, "ph-interior", n)
     probes = 0.3 * (gen.standard_normal((4, n)) + 1j * gen.standard_normal((4, n)))
     probes = np.vstack([probes, 0.9 * z0.point[None, :]])
-    # Python's max, as a loop over the probes takes it (a NaN residual is dropped)
-    ph_res = max(0.0, *pluriharmonic_residual(f, probes, seed=cfg.seed).tolist())
-    if ph_res > 1e-6:
+    ph_res = float(np.max(pluriharmonic_residual(f, probes, seed=cfg.seed)))  # NaN stays NaN
+    if not ph_res <= 1e-6:
         raise HypothesisFailed(f"map is not pluriharmonic (residual {ph_res:.2e})")
 
     # one batch: f(z0), f(0) and the Harnack grid of phi(zeta) = 1 - (f(zeta z0))' . V
-    angles = 2.0 * np.pi * np.arange(cfg.grid_angles) / cfg.grid_angles
-    zetas = np.asarray(cfg.grid_radii)[:, None] * np.exp(1j * angles)
+    angles = 2.0 * np.pi * np.arange(HARNACK_ANGLES) / HARNACK_ANGLES
+    zetas = np.asarray(HARNACK_RADII)[:, None] * np.exp(1j * angles)
     fvals = evaluate(f, np.vstack([z0.point, np.zeros(n, dtype=complex),
                                    (zetas[:, :, None] * z0.point).reshape(-1, n)]))
     w0, f0, fvals = fvals[0], fvals[1], fvals[2:]
@@ -738,11 +712,11 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     lhs = float((J @ z0r) @ V)
     f0r = realify(f0)
     mid = (1.0 - float(f0r @ V)) / 2.0
-    low = (1.0 - lp_norm_value(f0r, e.p)) / 2.0
+    low = (1.0 - lp_norm(f0r, e.p)) / 2.0
 
     vals = (1.0 - _pair_rows(fvals, V)).reshape(zetas.shape)
     phi0 = 1.0 - float(f0r @ V)
-    harnack = harnack_certificate(DiskGrid(tuple(cfg.grid_radii), vals, phi0))
+    harnack = harnack_certificate(DiskGrid(HARNACK_RADII, vals, phi0))
 
     checks = (
         HypothesisCheck("pluriharmonic", True, ph_res),

@@ -28,7 +28,7 @@ def test_criterion_01_schwarz_pick_norm_decrease():
     for p in (2, 3, 4, "inf"):
         for n in (1, 2, 3, 5):
             for name, f in sl.ball_self_map_instances(p, n):
-                v = sl.verify_schwarz_pick(f, p, samples=10_000, seed=count)
+                v = sl.verify_schwarz_pick(f, p, sl.VerifyConfig(samples=10_000, seed=count))
                 worst = min(worst, v.margin)
                 count += 1
                 assert v.passed, (name, p, n, v.margin)
@@ -64,11 +64,11 @@ def test_criterion_03_boundary_eigenvalue_certificates():
     for p in (2, 3, 4):
         z0 = sl.BoundaryPoint(e1, p)
         for f, lam_true in ((sl.identity_map(n), 1.0), (square, 2.0)):
-            v, cert = sl.verify_lp_boundary_schwarz(f, z0)
+            v = sl.verify_lp_boundary_schwarz(f, z0)
             assert v.passed, (p, lam_true, v.quantities)
-            worst_lambda = max(worst_lambda, abs(cert.lambda_ - lam_true))
-            worst_aux = max(worst_aux, cert.imag_residual,
-                            cert.proportionality_residual)
+            worst_lambda = max(worst_lambda, abs(v.quantities["lambda"] - lam_true))
+            worst_aux = max(worst_aux, v.quantities["imag_residual"],
+                            v.quantities["proportionality_residual"])
             worst_slope = max(worst_slope, v.quantities["slope_rel_error"])
             assert v.quantities["tangent_residual"] <= 1e-7
     ok = worst_lambda <= 1e-8 and worst_aux <= 1e-8 and worst_slope <= 0.02
@@ -96,7 +96,7 @@ def test_criterion_04_round_ball_lambda_consistency():
     for i in range(10):
         f, e1, k = _fixed_point_instance(i)
         z0 = sl.BoundaryPoint(e1, 2)
-        va, _ = sl.verify_lp_boundary_schwarz(f, z0)
+        va = sl.verify_lp_boundary_schwarz(f, z0)
         vb = sl.verify_liu_wang(f, z0)
         assert va.passed and vb.passed, (i, va.quantities, vb.quantities)
         worst_gap = max(worst_gap,

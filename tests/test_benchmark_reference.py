@@ -1,10 +1,12 @@
-"""The benchmark's stored reports still describe this program.
+"""The benchmark's stored reports and its tracer still fit this program.
 
 perfbench/run.py rejects a run whose jobs miss their expect, or whose cold
 report at the default seed drifts from perfbench/reference/<workload>.jsonl
-beyond rel 1e-6 / abs 1e-9.  This test makes the same checks in the test
-gate, with the benchmark's own workload generator and comparison, loaded
-read-only (no bytecode is written under perfbench/).
+beyond rel 1e-6 / abs 1e-9.  Its per-layer metrics come from
+perfbench/tracer.py, which rebinds named functions in every schwarz_lab
+module.  These tests make the same checks as run.py and selftest.py in the
+test gate, with the benchmark's own modules, loaded read-only (no bytecode is
+written under perfbench/).
 """
 
 import importlib.util
@@ -32,6 +34,7 @@ def _load(name: str):
 
 workloads = _load("workloads")
 run = _load("run")
+tracer_mod = _load("tracer")
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
@@ -40,3 +43,31 @@ def test_default_seed_report_matches_the_benchmark_reference(name):
     results = sl.run_suite(sl.parse_suite(doc), workers=1)
     assert [r.job_id for r in results if not r.passed] == []
     assert run.reference_mismatches(name, sl.emit_report(results, "jsonl")) == {}
+
+
+def _bindings() -> dict:
+    return {(m.__name__, k): v for m in list(sys.modules.values())
+            if getattr(m, "__name__", "").startswith("schwarz_lab")
+            for k, v in vars(m).items() if callable(v)}
+
+
+def test_tracer_finds_its_targets_and_leaves_the_report_alone():
+    config = sl.parse_suite(workloads.document("paper-suite", 1, PERFBENCH.parent))
+    plain = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+    originals = _bindings()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        missing = list(tracer.missing)
+        # every module that imported norm_p holds the one wrapper
+        rebound = sl.verify.norm_p is sl.geometry.norm_p is sl.norm_p
+        wrapped = getattr(sl.norm_p, "__wrapped__", None) is not None
+        traced = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+    finally:
+        tracer.uninstall()
+    assert missing == [] and rebound and wrapped
+    assert _bindings() == originals
+    assert traced == plain
+    spans = tracer.take()
+    jobs = {s[tracer_mod.JOB] for s in spans if s[tracer_mod.NAME] == "geometry.norm_p"}
+    assert None not in jobs and len(jobs) > 1

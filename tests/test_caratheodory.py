@@ -27,7 +27,7 @@ from schwarz_lab.caratheodory import (
     metric_origin_closed,
 )
 from schwarz_lab.errors import BadParams, OutsideBall
-from schwarz_lab.geometry import as_exponent, cvector, lp_norm_value
+from schwarz_lab.geometry import as_exponent, cvector, lp_norm
 from schwarz_lab.maps import evaluate
 from schwarz_lab.rng import stream
 from schwarz_lab.suite import parse_suite, run_suite
@@ -163,7 +163,7 @@ def test_converged_flag_belongs_to_the_best_start():
 
 def _ref_coefficients(theta, n, q):
     g = theta[:n] + 1j * theta[n:]
-    gn = lp_norm_value(g, q)
+    gn = lp_norm(g, q)
     if gn == 0.0:
         return None
     return g / gn

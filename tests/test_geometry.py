@@ -32,7 +32,7 @@ from schwarz_lab import (
     tangent_residuals,
     unrealify,
 )
-from schwarz_lab.geometry import l2_norm_rows, lp_norm_rows, lp_norm_value
+from schwarz_lab.geometry import duality_map, l2_norm_rows, lp_norm
 from schwarz_lab.rng import stream
 
 
@@ -102,9 +102,9 @@ def test_rho_and_gradient_frozen_values():
 def test_gradient_singular_below_two():
     with pytest.raises(SingularGradient):
         grad_rho(np.array([1.0, 0.0]), 1.5)
-    # p = 2 collapses to 2z, zeros included
-    z = np.array([0.3 + 0.1j, 0.0])
-    assert np.allclose(grad_rho(z, 2), 2 * z, atol=1e-15)
+    # p = 2 collapses to 2z exactly, zeros included
+    z = np.array([0.3 + 0.1j, 0.0, -1e-300j])
+    assert np.array_equal(grad_rho(z, 2), 2 * z)
 
 
 def test_gradient_is_outward_normal():
@@ -155,7 +155,7 @@ def test_rigidity_v_frozen_p3():
     v = rigidity_v(bp)
     assert np.allclose(v, [2.0 ** (-2.0 / 3.0)] * 2, atol=1e-12)
     q = as_exponent(3).conjugate_value
-    assert lp_norm_value(v, q) == pytest.approx(1.0, abs=1e-12)
+    assert lp_norm(v, q) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(BadParams):
         rigidity_v(_boundary([1.0, 1.0], "inf"))
 
@@ -168,7 +168,7 @@ def test_rigidity_v_dual_norm_random():
         v = rigidity_v(_boundary(z, p))
         assert np.all(np.abs(v.imag) == 0)
         assert np.all(v.real >= 0)
-        assert lp_norm_value(v, p / (p - 1.0)) == pytest.approx(1.0, abs=1e-10)
+        assert lp_norm(v, p / (p - 1.0)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pluriharmonic_V_cases():
@@ -182,7 +182,7 @@ def test_pluriharmonic_V_cases():
     assert np.allclose(pluriharmonic_V(_boundary(w, 2)), realify(w), atol=1e-12)
     # p = 4 with a phase: the realification misses the real l4 sphere
     w0 = np.array([np.exp(1j * np.pi / 4)])
-    assert lp_norm_value(realify(w0), 4.0) == pytest.approx(2.0 ** (-0.25), abs=1e-12)
+    assert lp_norm(realify(w0), 4.0) == pytest.approx(2.0 ** (-0.25), abs=1e-12)
     with pytest.raises(HypothesisFailed):
         pluriharmonic_V(_boundary(w0, 4))
     # p = 4 without a phase is fine
@@ -227,8 +227,24 @@ def test_tangent_basis_spans_tangent_space():
 
 
 # ---------------------------------------------------------------------------
-# norming functional, disk metric
+# duality map, norming functional, disk metric
 # ---------------------------------------------------------------------------
+
+
+_entries = st.tuples(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1.0, 64.0, exclude_min=True), entries=st.lists(_entries, min_size=1, max_size=6))
+def test_duality_map_pairs_to_the_norm_and_has_the_dual_norm(p, entries):
+    x = np.array([r * np.exp(1j * t) for r, t in entries])
+    jx = duality_map(x, p)
+    assert np.all(jx[x == 0.0] == 0.0)
+    nx = lp_norm(x, p)
+    # Re<J_p(x), x> = ||x||_p^p and ||J_p(x)||_q = ||x||_p^(p-1), 1/p + 1/q = 1
+    assert cinner(jx, x).real == pytest.approx(nx**p, rel=1e-12, abs=0.0)
+    assert lp_norm(jx, p / (p - 1.0)) == pytest.approx(nx ** (p - 1.0), rel=1e-12, abs=0.0)
+    assert np.array_equal(grad_rho(x, 2), 2 * x)
 
 
 def test_norming_functional_frozen_p3():
@@ -245,7 +261,7 @@ def test_norming_functional_zero_coordinate_and_inf():
     assert c[0] == 0
     cinf = norming_functional(np.array([0.5, -2.0j, 1.0]), "inf")
     assert np.allclose(cinf, [0.0, 1j, 0.0], atol=1e-14)
-    assert lp_norm_value(cinf, 1.0) == pytest.approx(1.0, abs=0)
+    assert lp_norm(cinf, 1.0) == pytest.approx(1.0, abs=0)
     with pytest.raises(ZeroVector):
         norming_functional(np.zeros(2), 2)
 
@@ -287,8 +303,7 @@ def test_hyperbolic_distance_moebius_invariance():
 
 @pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf])
 def test_row_norms_match_one_vector_norms_bit_for_bit(q):
-    # A 2-D lp_norm_value batch may differ from lone vectors in the last
-    # bit; the row helpers must not.
+    # Each row of a 2-D batch equals the same vector passed alone, bit for bit.
     gen = stream(12, "row-norms", str(q))
     # Entry scales: ordinary, near the ends of the float range (where the
     # q-th powers overflow or underflow), and one whose power sums are
@@ -301,8 +316,8 @@ def test_row_norms_match_one_vector_norms_bit_for_bit(q):
                 x[gen.uniform(size=count) < 0.1] = 0.0
                 for rows in (x, x + 1j * scale * gen.standard_normal((count, n))):
                     with np.errstate(over="ignore", under="ignore"):
-                        want = np.array([lp_norm_value(r, q) for r in rows])
-                        assert lp_norm_rows(rows, q).tobytes() == want.tobytes()
+                        want = np.array([lp_norm(r, q) for r in rows])
+                        assert lp_norm(rows, q).tobytes() == want.tobytes()
                         want = np.array([np.linalg.norm(r) for r in rows])
                         assert l2_norm_rows(rows).tobytes() == want.tobytes()
 
@@ -315,9 +330,9 @@ def test_lp_norm_invariant_under_permutations_and_unimodular_factors(q, seed, or
     x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     phases = np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n))
     perm = [i for i in order if i < n]
-    base = lp_norm_value(x, q)
+    base = lp_norm(x, q)
     for y in (x[perm], phases * x, phases * x[perm]):
-        assert abs(lp_norm_value(y, q) - base) <= 1e-12 * base
+        assert abs(lp_norm(y, q) - base) <= 1e-12 * base
 
 
 @pytest.mark.parametrize("x, q, want", [([1e200, 0.0], 3.0, 1e200),
@@ -326,7 +341,7 @@ def test_lp_norm_invariant_under_permutations_and_unimodular_factors(q, seed, or
 def test_norms_survive_power_sums_past_the_float_range(x, q, want):
     # The q-th powers overflow or underflow; the norm itself is in range.
     assert norm_p(x, q) == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert lp_norm_rows(np.array([x, x]), q) == pytest.approx([want, want], rel=1e-12, abs=0.0)
+    assert lp_norm(np.array([x, x]), q) == pytest.approx([want, want], rel=1e-12, abs=0.0)
 
 
 _DECADES = (-320, -300, -200, -105, 0, 105, 200, 300, 307)
@@ -345,14 +360,11 @@ def test_norms_keep_their_bits_unless_the_power_sum_leaves_the_normal_floats(q, 
     with np.errstate(over="ignore", under="ignore"):  # the plain formulas
         sums = (mags**q).sum(axis=-1)
         plain_rows = np.float_power(sums, 1.0 / q)
-        plain_batch = sums ** (1.0 / q)
     top = mags.max(axis=-1)
     kept = ((sums >= np.finfo(float).tiny) & (sums < math.inf)) | (top == 0.0)
-    rows, batch = lp_norm_rows(x, q), lp_norm_value(x, q)
+    rows = lp_norm(x, q)
     assert rows[kept].tobytes() == plain_rows[kept].tobytes()
-    assert batch[kept].tobytes() == plain_batch[kept].tobytes()
     for i in np.flatnonzero(~kept):
         want = top[i] * math.fsum((m / top[i]) ** q for m in mags[i].tolist()) ** (1.0 / q)
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert batch[i] == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert lp_norm_value(x[i], q) == rows[i]
+        assert lp_norm(x[i], q) == rows[i]

@@ -20,10 +20,12 @@ from schwarz_lab import (
     holomorphy_residual,
     identity_map,
     norm_p,
+    parse_suite,
+    run_suite,
     sample_ball,
 )
 from schwarz_lab import diff, rigidity
-from schwarz_lab.geometry import lp_norm_value
+from schwarz_lab.geometry import lp_norm
 from schwarz_lab.rigidity import (
     RigidityConfig,
     RigidityInstance,
@@ -108,6 +110,28 @@ def test_hypotheses_fail_short_circuits():
     rep2 = check_rigidity(inst2, FAST)
     assert rep2.verdict == "hypotheses_fail"
     assert rep2.reason == "map does not fix the origin"
+
+
+def test_a_map_that_is_nan_off_the_origin_is_not_certified():
+    # f_j = 1e309 z_j - 1e309 z_j overflows to inf - inf = NaN everywhere but
+    # at 0, so every residual past the origin check is NaN; a gate `x > tol`
+    # or a Python max would let each one through.
+    def comp(j):
+        coord = {"node": "coordinate", "index": j, "dim": 2}
+        return {"node": "sum", "terms": [
+            {"node": "scale", "factor": [s * 1e308, 0.0],
+             "inner": {"node": "scale", "factor": [10.0, 0.0], "inner": coord}}
+            for s in (1.0, -1.0)]}
+    job = {"id": "nan-map", "check": "rigidity", "exponent": 2, "variant": "p2",
+           "map": {"node": "tuple", "components": [comp(0), comp(1)]},
+           "anchors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    config = parse_suite({"suite_name": "nan", "seed": 1,
+                          "jobs": [dict(job, expect="hypotheses_fail")]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        (result,) = run_suite(config)
+    assert result.passed
+    assert result.hypotheses[0]["name"] == "verdict_hypotheses_fail"
+    assert math.isnan(result.quantities["holomorphy_residual"])
 
 
 def test_holder_chain_when_equations_pass():
@@ -258,7 +282,7 @@ def _ref_identity_residual(f, inst, cfg):
         for t in np.linspace(0.05, 0.99, 12):
             segs.append(t * a.point)
     pts = np.vstack([grid, np.array(segs)])
-    return float(np.max(lp_norm_value(evaluate(f, pts) - pts, e.p)))
+    return float(np.max(lp_norm(evaluate(f, pts) - pts, e.p)))
 
 
 def _ref_check_rigidity(inst, cfg):
@@ -283,7 +307,7 @@ def _ref_check_rigidity(inst, cfg):
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial("hypotheses_fail", "map is not holomorphic at the anchors")
     pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
-    escape = float(np.max(lp_norm_value(evaluate(f, pts), e.p)))
+    escape = float(np.max(lp_norm(evaluate(f, pts), e.p)))
     quantities["selfmap_escape"] = max(0.0, escape - 1.0)
     if escape > 1.0 + 1e-10:
         return partial("hypotheses_fail", "map leaves the unit ball on samples")

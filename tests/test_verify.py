@@ -33,7 +33,7 @@ from schwarz_lab import (
 )
 from schwarz_lab import diff as diff_module
 from schwarz_lab import verify as verify_module
-from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm_value, realify
+from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm, realify
 from schwarz_lab.verify import _pair_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
 
@@ -86,17 +86,17 @@ def _ref_operator_norm_lower(J, p, starts, iters, seed):
     best = 0.0
     for _ in range(starts):
         x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        x /= lp_norm_value(x, e.p)
+        x /= lp_norm(x, e.p)
         y = J @ x
-        val = lp_norm_value(y, e.p)
+        val = lp_norm(y, e.p)
         for _ in range(iters):
             x = _ref_dual(np.conj(J).T @ _ref_dual(y, e.p), e.conjugate_value)
-            xn = lp_norm_value(x, e.p)
+            xn = lp_norm(x, e.p)
             if xn == 0.0:
                 break
             x /= xn
             cy = J @ x
-            cval = lp_norm_value(cy, e.p)
+            cval = lp_norm(cy, e.p)
             if not cval > val:
                 break
             y, val = cy, cval
@@ -117,9 +117,9 @@ def _ref_projected_ascent(J, p, starts, iters, seed):
     best = 0.0
     for _ in range(starts):
         xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        xi /= lp_norm_value(xi, pval)
+        xi /= lp_norm(xi, pval)
         step = 0.5
-        val = lp_norm_value(J @ xi, pval)
+        val = lp_norm(J @ xi, pval)
         for _ in range(iters):
             y = J @ xi
             ay = np.abs(y)
@@ -128,11 +128,11 @@ def _ref_projected_ascent(J, p, starts, iters, seed):
             if gn == 0.0:
                 break
             cand = xi + step * grad / gn
-            cn = lp_norm_value(cand, pval)
+            cn = lp_norm(cand, pval)
             if cn == 0.0:
                 break
             cand /= cn
-            cval = lp_norm_value(J @ cand, pval)
+            cval = lp_norm(J @ cand, pval)
             if cval > val:
                 xi, val = cand, cval
             else:
@@ -194,7 +194,7 @@ def test_operator_norm_lower_zero_gradient_stops_each_start(p):
 
 
 def test_schwarz_pick_identity_margin_zero():
-    v = verify_schwarz_pick(identity_map(2), 3, samples=200, seed=1, cfg=CFG)
+    v = verify_schwarz_pick(identity_map(2), 3, VerifyConfig(samples=200, seed=1))
     assert v.passed
     assert v.margin == pytest.approx(0.0, abs=1e-12)
     assert v.quantities["opnorm_lower_estimate"] == pytest.approx(1.0, abs=1e-9)
@@ -202,7 +202,7 @@ def test_schwarz_pick_identity_margin_zero():
 
 def test_schwarz_pick_contraction_margin_positive():
     v = verify_schwarz_pick(gallery("scaled_identity", {"n": 2, "t": 0.5}), 2,
-                            samples=200, seed=1, cfg=CFG)
+                            VerifyConfig(samples=200, seed=1))
     assert v.passed and v.margin > 0.0
     assert v.quantities["opnorm_lower_estimate"] == pytest.approx(0.5, abs=1e-9)
 
@@ -210,12 +210,12 @@ def test_schwarz_pick_contraction_margin_positive():
 def test_schwarz_pick_requires_origin_fixed():
     f = gallery("moebius_fix1", {"a": 0.3})
     with pytest.raises(HypothesisFailed):
-        verify_schwarz_pick(f, 2, samples=50, seed=0, cfg=CFG)
+        verify_schwarz_pick(f, 2, VerifyConfig(samples=50, seed=0))
 
 
 def test_schwarz_pick_first_times_last_p3():
     v = verify_schwarz_pick(gallery("first_times_last", {"n": 3}), 3,
-                            samples=2000, seed=2, cfg=CFG)
+                            VerifyConfig(samples=2000, seed=2))
     assert v.passed
     assert v.margin >= -1e-10
 
@@ -237,8 +237,8 @@ def test_schwarz_pick_margin_is_unitarily_invariant_at_p2(n, seed, t):
     gen = stream(seed, "pick-unitary", n)
     f = LinearMatrix(t * haar_unitary(n, gen))
     U = haar_unitary(n, gen)
-    v = verify_schwarz_pick(f, 2, samples=300, seed=seed, cfg=CFG)
-    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, samples=300, seed=seed, cfg=CFG)
+    v = verify_schwarz_pick(f, 2, VerifyConfig(samples=300, seed=seed))
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, VerifyConfig(samples=300, seed=seed))
     assert vu.passed == v.passed == (t <= 1.0)
     assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
     assert abs(vu.margin - v.margin) <= 1e-9
@@ -252,8 +252,8 @@ def test_schwarz_pick_verdict_is_unitarily_invariant_at_p2(name, params):
     # verdicts agree.
     f = gallery(name, params)
     U = haar_unitary(f.input_dim, stream(9, "pick-unitary-nonlinear"))
-    v = verify_schwarz_pick(f, 2, samples=300, seed=4, cfg=CFG)
-    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, samples=300, seed=4, cfg=CFG)
+    v = verify_schwarz_pick(f, 2, VerifyConfig(samples=300, seed=4))
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, VerifyConfig(samples=300, seed=4))
     assert v.passed and vu.passed
     assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
     assert vu.margin >= 0.0 and abs(vu.margin - v.margin) <= 1e-3
@@ -331,20 +331,19 @@ def test_kalaj_scaled_square_embed_nonnegative():
 def test_lp_boundary_identity_lambda_one():
     for p in (2, 3, 4):
         z0 = BoundaryPoint(np.array([1.0, 0.0], dtype=complex), p)
-        verdict, cert = verify_lp_boundary_schwarz(identity_map(2), z0, CFG)
+        verdict = verify_lp_boundary_schwarz(identity_map(2), z0, CFG)
         assert verdict.passed
-        assert cert.lambda_ == pytest.approx(1.0, abs=1e-10)
-        assert cert.imag_residual <= 1e-10
-        assert cert.proportionality_residual <= 1e-10
+        assert verdict.quantities["lambda"] == pytest.approx(1.0, abs=1e-10)
+        assert verdict.quantities["imag_residual"] <= 1e-10
+        assert verdict.quantities["proportionality_residual"] <= 1e-10
         assert verdict.quantities["tangent_residual"] <= 1e-9
 
 
 def test_lp_boundary_square_lambda_two():
     z0 = BoundaryPoint(np.array([1.0, 0.0, 0.0], dtype=complex), 3)
-    verdict, cert = verify_lp_boundary_schwarz(gallery("square_first", {"n": 3}),
-                                               z0, CFG)
+    verdict = verify_lp_boundary_schwarz(gallery("square_first", {"n": 3}), z0, CFG)
     assert verdict.passed
-    assert cert.lambda_ == pytest.approx(2.0, abs=1e-9)
+    assert verdict.quantities["lambda"] == pytest.approx(2.0, abs=1e-9)
     assert verdict.margin == pytest.approx(1.0, abs=1e-9)
 
 
@@ -359,17 +358,17 @@ def test_lp_boundary_interior_diagonal_anchor():
     p = 4
     c = 2.0 ** (-1.0 / p)
     z0 = BoundaryPoint(np.array([c, c], dtype=complex), p)
-    verdict, cert = verify_lp_boundary_schwarz(identity_map(2), z0, CFG)
-    assert verdict.passed and cert.lambda_ == pytest.approx(1.0, abs=1e-10)
+    verdict = verify_lp_boundary_schwarz(identity_map(2), z0, CFG)
+    assert verdict.passed and verdict.quantities["lambda"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lp_boundary_slope_residual_is_boundary_slope_check():
     f = gallery("diag_power", {"ks": [2, 1, 3], "units": [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]})
     for p in (2, 3, 4):
         z0 = BoundaryPoint(np.array([0.0, 0.0, np.exp(0.7j)]), p)
-        verdict, cert = verify_lp_boundary_schwarz(f, z0, CFG)
+        verdict = verify_lp_boundary_schwarz(f, z0, CFG)
         slope = {h.name: h.residual for h in verdict.hypotheses}["radial_slope_identity"]
-        assert slope == boundary_slope_check(f, z0, cert.lambda_, CFG.slope_t)
+        assert slope == boundary_slope_check(f, z0, verdict.quantities["lambda"])
         assert slope == verdict.quantities["slope_rel_error"]
 
 
@@ -418,11 +417,11 @@ def test_lp_boundary_nonfixing_origin_reports_lambda_only():
     # unitary composed with nothing... use a Moebius tuple that moves 0 but fixes 1
     f = gallery("moebius_tuple", {"m": 1, "a": 0.3, "rotation": 1.0})
     z0 = BoundaryPoint(np.array([1.0 + 0j]), 2)
-    verdict, cert = verify_lp_boundary_schwarz(f, z0, CFG)
+    verdict = verify_lp_boundary_schwarz(f, z0, CFG)
     assert not verdict.passed
     assert np.isnan(verdict.margin)
     # angular derivative of (z+a)/(1+az) at 1 is (1-a)/(1+a)
-    assert cert.lambda_ == pytest.approx((1 - 0.3) / (1 + 0.3), abs=1e-9)
+    assert verdict.quantities["lambda"] == pytest.approx((1 - 0.3) / (1 + 0.3), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
