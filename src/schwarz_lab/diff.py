@@ -13,6 +13,7 @@ difference quotient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,14 @@ def _stack(z):
     return cvector(z).reshape(-1, z.shape[-1]), z.shape[:-1]
 
 
+@functools.lru_cache(maxsize=16)
+def _directions(n: int) -> np.ndarray:
+    """e_j, then i e_j, as the rows of one read-only (2n, n) array, built once per n."""
+    dirs = np.vstack([np.eye(n), 1j * np.eye(n)])
+    dirs.setflags(write=False)
+    return dirs
+
+
 def _derivatives(f: MapExpr, z) -> np.ndarray:
     """Exact derivatives of f along the 2n real directions e_j, i e_j, laid out
     as _fd4's: (m, 2n), x-directions first; a (k, n) stack gives (k, m, 2n).  The
@@ -82,12 +91,18 @@ def _derivatives(f: MapExpr, z) -> np.ndarray:
     zs, lead = _stack(z)
     k, n = zs.shape
     pts, _ = _as_points(np.repeat(zs, 2 * n, axis=0), f.input_dim)
-    dirs = np.tile(np.vstack([np.eye(n), 1j * np.eye(n)]), (k, 1))
+    dirs = _directions(n) if k == 1 else np.tile(_directions(n), (k, 1))
     _, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
                     "tangent pass")
     # C order: products with the matrices round by their memory layout
     d = np.ascontiguousarray(d.reshape(k, 2 * n, -1).transpose(0, 2, 1))
     return d.reshape(lead + d.shape[1:])
+
+
+def _wirtinger(d: np.ndarray) -> np.ndarray:
+    """df/dz = (d/dx - i d/dy)/2 from derivatives laid out as _derivatives'."""
+    n = d.shape[-1] // 2
+    return 0.5 * (d[..., :n] - 1j * d[..., n:])
 
 
 def complex_jacobian(f: MapExpr, z) -> np.ndarray:
@@ -96,9 +111,7 @@ def complex_jacobian(f: MapExpr, z) -> np.ndarray:
     z is one point (n,), giving an (m, n) matrix, or a stack (k, n), giving
     (k, m, n) matrices equal to the one-point results bit for bit.
     """
-    d = _derivatives(f, z)
-    n = d.shape[-1] // 2
-    return 0.5 * (d[..., :n] - 1j * d[..., n:])
+    return _wirtinger(_derivatives(f, z))
 
 
 # Fourth-order central difference: f'(x) ~ sum_k w_k f(x + o_k h) / (12 h).
@@ -113,7 +126,7 @@ def _fd4(f: MapExpr, z, h: float, what: str) -> np.ndarray:
     """
     z = cvector(z)
     n = z.size
-    pts = z + (_FD4_OFFSETS[:, None, None] * h) * np.vstack([np.eye(n), 1j * np.eye(n)])
+    pts = z + (_FD4_OFFSETS[:, None, None] * h) * _directions(n)
     vals = _guarded(lambda ctx: evaluate(f, pts.reshape(-1, n), ctx=ctx), StepTooLarge,
                     what).reshape(len(_FD4_OFFSETS), 2 * n, -1)
     w = _FD4_WEIGHTS[:, None] / (12.0 * h)
@@ -128,10 +141,7 @@ def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
     estimate compares steps h and 2h.
     """
     z = cvector(z)
-    n = z.size
-    d, d2 = (_fd4(f, z, step, "finite difference") for step in (h, 2.0 * h))
-    jac = 0.5 * (d[:, :n] - 1j * d[:, n:])
-    jac_coarse = 0.5 * (d2[:, :n] - 1j * d2[:, n:])
+    jac, jac_coarse = (_wirtinger(_fd4(f, z, step, "finite difference")) for step in (h, 2.0 * h))
     err = float(np.max(np.abs(jac - jac_coarse))) / 15.0 if jac.size else 0.0
     return JacobianRecord(jac, "central_difference", h, err)
 
@@ -159,6 +169,14 @@ def cr_blocks(real_jac: np.ndarray):
     )
 
 
+def _cr_defect(real_jac: np.ndarray):
+    """holomorphy_residual given the real Jacobian (or a stack of them)."""
+    a, b, c, d = cr_blocks(real_jac)
+    size = a.shape[-2] * a.shape[-1]
+    res = l2_norm_rows((a - d).reshape(-1, size)) + l2_norm_rows((b + c).reshape(-1, size))
+    return res if a.ndim == 3 else float(res[0])
+
+
 def holomorphy_residual(f: MapExpr, z):
     """Cauchy-Riemann defect ||A - D||_F + ||B + C||_F of the real Jacobian.
 
@@ -167,10 +185,15 @@ def holomorphy_residual(f: MapExpr, z):
     float; a (k, n) stack gives the k defects from one tangent pass, each
     equal to its one-point value bit for bit.
     """
-    a, b, c, d = cr_blocks(real_jacobian(f, z))
-    size = a.shape[-2] * a.shape[-1]
-    res = l2_norm_rows((a - d).reshape(-1, size)) + l2_norm_rows((b + c).reshape(-1, size))
-    return res if a.ndim == 3 else float(res[0])
+    return _cr_defect(real_jacobian(f, z))
+
+
+def _jacobian_and_defect(f: MapExpr, z):
+    """(complex_jacobian(f, z), holomorphy_residual(f, z)) from one tangent pass."""
+    real_jac = real_jacobian(f, z)
+    d = real_jac[..., : real_jac.shape[-2] // 2, :].astype(complex)
+    d.imag = real_jac[..., real_jac.shape[-2] // 2:, :]
+    return _wirtinger(d), _cr_defect(real_jac)
 
 
 def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):

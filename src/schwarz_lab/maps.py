@@ -12,6 +12,7 @@ its JSON keys, in order, and its value (_eval) and derivative (_tangent).
 from __future__ import annotations
 
 import cmath
+import functools
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -45,7 +46,7 @@ class MapExpr:
 
     tag: ClassVar[str]
 
-    @property
+    @functools.cached_property
     def input_dim(self) -> int:
         # children share the node's input, except Compose's outer (listed first)
         return self.children()[-1].input_dim
@@ -61,7 +62,7 @@ class MapExpr:
     def children(self) -> tuple["MapExpr", ...]:
         return ()
 
-    @property
+    @functools.cached_property
     def is_holomorphic(self) -> bool:
         return all(c.is_holomorphic for c in self.children())
 
@@ -361,7 +362,7 @@ class MoebiusDisk(MapExpr):
         """(rotation * u, its denominator 1 + conj(a) rotation u), guarding the pole."""
         w = self.rotation * u
         den = 1.0 + np.conj(self.a) * w
-        dmin = float(np.min(np.abs(den)))
+        dmin = float(np.abs(den).min())
         if dmin < ctx.min_denominator:
             ctx.min_denominator = dmin
         if dmin <= _POLE_TOL:
@@ -487,11 +488,16 @@ class MapTuple(MapExpr):
         return self.components[i]
 
     def _eval(self, z, ctx):
-        return np.stack([c._eval(z, ctx) for c in self.components], axis=-1)
+        out = np.empty((z.shape[0], len(self.components)), dtype=complex)
+        for j, c in enumerate(self.components):
+            out[:, j] = c._eval(z, ctx)
+        return out
 
     def _tangent(self, z, v, ctx):
-        parts = zip(*(c._tangent(z, v, ctx) for c in self.components))
-        return tuple(np.stack(p, axis=-1) for p in parts)
+        val, dval = np.empty((2, z.shape[0], len(self.components)), dtype=complex)
+        for j, c in enumerate(self.components):
+            val[:, j], dval[:, j] = c._tangent(z, v, ctx)
+        return val, dval
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diff import complex_jacobian, holomorphy_residual, radial_boundary_derivative
+from .diff import _jacobian_and_defect, complex_jacobian, radial_boundary_derivative
 from .errors import BadParams, HypothesisFailed
 from .gallery import gallery
 from .geometry import (
@@ -206,9 +206,9 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
 
     Checks the origin, holomorphy, the self-map samples, the fixed points and
     the pairing equations in that order, stopping at the first failure; then
-    the nonneg test and the rank.  Returns (report, J0): the report's verdict
-    is final when a check failed and "" when the equations passed; J_f(0) is
-    None until the one Jacobian pass over the origin and the anchors ran.
+    the nonneg test and the rank.  The anchor Jacobians come from the holomorphy
+    pass.  Returns (report, J0): the verdict is final when a check failed and ""
+    when the equations passed; J_f(0) is None until its pass after the fixed points.
     """
     f = inst.map
     e = inst.exponent
@@ -226,8 +226,8 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    worst_holo = float(np.max(holomorphy_residual(f, A)))
-    quantities["holomorphy_residual"] = worst_holo
+    jacs, holo = _jacobian_and_defect(f, A)
+    quantities["holomorphy_residual"] = worst_holo = float(np.max(holo))
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
@@ -241,9 +241,8 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
-    jacs = complex_jacobian(f, np.vstack([np.zeros(n, dtype=complex), A]))
-    J0 = jacs[0]
-    eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs[1:])]
+    J0 = complex_jacobian(f, np.zeros(n, dtype=complex))
+    eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs)]
     J0A = np.array([J0 @ a for a in A])
     jf0 = lp_norm(J0A - A, e.p).tolist()
     holder_norms = lp_norm(J0A, e.p).tolist()

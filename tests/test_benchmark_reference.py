@@ -6,13 +6,15 @@ beyond rel 1e-6 / abs 1e-9.  Its per-layer metrics come from
 perfbench/tracer.py, which rebinds named functions in every schwarz_lab
 module.  These tests make the same checks as run.py and selftest.py in the
 test gate, with the benchmark's own modules, loaded read-only (no bytecode is
-written under perfbench/).
+written under perfbench/).  A last test counts the tangent passes of one pass
+of each workload: a count, unlike a timing, does not drift with the host.
 """
 
 import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import schwarz_lab as sl
@@ -71,3 +73,41 @@ def test_tracer_finds_its_targets_and_leaves_the_report_alone():
     spans = tracer.take()
     jobs = {s[tracer_mod.JOB] for s in spans if s[tracer_mod.NAME] == "geometry.norm_p"}
     assert None not in jobs and len(jobs) > 1
+
+
+def _tangent_passes(name: str, monkeypatch) -> tuple[int, int]:
+    """(tangent passes, repeated (map, point) pairs within a job) of one pass
+    of a workload at the default seed, counted at diff._derivatives."""
+    doc = workloads.document(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
+    config = sl.parse_suite(doc)
+    run_job, derivatives = sl.suite._run_job, sl.diff._derivatives
+    current, seen, held = [None], set(), []
+    passes = repeats = 0
+
+    def job(spec, ctx):
+        current[0] = spec.id
+        return run_job(spec, ctx)
+
+    def counted(f, z):
+        nonlocal passes, repeats
+        passes += 1
+        held.append(f)  # keeps id(f) unique for the whole pass
+        for row in np.atleast_2d(np.asarray(z, dtype=complex)):
+            key = (current[0], id(f), row.tobytes())
+            repeats += key in seen
+            seen.add(key)
+        return derivatives(f, z)
+
+    monkeypatch.setattr(sl.suite, "_run_job", job)
+    monkeypatch.setattr(sl.diff, "_derivatives", counted)
+    sl.run_suite(config, workers=1)
+    return passes, repeats
+
+
+@pytest.mark.parametrize("name, max_passes", [("boundary-fine", 270), ("paper-suite", None)])
+def test_no_job_differentiates_a_point_twice(name, max_passes, monkeypatch):
+    # each job takes J_f and the Cauchy-Riemann defect at a point from one
+    # tangent pass; boundary-fine made 324 passes when it took two
+    passes, repeats = _tangent_passes(name, monkeypatch)
+    assert repeats == 0
+    assert max_passes is None or passes <= max_passes

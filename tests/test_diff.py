@@ -113,6 +113,25 @@ def test_stacked_derivatives_match_per_point_calls_bit_for_bit(f, k, seed):
         [real_jacobian(f, z) for z in zs]).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=_trees, k=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_one_pass_jacobian_and_defect_equal_the_two_calls_bit_for_bit(f, k, seed):
+    n = f.input_dim
+    gen = stream(seed, "one-pass", n)
+    zs = 0.4 * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
+    for z in (zs[0], zs):
+        try:
+            jac, res = diff._jacobian_and_defect(f, z)
+        except InsufficientClearance:
+            reject()
+        assert jac.tobytes() == complex_jacobian(f, z).tobytes()
+        assert jac.shape == complex_jacobian(f, z).shape
+        if z.ndim == 1:
+            assert type(res) is float and res == holomorphy_residual(f, z)
+        else:
+            assert res.tobytes() == holomorphy_residual(f, z).tobytes()
+
+
 def _ref_cauchy_jacobian(f, z):
     """The Cauchy rule at one point: 64 nodes on circles of radius 1e-2, one sum
     per circle.  Returns the Jacobian and its gap to the 32-node subrule."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from schwarz_lab import (
     BadParams,
@@ -32,7 +33,7 @@ from schwarz_lab import (
     tangent_residuals,
     unrealify,
 )
-from schwarz_lab.geometry import duality_map, l2_norm_rows, lp_norm
+from schwarz_lab.geometry import _reduce_last_axis, duality_map, l2_norm_rows, lp_norm
 from schwarz_lab.rng import stream
 
 
@@ -49,6 +50,25 @@ def test_norm_frozen_values():
     assert norm_p([1.0, 1.0], 3) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-15)
     assert norm_p([3.0, 4.0], 2) == pytest.approx(5.0, abs=1e-12)
     assert norm_p([1j, -2.0, 0.5], "inf") == pytest.approx(2.0, abs=0)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=arrays(np.float64, st.one_of(array_shapes(min_dims=1, max_dims=1, max_side=12),
+                                      st.tuples(st.integers(1, 300), st.integers(1, 12))),
+                elements=st.one_of(_EDGE_FLOATS, st.floats(width=64))))
+def test_short_row_reductions_of_moduli_equal_numpy_bit_for_bit(a):
+    # moduli, as lp norms reduce them: numpy's reductions may set the sign of
+    # a zero or a NaN differently from a column-by-column pass
+    a = np.abs(a)
+    with np.errstate(all="ignore"):
+        for ufunc in (np.add, np.maximum):
+            got, want = _reduce_last_axis(ufunc, a), ufunc.reduce(a, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_exponent_validation():

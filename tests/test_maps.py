@@ -36,7 +36,7 @@ from schwarz_lab import (
     norm_p,
 )
 from schwarz_lab import maps
-from schwarz_lab.maps import MapExpr, NODES, min_moebius_denominator
+from schwarz_lab.maps import MapExpr, NODES, _EvalCtx, min_moebius_denominator
 from schwarz_lab.rng import stream
 
 
@@ -237,6 +237,32 @@ def test_node_protocol_properties(f):
     np.testing.assert_allclose(evaluate(conjugate_map(conj), pts), vals, **close)
     for i in range(f.output_dim):
         np.testing.assert_allclose(evaluate(component(f, i), pts)[:, 0], vals[:, i], **close)
+
+
+def _tuples(f):
+    """Every MapTuple node of a tree."""
+    if isinstance(f, MapTuple):
+        yield f
+    for c in f.children():
+        yield from _tuples(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_trees, seed=st.integers(0, 10_000))
+def test_tuple_values_and_tangents_equal_the_stacked_components(f, seed):
+    for node in _tuples(f):
+        n = node.input_dim
+        gen = stream(seed, "tuple-stack", n)
+        z, v = 0.5 * (gen.standard_normal((2, 6, n)) + 1j * gen.standard_normal((2, 6, n)))
+        try:
+            vals = [c._eval(z, _EvalCtx()) for c in node.components]
+            parts = [c._tangent(z, v, _EvalCtx()) for c in node.components]
+        except PoleHit:
+            reject()
+        val, dval = node._tangent(z, v, _EvalCtx())
+        assert node._eval(z, _EvalCtx()).tobytes() == np.stack(vals, axis=-1).tobytes()
+        assert val.tobytes() == np.stack([p[0] for p in parts], axis=-1).tobytes()
+        assert dval.tobytes() == np.stack([p[1] for p in parts], axis=-1).tobytes()
 
 
 def _subclasses(cls):

@@ -112,18 +112,23 @@ def test_hypotheses_fail_short_circuits():
     assert rep2.reason == "map does not fix the origin"
 
 
-def test_a_map_that_is_nan_off_the_origin_is_not_certified():
-    # f_j = 1e309 z_j - 1e309 z_j overflows to inf - inf = NaN everywhere but
-    # at 0, so every residual past the origin check is NaN; a gate `x > tol`
-    # or a Python max would let each one through.
+def nan_map_json() -> dict:
+    """f_j = 1e309 z_j - 1e309 z_j on C^2: it overflows to inf - inf = NaN
+    everywhere but at 0 (run it under np.errstate(over=, invalid="ignore"))."""
     def comp(j):
         coord = {"node": "coordinate", "index": j, "dim": 2}
         return {"node": "sum", "terms": [
             {"node": "scale", "factor": [s * 1e308, 0.0],
              "inner": {"node": "scale", "factor": [10.0, 0.0], "inner": coord}}
             for s in (1.0, -1.0)]}
+    return {"node": "tuple", "components": [comp(0), comp(1)]}
+
+
+def test_a_map_that_is_nan_off_the_origin_is_not_certified():
+    # every residual past the origin check is NaN; a gate `x > tol` or a
+    # Python max would let each one through.
     job = {"id": "nan-map", "check": "rigidity", "exponent": 2, "variant": "p2",
-           "map": {"node": "tuple", "components": [comp(0), comp(1)]},
+           "map": nan_map_json(),
            "anchors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     config = parse_suite({"suite_name": "nan", "seed": 1,
                           "jobs": [dict(job, expect="hypotheses_fail")]})

@@ -19,10 +19,15 @@ from schwarz_lab import (
     evaluate,
     gallery,
     haar_unitary,
+    grad_rho,
     harnack_certificate,
     identity_map,
+    normal_tangent_decompose,
     operator_norm_lower,
+    parse_suite,
     pseudo_hyperbolic_distance,
+    run_suite,
+    schwarz_v,
     verify_kalaj,
     verify_liu_wang,
     verify_lp_boundary_schwarz,
@@ -36,6 +41,7 @@ from schwarz_lab import verify as verify_module
 from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm, realify
 from schwarz_lab.verify import _pair_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
+from test_rigidity import nan_map_json
 
 CFG = VerifyConfig(samples=500)
 
@@ -391,6 +397,58 @@ def test_boundary_verifiers_batch_their_probes(monkeypatch):
     verify_pluriharmonic_boundary(f, BoundaryPoint(np.array([0.0, 1.0 + 0j]), 2), CFG)
     # residual batch, one batch of f(z0), f(0) and the Harnack grid
     assert len(calls) <= 2, calls
+
+
+def _ref_tangent_residual(J, z0, gw):
+    """The tangent-invariance check one coordinate probe at a time."""
+    n = z0.dim
+    res = 0.0
+    for j in range(n):
+        for probe in (np.eye(n, dtype=complex)[j], 1j * np.eye(n, dtype=complex)[j]):
+            _, beta = normal_tangent_decompose(probe, z0)
+            bn = float(np.linalg.norm(beta))
+            if bn < 1e-12:
+                continue
+            res = max(res, abs(complex(cinner(J @ (beta / bn), gw)).real))
+    return res
+
+
+def _sphere_point(gen, n, p, zeros, real):
+    z = gen.standard_normal(n) + (0.0 if real else 1j * gen.standard_normal(n))
+    z[np.array(zeros[:n])] = 0.0
+    if not np.any(z):
+        z[0] = 1.0
+    return BoundaryPoint(z / lp_norm(z, p), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), p=st.sampled_from([2.0, 2.5, 3.0, 4.0, 7.0]),
+       zeros=st.lists(st.booleans(), min_size=5, max_size=5), real=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_stacked_tangent_check_equals_the_probe_loop(n, p, zeros, real, seed):
+    gen = stream(seed, "tangent-check", n)
+    z0 = _sphere_point(gen, n, p, zeros, real)
+    w0 = _sphere_point(gen, n, p, zeros[::-1], False)
+    J = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    gw = grad_rho(w0.point, p)
+    stacked = verify_module._tangent_residual(J, schwarz_v(z0), gw)
+    assert stacked == _ref_tangent_residual(J, z0, gw)
+    # a NaN image is not dropped, as the loop's Python max dropped it
+    J[0, 0] = math.nan
+    assert math.isnan(verify_module._tangent_residual(J, schwarz_v(z0), gw))
+
+
+@pytest.mark.parametrize("check", ["liu_wang", "lp_boundary_schwarz"])
+def test_boundary_verifiers_reject_a_map_that_is_nan_off_the_origin(check):
+    # f(z0) and the holomorphy residual are NaN; a gate `x > tol` passed them
+    job = {"id": "nan-map", "check": check, "map": nan_map_json(),
+           "point": [[0.6, 0.0], [0.8, 0.0]], "expect": "raises:HypothesisFailed"}
+    if check == "lp_boundary_schwarz":
+        job["exponent"] = 2
+    config = parse_suite({"suite_name": "nan", "seed": 1, "jobs": [job]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        (result,) = run_suite(config)
+    assert result.passed and result.hypotheses[0]["name"] == "raised_HypothesisFailed", result
 
 
 @settings(max_examples=200, deadline=None)
