@@ -417,7 +417,8 @@ class LinearMatrix(MapExpr):
         return Sum(tuple(Scale(self.matrix[i, j], Coordinate(j, n)) for j in range(n)))
 
     def _eval(self, z, ctx):
-        return z @ self.matrix.T
+        out = z @ self.matrix.T
+        return out[:, 0] if self.is_scalar else out  # (k,) rows, as every scalar node
 
     def _tangent(self, z, v, ctx):
         return self._eval(z, ctx), self._eval(v, ctx)

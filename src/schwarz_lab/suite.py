@@ -361,7 +361,9 @@ def _row_from_verdict(job: JobSpec, verdict: Verdict) -> JobResult:
     return JobResult(
         job_id=job.id,
         theorem_id=verdict.theorem_id,
-        passed=verdict.passed if job.expect == "pass" else not verdict.passed,
+        # a returned verdict never meets a raises:<Error> expect
+        passed=verdict.passed if job.expect == "pass" else (
+            job.expect == "fail" and not verdict.passed),
         margin=float(verdict.margin),
         quantities=quantities,
         hypotheses=hyps,

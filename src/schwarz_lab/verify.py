@@ -40,7 +40,7 @@ from .geometry import (
     schwarz_v,
     with_lp_norms,
 )
-from .maps import Compose, LinearMatrix, MapExpr, evaluate
+from .maps import MapExpr, evaluate
 from .rng import stream
 
 __all__ = [
@@ -115,8 +115,9 @@ def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.9
     return with_lp_norms(raw, e.p, gen.uniform(0.0, shell, count))
 
 
-def _holomorphy_check(f: MapExpr, probe: np.ndarray, tol: float) -> HypothesisCheck:
-    res = float(holomorphy_residual(f, probe))
+def _holomorphy_check(f: MapExpr, res: float, tol: float) -> HypothesisCheck:
+    """The "holomorphic" row, given the Cauchy-Riemann defect at a probe."""
+    res = float(res)
     return HypothesisCheck("holomorphic", f.is_holomorphic and res <= tol, res)
 
 
@@ -206,7 +207,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
     probe = pts[0] * 0.5
     checks = (
         HypothesisCheck("fixes_origin", True, origin_res),
-        _holomorphy_check(f, probe, cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holomorphy_residual(f, probe), cfg.hypothesis_tol * 10),
         HypothesisCheck("operator_norm_le_1", opnorm <= 1.0 + 1e-9,
                         max(0.0, opnorm - 1.0)),
     )
@@ -222,6 +223,19 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
 # ---------------------------------------------------------------------------
 # disk boundary derivative bounds
 # ---------------------------------------------------------------------------
+
+
+def _origin_and_probe(f: MapExpr, probe: complex):
+    """(J_f(0), Cauchy-Riemann defect at probe) of a map of one variable, from
+    one tangent pass; each equals its one-point value bit for bit."""
+    J, defect = _jacobian_and_defect(f, np.array([[0.0], [probe]], dtype=complex))
+    return J[0], defect[1]
+
+
+def _disk_bound(w0, d: float) -> float:
+    """Zhu's sharp lower bound 2|1 - w0|^2 / (1 - |w0|^2 + d) on the radial
+    derivative at 1, from the value w0 and the derivative's size d at 0."""
+    return 2.0 * abs(1.0 - w0) ** 2 / (1.0 - abs(w0) ** 2 + d)
 
 
 def _eval_at_one(f: MapExpr):
@@ -246,8 +260,9 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     imag_res = abs(fprime1.imag)
 
     f0 = complex(evaluate(f, np.zeros(1, dtype=complex))[0])
-    d = abs(complex_jacobian(f, np.zeros(1, dtype=complex))[0, 0])
-    bound = 2.0 * abs(1.0 - f0) ** 2 / (1.0 - abs(f0) ** 2 + d)
+    J0, holo_res = _origin_and_probe(f, 0.3 + 0.1j)
+    d = abs(J0[0, 0])
+    bound = _disk_bound(f0, d)
 
     pts = sample_ball(2, 1, 500, cfg.seed, "zhu-selfmap")
     escape = float(np.max(lp_norm(evaluate(f, pts), 2.0)))
@@ -255,7 +270,7 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     checks = (
         HypothesisCheck("fixes_one_radially", True, fix_res),
         HypothesisCheck("derivative_real", imag_res <= cfg.hypothesis_tol, imag_res),
-        _holomorphy_check(f, np.array([0.3 + 0.1j]), cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
         HypothesisCheck("maps_disk_to_disk", escape <= 1.0 + 1e-10,
                         max(0.0, escape - 1.0)),
     )
@@ -273,8 +288,9 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     """Vector-valued boundary derivative bound for a disk-to-ball map.
 
-    The scalar reduction pairs f with the norming functional of f(1) and
-    reruns the disk bound on that slice; both margins are reported.
+    The scalar reduction pairs f with the norming functional ell of f(1) and
+    applies the disk bound to ell.f's data, read off f's own values (ell is
+    linear); both margins are reported.
     """
     if f.input_dim != 1:
         raise BadParams("expected a map of one complex variable")
@@ -287,30 +303,34 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
     fprime1_norm = float(norm_p(rad.value, e))
 
-    zero = np.zeros(1, dtype=complex)
-    f0 = evaluate(f, zero)
+    f0 = evaluate(f, np.zeros(1, dtype=complex))
     a = float(norm_p(f0, e))
-    col = complex_jacobian(f, zero)[:, 0]
+    J0, holo_res = _origin_and_probe(f, 0.2 + 0.2j)
+    col = J0[:, 0]
     d = float(norm_p(col, e))
-    bound = 2.0 * (1.0 - a) ** 2 / (1.0 - a**2 + d)
+    bound = _disk_bound(a, d)
 
+    # verify_zhu's bound on psi = ell . f
     ell = norming_functional(b, e)
-    scalar = Compose(LinearMatrix(ell[None, :]), f)
-    zhu = verify_zhu(scalar, cfg)
+    psi1 = complex(ell @ b)
+    if not abs(psi1 - 1.0) <= cfg.hypothesis_tol:
+        raise HypothesisFailed(f"radial limit at 1 is {psi1}, not 1")
+    scalar_fprime1 = complex(ell @ rad.value).real
+    scalar_margin = scalar_fprime1 - _disk_bound(complex(ell @ f0), abs(complex(ell @ col)))
 
     checks = (
         HypothesisCheck("boundary_image_unit_norm", True, abs(b_norm - 1.0)),
-        _holomorphy_check(f, np.array([0.2 + 0.2j]), cfg.hypothesis_tol * 10),
-        HypothesisCheck("scalar_reduction_margin_ok", zhu.margin >= -cfg.margin_tol,
-                        max(0.0, -zhu.margin)),
+        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
+        HypothesisCheck("scalar_reduction_margin_ok", scalar_margin >= -cfg.margin_tol,
+                        max(0.0, -scalar_margin)),
     )
     quantities = {
         "fprime1_norm": fprime1_norm,
         "bound": bound,
         "f0_norm": a,
         "fprime0_norm": d,
-        "scalar_fprime1": zhu.quantities["fprime1"],
-        "scalar_margin": zhu.margin,
+        "scalar_fprime1": scalar_fprime1,
+        "scalar_margin": scalar_margin,
     }
     return Verdict("kalaj_boundary_banach", checks, quantities,
                    fprime1_norm - bound, cfg.margin_tol)
@@ -602,10 +622,10 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
 
     chain_first, chain_second = _slice_chain(zs[:256], ws[:256], fvals[:256], coefs, z_fix, e)
 
+    holo_res = holomorphy_residual(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex))
     checks = (
         HypothesisCheck("slice_is_fixed", True, slice_gap),
-        _holomorphy_check(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex),
-                          cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
         HypothesisCheck("phi_componentwise_moebius", True, fit_res),
         HypothesisCheck("chain_pointwise_bound", chain_first >= -1e-10,
                         max(0.0, -chain_first)),

@@ -24,6 +24,7 @@ from schwarz_lab import (
     Product,
     Scale,
     Sum,
+    complex_jacobian,
     component,
     conjugate_map,
     eval_scalar,
@@ -98,6 +99,26 @@ def test_linear_compose_tuple_dims():
         Compose(lin, lin)
     with pytest.raises(DimensionMismatch):
         evaluate(lin, np.array([1.0, 2.0, 3.0]))
+
+
+def test_one_row_linear_matrix_is_a_scalar_operand():
+    # a one-row LinearMatrix gives (k,) rows, as every scalar node: it used to
+    # give (k, 1), which Sum and Product broadcast to (k, k)
+    first, twice_second = LinearMatrix([[1.0, 0.0]]), LinearMatrix([[0.0, 2.0]])
+    pts = np.array([[0.1, 0.2j], [0.3 - 0.1j, 0.4], [-0.5, 0.25 + 0.25j]])
+    z, w = pts[:, 0], pts[:, 1]
+    cases = [
+        (Sum((first, Coordinate(1, 2))), (z + w)[:, None], [[1.0, 1.0]]),
+        (Product((first, Coordinate(1, 2))), (z * w)[:, None], [[w[0], z[0]]]),
+        (MapTuple((first, twice_second)), np.stack([z, 2.0 * w], axis=1),
+         [[1.0, 0.0], [0.0, 2.0]]),
+    ]
+    for f, want, jac0 in cases:
+        for g in (f, map_from_json(json.loads(json.dumps(map_to_json(f))))):
+            vals = evaluate(g, pts)
+            assert vals.shape == want.shape
+            assert np.allclose(vals, want, rtol=0.0, atol=1e-15)
+            assert np.allclose(complex_jacobian(g, pts[0]), jac0, rtol=0.0, atol=1e-15)
 
 
 def test_holomorphy_flag_is_syntactic():

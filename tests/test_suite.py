@@ -267,6 +267,20 @@ def test_expected_error_counts_as_pass():
     assert suite_passed(results)
 
 
+def test_returned_verdict_never_meets_a_raises_expect():
+    # moebius_fix1 does not fix the origin: the lp certificate returns a
+    # verdict with its margin withheld (NaN) instead of raising
+    doc = small_config()
+    doc["jobs"] = [{
+        "id": "no-raise", "check": "lp_boundary_schwarz",
+        "map": {"gallery": "moebius_fix1", "params": {"a": 0.3}},
+        "point": [[1.0, 0.0]], "exponent": 2, "expect": "raises:HypothesisFailed",
+    }]
+    [row] = run_suite(parse_suite(doc))
+    assert row.theorem_id == "lp_boundary_schwarz" and row.margin != row.margin
+    assert not row.passed
+
+
 def test_inverted_expectation_fails_suite():
     doc = small_config()
     doc["jobs"] = [{

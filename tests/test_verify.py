@@ -329,6 +329,85 @@ def test_kalaj_scaled_square_embed_nonnegative():
     assert v.margin >= -1e-9
 
 
+def _kalaj_maps():
+    """(map, p): criterion 02's 5x5 kalaj_extremal grid at p = 2 and 3, with its
+    direction b and with b's second entry turned by i, and the two MapTuple
+    maps of the kalaj tests above, at p = 2."""
+    import itertools
+
+    import schwarz_lab as sl
+
+    for p, b in itertools.product((2, 3), ([0.6, 0.8], [0.6, 0.8j])):
+        b = np.array(b, dtype=complex) / sl.norm_p(b, p)
+        for a in (0.0, 0.2, 0.4, 0.6, 0.8):
+            for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+                params = {"b": [[x.real, x.imag] for x in b], "a": a,
+                          "d": frac * (1.0 - a * a), "p": p}
+                yield gallery("kalaj_extremal", params), p
+    yield sl.MapTuple((sl.Coordinate(0, 1), sl.Constant(0.0, 1))), 2
+    square = sl.MoebiusDisk(0.3, 1.0, sl.Power(2, sl.Coordinate(0, 1)))
+    yield sl.MapTuple((square, sl.Constant(0.0, 1))), 2
+
+
+def _ref_scalar_reduction(f, p, cfg):
+    """The disk bound on psi = ell . f, run as verify_zhu on psi's map tree."""
+    from schwarz_lab.geometry import norming_functional
+
+    ell = norming_functional(verify_module._eval_at_one(f), p)
+    zhu = verify_zhu(Compose(LinearMatrix(ell[None, :]), f), cfg)
+    return zhu.quantities["fprime1"], zhu.margin
+
+
+def test_kalaj_scalar_reduction_equals_the_disk_verifier_on_the_slice():
+    count = 0
+    for f, p in _kalaj_maps():
+        v = verify_kalaj(f, p, CFG)
+        fprime1, margin = _ref_scalar_reduction(f, p, CFG)
+        assert abs(v.quantities["scalar_fprime1"] - fprime1) <= 1e-9, (p, fprime1)
+        assert abs(v.quantities["scalar_margin"] - margin) <= 1e-9, (p, margin)
+        ok = {h.name: h.ok for h in v.hypotheses}["scalar_reduction_margin_ok"]
+        assert ok == (margin >= -CFG.margin_tol)
+        count += 1
+    assert count == 102
+
+
+def test_kalaj_runs_no_nested_disk_verifier_and_draws_no_sample(monkeypatch):
+    calls = {"verify_zhu": 0, "sample_ball": 0}
+
+    def counted(name):
+        inner = getattr(verify_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify_module, name, counted(name))
+    doc = {"suite_name": "kalaj", "seed": 7, "jobs": [{
+        "id": "kalaj", "check": "kalaj", "exponent": 3,
+        "map": {"gallery": "kalaj_extremal",
+                "params": {"b": [[1.0, 0.0], [0.0, 0.0]], "a": 0.3, "d": 0.2, "p": 3}}}]}
+    [row] = run_suite(parse_suite(doc))
+    assert row.passed and row.theorem_id == "kalaj_boundary_banach"
+    assert calls == {"verify_zhu": 0, "sample_ball": 0}
+
+
+def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
+    import schwarz_lab as sl
+
+    # |z|^2 z + z^2 has a Cauchy-Riemann defect at the probes and none at 0
+    z = sl.Coordinate(0, 1)
+    not_holo = sl.Sum((sl.Product((z, sl.ConjugateCoordinate(0, 1), z)), sl.Power(2, z)))
+    for f in (gallery("zhu_extremal", {"a": 0.4, "d": 0.3}), not_holo,
+              gallery("kalaj_extremal", {"b": [0.6, 0.8], "a": 0.2, "d": 0.5, "p": 2})):
+        for probe in (0.3 + 0.1j, 0.2 + 0.2j):
+            J0, res = verify_module._origin_and_probe(f, probe)
+            origin = np.zeros(1, dtype=complex)
+            assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
+            assert res == diff_module.holomorphy_residual(f, np.array([probe]))
+
+
 # ---------------------------------------------------------------------------
 # lp boundary certificate
 # ---------------------------------------------------------------------------
