@@ -91,8 +91,12 @@ def _emit(results, fmt: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.suite, "rb") as fh:
-        config = parse_suite(fh.read())
+    try:
+        with open(args.suite, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read suite file {args.suite!r}: {exc.strerror}") from None
+    config = parse_suite(text)
     if args.tolerance:
         merged = {**config.tolerance_overrides,
                   **_tolerance_pairs(args.tolerance)}
@@ -144,6 +148,8 @@ def _cmd_caratheodory(args) -> int:
         job = {"id": "cli", "check": "caratheodory_distance",
                "z": _parse_vector_arg(args.to),
                "exponent": _parse_exponent_arg(args.exponent)}
+    elif args.dir is None:
+        raise SchemaError("caratheodory needs --dir (metric) or --to (distance)")
     else:
         job = {"id": "cli", "check": "caratheodory_metric",
                "direction": _parse_vector_arg(args.dir),

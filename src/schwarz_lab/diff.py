@@ -67,13 +67,6 @@ def _guarded(run, err_cls, what: str):
 # Jacobians
 # ---------------------------------------------------------------------------
 
-def _stack(z):
-    """One point (n,) or a stack (k, n) as a validated (k, n) array, plus the
-    leading shape to give the results back in."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return cvector(z).reshape(-1, z.shape[-1]), z.shape[:-1]
-
-
 @functools.lru_cache(maxsize=16)
 def _directions(n: int) -> np.ndarray:
     """e_j, then i e_j, as the rows of one read-only (2n, n) array, built once per n."""
@@ -88,15 +81,16 @@ def _derivatives(f: MapExpr, z) -> np.ndarray:
     2n directions of every point are the rows of one tangent pass; a pole hit or
     a Moebius denominator under the floor at a point raises InsufficientClearance.
     """
-    zs, lead = _stack(z)
+    zs, single = _as_points(z, f.input_dim)
+    cvector(zs)
     k, n = zs.shape
-    pts, _ = _as_points(np.repeat(zs, 2 * n, axis=0), f.input_dim)
-    dirs = _directions(n) if k == 1 else np.tile(_directions(n), (k, 1))
+    pts = np.repeat(zs, 2 * n, axis=0)
+    dirs = np.tile(_directions(n), (k, 1))
     _, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
                     "tangent pass")
     # C order: products with the matrices round by their memory layout
     d = np.ascontiguousarray(d.reshape(k, 2 * n, -1).transpose(0, 2, 1))
-    return d.reshape(lead + d.shape[1:])
+    return d[0] if single else d
 
 
 def _wirtinger(d: np.ndarray) -> np.ndarray:
@@ -169,12 +163,15 @@ def cr_blocks(real_jac: np.ndarray):
     )
 
 
-def _cr_defect(real_jac: np.ndarray):
-    """holomorphy_residual given the real Jacobian (or a stack of them)."""
-    a, b, c, d = cr_blocks(real_jac)
-    size = a.shape[-2] * a.shape[-1]
-    res = l2_norm_rows((a - d).reshape(-1, size)) + l2_norm_rows((b + c).reshape(-1, size))
-    return res if a.ndim == 3 else float(res[0])
+def _cr_defect(d: np.ndarray):
+    """holomorphy_residual from _derivatives' output: A - D = Re d/dx - Im d/dy
+    and B + C = Re d/dy + Im d/dx, the same floats as the real blocks'."""
+    n = d.shape[-1] // 2
+    dx, dy = d[..., :n], d[..., n:]
+    size = dx.shape[-2] * n
+    res = (l2_norm_rows((dx.real - dy.imag).reshape(-1, size))
+           + l2_norm_rows((dy.real + dx.imag).reshape(-1, size)))
+    return res if d.ndim == 3 else float(res[0])
 
 
 def holomorphy_residual(f: MapExpr, z):
@@ -185,15 +182,13 @@ def holomorphy_residual(f: MapExpr, z):
     float; a (k, n) stack gives the k defects from one tangent pass, each
     equal to its one-point value bit for bit.
     """
-    return _cr_defect(real_jacobian(f, z))
+    return _cr_defect(_derivatives(f, z))
 
 
 def _jacobian_and_defect(f: MapExpr, z):
     """(complex_jacobian(f, z), holomorphy_residual(f, z)) from one tangent pass."""
-    real_jac = real_jacobian(f, z)
-    d = real_jac[..., : real_jac.shape[-2] // 2, :].astype(complex)
-    d.imag = real_jac[..., real_jac.shape[-2] // 2:, :]
-    return _wirtinger(d), _cr_defect(real_jac)
+    d = _derivatives(f, z)
+    return _wirtinger(d), _cr_defect(d)
 
 
 def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
@@ -206,7 +201,8 @@ def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
     every point uses the same 8 lines.  The 40 probe points of every point
     are evaluated as one batch.
     """
-    zs, lead = _stack(z)
+    zs, single = _as_points(z, f.input_dim)
+    cvector(zs)
     k, n = zs.shape
     gen = _rng.stream(seed, "ph-residual", n)
     d = gen.standard_normal((8, 2, n))
@@ -217,7 +213,7 @@ def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
     v = evaluate(f, pts.reshape(-1, n)).reshape(k, 8, 5, -1)
     lap = (v[:, :, 0] + v[:, :, 1] + v[:, :, 2] + v[:, :, 3] - 4.0 * v[:, :, 4]) / h**2
     res = np.max(np.abs(lap).reshape(k, -1), axis=1)
-    return res.reshape(lead) if lead else float(res[0])
+    return float(res[0]) if single else res
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +231,16 @@ def radial_boundary_derivative(
 
     Uses Q(t) = (f(z0) - f(z0 - t * inward)) / t on the ladder
     t = t0 * 2^{-k}; the quotient has an expansion in integer powers of t,
-    so each extrapolation stage cancels one more order.
+    so each extrapolation stage cancels one more order; z0 joins the ladder's batch.
     """
     cfg = cfg or RichardsonConfig()
     z0 = z0.point if isinstance(z0, BoundaryPoint) else cvector(z0)
     inward = cvector(inward)
     if inward.size != z0.size:
         raise StepTooLarge("inward direction dimension mismatch")
-    base = evaluate(f, z0)
     ts = cfg.t0 * 0.5 ** np.arange(cfg.stages + 1)
-    pts = np.stack([z0 - t * inward for t in ts])
-    vals = evaluate(f, pts)
-    quot = (base[None, :] - vals) / ts[:, None]
+    vals = evaluate(f, np.stack([z0] + [z0 - t * inward for t in ts]))
+    quot = (vals[:1] - vals[1:]) / ts[:, None]
 
     # Richardson tableau on vector entries; diag[k] is the order-(k+1) value
     rows = [[quot[0]]]

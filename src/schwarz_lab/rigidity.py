@@ -206,9 +206,9 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
 
     Checks the origin, holomorphy, the self-map samples, the fixed points and
     the pairing equations in that order, stopping at the first failure; then
-    the nonneg test and the rank.  The anchor Jacobians come from the holomorphy
-    pass.  Returns (report, J0): the verdict is final when a check failed and ""
-    when the equations passed; J_f(0) is None until its pass after the fixed points.
+    the nonneg test and the rank.  One tangent pass, at the origin and the
+    anchors, gives J_f(0) and the anchor Jacobians.  Returns (report, J0): the
+    verdict is final when a check failed and "" when the equations passed.
     """
     f = inst.map
     e = inst.exponent
@@ -226,8 +226,9 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    jacs, holo = _jacobian_and_defect(f, A)
-    quantities["holomorphy_residual"] = worst_holo = float(np.max(holo))
+    jacs, holo = _jacobian_and_defect(f, np.vstack([np.zeros(n), A]))
+    J0, jacs = jacs[0], jacs[1:]
+    quantities["holomorphy_residual"] = worst_holo = float(np.max(holo[1:]))
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
@@ -241,7 +242,6 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
-    J0 = complex_jacobian(f, np.zeros(n, dtype=complex))
     eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs)]
     J0A = np.array([J0 @ a for a in A])
     jf0 = lp_norm(J0A - A, e.p).tolist()

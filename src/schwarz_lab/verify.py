@@ -16,7 +16,6 @@ import numpy as np
 from .diff import (
     _directions,
     _jacobian_and_defect,
-    complex_jacobian,
     holomorphy_residual,
     pluriharmonic_residual,
     radial_boundary_derivative,
@@ -178,6 +177,13 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
 # ---------------------------------------------------------------------------
 
 
+def _origin_and_probe(f: MapExpr, probe):
+    """(J_f(0), Cauchy-Riemann defect at probe, a point or a scalar on the disk)
+    from one tangent pass; each equals its one-point value bit for bit."""
+    J, defect = _jacobian_and_defect(f, np.vstack([np.zeros_like(probe), probe]))
+    return J[0], defect[1]
+
+
 def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     """Norm decrease under an origin-fixing self-map, plus derivative norm at 0.
 
@@ -201,13 +207,12 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
     out_norms = lp_norm(vals, e.p)
     margin = float(np.min(in_norms - out_norms))
 
-    J0 = complex_jacobian(f, origin)
+    J0, holo_res = _origin_and_probe(f, pts[0] * 0.5)
     opnorm = operator_norm_lower(J0, e, seed=cfg.seed)
 
-    probe = pts[0] * 0.5
     checks = (
         HypothesisCheck("fixes_origin", True, origin_res),
-        _holomorphy_check(f, holomorphy_residual(f, probe), cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
         HypothesisCheck("operator_norm_le_1", opnorm <= 1.0 + 1e-9,
                         max(0.0, opnorm - 1.0)),
     )
@@ -223,13 +228,6 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
 # ---------------------------------------------------------------------------
 # disk boundary derivative bounds
 # ---------------------------------------------------------------------------
-
-
-def _origin_and_probe(f: MapExpr, probe: complex):
-    """(J_f(0), Cauchy-Riemann defect at probe) of a map of one variable, from
-    one tangent pass; each equals its one-point value bit for bit."""
-    J, defect = _jacobian_and_defect(f, np.array([[0.0], [probe]], dtype=complex))
-    return J[0], defect[1]
 
 
 def _disk_bound(w0, d: float) -> float:

@@ -13,6 +13,7 @@ of each workload: a count, unlike a timing, does not drift with the host.
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,15 +74,19 @@ def test_tracer_finds_its_targets_and_leaves_the_report_alone():
     spans = tracer.take()
     jobs = {s[tracer_mod.JOB] for s in spans if s[tracer_mod.NAME] == "geometry.norm_p"}
     assert None not in jobs and len(jobs) > 1
+    # a paper-suite pass reaches every target but these two
+    expected = {t[0] for t in tracer_mod.TARGETS} - {"suite.parse_suite", "diff.complex_jacobian_fd"}
+    assert expected - {s[tracer_mod.NAME] for s in spans} == set()
 
 
-def _tangent_passes(name: str, monkeypatch) -> tuple[int, int]:
-    """(tangent passes, repeated (map, point) pairs within a job) of one pass
-    of a workload at the default seed, counted at diff._derivatives."""
+def _tangent_passes(name: str, monkeypatch) -> tuple[int, int, int]:
+    """(tangent passes, repeated (map, point) pairs within a job, most passes
+    of one job) of one pass of a workload at the default seed, counted at
+    diff._derivatives."""
     doc = workloads.document(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
     config = sl.parse_suite(doc)
     run_job, derivatives = sl.suite._run_job, sl.diff._derivatives
-    current, seen, held = [None], set(), []
+    current, seen, held, per_job = [None], set(), [], Counter()
     passes = repeats = 0
 
     def job(spec, ctx):
@@ -91,6 +96,7 @@ def _tangent_passes(name: str, monkeypatch) -> tuple[int, int]:
     def counted(f, z):
         nonlocal passes, repeats
         passes += 1
+        per_job[current[0]] += 1
         held.append(f)  # keeps id(f) unique for the whole pass
         for row in np.atleast_2d(np.asarray(z, dtype=complex)):
             key = (current[0], id(f), row.tobytes())
@@ -101,13 +107,13 @@ def _tangent_passes(name: str, monkeypatch) -> tuple[int, int]:
     monkeypatch.setattr(sl.suite, "_run_job", job)
     monkeypatch.setattr(sl.diff, "_derivatives", counted)
     sl.run_suite(config, workers=1)
-    return passes, repeats
+    return passes, repeats, max(per_job.values())
 
 
-@pytest.mark.parametrize("name, max_passes", [("boundary-fine", 198), ("paper-suite", 35)])
+@pytest.mark.parametrize("name, max_passes", [("boundary-fine", 162), ("paper-suite", 24)])
 def test_no_job_differentiates_a_point_twice(name, max_passes, monkeypatch):
-    # each job takes J_f and the Cauchy-Riemann defect at a point from one
-    # tangent pass; boundary-fine made 324 passes when it took two
-    passes, repeats = _tangent_passes(name, monkeypatch)
-    assert repeats == 0
-    assert max_passes is None or passes <= max_passes
+    # each job takes every Jacobian and Cauchy-Riemann defect it needs from
+    # one tangent pass; boundary-fine made 324 passes when a point took two
+    passes, repeats, most = _tangent_passes(name, monkeypatch)
+    assert repeats == 0 and most == 1
+    assert passes <= max_passes

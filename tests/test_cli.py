@@ -80,9 +80,14 @@ def test_tolerance_flag_overrides(suite_file, capsys):
      "-p", "2", "--samples", "0"],
     ["caratheodory", "--dir", "0.3,0.4", "-p", "2", "--starts", "0"],
     ["caratheodory", "--dir", "0.3,0.4", "-p", "2", "--iters", "0"],
+    ["run", "MISSING"],
+    ["run", "DIR"],
+    ["caratheodory", "-p", "2"],
 ])
 def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
-    argv = [str(suite_file) if a == "SUITE" else a for a in argv]
+    paths = {"SUITE": suite_file, "MISSING": suite_file.parent / "missing.json",
+             "DIR": suite_file.parent}
+    argv = [str(paths[a]) if a in paths else a for a in argv]
     assert main(argv) == 2
     assert "schema error" in capsys.readouterr().err
 

@@ -246,6 +246,10 @@ def test_each_derivative_evaluates_one_batch(monkeypatch):
         calls.clear()
         routine(f, zs)
         assert len(calls) == batches, (routine.__name__, calls)
+    # the radial ladder evaluates its base point in the ladder's batch
+    calls.clear()
+    radial_boundary_derivative(f, z, z)
+    assert calls == [(10, 3)]
 
 
 def _ref_pluriharmonic_residual(f, z, h=2e-4, seed=0):

@@ -406,6 +406,11 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
             origin = np.zeros(1, dtype=complex)
             assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
             assert res == diff_module.holomorphy_residual(f, np.array([probe]))
+    # Schwarz-Pick's probe is a point of C^n
+    f, probe = gallery("first_times_last", {"n": 3}), np.array([0.1, -0.2j, 0.3 + 0.1j])
+    J0, res = verify_module._origin_and_probe(f, probe)
+    assert J0.tobytes() == diff_module.complex_jacobian(f, np.zeros(3, dtype=complex)).tobytes()
+    assert res == diff_module.holomorphy_residual(f, probe)
 
 
 # ---------------------------------------------------------------------------
