@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, OutsideBall
-from .geometry import as_exponent, cvector, l2_norm_rows, lp_norm, modulus, norm_p, with_lp_norms
+from .geometry import (
+    _reduce_last_axis,
+    as_exponent,
+    cvector,
+    l2_norm_rows,
+    lp_norm,
+    modulus,
+    norm_p,
+    with_lp_norms,
+)
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
@@ -105,17 +114,23 @@ def _coefficients(theta: np.ndarray, q: float):
     """Rows (k, 2n) of theta -> the lq-normalised coefficient rows c (k, n)
     and the mask of rows whose coefficient vector is zero (their c is zero)."""
     n = theta.shape[1] // 2
-    g = theta[:, :n] + 1j * theta[:, n:]
+    g = np.empty((len(theta), n), dtype=complex)
+    g.real = theta[:, :n]
+    g.imag = theta[:, n:]
     gn = lp_norm(g, q)
     zero = gn == 0.0
     gn[zero] = 1.0
-    return g / gn[:, None], zero
+    # g / gn[:, None] divides by gn + 0j with Smith's rule, which for a zero
+    # imaginary part multiplies by 1.0 / gn (up to the sign of a zero result)
+    g *= (1.0 / gn)[:, None]
+    return g, zero
 
 
 def _pair(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.sum(row * v) per row of c, bit for bit; as a broadcast 1-D operand, v
-    would send a one-element product down numpy's unfused scalar loop."""
-    return (c * v[None, :]).sum(axis=1)
+    would send a one-element product down numpy's unfused scalar loop.  Many
+    rows of 1-3 entries are summed by columns, in numpy's order for them."""
+    return _reduce_last_axis(np.add, c * v[None, :])
 
 
 def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray,
@@ -181,6 +196,18 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     vector, with the same value, as the sequential scan computes at that
     point.  `evaluations` counts the moves of that scan, 2 * dim per pass
     and start.
+
+    A round costs one objective call plus a fixed block of small array
+    operations: the candidates (a broadcast add, one BLAS dot per row and a
+    division), one comparison of the scores with the values, read back as
+    lists, and one fancy assignment of the accepted rows.  Each start's
+    next acceptance is `list.index(True, first)` on its row of that
+    comparison, with a sentinel past the last move; the live rows are
+    compacted only when a start stops.  The objectives' shortcuts are exact
+    for finite theta: `_coefficients` scales by 1.0 / |g|_q, which is what
+    numpy's complex division by a real divisor computes; `_pair` sums 1-3
+    columns in numpy's order; and the q = 1 norm skips a power and a root of
+    1.0, which return their input.
     """
     gen = stream(budget.seed, "caratheodory-opt", label, dim)
     theta = gen.standard_normal((budget.starts, dim))
@@ -188,7 +215,7 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     theta /= np.where(nt > 0.0, nt, 1.0)[:, None]
     val = objective(theta)
     step = np.full(budget.starts, 0.5)
-    passes = np.zeros(budget.starts, dtype=np.intp)
+    passes = [0] * budget.starts
     moves = 2 * dim
     order = np.arange(moves)
     # Move 2k adds +step to coordinate k and move 2k + 1 adds -step; the
@@ -196,41 +223,54 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     # only turn a -0.0 into +0.0).
     delta = np.zeros((moves, dim))
     delta[order, order // 2] = np.tile([1.0, -1.0], dim)
-    # cyc[f, j]: the place of move j in a scan that starts at move f and
-    # wraps round into the next pass.
-    cyc = (order[None, :] - order[:, None]) % moves
-    live = np.arange(budget.starts)
-    T, V, S, P = theta.copy(), val.copy(), step.copy(), passes.copy()
-    first = np.zeros(budget.starts, dtype=np.intp)
-    rows = live.copy()
-    while live.size:
+    # Row i of T, V and S belongs to start live[i], as do P[i] and first[i],
+    # its pass count and next move.
+    live = list(range(budget.starts))
+    T, V, S = theta.copy(), val.copy(), step.copy()
+    P, first = [0] * budget.starts, [0] * budget.starts
+    iters = budget.iters
+    while live:
         cand = T[:, None, :] + S[:, None, None] * delta  # |T| is 1 (or 0) and S <= 0.5: no move is 0
         cand /= l2_norm_rows(cand)[:, :, None]
-        cv = objective(cand.reshape(-1, dim)).reshape(-1, moves)
-        rank = np.where(cv > V[:, None], cyc[first], moves)
-        j = rank.argmin(axis=1)
-        k = rank[rows, j]
-        cross = k >= moves - first  # the current pass ends without a further acceptance
-        P += cross & (first > 0)  # an improved pass ends
-        more = P < budget.iters
-        accept = (k < moves) & (more | ~cross)
-        idle = cross & ~accept & more  # a pass without acceptance
-        np.multiply(S, 0.5, out=S, where=idle)
-        P += idle
-        np.copyto(T, cand[rows, j], where=accept[:, None])
-        np.copyto(V, cv[rows, j], where=accept)
-        first = np.where(accept, j + 1, 0)
-        full = first == moves  # the pass ended on its last move's acceptance
-        P += full
-        first[full] = 0
-        stop = (P >= budget.iters) | (S < 1e-6)
-        if np.count_nonzero(stop):
-            out = live[stop]
-            theta[out], val[out], step[out], passes[out] = T[stop], V[stop], S[stop], P[stop]
-            keep = ~stop
-            live, T, V, S, P, first = live[keep], T[keep], V[keep], S[keep], P[keep], first[keep]
-            rows = np.arange(live.size)
-    evals = budget.starts + moves * int(passes.sum())
+        cand = cand.reshape(-1, dim)
+        cv = objective(cand)
+        rows, picks, stop = [], [], []
+        for i, hits in enumerate((cv.reshape(-1, moves) > V[:, None]).tolist()):
+            f = first[i]
+            hits.append(True)  # past the last move: the pass ends without a further acceptance
+            j = hits.index(True, f)
+            if j == moves:
+                P[i] += f > 0  # an improved pass ends
+                if P[i] >= iters:
+                    stop.append(i)
+                    continue
+                j = hits.index(True)  # the next pass re-reads moves 0 .. f - 1 from this round
+                if j == moves:  # a pass without acceptance
+                    S[i] *= 0.5
+                    P[i] += 1
+                    first[i] = 0
+                    if P[i] >= iters or S[i] < 1e-6:
+                        stop.append(i)
+                    continue
+            rows.append(i)
+            picks.append(i * moves + j)
+            first[i] = j + 1
+            if j + 1 == moves:  # the pass ended on its last move's acceptance
+                first[i] = 0
+                P[i] += 1
+                if P[i] >= iters:
+                    stop.append(i)
+        if rows:
+            rows, picks = np.array(rows), np.array(picks)
+            T[rows] = cand.take(picks, axis=0)
+            V[rows] = cv.take(picks)
+        if stop:
+            for i in stop:
+                theta[live[i]], val[live[i]], step[live[i]], passes[live[i]] = T[i], V[i], S[i], P[i]
+            keep = [i for i in range(len(live)) if i not in stop]
+            T, V, S = T[keep], V[keep], S[keep]
+            live, P, first = ([x[i] for i in keep] for x in (live, P, first))
+    evals = budget.starts + moves * sum(passes)
     best = int(np.argmax(val))  # the first maximum, as a strict > scan keeps
     if val[best] == -math.inf:
         return OptResult(-math.inf, np.zeros(dim), False, evals)

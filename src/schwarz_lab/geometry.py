@@ -106,9 +106,12 @@ def cinner(a, b) -> complex:
 
 
 def _reduce_last_axis(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=-1), np.add or np.maximum, bit for bit on moduli and powers:
-    many float64 rows of 1-7 columns, slow row by row, go by columns in numpy's order."""
-    if a.ndim != 2 or a.dtype != np.float64 or not 0 < a.shape[1] < 8 or len(a) < 32 * a.shape[1]:
+    """ufunc.reduce(a, axis=-1), np.add or np.maximum, bit for bit on moduli, powers
+    and complex products: many rows of under 8 doubles (1-7 float64 or 1-3 complex128
+    columns), slow row by row, go by columns in numpy's order.  From 8 doubles on,
+    numpy's reduce unrolls a row into pairwise partial sums, which columns do not."""
+    if (a.ndim != 2 or a.dtype.char not in "dD"
+            or not 0 < a.shape[1] * a.itemsize < 64 or len(a) < 32 * a.shape[1]):
         return ufunc.reduce(a, axis=-1)
     return functools.reduce(ufunc, a.T)
 
@@ -124,10 +127,18 @@ def _lp_last_axis(mags: np.ndarray, q: float) -> np.ndarray:
     or underflow to 0.0, so the IEEE flags, which numpy raises here as
     FloatingPointError, tell when to look for such rows (an exact subnormal
     sum raises no flag, and its root is accurate as it stands).
+
+    At q = 1 the power and the root return their input bit for bit, so the
+    sum is the norm, save that libm's pow flags underflow on a subnormal sum.
+    A batch with a row below the normal floats (zero ones included) still
+    takes the root, and with its flag the rescaled branch, as before.
     """
     try:
         with np.errstate(over="raise", under="raise"):
-            return np.float_power(_reduce_last_axis(np.add, mags**q), 1.0 / q)
+            if q != 1.0:
+                return np.float_power(_reduce_last_axis(np.add, mags**q), 1.0 / q)
+            s = _reduce_last_axis(np.add, mags)
+            return np.float_power(s, 1.0) if np.count_nonzero(s < _NORMAL_MIN) else s
     except FloatingPointError:
         pass
     # only a norm past the float range is inf; the rescaled branch of a zero
@@ -157,8 +168,14 @@ def lp_norm(x, q: float):
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(row) of each row (last axis) of an array, bit for bit
     (one BLAS dot per row)."""
-    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-    return np.sqrt(sum((a[..., None, :] @ a[..., :, None])[..., 0, 0] for a in parts))
+    if np.iscomplexobj(x):
+        return np.sqrt(_dot_rows(x.real) + _dot_rows(x.imag))
+    return np.sqrt(_dot_rows(x))
+
+
+def _dot_rows(a: np.ndarray) -> np.ndarray:
+    """np.dot(row, row) of each row of a real array."""
+    return (a[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
 def duality_map(x, p: float) -> np.ndarray:

@@ -457,9 +457,9 @@ def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
         raise SchwarzLabError(
             "metric check compares against the origin closed form; base must be 0")
     family = CompetitorFamily(a.get("family", "linear_dual"))
-    out = metric_lower_bound_opt(MetricQuery(base, direction, p), family,
-                                 ctx.opt_budget(job))
-    membership = competitor_membership_max(family, out.params, base, p)
+    budget = ctx.opt_budget(job)
+    out = metric_lower_bound_opt(MetricQuery(base, direction, p), family, budget)
+    membership = competitor_membership_max(family, out.params, base, p, seed=budget.seed)
     closed = metric_origin_closed(direction, p)
     return _attainment_verdict("caratheodory_metric_origin", closed, out,
                                membership, ctx.attain_tol())
@@ -468,9 +468,10 @@ def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
 def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> Verdict:
     p, z = job.parsed["exponent"], job.parsed["z"]
     w = np.zeros_like(z)
-    out = distance_lower_bound_opt(z, w, p, budget=ctx.opt_budget(job))
+    budget = ctx.opt_budget(job)
+    out = distance_lower_bound_opt(z, w, p, budget=budget)
     membership = competitor_membership_max(CompetitorFamily("linear_moebius"),
-                                           out.params, w, p)
+                                           out.params, w, p, seed=budget.seed)
     closed = distance_origin_closed(z, p)
     return _attainment_verdict("caratheodory_distance_origin", closed, out,
                                membership, ctx.attain_tol())

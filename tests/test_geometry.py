@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -33,7 +33,14 @@ from schwarz_lab import (
     tangent_residuals,
     unrealify,
 )
-from schwarz_lab.geometry import _reduce_last_axis, duality_map, l2_norm_rows, lp_norm
+from schwarz_lab.geometry import (
+    _NORMAL_MIN,
+    _lp_last_axis,
+    _reduce_last_axis,
+    duality_map,
+    l2_norm_rows,
+    lp_norm,
+)
 from schwarz_lab.rng import stream
 
 
@@ -388,3 +395,51 @@ def test_norms_keep_their_bits_unless_the_power_sum_leaves_the_normal_floats(q, 
         want = top[i] * math.fsum((m / top[i]) ** q for m in mags[i].tolist()) ** (1.0 / q)
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
         assert lp_norm(x[i], q) == rows[i]
+
+
+def _ref_lp_last_axis(mags, q):
+    """The finite-q kernel with no q = 1 shortcut: it always takes the power
+    and the root."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.float_power(_reduce_last_axis(np.add, mags**q), 1.0 / q)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        s = _reduce_last_axis(np.add, mags**q)
+        top = _reduce_last_axis(np.maximum, mags)
+        scaled = _reduce_last_axis(np.add, (mags / top[..., None]) ** q)
+        rescaled = top * np.float_power(scaled, 1.0 / q)
+        lost = ((s == math.inf) | (s < _NORMAL_MIN)) & np.isfinite(top) & (top > 0.0)
+        return np.where(lost, rescaled, np.float_power(s, 1.0 / q))
+
+
+# A subnormal row whose rescaled norm is not its plain sum: libm's root of 1.0
+# flags underflow on it, so the kernel must still take the rescaled branch.
+_SUBNORMAL_ROW = [4.07200983968544e-309, 9.367397670734625e-309, 7.99617138651234e-309]
+
+
+@pytest.mark.parametrize("rows", [[[1e308, 1e308]], [[1e308, 1e308], [1.0, 2.0]],
+                                  [_SUBNORMAL_ROW], [_SUBNORMAL_ROW, [1.0, 2.0, 3.0]],
+                                  [[5e-324, 1e-323]], [[0.0, 0.0], [1.0, 0.5]],
+                                  [[math.inf, 1.0], [math.nan, 1.0]], _SUBNORMAL_ROW])
+def test_q1_norm_equals_the_kernel_with_power_and_root(rows):
+    mags = np.array(rows)
+    got, want = _lp_last_axis(mags, 1.0), _ref_lp_last_axis(mags, 1.0)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example(count=200, n=3, seed=0, decade=-309)
+@given(count=st.integers(1, 200), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       decade=st.sampled_from([-323, -320, -310, -309, -308, -300, 0, 300, 307, 308]))
+def test_q1_norms_equal_the_kernel_with_power_and_root_bit_for_bit(count, n, seed, decade):
+    # Moduli around 10**decade, with zero rows: subnormal power sums, sums
+    # that overflow, and ordinary ones, alone or mixed in one batch.
+    gen = stream(seed, "q1-kernel", count, n)
+    with np.errstate(over="ignore", under="ignore"):
+        mags = np.abs(gen.standard_normal((count, n))) * 10.0 ** gen.choice([decade, 0], (count, 1))
+    mags[gen.uniform(size=count) < 0.1] = 0.0
+    for rows in (mags, mags[0]):
+        got, want = _lp_last_axis(rows, 1.0), _ref_lp_last_axis(rows, 1.0)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
