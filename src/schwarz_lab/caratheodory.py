@@ -142,6 +142,8 @@ def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2 * n,):
         raise BadParams("theta must have 2n real entries")
+    if not np.all(np.isfinite(theta)):
+        raise BadParams("theta must be finite")
     c, zero = _coefficients(theta[None, :], e.conjugate_value)
     if zero[0]:
         raise BadParams("degenerate parameters: zero coefficient vector")

@@ -7,8 +7,10 @@
 * complex_jacobian_fd: fourth-order central differences along the same
   directions, via the Cauchy-Riemann relations; the exact route's cross-check.
 
-The one-sided boundary derivative uses a Richardson ladder on the radial
-difference quotient.
+The pass also gives f's values at its points, and a boundary derivative
+J.w along a real direction w.  radial_boundary_derivative, a Richardson
+ladder on the one-sided radial quotient, serves only the one-variable
+equality case, which makes no tangent pass.
 """
 
 from __future__ import annotations
@@ -75,22 +77,25 @@ def _directions(n: int) -> np.ndarray:
     return dirs
 
 
-def _derivatives(f: MapExpr, z) -> np.ndarray:
-    """Exact derivatives of f along the 2n real directions e_j, i e_j, laid out
-    as _fd4's: (m, 2n), x-directions first; a (k, n) stack gives (k, m, 2n).  The
-    2n directions of every point are the rows of one tangent pass; a pole hit or
-    a Moebius denominator under the floor at a point raises InsufficientClearance.
+def _derivatives(f: MapExpr, z):
+    """(values, derivatives) of f from one tangent pass: the values f(z), (m,)
+    per point, and the exact derivatives along the 2n real directions e_j, i e_j,
+    laid out as _fd4's: (m, 2n), x-directions first; a (k, n) stack gives (k, m)
+    and (k, m, 2n).  The 2n directions of every point are the rows of the pass; a
+    pole hit or a Moebius denominator under the floor at a point raises
+    InsufficientClearance.
     """
     zs, single = _as_points(z, f.input_dim)
     cvector(zs)
     k, n = zs.shape
     pts = np.repeat(zs, 2 * n, axis=0)
     dirs = np.tile(_directions(n), (k, 1))
-    _, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
-                    "tangent pass")
+    vals, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
+                       "tangent pass")
+    vals = vals.reshape(k, 2 * n, -1)[:, 0]
     # C order: products with the matrices round by their memory layout
     d = np.ascontiguousarray(d.reshape(k, 2 * n, -1).transpose(0, 2, 1))
-    return d[0] if single else d
+    return (vals[0], d[0]) if single else (vals, d)
 
 
 def _wirtinger(d: np.ndarray) -> np.ndarray:
@@ -105,7 +110,7 @@ def complex_jacobian(f: MapExpr, z) -> np.ndarray:
     z is one point (n,), giving an (m, n) matrix, or a stack (k, n), giving
     (k, m, n) matrices equal to the one-point results bit for bit.
     """
-    return _wirtinger(_derivatives(f, z))
+    return _wirtinger(_derivatives(f, z)[1])
 
 
 # Fourth-order central difference: f'(x) ~ sum_k w_k f(x + o_k h) / (12 h).
@@ -147,7 +152,7 @@ def real_jacobian(f: MapExpr, z) -> np.ndarray:
     of the output change: rows are (Re f, Im f), columns (x_j then y_j).
     A (k, n) stack of points gives a (k, 2m, 2n) stack of matrices.
     """
-    d = _derivatives(f, z)
+    d = _derivatives(f, z)[1]
     return np.concatenate([d.real, d.imag], axis=-2)
 
 
@@ -182,13 +187,13 @@ def holomorphy_residual(f: MapExpr, z):
     float; a (k, n) stack gives the k defects from one tangent pass, each
     equal to its one-point value bit for bit.
     """
-    return _cr_defect(_derivatives(f, z))
+    return _cr_defect(_derivatives(f, z)[1])
 
 
 def _jacobian_and_defect(f: MapExpr, z):
-    """(complex_jacobian(f, z), holomorphy_residual(f, z)) from one tangent pass."""
-    d = _derivatives(f, z)
-    return _wirtinger(d), _cr_defect(d)
+    """(f(z), complex_jacobian(f, z), holomorphy_residual(f, z)) from one tangent pass."""
+    vals, d = _derivatives(f, z)
+    return vals, _wirtinger(d), _cr_defect(d)
 
 
 def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):

@@ -28,7 +28,7 @@ from .geometry import (
     schwarz_v,
     with_lp_norms,
 )
-from .maps import Compose, LinearMatrix, MapExpr, evaluate
+from .maps import MapExpr, evaluate
 from .verify import HypothesisCheck, Verdict, sample_ball
 
 __all__ = [
@@ -207,18 +207,20 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     Checks the origin, holomorphy, the self-map samples, the fixed points and
     the pairing equations in that order, stopping at the first failure; then
     the nonneg test and the rank.  One tangent pass, at the origin and the
-    anchors, gives J_f(0) and the anchor Jacobians.  Returns (report, J0): the
-    verdict is final when a check failed and "" when the equations passed.
+    anchors, gives F = f there, J_f(0) and the anchor Jacobians.  Returns
+    (report, J0, F), None before the pass: the verdict is final when a check
+    failed and "" when the equations passed.
     """
     f = inst.map
     e = inst.exponent
     n = inst.dim
     A = np.array([a.point for a in inst.anchors])
     quantities: dict = {}
+    J0 = F = None
 
-    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True, jf0=(), J0=None):
+    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True, jf0=()):
         return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), rank,
-                              nonneg, tuple(jf0), math.nan, quantities), J0
+                              nonneg, tuple(jf0), math.nan, quantities), J0, F
 
     f0 = evaluate(f, np.zeros(n, dtype=complex))
     origin_res = float(norm_p(f0, e))
@@ -226,7 +228,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    jacs, holo = _jacobian_and_defect(f, np.vstack([np.zeros(n), A]))
+    F, jacs, holo = _jacobian_and_defect(f, np.vstack([np.zeros(n), A]))
     J0, jacs = jacs[0], jacs[1:]
     quantities["holomorphy_residual"] = worst_holo = float(np.max(holo[1:]))
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
@@ -238,7 +240,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not escape <= 1.0 + 1e-10:
         return partial(HYPOTHESES_FAIL, "map leaves the unit ball on samples")
 
-    fixed = lp_norm(evaluate(f, A) - A, e.p).tolist()
+    fixed = lp_norm(F[1:] - A, e.p).tolist()
     if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
@@ -253,7 +255,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     quantities["equation_gap"] = eq_gap
     if not eq_gap <= cfg.equation_tol:
         return partial(EQUATIONS_FAIL, f"pairing equations miss the target {inst.target}",
-                       fixed=fixed, eqs=eqs, jf0=jf0, J0=J0)
+                       fixed=fixed, eqs=eqs, jf0=jf0)
 
     # variant hypothesis: real anchors with nonnegative coordinates
     nonneg = True
@@ -269,13 +271,13 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     svals = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
     quantities["rank"] = float(rank)
-    return partial("", "", fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0, J0=J0)
+    return partial("", "", fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0)
 
 
 def check_rigidity(inst: RigidityInstance,
                    cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> RigidityReport:
     """Evaluate the anchor equations and certify or refute the identity conclusion."""
-    report, _ = _rigidity_core(inst, cfg)
+    report = _rigidity_core(inst, cfg)[0]
     if report.verdict:
         return report
     ident = _identity_residual(inst, cfg)
@@ -291,47 +293,47 @@ def check_rigidity(inst: RigidityInstance,
                    quantities=dict(report.quantities, identity_residual=ident))
 
 
-def _slice_map(inst: RigidityInstance, anchor: BoundaryPoint) -> MapExpr:
-    """psi(xi) = row . f(xi * anchor) / target, a scalar disk map."""
-    row = _pairing_row(inst, anchor) / inst.target
-    col = anchor.point[:, None]
-    return Compose(LinearMatrix(row[None, :]), Compose(inst.map, LinearMatrix(col)))
+def _slices(inst: RigidityInstance, F: np.ndarray) -> np.ndarray:
+    """row_a . F[a] / target for each anchor a and each row of F[a], F (k, P, n): (k, P)."""
+    rows = np.array([_pairing_row(inst, a) for a in inst.anchors]) / inst.target
+    return (F @ rows[:, :, None])[:, :, 0]
+
+
+def _slice_values(inst: RigidityInstance, xis: np.ndarray) -> np.ndarray:
+    """psi_a(xi) = row_a . f(xi a) / target at xis (P, 1) for each anchor a: (k, P)
+    from one evaluate, each value as psi_a's own map tree gives it."""
+    pts = np.stack([xis @ a.point[None, :] for a in inst.anchors])
+    return _slices(inst, evaluate(inst.map, pts.reshape(-1, inst.dim)).reshape(pts.shape))
 
 
 def check_proof_chain(inst: RigidityInstance,
                       cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> Verdict:
     """Walk the intermediate identities behind the rigidity conclusion.
 
-    Links per anchor: (a) the slice psi maps the disk into the closed disk,
-    (b) psi(0) = 0, psi(1) = 1, psi'(1) = 1, (c) psi = id on a radial grid,
-    (d) J_f(0) anchor = anchor; then (e) full anchor rank forces J_f(0) = I.
-    The hypotheses, the rank, J_f(0) and the link (d) residuals come from
-    the rigidity core shared with the certificate check; the chain computes
-    no identity residual, so grid_points does not enter it.
+    Links per anchor a, on the slice psi_a(xi) = row_a . f(xi a) / target:
+    (a) psi_a maps the disk into the closed disk, (b) psi_a(0) = 0,
+    psi_a(1) = 1, psi_a'(1) = 1, (c) psi_a = id on a radial grid,
+    (d) J_f(0) a = a; then (e) full anchor rank forces J_f(0) = I.
+    Everything but (a) and (c), which probe every slice in one evaluate, comes
+    from the rigidity core: psi_a(0) and psi_a(1) from its pass's values, and
+    psi_a'(1) exactly, as its pairing equation row_a . J_f(a) a over the target.
+    The chain computes no identity residual, so grid_points does not enter it.
     """
-    report, J0 = _rigidity_core(inst, cfg)
+    report, J0, F = _rigidity_core(inst, cfg)
     if report.verdict == EQUATIONS_FAIL:
         raise HypothesisFailed("pairing equations fail; no chain to certify")
     if report.verdict:
         raise HypothesisFailed(f"instance rejected before equations: {report.reason}")
 
     n = inst.dim
-    # each anchor's slice is probed once: the Halton disk grid, the ts grid, 0 and 1
+    # every anchor's slice at the Halton disk grid and the ts grid
     ts = np.linspace(0.05, 0.95, 10)
-    grid = halton_ball_grid(2, 1, 200)
-    probes = np.concatenate([grid, np.r_[ts, 0.0, 1.0][:, None]])
-
-    a_res = b_res = c_res = 0.0
-    for a in inst.anchors:
-        psi = _slice_map(inst, a)
-        vals = evaluate(psi, probes)
-        a_res = float(np.max([a_res, np.max(np.abs(vals[:len(grid)])) - 1.0]))
-        psi0, psi1 = complex(vals[-2, 0]), complex(vals[-1, 0])
-        der = radial_boundary_derivative(psi, np.ones(1, dtype=complex),
-                                         np.ones(1, dtype=complex))
-        b_res = float(np.max([b_res, abs(psi0), abs(psi1 - 1.0),
-                              abs(complex(der.value[0]) - 1.0)]))
-        c_res = float(np.max([c_res, np.max(np.abs(vals[len(grid):-2, 0] - ts))]))
+    psi = _slice_values(inst, np.concatenate([halton_ball_grid(2, 1, 200), ts[:, None]]))
+    a_res = float(np.maximum(0.0, np.max(np.abs(psi[:, :-len(ts)])) - 1.0))
+    c_res = float(np.max(np.abs(psi[:, -len(ts):] - ts)))
+    psi0, psi1 = _slices(inst, np.stack([np.broadcast_to(F[0], F[1:].shape), F[1:]], axis=1)).T
+    der = np.array(report.equation_values) / inst.target
+    b_res = float(np.max(np.abs([psi0, psi1 - 1.0, der - 1.0])))
 
     d_res = float(np.max(report.jf0_residuals))
     e_res = float(np.linalg.norm(J0 - np.eye(n))) if report.rank == n else math.inf

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diff import (
+    _cr_defect,
+    _derivatives,
     _directions,
     _jacobian_and_defect,
+    _wirtinger,
     holomorphy_residual,
     pluriharmonic_residual,
-    radial_boundary_derivative,
     real_jacobian,
 )
-from .errors import BadParams, HypothesisFailed, PoleHit
+from .errors import BadParams, HypothesisFailed
 from .geometry import (
     BoundaryPoint,
     as_exponent,
@@ -177,11 +179,13 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
 # ---------------------------------------------------------------------------
 
 
-def _origin_and_probe(f: MapExpr, probe):
-    """(J_f(0), Cauchy-Riemann defect at probe, a point or a scalar on the disk)
-    from one tangent pass; each equals its one-point value bit for bit."""
-    J, defect = _jacobian_and_defect(f, np.vstack([np.zeros_like(probe), probe]))
-    return J[0], defect[1]
+def _origin_and_probe(f: MapExpr, probe, *points):
+    """From one tangent pass over 0, probe (a point, or a scalar on the disk)
+    and points: f at each, J_f(0), the Cauchy-Riemann defect at probe and
+    df/dx_1 at points (at 1 on the disk, f'(1) along the inward radius).
+    Each equals its one-point value bit for bit."""
+    vals, d = _derivatives(f, np.vstack([np.zeros_like(probe), probe, *points]))
+    return vals, _wirtinger(d[0]), _cr_defect(d[1]), d[2:, :, 0]
 
 
 def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
@@ -207,7 +211,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
     out_norms = lp_norm(vals, e.p)
     margin = float(np.min(in_norms - out_norms))
 
-    J0, holo_res = _origin_and_probe(f, pts[0] * 0.5)
+    _, J0, holo_res, _ = _origin_and_probe(f, pts[0] * 0.5)
     opnorm = operator_norm_lower(J0, e, seed=cfg.seed)
 
     checks = (
@@ -236,29 +240,19 @@ def _disk_bound(w0, d: float) -> float:
     return 2.0 * abs(1.0 - w0) ** 2 / (1.0 - abs(w0) ** 2 + d)
 
 
-def _eval_at_one(f: MapExpr):
-    z1 = np.array([1.0 + 0.0j])
-    try:
-        return evaluate(f, z1)
-    except PoleHit:
-        return evaluate(f, np.array([1.0 - 1e-9 + 0.0j]))
-
-
 def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
-    """Sharp lower bound for the radial derivative of a disk self-map at 1."""
+    """Sharp lower bound for the radial derivative of a disk self-map at 1.
+
+    f(0), f(1), J_f(0) and f'(1) come from one tangent pass; f'(1) is exact,
+    so derivative_error, kept in the report's keys, is 0.0."""
     if f.input_dim != 1 or f.output_dim != 1:
         raise BadParams("disk verifier needs a scalar map of one variable")
-    f1 = complex(_eval_at_one(f)[0])
+    (f0, _, f1), J0, holo_res, (fprime1,) = _origin_and_probe(f, 0.3 + 0.1j, 1.0)
+    f0, f1, fprime1 = complex(f0[0]), complex(f1[0]), complex(fprime1[0])
     fix_res = abs(f1 - 1.0)
     if not fix_res <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"radial limit at 1 is {f1}, not 1")
-
-    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
-    fprime1 = complex(rad.value[0])
     imag_res = abs(fprime1.imag)
-
-    f0 = complex(evaluate(f, np.zeros(1, dtype=complex))[0])
-    J0, holo_res = _origin_and_probe(f, 0.3 + 0.1j)
     d = abs(J0[0, 0])
     bound = _disk_bound(f0, d)
 
@@ -277,7 +271,7 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
         "bound": bound,
         "f0_abs": abs(f0),
         "fprime0_abs": d,
-        "derivative_error": rad.error_estimate,
+        "derivative_error": 0.0,
     }
     return Verdict("zhu_boundary_disk", checks, quantities,
                    fprime1.real - bound, cfg.margin_tol)
@@ -293,17 +287,13 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     if f.input_dim != 1:
         raise BadParams("expected a map of one complex variable")
     e = as_exponent(p)
-    b = _eval_at_one(f)
+    (f0, _, b), J0, holo_res, (fprime1,) = _origin_and_probe(f, 0.2 + 0.2j, 1.0)
     b_norm = float(norm_p(b, e))
     if not abs(b_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(1)||_p = {b_norm}, expected 1")
+    fprime1_norm = float(norm_p(fprime1, e))
 
-    rad = radial_boundary_derivative(f, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]))
-    fprime1_norm = float(norm_p(rad.value, e))
-
-    f0 = evaluate(f, np.zeros(1, dtype=complex))
     a = float(norm_p(f0, e))
-    J0, holo_res = _origin_and_probe(f, 0.2 + 0.2j)
     col = J0[:, 0]
     d = float(norm_p(col, e))
     bound = _disk_bound(a, d)
@@ -313,7 +303,7 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     psi1 = complex(ell @ b)
     if not abs(psi1 - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"radial limit at 1 is {psi1}, not 1")
-    scalar_fprime1 = complex(ell @ rad.value).real
+    scalar_fprime1 = complex(ell @ fprime1).real
     scalar_margin = scalar_fprime1 - _disk_bound(complex(ell @ f0), abs(complex(ell @ col)))
 
     checks = (
@@ -385,14 +375,13 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     if f.input_dim != n or f.output_dim != n:
         raise BadParams("map dimensions must match the boundary point")
 
-    J, holo_res = _jacobian_and_defect(f, z0.point)
+    w0, J, holo_res = _jacobian_and_defect(f, z0.point)
     if not (f.is_holomorphic and holo_res <= 1e-7):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
-    # one batch: f(z0), f(0) and the slope probe f(z0 - t v)
+    # one batch: f(0) and the slope probe f(z0 - t v)
     vz = schwarz_v(z0)
-    w0, f0, slope_val = evaluate(
-        f, np.stack([z0.point, np.zeros(n, dtype=complex), z0.point - SLOPE_T * vz]))
+    f0, slope_val = evaluate(f, np.stack([np.zeros(n, dtype=complex), z0.point - SLOPE_T * vz]))
     w_norm = float(norm_p(w0, e))
     if not abs(w_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
@@ -450,7 +439,8 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
     if not fix_res <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"z0 is not fixed: ||f(z0) - z0|| = {fix_res:.3e}")
 
-    J, holo_res = _jacobian_and_defect(f, z0.point)
+    vals, J, holo = _jacobian_and_defect(f, np.stack([z0.point, np.zeros(n, dtype=complex)]))
+    f0, J, holo_res = vals[1], J[0], float(holo[0])
     if not (f.is_holomorphic and holo_res <= 1e-7):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
@@ -458,7 +448,6 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
     lam = pairing.real
     imag_res = abs(pairing.imag)
 
-    f0 = evaluate(f, np.zeros(n, dtype=complex))
     f0_norm = float(np.linalg.norm(f0))
     if not f0_norm < 1.0:
         raise HypothesisFailed("f(0) must lie in the open ball")

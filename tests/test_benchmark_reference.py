@@ -6,8 +6,9 @@ beyond rel 1e-6 / abs 1e-9.  Its per-layer metrics come from
 perfbench/tracer.py, which rebinds named functions in every schwarz_lab
 module.  These tests make the same checks as run.py and selftest.py in the
 test gate, with the benchmark's own modules, loaded read-only (no bytecode is
-written under perfbench/).  A last test counts the tangent passes of one pass
-of each workload: a count, unlike a timing, does not drift with the host.
+written under perfbench/).  The last tests count the tangent passes, map
+evaluations and ladder calls of one pass of each workload: a count, unlike a
+timing, does not drift with the host.
 """
 
 import importlib.util
@@ -79,41 +80,85 @@ def test_tracer_finds_its_targets_and_leaves_the_report_alone():
     assert expected - {s[tracer_mod.NAME] for s in spans} == set()
 
 
-def _tangent_passes(name: str, monkeypatch) -> tuple[int, int, int]:
-    """(tangent passes, repeated (map, point) pairs within a job, most passes
-    of one job) of one pass of a workload at the default seed, counted at
-    diff._derivatives."""
+def _rebind(home, name: str, wrap, monkeypatch) -> None:
+    """Put wrap(fn), fn = home.name, in place of fn in every schwarz_lab module
+    that holds it, as the tracer does: a call through any import of fn counts."""
+    fn = getattr(home, name)
+    wrapper = wrap(fn)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("schwarz_lab")
+                and vars(module).get(name) is fn):
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def _workload_pass(name: str, monkeypatch) -> dict:
+    """Counts over one pass of a workload at the default seed: tangent passes,
+    repeated (map, point) pairs within a job, the most passes of one job,
+    maps.evaluate calls, the checks that called the Richardson ladder, and
+    the points a job evaluated f at after differentiating f there."""
     doc = workloads.document(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
     config = sl.parse_suite(doc)
-    run_job, derivatives = sl.suite._run_job, sl.diff._derivatives
-    current, seen, held, per_job = [None], set(), [], Counter()
-    passes = repeats = 0
+    run_job = sl.suite._run_job
+    current, seen, held, per_job = [None, None], set(), [], Counter()
+    out = {"passes": 0, "repeats": 0, "evaluates": 0, "evaluated_again": 0,
+           "ladder_checks": set()}
 
     def job(spec, ctx):
-        current[0] = spec.id
+        current[:] = spec.id, spec.check
         return run_job(spec, ctx)
 
-    def counted(f, z):
-        nonlocal passes, repeats
-        passes += 1
-        per_job[current[0]] += 1
+    def rows(f, z):
         held.append(f)  # keeps id(f) unique for the whole pass
-        for row in np.atleast_2d(np.asarray(z, dtype=complex)):
-            key = (current[0], id(f), row.tobytes())
-            repeats += key in seen
-            seen.add(key)
-        return derivatives(f, z)
+        return [(current[0], id(f), row.tobytes())
+                for row in np.atleast_2d(np.asarray(z, dtype=complex))]
+
+    def counted_derivatives(derivatives):
+        def counted(f, z):
+            out["passes"] += 1
+            per_job[current[0]] += 1
+            for key in rows(f, z):
+                out["repeats"] += key in seen
+                seen.add(key)
+            return derivatives(f, z)
+        return counted
+
+    def counted_evaluate(evaluate):
+        def counted(f, z, ctx=None):
+            out["evaluates"] += 1
+            out["evaluated_again"] += sum(key in seen for key in rows(f, z))
+            return evaluate(f, z, ctx=ctx)
+        return counted
+
+    def counted_ladder(ladder):
+        def counted(*args, **kwargs):
+            out["ladder_checks"].add(current[1])
+            return ladder(*args, **kwargs)
+        return counted
 
     monkeypatch.setattr(sl.suite, "_run_job", job)
-    monkeypatch.setattr(sl.diff, "_derivatives", counted)
+    _rebind(sl.diff, "_derivatives", counted_derivatives, monkeypatch)
+    _rebind(sl.maps, "evaluate", counted_evaluate, monkeypatch)
+    _rebind(sl.diff, "radial_boundary_derivative", counted_ladder, monkeypatch)
     sl.run_suite(config, workers=1)
-    return passes, repeats, max(per_job.values())
+    out["most"] = max(per_job.values())
+    return out
 
 
 @pytest.mark.parametrize("name, max_passes", [("boundary-fine", 162), ("paper-suite", 24)])
 def test_no_job_differentiates_a_point_twice(name, max_passes, monkeypatch):
     # each job takes every Jacobian and Cauchy-Riemann defect it needs from
     # one tangent pass; boundary-fine made 324 passes when a point took two
-    passes, repeats, most = _tangent_passes(name, monkeypatch)
-    assert repeats == 0 and most == 1
-    assert passes <= max_passes
+    counts = _workload_pass(name, monkeypatch)
+    assert counts["repeats"] == 0 and counts["most"] == 1
+    assert counts["passes"] <= max_passes
+
+
+@pytest.mark.parametrize("name, max_evaluates", [("boundary-fine", 225), ("paper-suite", 66)])
+def test_boundary_derivatives_and_values_come_from_the_tangent_pass(
+        name, max_evaluates, monkeypatch):
+    # Zhu, Kalaj and the proof chain read f and f'(1) off their one pass;
+    # boundary-fine made 393 evaluate calls and 51 ladder calls before
+    counts = _workload_pass(name, monkeypatch)
+    assert counts["ladder_checks"] <= {"equality_1d"}
+    assert counts["evaluates"] <= max_evaluates
+    assert counts["evaluated_again"] == 0

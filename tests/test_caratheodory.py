@@ -304,6 +304,17 @@ def test_zero_coefficient_rows_are_flagged():
         competitor_map(CompetitorFamily("linear_dual"), np.zeros(6), np.zeros(3), 3)
 
 
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_theta_is_rejected_before_the_coefficients(kind, bad):
+    # an infinite entry would give 1/||g|| = 0, then inf * 0 = NaN in _coefficients
+    theta = np.array([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(BadParams, match="finite"):
+        competitor_map(CompetitorFamily(kind), theta, np.zeros(2), 2)
+    with pytest.raises(BadParams, match="2n"):
+        competitor_map(CompetitorFamily(kind), theta[:3], np.zeros(2), 2)
+
+
 def _ref_coefficient_rows(theta, q):
     n = theta.shape[1] // 2
     g = theta[:, :n] + 1j * theta[:, n:]

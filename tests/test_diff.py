@@ -121,9 +121,10 @@ def test_one_pass_jacobian_and_defect_equal_the_two_calls_bit_for_bit(f, k, seed
     zs = 0.4 * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
     for z in (zs[0], zs):
         try:
-            jac, res = diff._jacobian_and_defect(f, z)
+            vals, jac, res = diff._jacobian_and_defect(f, z)
         except InsufficientClearance:
             reject()
+        assert vals.shape == evaluate(f, z).shape
         assert jac.tobytes() == complex_jacobian(f, z).tobytes()
         assert jac.shape == complex_jacobian(f, z).shape
         if z.ndim == 1:

@@ -415,6 +415,25 @@ def test_stacked_rigidity_equals_the_per_anchor_reference(inst, seed):
     assert check_rigidity(inst, cfg) == _ref_check_rigidity(inst, cfg)
 
 
+def _ref_slice_map(inst, anchor):
+    """psi(xi) = row . f(xi * anchor) / target, a scalar disk map."""
+    row = rigidity._pairing_row(inst, anchor) / inst.target
+    col = anchor.point[:, None]
+    return Compose(LinearMatrix(row[None, :]), Compose(inst.map, LinearMatrix(col)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_instances())
+def test_stacked_slice_probes_equal_the_per_anchor_slice_maps_bit_for_bit(inst):
+    # the proof chain's probes, the Halton disk grid and the radial ts grid;
+    # the reference evaluates each anchor's slice map at them, 0 and 1 in one batch
+    xis = np.concatenate([halton_ball_grid(2, 1, 200), np.linspace(0.05, 0.95, 10)[:, None]])
+    got = rigidity._slice_values(inst, xis)
+    probes = np.concatenate([xis, [[0.0], [1.0]]])
+    want = [evaluate(_ref_slice_map(inst, a), probes)[:-2, 0] for a in inst.anchors]
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
 @pytest.mark.parametrize("p, variant", [(1.5, "rigidity_v"), (2, "p2"), (3, "schwarz_v")])
 def test_stacked_fixed_point_residuals_equal_one_anchor_norms(p, variant):
     # many anchors that the map moves: each row's root must match its lone norm

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarz_lab import SchemaError, suite
+from schwarz_lab import Coordinate, Power, Scale, SchemaError, map_to_json, suite
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -293,13 +293,15 @@ def test_inverted_expectation_fails_suite():
 
 
 def test_tolerance_override_reaches_runner():
-    doc = small_config()
-    doc["jobs"] = [doc["jobs"][0]]
+    # z -> (1 - 5e-9) z^2 has f'(1) = 2 - 1e-8 against Zhu's bound 2: its
+    # margin -1e-8 is inside the default margin_tol 1e-7 and outside 1e-9
+    f = Scale(1.0 - 5e-9, Power(2, Coordinate(0, 1)))
+    doc = small_config(jobs=[{"id": "zhu", "check": "zhu", "map": map_to_json(f)}])
     baseline = run_suite(parse_suite(doc))
     assert baseline[0].passed
-    doc["tolerance_overrides"] = {"margin_tol": 1e-16}
+    assert baseline[0].margin == pytest.approx(-1e-8, rel=1e-6)
+    doc["tolerance_overrides"] = {"margin_tol": 1e-9}
     tightened = run_suite(parse_suite(doc))
-    # the extremal margin sits at roundoff, far above 1e-16
     assert not tightened[0].passed
 
 

@@ -4,16 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from schwarz_lab import (
     BadParams,
     BoundaryPoint,
     Compose,
+    Coordinate,
     DiskGrid,
     HypothesisFailed,
+    InsufficientClearance,
     LinearMatrix,
+    MoebiusDisk,
+    NoConvergence,
+    PoleHit,
+    Power,
+    Product,
+    Scale,
+    Sum,
     VerifyConfig,
     boundary_slope_check,
     evaluate,
@@ -41,6 +50,7 @@ from schwarz_lab import verify as verify_module
 from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm, realify
 from schwarz_lab.verify import _pair_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
+from test_maps import _small, _unimodular
 from test_rigidity import nan_map_json
 
 CFG = VerifyConfig(samples=500)
@@ -353,7 +363,7 @@ def _ref_scalar_reduction(f, p, cfg):
     """The disk bound on psi = ell . f, run as verify_zhu on psi's map tree."""
     from schwarz_lab.geometry import norming_functional
 
-    ell = norming_functional(verify_module._eval_at_one(f), p)
+    ell = norming_functional(evaluate(f, np.ones(1, dtype=complex)), p)
     zhu = verify_zhu(Compose(LinearMatrix(ell[None, :]), f), cfg)
     return zhu.quantities["fprime1"], zhu.margin
 
@@ -402,15 +412,50 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
     for f in (gallery("zhu_extremal", {"a": 0.4, "d": 0.3}), not_holo,
               gallery("kalaj_extremal", {"b": [0.6, 0.8], "a": 0.2, "d": 0.5, "p": 2})):
         for probe in (0.3 + 0.1j, 0.2 + 0.2j):
-            J0, res = verify_module._origin_and_probe(f, probe)
+            _, J0, res, _ = verify_module._origin_and_probe(f, probe)
             origin = np.zeros(1, dtype=complex)
             assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
             assert res == diff_module.holomorphy_residual(f, np.array([probe]))
+            # the disk verifiers add 1 to the pass: f(1) and df/dx(1) ride along
+            (f0, _, f1), J0, res, (fprime1,) = verify_module._origin_and_probe(f, probe, 1.0)
+            assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
+            assert res == diff_module.holomorphy_residual(f, np.array([probe]))
+            one_vals, one_d = diff_module._derivatives(f, np.ones(1, dtype=complex))
+            assert f1.tobytes() == one_vals.tobytes()
+            assert fprime1.tobytes() == one_d[:, 0].tobytes()
+            assert np.allclose(f0, evaluate(f, origin), rtol=0.0, atol=1e-15)
     # Schwarz-Pick's probe is a point of C^n
     f, probe = gallery("first_times_last", {"n": 3}), np.array([0.1, -0.2j, 0.3 + 0.1j])
-    J0, res = verify_module._origin_and_probe(f, probe)
+    _, J0, res, _ = verify_module._origin_and_probe(f, probe)
     assert J0.tobytes() == diff_module.complex_jacobian(f, np.zeros(3, dtype=complex)).tobytes()
     assert res == diff_module.holomorphy_residual(f, probe)
+
+
+def _grow_disk_maps(maps):
+    operands = st.lists(maps, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(Sum, operands),
+        st.builds(Product, operands),
+        st.builds(Scale, _small, maps),
+        st.builds(Power, st.integers(0, 3), maps),
+        st.builds(MoebiusDisk, _small, _unimodular, maps),
+    )
+
+
+# maps of one complex variable, from the nodes the disk verifiers' maps are made of
+_disk_maps = st.recursive(st.just(Coordinate(0, 1)), _grow_disk_maps, max_leaves=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_disk_maps)
+def test_disk_jet_radial_derivative_equals_the_richardson_ladder(f):
+    one = np.ones(1, dtype=complex)
+    try:
+        fprime1 = verify_module._origin_and_probe(f, 0.3 + 0.1j, 1.0)[-1][0]
+        rad = diff_module.radial_boundary_derivative(f, one, one)
+    except (InsufficientClearance, NoConvergence, PoleHit):
+        reject()
+    assert np.max(np.abs(fprime1 - rad.value)) <= max(1e-9, 10.0 * rad.error_estimate)
 
 
 # ---------------------------------------------------------------------------
