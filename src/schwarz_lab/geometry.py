@@ -81,7 +81,7 @@ def cvector(entries) -> np.ndarray:
     z = np.asarray(entries, dtype=complex).reshape(-1)
     if z.size == 0:
         raise BadParams("empty vector")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise BadParams("vector has non-finite entries")
     return z
 
@@ -160,9 +160,9 @@ def lp_norm(x, q: float):
     does, so each row of a batch equals the same vector passed alone bit for
     bit (np.power and np.sqrt can differ from it in the last bit).
     """
-    mags = np.abs(np.asarray(x))
+    mags = np.abs(x)
     out = _reduce_last_axis(np.maximum, mags) if math.isinf(q) else _lp_last_axis(mags, q)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def l2_norm_rows(x: np.ndarray) -> np.ndarray:
@@ -207,7 +207,8 @@ def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
 
 def norm_p(z, p) -> float:
     """lp norm of a complex vector; p may be an Exponent or a number."""
-    p = as_exponent(p)
+    if not isinstance(p, Exponent):
+        p = as_exponent(p)
     return lp_norm(cvector(z), p.p)
 
 

@@ -2,10 +2,11 @@
 
 A suite is one JSON document naming jobs; each job binds a check to a map
 (gallery reference or inline expression JSON), point data, and an exponent.
-Every input is parsed once, by ``parse_suite``; the runners read only the
-parsed values.  Execution is deterministic: every random draw is keyed by the
-suite seed and the job id, so re-running a config byte-for-byte reproduces the
-report.  Adding a check means adding one entry to ``CHECKS``.
+Every input is parsed once, by ``parse_suite``, which also builds each job's
+boundary point or rigidity instance; the runners read only the parsed values.
+Execution is deterministic: every random draw is keyed by the suite seed and
+the job id, so re-running a config byte-for-byte reproduces the report.
+Adding a check means adding one entry to ``CHECKS``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ _KNOWN_TOL_KEYS = set(_VERIFY_TOL_KEYS) | set(_RIGIDITY_TOL_KEYS) | {"attain_tol
 @dataclass(frozen=True)
 class JobSpec:
     """One validated job: raw JSON inputs in ``params`` (for ``serialize_suite``),
-    and in ``parsed`` as the runners read them (MapExpr, read-only arrays, Exponent)."""
+    and in ``parsed`` as the runners read them (MapExpr, read-only arrays, Exponent,
+    and under "built" the check's BoundaryPoint or RigidityInstance)."""
 
     id: str
     check: str
@@ -246,6 +248,13 @@ def _validate_job(raw: dict, index: int) -> JobSpec:
         dims.add(parsed["map"].input_dim)
     if len(dims) > 1:
         _fail(path, f"inconsistent dimensions {sorted(dims)}")
+    if spec.build is not None:
+        # a semantic error (NotOnBoundary, BadParams) is the job's result, not a
+        # schema error: nothing is stored, and each run rebuilds and raises it
+        try:
+            parsed["built"] = spec.build(parsed)
+        except SchwarzLabError:
+            pass
     return JobSpec(job_id, check, expect, params, parsed)
 
 
@@ -417,18 +426,22 @@ def _row_from_error(job: JobSpec, exc: Exception) -> JobResult:
     )
 
 
-# Boundary points are built per run: NotOnBoundary is a job result, not a
-# schema error.
-def _boundary_point(job: JobSpec, exponent=None) -> BoundaryPoint:
-    e = job.parsed["exponent"] if exponent is None else exponent
-    return BoundaryPoint(job.parsed["point"], e, tolerance=_BOUNDARY_TOL)
+def _boundary_point(parsed: dict, exponent=None) -> BoundaryPoint:
+    e = parsed["exponent"] if exponent is None else exponent
+    return BoundaryPoint(parsed["point"], e, tolerance=_BOUNDARY_TOL)
 
 
-def _rigidity_instance(job: JobSpec) -> RigidityInstance:
-    a = job.parsed
-    anchors = tuple(BoundaryPoint(v, a["exponent"], tolerance=_BOUNDARY_TOL)
-                    for v in a["anchors"])
-    return RigidityInstance(a["map"], anchors, a["exponent"], a["variant"])
+def _rigidity_instance(parsed: dict) -> RigidityInstance:
+    anchors = tuple(BoundaryPoint(v, parsed["exponent"], tolerance=_BOUNDARY_TOL)
+                    for v in parsed["anchors"])
+    return RigidityInstance(parsed["map"], anchors, parsed["exponent"], parsed["variant"])
+
+
+def _built(job: JobSpec):
+    """The job's boundary point or rigidity instance as ``parse_suite`` built it;
+    when that build raised, it is built again here, so the job reports the error."""
+    built = job.parsed.get("built")
+    return CHECKS[job.check].build(job.parsed) if built is None else built
 
 
 def _attainment_verdict(theorem_id: str, closed: float, out, membership: float,
@@ -480,12 +493,14 @@ def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> Verdict:
 @dataclass(frozen=True)
 class CheckSpec:
     """One check: the job keys it requires and also accepts, ``run(job, ctx)``
-    (a Verdict or RigidityReport), and the outcomes a job may expect, default first."""
+    (a Verdict or RigidityReport), the outcomes a job may expect, default first,
+    and ``build(parsed)``, if any, the input object ``parse_suite`` makes once."""
 
     required: set
     optional: set
     run: Callable
     verdicts: tuple = ("pass", "fail")
+    build: Callable | None = None
 
 
 CHECKS = {
@@ -503,11 +518,13 @@ CHECKS = {
     "lp_boundary_schwarz": CheckSpec(
         {"map", "point", "exponent"}, set(),
         lambda job, ctx: verify_lp_boundary_schwarz(
-            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))),
+            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        build=_boundary_point),
     "liu_wang": CheckSpec(
         {"map", "point"}, set(),
         lambda job, ctx: verify_liu_wang(
-            job.parsed["map"], _boundary_point(job, 2), ctx.verify_cfg(job))),
+            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        build=lambda parsed: _boundary_point(parsed, 2)),
     "product_slice": CheckSpec(
         {"map", "phi", "z_fix", "exponent", "n", "m"}, {"samples"},
         lambda job, ctx: verify_product_slice(
@@ -516,16 +533,16 @@ CHECKS = {
     "pluriharmonic_boundary": CheckSpec(
         {"map", "point", "exponent"}, set(),
         lambda job, ctx: verify_pluriharmonic_boundary(
-            job.parsed["map"], _boundary_point(job), ctx.verify_cfg(job))),
+            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        build=_boundary_point),
     "rigidity": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, {"samples", "grid_points"},
-        lambda job, ctx: check_rigidity(
-            _rigidity_instance(job), ctx.rigidity_cfg(job)),
-        RIGIDITY_VERDICTS),
+        lambda job, ctx: check_rigidity(_built(job), ctx.rigidity_cfg(job)),
+        RIGIDITY_VERDICTS, build=_rigidity_instance),
     "proof_chain": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, set(),
-        lambda job, ctx: check_proof_chain(
-            _rigidity_instance(job), ctx.rigidity_cfg(job))),
+        lambda job, ctx: check_proof_chain(_built(job), ctx.rigidity_cfg(job)),
+        build=_rigidity_instance),
     "equality_1d": CheckSpec(
         {"map"}, set(),
         lambda job, ctx: equality_case_1d(job.parsed["map"], ctx.rigidity_cfg(job))),

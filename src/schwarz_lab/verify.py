@@ -658,13 +658,15 @@ def harnack_certificate(grid: DiskGrid) -> Verdict:
     """Two-sided Harnack slack for a positive harmonic function sample grid."""
     vals = np.asarray(grid.values, dtype=float)
     c = float(grid.center)
-    lower_slack = math.inf
-    upper_slack = math.inf
-    for i, r in enumerate(grid.radii):
-        lo = (1.0 - r) / (1.0 + r) * c
-        hi = (1.0 + r) / (1.0 - r) * c
-        lower_slack = min(lower_slack, float(np.min(vals[i] - lo)))
-        upper_slack = min(upper_slack, float(np.min(hi - vals[i])))
+    lo = np.array([(1.0 - r) / (1.0 + r) * c for r in grid.radii])
+    hi = np.array([(1.0 + r) / (1.0 - r) * c for r in grid.radii])
+    if vals.ndim != 2 or len(vals) < len(lo):
+        raise BadParams("a DiskGrid needs a row of values per radius")
+    rows = vals[:len(lo)]
+    # the row minima folded from inf as min(slack, row_min) folds them one by
+    # one: a NaN minimum never compares below the slack, so its row drops out
+    lower_slack = min([math.inf, *np.min(rows - lo[:, None], axis=1).tolist()])
+    upper_slack = min([math.inf, *np.min(hi[:, None] - rows, axis=1).tolist()])
     margin = min(lower_slack, upper_slack)
     checks = (
         HypothesisCheck("center_positive", c > 0.0, max(0.0, -c)),

@@ -19,6 +19,7 @@ from schwarz_lab import (
     ZeroVector,
     as_exponent,
     cinner,
+    cvector,
     defining_rho,
     grad_rho,
     hyperbolic_distance,
@@ -326,6 +327,34 @@ def test_hyperbolic_distance_moebius_invariance():
         assert hyperbolic_distance(mu, mv) == pytest.approx(
             hyperbolic_distance(u, v), rel=1e-10, abs=1e-10
         )
+
+
+def test_cvector_contract():
+    z = cvector([1, 2j, 3.5])
+    assert z.dtype == complex and z.shape == (3,)
+    assert cvector([[1.0, 2.0]]).shape == (2,)
+    for bad in ([], np.zeros((0, 2)), [1.0, math.nan], [math.inf], [1j * -math.inf]):
+        with pytest.raises(BadParams):
+            cvector(bad)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+def test_lp_norm_shapes(q):
+    batch = stream(5, "lp-norm-shapes").standard_normal((4, 3)) * [1.0, -2.0, 0.5]
+    assert type(lp_norm(batch[0], q)) is float
+    assert type(lp_norm(np.array(-2.5), q)) is float and lp_norm(np.array(-2.5), q) == 2.5
+    assert type(lp_norm(list(batch[1]), q)) is float
+    rows = lp_norm(batch, q)
+    assert rows.shape == (4,)
+    assert [float(r).hex() for r in rows] == [lp_norm(x, q).hex() for x in batch]
+
+
+def test_norm_p_takes_an_exponent_or_a_value():
+    z = np.array([0.3 + 0.4j, -0.7, 0.1j])
+    assert norm_p(z, Exponent(3)).hex() == norm_p(z, 3).hex() == norm_p(list(z), 3.0).hex()
+    assert norm_p(z, "inf").hex() == norm_p(z, Exponent.infinity()).hex() == (0.7).hex()
+    with pytest.raises(BadParams):
+        norm_p(z, 1)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf])

@@ -371,6 +371,65 @@ def test_runs_read_only_parsed_inputs(monkeypatch):
     assert [r.job_id for r in results if not r.passed] == []
 
 
+_IDENTITY_2 = {"gallery": "identity", "params": {"n": 2}}
+_E1, _E2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+
+
+def test_boundary_points_and_rigidity_instances_are_built_at_parse(monkeypatch):
+    doc = small_config(jobs=[
+        {"id": "lp", "check": "lp_boundary_schwarz", "map": _IDENTITY_2,
+         "point": _E1, "exponent": 3},
+        {"id": "lw", "check": "liu_wang", "map": _IDENTITY_2,
+         "point": [[0.6, 0.0], [0.8, 0.0]]},
+        {"id": "ph", "check": "pluriharmonic_boundary",
+         "map": {"gallery": "ph_linear_blend", "params": {"n": 2, "mix": 0.5}},
+         "point": [[0.6, 0.0], [0.8, 0.0]], "exponent": 2},
+        {"id": "rig", "check": "rigidity", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 3, "variant": "rigidity_v", "expect": "certified"},
+        {"id": "chain", "check": "proof_chain", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 2, "variant": "p2"},
+    ])
+    config = parse_suite(doc)
+
+    def instance(*args, **kwargs):
+        raise AssertionError("a rigidity instance was built at run time")
+
+    received = []
+
+    def spy(verifier):
+        def wrapped(f, z0, cfg):
+            received.append(z0)
+            return verifier(f, z0, cfg)
+        return wrapped
+
+    monkeypatch.setattr(suite, "RigidityInstance", instance)
+    for name in ("verify_lp_boundary_schwarz", "verify_liu_wang",
+                 "verify_pluriharmonic_boundary"):
+        monkeypatch.setattr(suite, name, spy(getattr(suite, name)))
+    first, second = run_suite(config), run_suite(config)
+    assert suite_passed(first) and first == second
+    assert len(received) == 6
+    assert all(a is b for a, b in zip(received[:3], received[3:]))
+    assert received[1].exponent.p == 2.0
+
+
+@pytest.mark.parametrize("job, error", [
+    ({"check": "lp_boundary_schwarz", "map": _IDENTITY_2,
+      "point": [[0.5, 0.0], [0.0, 0.0]], "exponent": 3}, "NotOnBoundary"),
+    ({"check": "rigidity", "map": _IDENTITY_2, "anchors": [_E1, _E1],
+      "exponent": 2, "variant": "p2"}, "BadParams"),
+    ({"check": "proof_chain", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+      "exponent": 3, "variant": "p2"}, "BadParams"),
+])
+def test_input_errors_stay_job_results_on_every_run(job, error):
+    config = parse_suite(small_config(jobs=[
+        {"id": "bad", **job, "expect": f"raises:{error}"}]))
+    [first], [second] = run_suite(config), run_suite(config)
+    assert first == second
+    assert first.passed and first.hypotheses[0]["name"] == f"raised_{error}"
+    assert first.note
+
+
 def test_shipped_suite_all_pass():
     config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
     results = run_suite(config, workers=2)

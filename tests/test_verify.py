@@ -814,3 +814,43 @@ def test_harnack_one_minus_re():
     assert v.passed
     # min phi = 0.5, lower Harnack bound = 1/3
     assert v.quantities["lower_slack"] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-12)
+
+
+def _harnack_slacks_by_row(grid):
+    # the radius-by-radius loop harnack_certificate replaced, kept as its reference
+    vals = np.asarray(grid.values, dtype=float)
+    c = float(grid.center)
+    lower_slack = upper_slack = math.inf
+    for i, r in enumerate(grid.radii):
+        lo = (1.0 - r) / (1.0 + r) * c
+        hi = (1.0 + r) / (1.0 - r) * c
+        lower_slack = min(lower_slack, float(np.min(vals[i] - lo)))
+        upper_slack = min(upper_slack, float(np.min(hi - vals[i])))
+    return lower_slack, upper_slack
+
+
+_grid_values = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]),
+                         st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(radii=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=9),
+       angles=st.integers(1, 17), data=st.data(),
+       center=st.one_of(st.floats(0.0, 4.0), st.just(math.nan),
+                        st.floats(allow_nan=True, allow_infinity=True)))
+def test_harnack_slacks_equal_the_radius_loop_bit_for_bit(radii, angles, data, center):
+    vals = np.array(data.draw(st.lists(_grid_values, min_size=len(radii) * angles,
+                                       max_size=len(radii) * angles)))
+    grid = DiskGrid(tuple(radii), vals.reshape(len(radii), angles), center)
+    with np.errstate(all="ignore"):
+        want = _harnack_slacks_by_row(grid)
+        got = harnack_certificate(grid)
+    lower, upper = got.quantities["lower_slack"], got.quantities["upper_slack"]
+    assert (lower.hex(), upper.hex()) == (want[0].hex(), want[1].hex())
+    assert got.margin.hex() == min(want).hex()
+
+
+@pytest.mark.parametrize("values", [np.ones(9), np.ones((1, 4)), np.ones((2, 4))])
+def test_harnack_grid_needs_a_row_per_radius(values):
+    with pytest.raises(BadParams):
+        harnack_certificate(DiskGrid((0.1, 0.5, 0.9), values, 1.0))

@@ -1,0 +1,109 @@
+"""Alternating in-process A/B timing of two schwarz-lab checkouts.
+
+    python3 tools/ab_inprocess.py A_ROOT B_ROOT --workload boundary-fine --pairs 200
+
+Each checkout's ``src/schwarz_lab`` is copied into a temporary directory as
+the packages ``schwarz_lab_a`` and ``schwarz_lab_b``, and both are imported
+into this one interpreter.  The suite document is A's perfbench workload at
+``--seed``.  Each side parses it once and makes a cold pass, and the two
+reports must be equal byte for byte.  Then warm passes alternate, A then B in
+even pairs and B then A in odd ones; a pass is ``run_suite(config,
+workers=1)`` plus ``emit_report(results, "jsonl")``, as perfbench times it.
+
+Printed: the sum ratio (A's total time over B's, so B's jobs_per_s over A's),
+the median of the per-pair ratios t_A / t_B, and the pairs B won.  Passing the
+same checkout twice is the A/A control.  Alternating in one process keeps
+host drift, which moves separate runs by up to about 10%, out of the ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+# Untimed passes per side before the pairs, so lazy set-up and caches settle.
+WARMUP_PASSES = 5
+
+
+def load_package(root: pathlib.Path, name: str, tmp: pathlib.Path):
+    shutil.copytree(root / "src" / "schwarz_lab", tmp / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def load_workloads(root: pathlib.Path):
+    # workloads.py imports schwarz_lab by its own name; A's copy serves it
+    sys.path.insert(0, str(root / "src"))
+    spec = importlib.util.spec_from_file_location(
+        "ab_workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def one_pass(sl, config) -> tuple[float, bytes]:
+    start = time.perf_counter()
+    report = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+    return time.perf_counter() - start, report
+
+
+def compare(sides, doc: bytes, args) -> int:
+    configs = [sl.parse_suite(doc) for sl in sides]
+    cold = [one_pass(sl, cfg)[1] for sl, cfg in zip(sides, configs)]
+    if cold[0] != cold[1]:
+        print("ab_inprocess: the two reports differ", file=sys.stderr)
+        return 1
+    for _ in range(WARMUP_PASSES):
+        for sl, cfg in zip(sides, configs):
+            one_pass(sl, cfg)
+
+    times = ([], [])
+    for i in range(args.pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            dt, report = one_pass(sides[side], configs[side])
+            if report != cold[side]:
+                print(f"ab_inprocess: pass {i} of side {'AB'[side]} changed its report",
+                      file=sys.stderr)
+                return 1
+            times[side].append(dt)
+
+    a, b = times
+    ratios = [ta / tb for ta, tb in zip(a, b)]
+    quartiles = statistics.quantiles(ratios, n=4)
+    print(f"workload {args.workload} seed {args.seed}: {len(configs[0].jobs)} jobs, "
+          f"{args.pairs} pairs")
+    print(f"median pass A {statistics.median(a) * 1e3:.2f} ms  B {statistics.median(b) * 1e3:.2f} ms")
+    print(f"sum ratio A/B {sum(a) / sum(b):.4f}  (B jobs_per_s {sum(a) / sum(b) - 1.0:+.1%})")
+    print(f"median pair ratio A/B {statistics.median(ratios):.4f}  "
+          f"(quartiles {quartiles[0]:.4f} {quartiles[2]:.4f})")
+    print(f"B faster in {sum(r > 1.0 for r in ratios)} of {args.pairs} pairs")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a_root", type=pathlib.Path)
+    ap.add_argument("b_root", type=pathlib.Path)
+    ap.add_argument("--workload", default="boundary-fine")
+    ap.add_argument("--seed", type=int, default=20260816)
+    ap.add_argument("--pairs", type=int, default=200)
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        sides = [load_package(args.a_root.resolve(), "schwarz_lab_a", pathlib.Path(tmp)),
+                 load_package(args.b_root.resolve(), "schwarz_lab_b", pathlib.Path(tmp))]
+        doc = load_workloads(args.a_root.resolve()).document(
+            args.workload, args.seed, args.a_root.resolve())
+        return compare(sides, doc, args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
