@@ -15,14 +15,13 @@ equality case, which makes no tangent pass.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientClearance, NoConvergence, PoleHit, StepTooLarge
-from .geometry import BoundaryPoint, cvector, l2_norm_rows
+from .geometry import BoundaryPoint, _directions, cvector, l2_norm_rows
 from .maps import MapExpr, _as_points, _EvalCtx, evaluate
 from . import rng as _rng
 
@@ -68,14 +67,6 @@ def _guarded(run, err_cls, what: str):
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=16)
-def _directions(n: int) -> np.ndarray:
-    """e_j, then i e_j, as the rows of one read-only (2n, n) array, built once per n."""
-    dirs = np.vstack([np.eye(n), 1j * np.eye(n)])
-    dirs.setflags(write=False)
-    return dirs
-
 
 def _derivatives(f: MapExpr, z):
     """(values, derivatives) of f from one tangent pass: the values f(z), (m,)

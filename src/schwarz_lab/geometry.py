@@ -86,6 +86,17 @@ def cvector(entries) -> np.ndarray:
     return z
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _directions(n: int) -> np.ndarray:
+    """e_j, then i e_j, as the rows of one read-only (2n, n) array, built once per n."""
+    return _read_only(np.vstack([np.eye(n), 1j * np.eye(n)]))
+
+
 def rvector(entries) -> np.ndarray:
     """Validate and return a 1-d real vector with finite entries."""
     x = np.asarray(entries, dtype=float).reshape(-1)
@@ -280,6 +291,24 @@ class BoundaryPoint:
     def on_distinguished_boundary(self) -> bool:
         """True when every coordinate has modulus 1 within tolerance (p = inf torus)."""
         return bool(np.max(np.abs(np.abs(self.point) - 1.0)) <= self.tolerance)
+
+    # kept read-only from first use; an error is not kept and so raised on every use
+    @functools.cached_property
+    def normal(self) -> np.ndarray:
+        """schwarz_v at this point."""
+        return _read_only(schwarz_v(self))
+
+    @functools.cached_property
+    def tangent_probes(self) -> np.ndarray:
+        """The parts beta of e_j, then i e_j, tangent to the normal v (split as
+        normal_tangent_decompose splits) over their lengths, save |beta| < 1e-12."""
+        v = self.normal
+        probes = _directions(v.size)
+        lam = (probes * np.conj(v)).sum(axis=1).real / float(np.sum(np.abs(v) ** 2))
+        beta = probes - lam[:, None] * v
+        bn = l2_norm_rows(beta)
+        keep = ~(bn < 1e-12)  # NaN rows stay
+        return _read_only(beta[keep] / bn[keep, None])
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ from .errors import BadParams, HypothesisFailed
 from .gallery import gallery
 from .geometry import (
     BoundaryPoint,
+    _read_only,
     as_exponent,
     lp_norm,
     norm_p,
     rigidity_v,
-    schwarz_v,
     with_lp_norms,
 )
 from .maps import MapExpr, evaluate
@@ -120,6 +120,28 @@ class RigidityInstance:
     def target(self) -> float:
         return float(self.dim) if self.variant == "polydisk" else 1.0
 
+    # built on first use and kept read-only: none reads f, a seed or a tolerance
+    @functools.cached_property
+    def anchor_matrix(self) -> np.ndarray:
+        return _read_only(np.array([a.point for a in self.anchors]))
+
+    @functools.cached_property
+    def pairing_rows(self) -> np.ndarray:
+        return _read_only(np.array([_pairing_row(self, a) for a in self.anchors]))
+
+    @functools.cached_property
+    def segment_points(self) -> np.ndarray:
+        """The points t a, t in linspace(0.05, 0.99, 12), of each anchor a."""
+        segs = np.linspace(0.05, 0.99, 12)[None, :, None] * self.anchor_matrix[:, None, :]
+        return _read_only(segs.reshape(-1, self.dim))
+
+    @functools.cached_property
+    def anchor_rank(self) -> int:
+        """Numerical rank of the anchors, over R for rigidity_v, else over C."""
+        A = self.anchor_matrix
+        svals = np.linalg.svd(A.real if self.variant == "rigidity_v" else A, compute_uv=False)
+        return int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
+
 
 @dataclass(frozen=True)
 class RigidityReport:
@@ -139,7 +161,7 @@ def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
     if inst.variant in ("p2", "polydisk"):
         return np.conj(anchor.point)
     if inst.variant == "schwarz_v":
-        return np.conj(schwarz_v(anchor))
+        return np.conj(anchor.normal)
     return rigidity_v(anchor)  # real; the theorem pairs without conjugating J alpha
 
 
@@ -158,9 +180,8 @@ def _first_primes(k: int) -> np.ndarray:
         limit *= 2
 
 
-@functools.lru_cache(maxsize=8)
 def _halton_unit(n: int, count: int) -> np.ndarray:
-    """The unscrambled Halton sample in [0, 1)^(2n+1), built once per size.
+    """The unscrambled Halton sample in [0, 1)^(2n+1).
 
     Column j is the van der Corput sequence in the j-th prime base at indices
     1..count (index 0, the all-zero point, is dropped).  Each radical inverse
@@ -178,26 +199,42 @@ def _halton_unit(n: int, count: int) -> np.ndarray:
             q, digit = np.divmod(q, base)
             col += digit * b2r
             b2r /= base
-    u = columns.T
-    u.setflags(write=False)
-    return u
+    return columns.T
 
 
-def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy interior grid of the unit p-ball (a fresh array per call)."""
-    e = as_exponent(p)
+def _ball_grid(p: float, n: int, count: int) -> np.ndarray:
     u = _halton_unit(n, count)
     x = 2.0 * u[:, : 2 * n] - 1.0
     z = x[:, :n] + 1j * x[:, n:]
-    return with_lp_norms(z, e.p, 0.999 * u[:, -1])
+    return with_lp_norms(z, p, 0.999 * u[:, -1])
+
+
+_GRID_MEMO_COORDS = 32_768  # count * n, 512 KiB of complex128
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_grid(p: float, n: int, count: int) -> np.ndarray:
+    return _read_only(_ball_grid(p, n, count))
+
+
+def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy interior grid of the unit p-ball, (count, n).
+
+    Each call returns a fresh writable array.  Grids of count * n <= 32,768
+    are built once per (p, n, count) and kept read-only, the 32 most recently
+    used (16 MiB at most), in a process-wide memo; a call copies layout and
+    bits.  A larger grid is built on every call and not kept.
+    """
+    e = as_exponent(p)
+    if count * n > _GRID_MEMO_COORDS:
+        return _ball_grid(e.p, n, count)
+    return _shared_grid(e.p, n, count).copy(order="K")
 
 
 def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
     e = inst.exponent
     grid = halton_ball_grid(e, inst.dim, cfg.grid_points)
-    A = np.array([a.point for a in inst.anchors])
-    segs = (np.linspace(0.05, 0.99, 12)[None, :, None] * A[:, None, :]).reshape(-1, inst.dim)
-    pts = np.vstack([grid, segs])
+    pts = np.vstack([grid, inst.segment_points])
     return float(np.max(lp_norm(evaluate(inst.map, pts) - pts, e.p)))
 
 
@@ -214,7 +251,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     f = inst.map
     e = inst.exponent
     n = inst.dim
-    A = np.array([a.point for a in inst.anchors])
+    A = inst.anchor_matrix
     quantities: dict = {}
     J0 = F = None
 
@@ -244,7 +281,8 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
-    eqs = [complex(_pairing_row(inst, a) @ (J @ a.point)) for a, J in zip(inst.anchors, jacs)]
+    eqs = [complex(row @ (J @ a.point))
+           for row, a, J in zip(inst.pairing_rows, inst.anchors, jacs)]
     J0A = np.array([J0 @ a for a in A])
     jf0 = lp_norm(J0A - A, e.p).tolist()
     holder_norms = lp_norm(J0A, e.p).tolist()
@@ -266,12 +304,8 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
         quantities["anchor_min_real"] = min_real
         nonneg = max_imag <= 1e-12 and min_real >= -1e-12
 
-    # rank over R for real-anchor variants, over C otherwise
-    M = A.real if inst.variant == "rigidity_v" else A
-    svals = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
-    quantities["rank"] = float(rank)
-    return partial("", "", fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0)
+    quantities["rank"] = float(inst.anchor_rank)
+    return partial("", "", fixed=fixed, eqs=eqs, rank=inst.anchor_rank, nonneg=nonneg, jf0=jf0)
 
 
 def check_rigidity(inst: RigidityInstance,
@@ -295,7 +329,7 @@ def check_rigidity(inst: RigidityInstance,
 
 def _slices(inst: RigidityInstance, F: np.ndarray) -> np.ndarray:
     """row_a . F[a] / target for each anchor a and each row of F[a], F (k, P, n): (k, P)."""
-    rows = np.array([_pairing_row(inst, a) for a in inst.anchors]) / inst.target
+    rows = inst.pairing_rows / inst.target
     return (F @ rows[:, :, None])[:, :, 0]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .diff import (
     _cr_defect,
     _derivatives,
-    _directions,
     _jacobian_and_defect,
     _wirtinger,
     holomorphy_residual,
@@ -30,7 +29,6 @@ from .geometry import (
     cinner,
     cvector,
     duality_map,
-    grad_rho,
     l2_norm_rows,
     lp_norm,
     modulus,
@@ -38,7 +36,6 @@ from .geometry import (
     norming_functional,
     pluriharmonic_V,
     realify,
-    schwarz_v,
     with_lp_norms,
 )
 from .maps import MapExpr, evaluate
@@ -332,12 +329,12 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 def boundary_slope_check(f: MapExpr, z0: BoundaryPoint, lam: float,
                          t: float = SLOPE_T) -> float:
     """Relative error of (1 - ||f(z0 - t v)||_p^p)/t against p*lambda*||v||_2^2."""
-    v = schwarz_v(z0)
+    v = z0.normal
     return _slope_rel_error(evaluate(f, z0.point - t * v), z0, v, lam, t)
 
 
 def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
-    """boundary_slope_check given val = f(z0 - t v) and v = schwarz_v(z0)."""
+    """boundary_slope_check given val = f(z0 - t v) and v = z0.normal."""
     e = z0.exponent
     slope = (1.0 - float(norm_p(val, e)) ** e.p) / t
     target = e.p * lam * float(np.linalg.norm(v)) ** 2
@@ -346,15 +343,9 @@ def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
     return abs(slope - target) / abs(target)
 
 
-def _tangent_residual(J: np.ndarray, v: np.ndarray, g: np.ndarray) -> float:
-    """max |Re<J beta/|beta|, g>| over the parts beta (|beta| >= 1e-12) of e_j, i e_j tangent
-    to v, split as normal_tangent_decompose splits; all at once, each rounded as alone."""
-    probes = _directions(v.size)
-    lam = (probes * np.conj(v)).sum(axis=1).real / float(np.sum(np.abs(v) ** 2))
-    beta = probes - lam[:, None] * v
-    bn = l2_norm_rows(beta)
-    keep = ~(bn < 1e-12)  # NaN rows stay, and np.max keeps their NaN
-    rows = (J[None] @ (beta[keep] / bn[keep, None])[:, :, None])[:, :, 0]
+def _tangent_residual(J: np.ndarray, probes: np.ndarray, g: np.ndarray) -> float:
+    """max |Re<J u, g>| over the rows u of probes, all at once, each rounded as alone."""
+    rows = (J[None] @ probes[:, :, None])[:, :, 0]
     # (1, n) by (1, n) for one row: numpy multiplies a one-element broadcast
     # in its unfused scalar loop, a lone probe's (n,) by (n,) in its fused one
     return float(np.max(np.abs((rows * np.conj(g)[None, :]).sum(axis=1).real), initial=0.0))
@@ -380,24 +371,26 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
     # one batch: f(0) and the slope probe f(z0 - t v)
-    vz = schwarz_v(z0)
+    vz = z0.normal
     f0, slope_val = evaluate(f, np.stack([np.zeros(n, dtype=complex), z0.point - SLOPE_T * vz]))
-    w_norm = float(norm_p(w0, e))
+    w0 = cvector(w0)
+    w_norm = lp_norm(w0, e.p)
     if not abs(w_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
-    w0bp = BoundaryPoint(w0, e, tolerance=max(1e-9, 4.0 * e.p * cfg.hypothesis_tol))
+    # schwarz_v at w0 (the gate implies its BoundaryPoint check); grad rho is p times it
+    vw = duality_map(w0, e.p)
 
     origin_res = float(norm_p(f0, e))
     fixes_origin = origin_res <= cfg.hypothesis_tol
 
-    pulled = np.conj(J).T @ schwarz_v(w0bp)
+    pulled = np.conj(J).T @ vw
     vz_sq = float(np.linalg.norm(vz)) ** 2
     pairing = complex(cinner(pulled, vz))
     lam = pairing.real / vz_sq
     imag_res = abs(pairing.imag) / vz_sq
     prop_res = float(np.linalg.norm(pulled - lam * vz))
 
-    tangent_res = _tangent_residual(J, vz, grad_rho(w0bp.point, e))
+    tangent_res = _tangent_residual(J, z0.tangent_probes, e.p * vw)
 
     slope_rel = _slope_rel_error(slope_val, z0, vz, lam, SLOPE_T)
 

@@ -177,6 +177,19 @@ def test_schwarz_v_polydisk_cases():
         schwarz_v(off_torus)
 
 
+def test_boundary_normal_is_kept_but_its_error_is_raised_again():
+    bp = _boundary([0.6, 0.8j], 2)
+    assert bp.normal is bp.normal and np.array_equal(bp.normal, schwarz_v(bp))
+    assert not bp.normal.flags.writeable and not bp.tangent_probes.flags.writeable
+    off_torus = _boundary([1.0, 0.0], "inf")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotOnBoundary) as err:
+            off_torus.normal
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "normal" not in vars(off_torus)
+
+
 def test_rigidity_v_frozen_p3():
     r = 2.0 ** (-1.0 / 3.0)
     bp = _boundary([r, r], 3)

@@ -254,6 +254,30 @@ def test_halton_sample_equals_scipy_bit_for_bit(n, count):
     assert got.strides[0] == want.strides[0] == got.itemsize  # stored column by column
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1.25, 2.0, 3.0, 4.0, math.inf]), n=st.integers(1, 3),
+       count=st.integers(1, 3000))
+def test_shared_grid_equals_a_fresh_build_byte_for_byte(p, n, count):
+    got = halton_ball_grid(p, n, count)
+    want = rigidity._ball_grid(p, n, count)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    kept = rigidity._shared_grid(p, n, count)
+    assert not kept.flags.writeable and not np.shares_memory(got, kept)
+
+
+def test_grids_over_the_memo_cap_are_not_kept():
+    n = 2
+    count = rigidity._GRID_MEMO_COORDS // n
+    before = rigidity._shared_grid.cache_info()
+    big = halton_ball_grid(3, n, count + 1)
+    assert rigidity._shared_grid.cache_info() == before
+    assert big.flags.writeable and big.tobytes() == rigidity._ball_grid(3.0, n, count + 1).tobytes()
+    halton_ball_grid(3, n, count)
+    after = rigidity._shared_grid.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert after.maxsize == 32
+
+
 def test_first_primes_grow_past_the_first_sieve():
     primes = rigidity._first_primes(1000)
     assert primes[:10].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -5,13 +5,16 @@ import functools
 import json
 import operator
 import pathlib
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarz_lab import Coordinate, Power, Scale, SchemaError, map_to_json, suite
+from schwarz_lab import (Coordinate, Power, Scale, SchemaError, geometry, map_to_json,
+                         rigidity, suite)
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -413,6 +416,67 @@ def test_boundary_points_and_rigidity_instances_are_built_at_parse(monkeypatch):
     assert received[1].exponent.p == 2.0
 
 
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_input_geometry_is_derived_once_and_kept_read_only(monkeypatch):
+    config = parse_suite(small_config(jobs=[
+        {"id": "lp", "check": "lp_boundary_schwarz", "map": _IDENTITY_2,
+         "point": [[0.6, 0.0], [0.0, 0.8]], "exponent": 2},
+        {"id": "rig", "check": "rigidity", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 3, "variant": "schwarz_v", "expect": "certified"},
+        {"id": "rig-v", "check": "rigidity", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 3, "variant": "rigidity_v", "expect": "certified"},
+        {"id": "chain", "check": "proof_chain", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 4, "variant": "schwarz_v"},
+    ]))
+    counts = {"schwarz_v": 0, "_pairing_row": 0, "svd": 0}
+    _count_calls(monkeypatch, geometry, "schwarz_v", counts)
+    _count_calls(monkeypatch, rigidity, "_pairing_row", counts)
+    _count_calls(monkeypatch, np.linalg, "svd", counts)
+    first = run_suite(config)
+    assert all(counts.values()), counts
+    counts.update(dict.fromkeys(counts, 0))
+    second = run_suite(config)
+    assert suite_passed(first) and first == second
+    assert counts == {"schwarz_v": 0, "_pairing_row": 0, "svd": 0}
+
+    point = config.jobs[0].parsed["built"]
+    instances = [job.parsed["built"] for job in config.jobs[1:]]
+    cached = [point.normal, point.tangent_probes]
+    for inst in instances:
+        cached += [inst.anchor_matrix, inst.pairing_rows, inst.segment_points]
+    for a in cached:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert all(isinstance(inst.anchor_rank, int) for inst in instances)
+
+
+def test_threads_sharing_the_grid_memo_give_the_serial_report():
+    jobs = [{"id": f"rig-{i}", "check": "rigidity", "map": _IDENTITY_2,
+             "anchors": [_E1, _E2], "exponent": 2 + i % 2, "variant": "rigidity_v",
+             "grid_points": 700, "expect": "certified"} for i in range(8)]
+    doc = small_config(jobs=jobs)
+    want = emit_report(run_suite(parse_suite(doc)), "jsonl")
+    rigidity._shared_grid.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = emit_report(run_suite(parse_suite(doc), workers=6), "jsonl")
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert rigidity._shared_grid.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize("job, error", [
     ({"check": "lp_boundary_schwarz", "map": _IDENTITY_2,
       "point": [[0.5, 0.0], [0.0, 0.0]], "exponent": 3}, "NotOnBoundary"),
@@ -420,6 +484,10 @@ def test_boundary_points_and_rigidity_instances_are_built_at_parse(monkeypatch):
       "exponent": 2, "variant": "p2"}, "BadParams"),
     ({"check": "proof_chain", "map": _IDENTITY_2, "anchors": [_E1, _E2],
       "exponent": 3, "variant": "p2"}, "BadParams"),
+    # on the sup-norm sphere, off the torus
+    *(({"check": check, "map": _IDENTITY_2, "point": [[1.0, 0.0], [0.0, 0.5]],
+        "exponent": "inf"}, "HypothesisFailed")
+      for check in ("lp_boundary_schwarz", "pluriharmonic_boundary")),
 ])
 def test_input_errors_stay_job_results_on_every_run(job, error):
     config = parse_suite(small_config(jobs=[

@@ -560,11 +560,11 @@ def test_stacked_tangent_check_equals_the_probe_loop(n, p, zeros, real, seed):
     w0 = _sphere_point(gen, n, p, zeros[::-1], False)
     J = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     gw = grad_rho(w0.point, p)
-    stacked = verify_module._tangent_residual(J, schwarz_v(z0), gw)
+    stacked = verify_module._tangent_residual(J, z0.tangent_probes, gw)
     assert stacked == _ref_tangent_residual(J, z0, gw)
     # a NaN image is not dropped, as the loop's Python max dropped it
     J[0, 0] = math.nan
-    assert math.isnan(verify_module._tangent_residual(J, schwarz_v(z0), gw))
+    assert math.isnan(verify_module._tangent_residual(J, z0.tangent_probes, gw))
 
 
 @pytest.mark.parametrize("check", ["liu_wang", "lp_boundary_schwarz"])

@@ -1,14 +1,17 @@
 """Alternating in-process A/B timing of two schwarz-lab checkouts.
 
     python3 tools/ab_inprocess.py A_ROOT B_ROOT --workload boundary-fine --pairs 200
+    python3 tools/ab_inprocess.py A_ROOT B_ROOT --seeds 20260816,7,99 --pairs 0
 
 Each checkout's ``src/schwarz_lab`` is copied into a temporary directory as
 the packages ``schwarz_lab_a`` and ``schwarz_lab_b``, and both are imported
-into this one interpreter.  The suite document is A's perfbench workload at
-``--seed``.  Each side parses it once and makes a cold pass, and the two
-reports must be equal byte for byte.  Then warm passes alternate, A then B in
-even pairs and B then A in odd ones; a pass is ``run_suite(config,
-workers=1)`` plus ``emit_report(results, "jsonl")``, as perfbench times it.
+into this one interpreter.  The suite documents are A's perfbench workload at
+each of ``--seeds``.  At every seed each side parses the document once and
+makes a cold and a warm pass, and all four reports must be equal byte for
+byte.  Then, at the first seed, warm passes alternate, A then B in even
+pairs and B then A in odd ones; a pass is ``run_suite(config, workers=1)``
+plus ``emit_report(results, "jsonl")``, as perfbench times it.  With
+``--pairs 0`` only the reports are compared.
 
 Printed: the sum ratio (A's total time over B's, so B's jobs_per_s over A's),
 the median of the per-pair ratios t_A / t_B, and the pairs B won.  Passing the
@@ -54,12 +57,18 @@ def one_pass(sl, config) -> tuple[float, bytes]:
     return time.perf_counter() - start, report
 
 
-def compare(sides, doc: bytes, args) -> int:
+def same_reports(sides, doc: bytes, seed: int):
+    """Both sides' configs for doc when a cold and a warm pass of each give
+    one report, else None."""
     configs = [sl.parse_suite(doc) for sl in sides]
-    cold = [one_pass(sl, cfg)[1] for sl, cfg in zip(sides, configs)]
-    if cold[0] != cold[1]:
-        print("ab_inprocess: the two reports differ", file=sys.stderr)
-        return 1
+    reports = [one_pass(sl, cfg)[1] for sl, cfg in zip(sides, configs) for _ in range(2)]
+    if any(r != reports[0] for r in reports):
+        print(f"ab_inprocess: the reports differ at seed {seed}", file=sys.stderr)
+        return None
+    return configs, reports[0]
+
+
+def compare(sides, configs, cold: bytes, args) -> int:
     for _ in range(WARMUP_PASSES):
         for sl, cfg in zip(sides, configs):
             one_pass(sl, cfg)
@@ -68,7 +77,7 @@ def compare(sides, doc: bytes, args) -> int:
     for i in range(args.pairs):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             dt, report = one_pass(sides[side], configs[side])
-            if report != cold[side]:
+            if report != cold:
                 print(f"ab_inprocess: pass {i} of side {'AB'[side]} changed its report",
                       file=sys.stderr)
                 return 1
@@ -77,7 +86,7 @@ def compare(sides, doc: bytes, args) -> int:
     a, b = times
     ratios = [ta / tb for ta, tb in zip(a, b)]
     quartiles = statistics.quantiles(ratios, n=4)
-    print(f"workload {args.workload} seed {args.seed}: {len(configs[0].jobs)} jobs, "
+    print(f"workload {args.workload} seed {args.seeds[0]}: {len(configs[0].jobs)} jobs, "
           f"{args.pairs} pairs")
     print(f"median pass A {statistics.median(a) * 1e3:.2f} ms  B {statistics.median(b) * 1e3:.2f} ms")
     print(f"sum ratio A/B {sum(a) / sum(b):.4f}  (B jobs_per_s {sum(a) / sum(b) - 1.0:+.1%})")
@@ -87,22 +96,36 @@ def compare(sides, doc: bytes, args) -> int:
     return 0
 
 
+def seed_list(text: str) -> list:
+    return [int(s) for s in text.split(",")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a_root", type=pathlib.Path)
     ap.add_argument("b_root", type=pathlib.Path)
     ap.add_argument("--workload", default="boundary-fine")
-    ap.add_argument("--seed", type=int, default=20260816)
-    ap.add_argument("--pairs", type=int, default=200)
+    ap.add_argument("--seeds", type=seed_list, default=[20260816],
+                    help="comma-separated workload seeds; timing runs at the first")
+    ap.add_argument("--pairs", type=int, default=200, help="0 compares reports only")
     args = ap.parse_args(argv)
+    if args.pairs < 0 or args.pairs == 1:
+        ap.error("--pairs needs 0 or at least 2 (the quartiles take two ratios)")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = [load_package(args.a_root.resolve(), "schwarz_lab_a", pathlib.Path(tmp)),
                  load_package(args.b_root.resolve(), "schwarz_lab_b", pathlib.Path(tmp))]
-        doc = load_workloads(args.a_root.resolve()).document(
-            args.workload, args.seed, args.a_root.resolve())
-        return compare(sides, doc, args)
+        workloads = load_workloads(args.a_root.resolve())
+        checked = []
+        for seed in args.seeds:
+            doc = workloads.document(args.workload, seed, args.a_root.resolve())
+            checked.append(same_reports(sides, doc, seed))
+            if checked[-1] is None:
+                return 1
+        print(f"workload {args.workload}: reports equal at seeds "
+              f"{', '.join(map(str, args.seeds))}")
+        return compare(sides, *checked[0], args) if args.pairs else 0
 
 
 if __name__ == "__main__":
