@@ -1,12 +1,13 @@
 """Command line entry points.
 
-    schwarz-lab run suite.json [--format f] [--jobs N] [--tolerance k=v]
+    schwarz-lab run suite.json [--format f] [--tolerance k=v]
     schwarz-lab gallery list
     schwarz-lab check NAME --map MAP [--point VEC] [-p P] [...]
     schwarz-lab caratheodory --dir VEC -p P [--base VEC] [--to VEC]
 
-Exit status is 0 iff every executed job passed; schema problems, including
-malformed arguments, exit 2.
+Suites run serially, one job after another, in file order.  Exit status is 0
+iff every executed job passed; schema problems, including malformed arguments,
+exit 2.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery_names
+from .geometry import INF_SPELLINGS
 from .suite import (
     emit_report,
     parse_suite,
@@ -61,8 +63,8 @@ def _parse_map_arg(text: str, params_text: str | None):
 
 
 def _parse_exponent_arg(text: str):
-    if text in ("inf", "Inf", "oo"):
-        return "inf"
+    if text.lower() in INF_SPELLINGS:
+        return text
     try:
         value = float(text)
     except ValueError:
@@ -102,8 +104,7 @@ def _cmd_run(args) -> int:
                   **_tolerance_pairs(args.tolerance)}
         config = dataclasses.replace(config,
                                      tolerance_overrides=validate_overrides(merged))
-    results = run_suite(config, workers=args.jobs)
-    return _emit(results, args.format)
+    return _emit(run_suite(config), args.format)
 
 
 def _cmd_gallery(args) -> int:
@@ -182,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("suite")
     p_run.add_argument("--format", choices=("jsonl", "csv", "text"),
                        default="text")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N")
     p_run.add_argument("--tolerance", action="append", metavar="K=V")
     p_run.set_defaults(func=_cmd_run)
 

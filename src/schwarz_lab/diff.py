@@ -147,18 +147,6 @@ def real_jacobian(f: MapExpr, z) -> np.ndarray:
     return np.concatenate([d.real, d.imag], axis=-2)
 
 
-def cr_blocks(real_jac: np.ndarray):
-    """Split a 2m-by-2n real Jacobian (or a stack of them) into its (A, B; C, D) blocks."""
-    two_m, two_n = real_jac.shape[-2:]
-    m, n = two_m // 2, two_n // 2
-    return (
-        real_jac[..., :m, :n],
-        real_jac[..., :m, n:],
-        real_jac[..., m:, :n],
-        real_jac[..., m:, n:],
-    )
-
-
 def _cr_defect(d: np.ndarray):
     """holomorphy_residual from _derivatives' output: A - D = Re d/dx - Im d/dy
     and B + C = Re d/dy + Im d/dx, the same floats as the real blocks'."""

@@ -7,13 +7,10 @@ validation lives in the builders; anything out of range raises BadParams.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import rng as _rng
 from .errors import BadParams
-from .geometry import Exponent, as_exponent, cvector, norm_p
+from .geometry import as_exponent, cvector, norm_p
 from .maps import (
     ConjugateCoordinate,
     Constant,
@@ -314,81 +311,3 @@ def gallery(name: str, params: dict | None = None) -> MapExpr:
 
 def gallery_names() -> list[str]:
     return sorted(GALLERY)
-
-
-# ---------------------------------------------------------------------------
-# curated instance sweeps used by the acceptance suite
-# ---------------------------------------------------------------------------
-
-
-def ball_self_map_instances(p, n: int) -> list[tuple[str, MapExpr]]:
-    """Holomorphic gallery self-maps of the unit lp ball with f(0) = 0.
-
-    Unitaries are included only at p = 2; everything else contracts every
-    lp norm coordinatewise.
-    """
-    p = as_exponent(p)
-    out = [
-        ("identity", build_identity(n)),
-        ("scaled_identity", build_scaled_identity(n, 0.5)),
-        ("square_first", build_square_first(n)),
-        (
-            "diag_power",
-            build_diag_power([2] + [1] * (n - 1), [1j] + [1.0] * (n - 1)),
-        ),
-        (
-            "diag_power_heavy",
-            build_diag_power([3] + [2] * (n - 1), [-1.0] + [np.exp(1j * np.pi / 3)] * (n - 1)),
-        ),
-    ]
-    if n >= 2:
-        out.append(("first_times_last", build_first_times_last(n)))
-    if n == 1:
-        out.append(("zhu_extremal_origin", build_zhu_extremal(0.0, 0.5)))
-    if not p.is_inf and abs(p.p - 2.0) < 1e-12:
-        gen = _rng.stream(0, "gallery-unitary", n)
-        out.append(("unitary", build_unitary(haar_unitary(n, gen))))
-        dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
-        out.append(("unitary_dft", build_unitary(dft)))
-    return out
-
-
-def pluriharmonic_boundary_instances(count: int, seed) -> list[tuple[str, MapExpr, np.ndarray]]:
-    """(label, map, boundary anchor) triples for the pluriharmonic estimate at p = 2.
-
-    Each map is pluriharmonic, sends the ball into the ball, and maps the
-    anchor to a boundary point whose realification is also boundary (p = 2
-    makes the second condition automatic).
-    """
-    gen = _rng.stream(seed, "ph-instances")
-    out = []
-    dims = [1, 2, 3, 4]
-    while len(out) < count:
-        idx = len(out)
-        n = dims[idx % len(dims)]
-        if idx % 2 == 0:
-            mix = float(gen.uniform(0.0, 1.0))
-            x = gen.standard_normal(n)
-            x /= np.linalg.norm(x)
-            out.append(
-                (
-                    f"ph_linear_blend_{idx}",
-                    build_ph_linear_blend(n, mix),
-                    x.astype(complex),
-                )
-            )
-        else:
-            mix = float(gen.uniform(0.0, 1.0))
-            a = float(gen.uniform(-0.6, 0.6))
-            b = float(gen.uniform(-0.6, 0.6))
-            k = int(gen.integers(0, n))
-            z0 = np.zeros(n, dtype=complex)
-            z0[k] = 1.0
-            out.append(
-                (
-                    f"ph_blend_{idx}",
-                    build_ph_blend(n, mix, a, b, anchor=k),
-                    z0,
-                )
-            )
-    return out

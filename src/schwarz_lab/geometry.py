@@ -65,12 +65,16 @@ class Exponent:
         return "Exponent(inf)" if self.is_inf else f"Exponent({self.p:g})"
 
 
+# the strings, in any case, that name the polydisk exponent
+INF_SPELLINGS = ("inf", "infinity", "oo")
+
+
 def as_exponent(p) -> Exponent:
     """Coerce an Exponent, a number, or the string 'inf' to an Exponent."""
     if isinstance(p, Exponent):
         return p
     if isinstance(p, str):
-        if p.lower() in ("inf", "infinity", "oo"):
+        if p.lower() in INF_SPELLINGS:
             return Exponent.infinity()
         return Exponent(float(p))
     return Exponent(float(p))
@@ -300,8 +304,8 @@ class BoundaryPoint:
 
     @functools.cached_property
     def tangent_probes(self) -> np.ndarray:
-        """The parts beta of e_j, then i e_j, tangent to the normal v (split as
-        normal_tangent_decompose splits) over their lengths, save |beta| < 1e-12."""
+        """The parts beta = u - (Re<u, v>/|v|^2) v of u = e_j, then i e_j, tangent
+        to the normal v, over their lengths, save |beta| < 1e-12."""
         v = self.normal
         probes = _directions(v.size)
         lam = (probes * np.conj(v)).sum(axis=1).real / float(np.sum(np.abs(v) ** 2))
@@ -389,22 +393,6 @@ def tangent_residuals(alpha, bp: BoundaryPoint) -> tuple[float, float]:
     g = grad_rho(bp.point, bp.exponent)
     pairing = cinner(cvector(alpha), g)
     return abs(pairing.real), abs(pairing)
-
-
-def normal_tangent_decompose(u, bp: BoundaryPoint) -> tuple[float, np.ndarray]:
-    """Split u = lam * v + beta with Re<beta, v> = 0, v the normal-alignment vector.
-
-    Returns (lam, beta).  lam is the real coefficient minimizing the real
-    part of the pairing defect.
-    """
-    u = cvector(u)
-    v = schwarz_v(bp)
-    vv = float(np.sum(np.abs(v) ** 2))
-    if vv == 0.0:
-        raise ZeroVector("normal vector vanished; point is not usable")
-    lam = cinner(u, v).real / vv
-    beta = u - lam * v
-    return lam, beta
 
 
 def tangent_basis(bp: BoundaryPoint) -> list[np.ndarray]:

@@ -113,20 +113,6 @@ def evaluate(f: MapExpr, z, ctx: _EvalCtx | None = None) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def eval_scalar(f: MapExpr, zeta) -> complex:
-    """Evaluate a C -> C map at a scalar argument."""
-    if f.input_dim != 1 or f.output_dim != 1:
-        raise DimensionMismatch("eval_scalar needs a scalar map on the disk")
-    return complex(evaluate(f, np.array([zeta], dtype=complex))[0])
-
-
-def min_moebius_denominator(f: MapExpr, points) -> float:
-    """Smallest |Moebius denominator| over all nodes and sample points."""
-    ctx = _EvalCtx()
-    evaluate(f, points, ctx=ctx)
-    return float(ctx.min_denominator)
-
-
 def _finite(value, what: str) -> complex:
     value = complex(value)
     if not cmath.isfinite(value):
@@ -515,11 +501,6 @@ def component(f: MapExpr, i: int) -> MapExpr:
     if not 0 <= i < f.output_dim:
         raise BadParams(f"component {i} out of range for output dimension {f.output_dim}")
     return f.component(i)
-
-
-def conjugate_map(f: MapExpr) -> MapExpr:
-    """The map z -> conj(f(z)), as an expression tree."""
-    return f.conjugate()
 
 
 # ---------------------------------------------------------------------------

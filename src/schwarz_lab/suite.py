@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,9 +29,9 @@ from .caratheodory import (
     metric_lower_bound_opt,
     metric_origin_closed,
 )
-from .errors import SchemaError, SchwarzLabError
+from .errors import BadParams, SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
-from .geometry import BoundaryPoint, as_exponent
+from .geometry import INF_SPELLINGS, BoundaryPoint, as_exponent
 from .maps import MAX_COUNT, MapExpr, is_real, map_from_json
 from .rigidity import (
     RigidityConfig,
@@ -165,12 +164,11 @@ def _want_anchors(value, path: str) -> tuple:
 
 
 def _want_exponent(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        _fail(path, "expected a number greater than 1 or the string 'inf'")
-    try:
-        return as_exponent(value)
-    except (SchwarzLabError, ValueError, OverflowError) as exc:
-        _fail(path, str(exc))
+    """A finite number > 1, or "inf" ("infinity" and "oo" too, any case)."""
+    if not (is_real(value) and value > 1
+            or isinstance(value, str) and value.lower() in INF_SPELLINGS):
+        _fail(path, "expected a finite number greater than 1 or the string 'inf'")
+    return as_exponent(value)
 
 
 def _want_map(value, path: str) -> MapExpr:
@@ -567,23 +565,22 @@ def _run_job(job: JobSpec, ctx: _RunContext) -> JobResult:
 
 
 def run_suite(config: SuiteConfig, workers: int = 1) -> list:
-    """Execute all jobs, collecting one JobResult per job in job order.
+    """Execute all jobs in order, serially, collecting one JobResult per job.
 
     Job errors are captured in that job's result and never abort the suite;
     a raised error counts as passed only when the job expects it by name.
+    ``workers`` accepts only 1; it remains for callers that still pass it.
     """
+    if workers != 1:
+        raise BadParams(f"suites run serially; workers must be 1, got {workers!r}")
     ctx = _RunContext(config.seed, dict(config.tolerance_overrides))
-
-    def one(job: JobSpec) -> JobResult:
+    results = []
+    for job in config.jobs:
         try:
-            return _run_job(job, ctx)
+            results.append(_run_job(job, ctx))
         except Exception as exc:  # noqa: BLE001 - captured per contract
-            return _row_from_error(job, exc)
-
-    if workers > 1 and len(config.jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, config.jobs))
-    return [one(job) for job in config.jobs]
+            results.append(_row_from_error(job, exc))
+    return results
 
 
 def suite_passed(results) -> bool:

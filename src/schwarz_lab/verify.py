@@ -52,10 +52,8 @@ __all__ = [
     "verify_zhu",
     "verify_kalaj",
     "verify_lp_boundary_schwarz",
-    "boundary_slope_check",
     "verify_liu_wang",
     "verify_product_slice",
-    "pseudo_hyperbolic_distance",
     "verify_pluriharmonic_boundary",
     "harnack_certificate",
 ]
@@ -326,15 +324,9 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def boundary_slope_check(f: MapExpr, z0: BoundaryPoint, lam: float,
-                         t: float = SLOPE_T) -> float:
-    """Relative error of (1 - ||f(z0 - t v)||_p^p)/t against p*lambda*||v||_2^2."""
-    v = z0.normal
-    return _slope_rel_error(evaluate(f, z0.point - t * v), z0, v, lam, t)
-
-
 def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
-    """boundary_slope_check given val = f(z0 - t v) and v = z0.normal."""
+    """Relative error of (1 - ||val||_p^p)/t against p*lambda*||v||_2^2, where
+    val = f(z0 - t v) and v = z0.normal."""
     e = z0.exponent
     slope = (1.0 - float(norm_p(val, e)) ** e.p) / t
     target = e.p * lam * float(np.linalg.norm(v)) ** 2
@@ -472,16 +464,6 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
 # ---------------------------------------------------------------------------
 # product-slice rigidity
 # ---------------------------------------------------------------------------
-
-
-def pseudo_hyperbolic_distance(a: np.ndarray, b: np.ndarray, p) -> float:
-    """Pseudo-hyperbolic distance on the round ball (p=2) or polydisk (p=inf)."""
-    e = as_exponent(p)
-    a = cvector(a)
-    b = cvector(b)
-    if not (e.is_inf or e.p == 2.0):
-        raise BadParams("pseudo-hyperbolic distance implemented for p in {2, inf}")
-    return float(_pseudo_hyperbolic_rows(a[None, :], b, e)[0])
 
 
 def _square(x):

@@ -14,6 +14,8 @@ import numpy as np
 import schwarz_lab as sl
 from schwarz_lab.rng import stream
 
+from helpers import ball_self_map_instances, pluriharmonic_boundary_instances
+
 SUITE_FILE = pathlib.Path(__file__).resolve().parent.parent / "suites" / "paper.json"
 
 
@@ -27,7 +29,7 @@ def test_criterion_01_schwarz_pick_norm_decrease():
     count = 0
     for p in (2, 3, 4, "inf"):
         for n in (1, 2, 3, 5):
-            for name, f in sl.ball_self_map_instances(p, n):
+            for name, f in ball_self_map_instances(p, n):
                 v = sl.verify_schwarz_pick(f, p, sl.VerifyConfig(samples=10_000, seed=count))
                 worst = min(worst, v.margin)
                 count += 1
@@ -117,7 +119,7 @@ def test_criterion_05_polydisk_counterexample():
 
 def test_criterion_06_pluriharmonic_chain():
     worst = math.inf
-    for name, f, z0 in sl.pluriharmonic_boundary_instances(20, seed=5):
+    for name, f, z0 in pluriharmonic_boundary_instances(20, seed=5):
         v = sl.verify_pluriharmonic_boundary(f, sl.BoundaryPoint(z0, 2))
         assert v.passed, (name, v.quantities)
         assert v.quantities["low"] > 0.0, name

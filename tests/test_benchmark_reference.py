@@ -44,7 +44,7 @@ tracer_mod = _load("tracer")
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_default_seed_report_matches_the_benchmark_reference(name):
     doc = workloads.document(name, workloads.DEFAULT_SEED, PERFBENCH.parent)
-    results = sl.run_suite(sl.parse_suite(doc), workers=1)
+    results = sl.run_suite(sl.parse_suite(doc))
     assert [r.job_id for r in results if not r.passed] == []
     assert run.reference_mismatches(name, sl.emit_report(results, "jsonl")) == {}
 
@@ -57,7 +57,7 @@ def _bindings() -> dict:
 
 def test_tracer_finds_its_targets_and_leaves_the_report_alone():
     config = sl.parse_suite(workloads.document("paper-suite", 1, PERFBENCH.parent))
-    plain = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+    plain = sl.emit_report(sl.run_suite(config), "jsonl")
     originals = _bindings()
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -66,7 +66,7 @@ def test_tracer_finds_its_targets_and_leaves_the_report_alone():
         # every module that imported norm_p holds the one wrapper
         rebound = sl.verify.norm_p is sl.geometry.norm_p is sl.norm_p
         wrapped = getattr(sl.norm_p, "__wrapped__", None) is not None
-        traced = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+        traced = sl.emit_report(sl.run_suite(config), "jsonl")
     finally:
         tracer.uninstall()
     assert missing == [] and rebound and wrapped
@@ -139,7 +139,7 @@ def _workload_pass(name: str, monkeypatch) -> dict:
     _rebind(sl.diff, "_derivatives", counted_derivatives, monkeypatch)
     _rebind(sl.maps, "evaluate", counted_evaluate, monkeypatch)
     _rebind(sl.diff, "radial_boundary_derivative", counted_ladder, monkeypatch)
-    sl.run_suite(config, workers=1)
+    sl.run_suite(config)
     out["most"] = max(per_job.values())
     return out
 

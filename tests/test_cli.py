@@ -55,12 +55,11 @@ def test_run_schema_error_exit_code(tmp_path, capsys):
     assert "/seed" in capsys.readouterr().err
 
 
-def test_run_parallel_matches_serial(suite_file, capsys):
-    main(["run", str(suite_file), "--format", "jsonl"])
-    serial = capsys.readouterr().out
-    main(["run", str(suite_file), "--format", "jsonl", "--jobs", "3"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_run_has_no_jobs_option(suite_file):
+    # suites run serially; --jobs is an unknown option, a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(suite_file), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_tolerance_flag_overrides(suite_file, capsys):
@@ -83,6 +82,7 @@ def test_tolerance_flag_overrides(suite_file, capsys):
     ["run", "MISSING"],
     ["run", "DIR"],
     ["caratheodory", "-p", "2"],
+    ["caratheodory", "--dir", "0.3,0.4", "-p", "1e400"],
 ])
 def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
     paths = {"SUITE": suite_file, "MISSING": suite_file.parent / "missing.json",
@@ -145,13 +145,25 @@ def test_caratheodory_distance(capsys):
     assert row["passed"]
 
 
-def test_import_path_loads_no_scipy():
-    # The package and its CLI need numpy alone; scipy is a test-time comparator.
+def _loaded_by_import(package: str) -> str:
+    """The modules of ``package`` that a fresh interpreter holds after importing
+    schwarz_lab and its CLI, as a printed sorted list."""
     code = ("import sys, schwarz_lab, schwarz_lab.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m == {package!r} "
+            f"or m.startswith({package + '.'!r})))")
     src = str(pathlib.Path(schwarz_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_path_loads_no_scipy():
+    # The package and its CLI need numpy alone; scipy is a test-time comparator.
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_path_loads_no_thread_pool():
+    # Suites run serially, so nothing imports concurrent.futures.
+    assert _loaded_by_import("concurrent.futures") == "[]"

@@ -18,7 +18,6 @@ from schwarz_lab import (
     StepTooLarge,
     complex_jacobian,
     complex_jacobian_fd,
-    cr_blocks,
     evaluate,
     gallery,
     holomorphy_residual,
@@ -29,6 +28,7 @@ from schwarz_lab import (
 from schwarz_lab import diff
 from schwarz_lab.maps import _EvalCtx
 from schwarz_lab.rng import stream
+from helpers import cr_blocks
 from test_maps import _trees
 
 

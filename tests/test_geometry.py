@@ -25,7 +25,6 @@ from schwarz_lab import (
     hyperbolic_distance,
     norm_p,
     norming_functional,
-    normal_tangent_decompose,
     pluriharmonic_V,
     realify,
     rigidity_v,
@@ -43,6 +42,8 @@ from schwarz_lab.geometry import (
     lp_norm,
 )
 from schwarz_lab.rng import stream
+
+from helpers import normal_tangent_decompose
 
 
 def _boundary(z, p, tol=1e-9):

@@ -26,8 +26,6 @@ from schwarz_lab import (
     Sum,
     complex_jacobian,
     component,
-    conjugate_map,
-    eval_scalar,
     evaluate,
     gallery,
     gallery_names,
@@ -37,14 +35,16 @@ from schwarz_lab import (
     norm_p,
 )
 from schwarz_lab import maps
-from schwarz_lab.maps import MapExpr, NODES, _EvalCtx, min_moebius_denominator
+from schwarz_lab.maps import MapExpr, NODES, _EvalCtx
 from schwarz_lab.rng import stream
+
+from helpers import ball_self_map_instances, min_moebius_denominator
 
 
 def test_power_frozen_value():
     f = Power(3, Coordinate(0, 1))
-    assert eval_scalar(f, 0.5) == pytest.approx(0.125, abs=0)
-    assert eval_scalar(f, 0.0) == 0.0
+    assert evaluate(f, 0.5)[0] == pytest.approx(0.125, abs=0)
+    assert evaluate(f, 0.0)[0] == 0.0
     with pytest.raises(BadParams):
         Power(-1, Coordinate(0, 1))
 
@@ -74,15 +74,15 @@ def test_batch_evaluation_matches_pointwise():
 
 def test_moebius_node_properties():
     m = MoebiusDisk(0.3, 1.0, Coordinate(0, 1))
-    assert eval_scalar(m, 0.0) == pytest.approx(0.3)
-    assert eval_scalar(m, 1.0) == pytest.approx(1.0)  # fixes 1 for real a
+    assert evaluate(m, 0.0)[0] == pytest.approx(0.3)
+    assert evaluate(m, 1.0)[0] == pytest.approx(1.0)  # fixes 1 for real a
     with pytest.raises(BadParams):
         MoebiusDisk(1.2, 1.0, Coordinate(0, 1))
     with pytest.raises(BadParams):
         MoebiusDisk(0.2, 0.5, Coordinate(0, 1))
     # pole sits at -1/a on the real axis
     with pytest.raises(PoleHit):
-        eval_scalar(MoebiusDisk(0.5, 1.0, Coordinate(0, 1)), -2.0)
+        evaluate(MoebiusDisk(0.5, 1.0, Coordinate(0, 1)), -2.0)
     den = min_moebius_denominator(m, np.array([[0.5 + 0.0j]]))
     assert den == pytest.approx(1.15, abs=1e-12)
 
@@ -152,7 +152,7 @@ def test_conjugate_map_is_pointwise_conjugate():
         Compose(gallery("square_first", {"n": 2}), gallery("scaled_identity", {"n": 2, "t": 0.5})),
     ]
     for f in maps_to_try:
-        g = conjugate_map(f)
+        g = f.conjugate()
         pts = 0.4 * (gen.standard_normal((10, f.input_dim)) + 1j * gen.standard_normal((10, f.input_dim)))
         assert np.allclose(evaluate(g, pts), np.conj(evaluate(f, pts)), atol=1e-14)
 
@@ -253,9 +253,9 @@ def test_node_protocol_properties(f):
     back = map_from_json(blob)
     assert map_to_json(back) == blob
     assert np.array_equal(evaluate(back, pts), vals)
-    conj = conjugate_map(f)
+    conj = f.conjugate()
     np.testing.assert_allclose(evaluate(conj, pts), np.conj(vals), **close)
-    np.testing.assert_allclose(evaluate(conjugate_map(conj), pts), vals, **close)
+    np.testing.assert_allclose(evaluate(conj.conjugate(), pts), vals, **close)
     for i in range(f.output_dim):
         np.testing.assert_allclose(evaluate(component(f, i), pts)[:, 0], vals[:, i], **close)
 
@@ -324,14 +324,14 @@ def test_gallery_zhu_degenerate_is_square():
     gen = stream(6, "zhu0")
     for _ in range(10):
         z = complex(*gen.uniform(-0.7, 0.7, 2))
-        assert eval_scalar(f, z) == pytest.approx(z * z, abs=1e-14)
+        assert evaluate(f, z)[0] == pytest.approx(z * z, abs=1e-14)
 
 
 def test_gallery_zhu_matches_design_data():
     a, d = 0.3 - 0.1j, 0.4
     f = gallery("zhu_extremal", {"a": [a.real, a.imag], "d": d})
-    assert eval_scalar(f, 0.0) == pytest.approx(a, abs=1e-14)
-    assert eval_scalar(f, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(f, 0.0)[0] == pytest.approx(a, abs=1e-14)
+    assert evaluate(f, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(BadParams):
         gallery("zhu_extremal", {"a": 0.5, "d": 0.9})  # d > 1 - |a|^2
 
@@ -358,7 +358,7 @@ def test_gallery_vector_params_accept_pairs():
 def test_gallery_self_map_property_sampled():
     gen = stream(8, "selfmap")
     for p in (2.0, 3.0, np.inf):
-        for name, f in __import__("schwarz_lab").ball_self_map_instances(p, 3):
+        for name, f in ball_self_map_instances(p, 3):
             pts = gen.standard_normal((50, 3)) + 1j * gen.standard_normal((50, 3))
             norms = np.array([norm_p(z, p) for z in pts])
             pts = pts / norms[:, None] * gen.uniform(0.05, 0.999, 50)[:, None]

@@ -6,6 +6,7 @@ import json
 import operator
 import pathlib
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schwarz_lab import (Coordinate, Power, Scale, SchemaError, geometry, map_to_json,
-                         rigidity, suite)
+from schwarz_lab import (BadParams, Coordinate, Power, Scale, SchemaError, geometry,
+                         map_to_json, rigidity, suite)
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -87,6 +88,19 @@ def test_schema_round_trip_idempotent():
                  "/jobs/1/samples", id="samples-over-cap"),
     pytest.param(lambda d: d["jobs"][1].update(exponent="abc"),
                  "/jobs/1/exponent", id="exponent-not-a-number"),
+    # JSON 1e400 and Infinity both parse to float inf; only "inf" names p = inf
+    pytest.param(lambda d: d["jobs"][1].update(exponent=float("inf")),
+                 "/jobs/1/exponent", id="exponent-infinite-number"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent=float("nan")),
+                 "/jobs/1/exponent", id="exponent-nan"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent=10**400),
+                 "/jobs/1/exponent", id="exponent-int-overflow"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent="1e400"),
+                 "/jobs/1/exponent", id="exponent-overflowing-string"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent="3"),
+                 "/jobs/1/exponent", id="exponent-numeric-string"),
+    pytest.param(lambda d: d["jobs"][1].update(exponent=True),
+                 "/jobs/1/exponent", id="exponent-bool"),
     pytest.param(lambda d: d["jobs"][0].update(map={"node": "sum", "terms": 5}),
                  "/jobs/0/map", id="map-sum-terms-not-a-list"),
     pytest.param(lambda d: d["jobs"][0].update(
@@ -174,6 +188,14 @@ def test_schema_errors_carry_json_pointers(mutate, pointer):
         parse_suite(doc)
     assert str(err.value).startswith(pointer + ":"), str(err.value)
     assert err.value.path == pointer
+
+
+@pytest.mark.parametrize("value", [3, 2.5, "inf", "INF", "Infinity", "oo"])
+def test_exponent_accepts_numbers_over_one_and_infinity_spellings(value):
+    doc = small_config()
+    doc["jobs"][1]["exponent"] = value
+    want = float("inf") if isinstance(value, str) else value
+    assert parse_suite(doc).jobs[1].parsed["exponent"].p == want
 
 
 def test_huge_kalaj_direction_is_schema_error_without_warnings():
@@ -346,11 +368,13 @@ def test_unknown_format_rejected():
         emit_report(results, "yaml")
 
 
-def test_determinism_across_worker_counts():
+def test_workers_keyword_accepts_only_one():
     config = parse_suite(small_config())
-    one = emit_report(run_suite(config, workers=1), "jsonl")
-    four = emit_report(run_suite(config, workers=4), "jsonl")
-    assert one == four
+    assert emit_report(run_suite(config, workers=1), "jsonl") == \
+        emit_report(run_suite(config), "jsonl")
+    for workers in (0, 2, 4):
+        with pytest.raises(BadParams):
+            run_suite(config, workers=workers)
 
 
 def test_seed_changes_samples_not_stability():
@@ -466,14 +490,27 @@ def test_threads_sharing_the_grid_memo_give_the_serial_report():
              "grid_points": 700, "expect": "certified"} for i in range(8)]
     doc = small_config(jobs=jobs)
     want = emit_report(run_suite(parse_suite(doc)), "jsonl")
+    # the memo is process-wide, so callers that run suites on their own
+    # threads share it, and one parsed config's built instances with it
+    config = parse_suite(doc)
+    reports = [None] * 6
+
+    def run(i):
+        reports[i] = emit_report(run_suite(config), "jsonl")
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
     rigidity._shared_grid.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = emit_report(run_suite(parse_suite(doc), workers=6), "jsonl")
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert got == want
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [want] * 6
     assert rigidity._shared_grid.cache_info().currsize == 2
 
 
@@ -500,7 +537,7 @@ def test_input_errors_stay_job_results_on_every_run(job, error):
 
 def test_shipped_suite_all_pass():
     config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
-    results = run_suite(config, workers=2)
+    results = run_suite(config)
     failed = [r.job_id for r in results if not r.passed]
     assert failed == []
     assert len(results) == len(config.jobs)

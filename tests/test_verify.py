@@ -24,17 +24,14 @@ from schwarz_lab import (
     Scale,
     Sum,
     VerifyConfig,
-    boundary_slope_check,
     evaluate,
     gallery,
     haar_unitary,
     grad_rho,
     harnack_certificate,
     identity_map,
-    normal_tangent_decompose,
     operator_norm_lower,
     parse_suite,
-    pseudo_hyperbolic_distance,
     run_suite,
     schwarz_v,
     verify_kalaj,
@@ -48,8 +45,9 @@ from schwarz_lab import (
 from schwarz_lab import diff as diff_module
 from schwarz_lab import verify as verify_module
 from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm, realify
-from schwarz_lab.verify import _pair_rows, _slice_chain, _square
+from schwarz_lab.verify import _pair_rows, _pseudo_hyperbolic_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
+from helpers import boundary_slope_check, normal_tangent_decompose
 from test_maps import _small, _unimodular
 from test_rigidity import nan_map_json
 
@@ -692,14 +690,16 @@ def test_product_slice_polydisk_factor():
 
 
 def test_pseudo_hyperbolic_frozen():
-    a = np.array([0.5 + 0j])
+    a = np.array([[0.5 + 0j]])
     b = np.array([0.0 + 0j])
-    assert pseudo_hyperbolic_distance(a, b, 2) == pytest.approx(0.5, abs=1e-12)
-    assert pseudo_hyperbolic_distance(a, b, "inf") == pytest.approx(0.5, abs=1e-12)
+    assert _pseudo_hyperbolic_rows(a, b, as_exponent(2))[0] == pytest.approx(0.5, abs=1e-12)
+    assert _pseudo_hyperbolic_rows(a, b, as_exponent("inf"))[0] == pytest.approx(0.5, abs=1e-12)
     c = np.array([0.3, 0.4 + 0.1j])
-    assert pseudo_hyperbolic_distance(c, c, 2) == pytest.approx(0.0, abs=1e-7)
+    assert _pseudo_hyperbolic_rows(c[None], c, as_exponent(2))[0] == pytest.approx(0.0, abs=1e-7)
+    # the rows hold the p = 2 and p = inf formulas only; the verifier guards the rest
     with pytest.raises(BadParams):
-        pseudo_hyperbolic_distance(a, b, 3)
+        verify_product_slice(gallery("product_projection", {"n": 1, "m": 1}),
+                             identity_map(1), np.zeros(1), 3, 1, 1, CFG)
 
 
 def _ref_pseudo_hyperbolic(a, b, e):
@@ -750,7 +750,7 @@ def test_slice_chain_rows_equal_the_scalar_loop(p, n, m, rows, seed):
     assert _slice_chain(zs, ws, vals, coefs, z_fix, e) == \
         _ref_slice_chain(zs, ws, vals, coefs, z_fix, e)
     for z in zs:
-        assert pseudo_hyperbolic_distance(z, z_fix, p) == _ref_pseudo_hyperbolic(z, z_fix, e)
+        assert _pseudo_hyperbolic_rows(z[None], z_fix, e)[0] == _ref_pseudo_hyperbolic(z, z_fix, e)
 
 
 # ---------------------------------------------------------------------------

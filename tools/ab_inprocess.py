@@ -9,8 +9,8 @@ into this one interpreter.  The suite documents are A's perfbench workload at
 each of ``--seeds``.  At every seed each side parses the document once and
 makes a cold and a warm pass, and all four reports must be equal byte for
 byte.  Then, at the first seed, warm passes alternate, A then B in even
-pairs and B then A in odd ones; a pass is ``run_suite(config, workers=1)``
-plus ``emit_report(results, "jsonl")``, as perfbench times it.  With
+pairs and B then A in odd ones; a pass is ``run_suite(config)`` plus
+``emit_report(results, "jsonl")``, as perfbench times it.  With
 ``--pairs 0`` only the reports are compared.
 
 Printed: the sum ratio (A's total time over B's, so B's jobs_per_s over A's),
@@ -53,7 +53,7 @@ def load_workloads(root: pathlib.Path):
 
 def one_pass(sl, config) -> tuple[float, bytes]:
     start = time.perf_counter()
-    report = sl.emit_report(sl.run_suite(config, workers=1), "jsonl")
+    report = sl.emit_report(sl.run_suite(config), "jsonl")
     return time.perf_counter() - start, report
 
 
