@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
+# boundary-adjacent points at which competitor_membership_max evaluates a competitor
+MEMBERSHIP_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,15 @@ def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray
 
 
 def competitor_membership_max(family: CompetitorFamily, theta: np.ndarray,
-                              base: np.ndarray, p, samples: int = 1000,
-                              seed: int = 0) -> float:
+                              base: np.ndarray, p, seed: int = 0) -> float:
     """Largest |f| over boundary-adjacent sample points; sound if < 1."""
     e = as_exponent(p)
     base = cvector(base)
     n = base.shape[0]
     f = competitor_map(family, theta, base, e)
     gen = stream(seed, "membership", n, str(e.p))
-    raw = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
+    shape = (MEMBERSHIP_SAMPLES, n)
+    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     pts = with_lp_norms(raw, e.p, 0.999)
     return float(np.max(np.abs(evaluate(f, pts))))
 
@@ -301,9 +303,8 @@ def metric_lower_bound_opt(query: MetricQuery, family: CompetitorFamily,
                               f"metric-{family.kind}-{e.p}")
 
 
-def distance_lower_bound_opt(z, w, p, family: CompetitorFamily | None = None,
-                             budget: OptBudget = OptBudget()) -> OptResult:
-    """Maximize the disk hyperbolic distance of the images; lower bound for d^c."""
+def distance_lower_bound_opt(z, w, p, budget: OptBudget = OptBudget()) -> OptResult:
+    """Maximize the disk hyperbolic distance of linear_moebius images; lower bound for d^c."""
     e = as_exponent(p)
     z = cvector(z)
     w = cvector(w)
@@ -311,8 +312,6 @@ def distance_lower_bound_opt(z, w, p, family: CompetitorFamily | None = None,
         raise BadParams("z and w must share a dimension")
     if norm_p(z, e) >= 1.0 or norm_p(w, e) >= 1.0:
         raise OutsideBall("distance endpoints must lie in the open ball")
-    if family is not None and family.kind != "linear_moebius":
-        raise BadParams("distance optimization needs the Moebius-normalized family")
     n = z.shape[0]
     q = e.conjugate_value
 

@@ -17,10 +17,12 @@ import dataclasses
 import json
 import sys
 
+from .caratheodory import FAMILY_KINDS
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery_names
 from .geometry import INF_SPELLINGS
 from .suite import (
+    REPORT_FORMATS,
     emit_report,
     parse_suite,
     run_suite,
@@ -30,7 +32,7 @@ from .suite import (
 
 
 def _parse_vector_arg(text: str):
-    """Accept [re, im] pair JSON or a bare comma list of real coordinates."""
+    """Accept [re, im] pair JSON, or reals: one number, a JSON array or a comma list."""
     try:
         data = json.loads(text)
     except ValueError:
@@ -38,9 +40,9 @@ def _parse_vector_arg(text: str):
             return [[float(t), 0.0] for t in text.split(",") if t.strip()]
         except ValueError:
             raise SchemaError(f"cannot parse vector argument {text!r}")
-    if isinstance(data, list) and data and all(
-            isinstance(t, (int, float)) for t in data):
-        return [[float(t), 0.0] for t in data]
+    coords = data if isinstance(data, list) else [data]
+    if coords and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in coords):
+        return [[t, 0.0] for t in coords]  # as read: the schema points at one out of range
     return data
 
 
@@ -174,15 +176,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("jsonl", "csv", "text"),
-                       default="text")
+        p.add_argument("--format", choices=REPORT_FORMATS, default="text")
         p.add_argument("--tolerance", action="append", metavar="K=V")
         p.add_argument("--seed", type=int, default=0)
 
     p_run = sub.add_parser("run", help="execute a suite file")
     p_run.add_argument("suite")
-    p_run.add_argument("--format", choices=("jsonl", "csv", "text"),
-                       default="text")
+    p_run.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_run.add_argument("--tolerance", action="append", metavar="K=V")
     p_run.set_defaults(func=_cmd_run)
 
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_car.add_argument("--dir", help="direction vector for the metric")
     p_car.add_argument("--to", help="endpoint: report distance from 0 instead")
     p_car.add_argument("-p", "--exponent", required=True)
-    p_car.add_argument("--family", choices=("linear_dual", "linear_moebius"))
+    p_car.add_argument("--family", choices=FAMILY_KINDS)
     p_car.add_argument("--starts", type=int)
     p_car.add_argument("--iters", type=int)
     common(p_car)

@@ -6,7 +6,11 @@ pass (see diff.py).  Scalar nodes produce one output; MapTuple and
 LinearMatrix assemble vector maps.  Holomorphy is syntactic: a tree is
 holomorphic iff it contains no ConjugateCoordinate leaf.  Each node class is
 the one description of its node: a JSON ``tag``, dataclass fields that are
-its JSON keys, in order, and its value (_eval) and derivative (_tangent).
+its JSON keys, in order, and its value (_eval) and derivative (_tangent);
+leaves add ``input_dim`` and vector nodes ``output_dim``.  children(),
+component(i) and the JSON encoding follow from the fields.  conjugate()
+conjugates each field, and is overridden only where that is wrong: the
+coordinate pair, LinearMatrix and Compose.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class _EvalCtx:
 @dataclass(frozen=True, eq=False)
 class MapExpr:
     """Base class.  Subclasses set ``tag`` and implement _eval and _tangent;
-    leaves also implement input_dim, and vector nodes output_dim and component."""
+    leaves also implement input_dim, and vector nodes output_dim."""
 
     tag: ClassVar[str]
 
@@ -60,7 +64,9 @@ class MapExpr:
         return self.output_dim == 1
 
     def children(self) -> tuple["MapExpr", ...]:
-        return ()
+        """The subtrees held in the node's fields, in field order."""
+        return tuple(sub for name, kind in _FIELDS[type(self)] if kind in _SUBTREES
+                     for sub in _SUBTREES[kind](getattr(self, name)))
 
     @functools.cached_property
     def is_holomorphic(self) -> bool:
@@ -73,7 +79,7 @@ class MapExpr:
 
     def component(self, i: int) -> "MapExpr":
         """Scalar component i, for 0 <= i < output_dim; a scalar map is its own."""
-        return self
+        return self if self.is_scalar else Compose(Coordinate(i, self.output_dim), self)
 
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
         raise NotImplementedError
@@ -220,9 +226,6 @@ class Sum(MapExpr):
     def __post_init__(self):
         object.__setattr__(self, "terms", _check_scalar_children("Sum", self.terms))
 
-    def children(self):
-        return self.terms
-
     def _eval(self, z, ctx):
         acc = self.terms[0]._eval(z, ctx)
         for t in self.terms[1:]:
@@ -244,9 +247,6 @@ class Product(MapExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _check_scalar_children("Product", self.factors))
-
-    def children(self):
-        return self.factors
 
     def _eval(self, z, ctx):
         acc = self.factors[0]._eval(z, ctx)
@@ -277,12 +277,6 @@ class Scale(MapExpr):
     def output_dim(self):
         return self.inner.output_dim
 
-    def children(self):
-        return (self.inner,)
-
-    def component(self, i):
-        return Scale(self.factor, self.inner.component(i))
-
     def _eval(self, z, ctx):
         return self.factor * self.inner._eval(z, ctx)
 
@@ -305,9 +299,6 @@ class Power(MapExpr):
         object.__setattr__(self, "exponent", int(self.exponent))
         if not self.inner.is_scalar:
             raise BadParams("Power applies to scalar maps")
-
-    def children(self):
-        return (self.inner,)
 
     def _eval(self, z, ctx):
         return self.inner._eval(z, ctx) ** self.exponent
@@ -340,9 +331,6 @@ class MoebiusDisk(MapExpr):
             raise BadParams("Moebius rotation must be unimodular")
         if not self.inner.is_scalar:
             raise BadParams("MoebiusDisk applies to scalar maps")
-
-    def children(self):
-        return (self.inner,)
 
     def _rotated(self, u, ctx):
         """(rotation * u, its denominator 1 + conj(a) rotation u), guarding the pole."""
@@ -398,10 +386,6 @@ class LinearMatrix(MapExpr):
         conj_z = identity_map(self.input_dim).conjugate()
         return Compose(LinearMatrix(np.conj(self.matrix)), conj_z)
 
-    def component(self, i):
-        n = self.input_dim
-        return Sum(tuple(Scale(self.matrix[i, j], Coordinate(j, n)) for j in range(n)))
-
     def _eval(self, z, ctx):
         out = z @ self.matrix.T
         return out[:, 0] if self.is_scalar else out  # (k,) rows, as every scalar node
@@ -429,14 +413,8 @@ class Compose(MapExpr):
     def output_dim(self):
         return self.outer.output_dim
 
-    def children(self):
-        return (self.outer, self.inner)
-
     def conjugate(self):
         return Compose(self.outer.conjugate(), self.inner)
-
-    def component(self, i):
-        return Compose(self.outer.component(i), self.inner)
 
     def _eval(self, z, ctx):
         mid = self.inner._eval(z, ctx)
@@ -467,12 +445,6 @@ class MapTuple(MapExpr):
     @property
     def output_dim(self):
         return len(self.components)
-
-    def children(self):
-        return self.components
-
-    def component(self, i):
-        return self.components[i]
 
     def _eval(self, z, ctx):
         out = np.empty((z.shape[0], len(self.components)), dtype=complex)
@@ -592,6 +564,9 @@ _FIELD_TYPES = {
                            json_matrix,
                            np.conj),
 }
+
+# the subtrees a field of each type holds
+_SUBTREES = {MapExpr: lambda f: (f,), tuple[MapExpr, ...]: tuple}
 
 # (name, type) of each node's fields, in JSON key order
 _FIELDS = {cls: tuple((f.name, get_type_hints(cls)[f.name]) for f in fields(cls))

@@ -33,6 +33,7 @@ from .verify import HypothesisCheck, Verdict, sample_ball
 
 __all__ = [
     "VARIANTS",
+    "VERDICTS",
     "RigidityInstance",
     "RigidityReport",
     "RigidityConfig",
@@ -48,6 +49,8 @@ VARIANTS = ("p2", "polydisk", "schwarz_v", "rigidity_v")
 CERTIFIED = "certified"
 EQUATIONS_FAIL = "equations_fail"
 HYPOTHESES_FAIL = "hypotheses_fail"
+# every verdict a rigidity check reaches, the one a suite job expects by default first
+VERDICTS = (CERTIFIED, EQUATIONS_FAIL, HYPOTHESES_FAIL)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .caratheodory import (
+    FAMILY_KINDS,
     CompetitorFamily,
     MetricQuery,
     OptBudget,
@@ -34,6 +35,8 @@ from .gallery import gallery, gallery_names
 from .geometry import INF_SPELLINGS, BoundaryPoint, as_exponent
 from .maps import MAX_COUNT, MapExpr, is_real, map_from_json
 from .rigidity import (
+    VARIANTS,
+    VERDICTS,
     RigidityConfig,
     RigidityInstance,
     RigidityReport,
@@ -55,16 +58,13 @@ from .verify import (
     verify_zhu,
 )
 
-RIGIDITY_VERDICTS = ("certified", "equations_fail", "hypotheses_fail")
-
 # Distance from the unit sphere allowed for boundary points and anchors.
 _BOUNDARY_TOL = 1e-8
 
-_VERIFY_TOL_KEYS = ("hypothesis_tol", "margin_tol", "tangent_tol",
-                    "slope_rel_tol")
-_RIGIDITY_TOL_KEYS = ("origin_tol", "holo_tol", "fixed_tol", "equation_tol",
-                      "identity_tol")
-_KNOWN_TOL_KEYS = set(_VERIFY_TOL_KEYS) | set(_RIGIDITY_TOL_KEYS) | {"attain_tol"}
+# the tolerances a suite may override: each config's *_tol fields, and attain_tol
+_VERIFY_TOLS, _RIGIDITY_TOLS = ({f.name for f in fields(cfg) if f.name.endswith("_tol")}
+                                for cfg in (VerifyConfig, RigidityConfig))
+_KNOWN_TOLS = _VERIFY_TOLS | _RIGIDITY_TOLS | {"attain_tol"}
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,12 @@ def _fail(path: str, message: str):
     raise SchemaError(message, path=path)
 
 
-def _want_str(value, path: str) -> str:
+def _want_str(value, path: str, names=None) -> str:
+    """A non-empty string; one of ``names`` when they are given."""
     if not isinstance(value, str) or not value:
         _fail(path, "expected a non-empty string")
+    if names is not None and value not in names:
+        _fail(path, f"unknown name {value!r}; expected one of {sorted(names)}")
     return value
 
 
@@ -178,9 +181,7 @@ def _want_map(value, path: str) -> MapExpr:
         extra = set(value) - {"gallery", "params"}
         if extra:
             _fail(path, f"unexpected keys in gallery reference: {sorted(extra)}")
-        name = _want_str(value["gallery"], f"{path}/gallery")
-        if name not in gallery_names():
-            _fail(f"{path}/gallery", f"unknown gallery map {name!r}")
+        name = _want_str(value["gallery"], f"{path}/gallery", gallery_names())
         params = value.get("params", {})
         if not isinstance(params, dict):
             _fail(f"{path}/params", "expected an object")
@@ -207,7 +208,8 @@ _PARSERS = {
     **dict.fromkeys(("point", "z_fix", "direction", "base", "z"), _want_vector),
     **dict.fromkeys(("samples", "grid_points", "starts", "iters", "n", "m"),
                     _want_count),
-    **dict.fromkeys(("variant", "family"), _want_str),
+    "variant": lambda value, path: _want_str(value, path, VARIANTS),
+    "family": lambda value, path: _want_str(value, path, FAMILY_KINDS),
     "anchors": _want_anchors,
     "exponent": _want_exponent,
 }
@@ -218,11 +220,8 @@ def _validate_job(raw: dict, index: int) -> JobSpec:
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
     job_id = _want_str(raw.get("id"), f"{path}/id")
-    check = _want_str(raw.get("check"), f"{path}/check")
-    spec = CHECKS.get(check)
-    if spec is None:
-        _fail(f"{path}/check", f"unknown check {check!r}; "
-              f"expected one of {sorted(CHECKS)}")
+    check = _want_str(raw.get("check"), f"{path}/check", CHECKS)
+    spec = CHECKS[check]
     params = {k: v for k, v in raw.items() if k not in ("id", "check", "expect")}
     missing = spec.required - set(params)
     if missing:
@@ -262,7 +261,7 @@ def validate_overrides(overrides) -> dict:
         _fail("/tolerance_overrides", "expected an object")
     clean = {}
     for key, value in overrides.items():
-        if key not in _KNOWN_TOL_KEYS:
+        if key not in _KNOWN_TOLS:
             _fail(f"/tolerance_overrides/{key}", "unknown tolerance name")
         if not is_real(value) or value <= 0:
             _fail(f"/tolerance_overrides/{key}", "expected a positive number")
@@ -335,15 +334,13 @@ class _RunContext:
     overrides: dict
 
     def verify_cfg(self, job: JobSpec) -> VerifyConfig:
-        kw = {k: self.overrides[k] for k in _VERIFY_TOL_KEYS
-              if k in self.overrides}
+        kw = {k: v for k, v in self.overrides.items() if k in _VERIFY_TOLS}
         if "samples" in job.parsed:
             kw["samples"] = job.parsed["samples"]
         return VerifyConfig(seed=_job_seed(self.seed, job.id), **kw)
 
     def rigidity_cfg(self, job: JobSpec) -> RigidityConfig:
-        kw = {k: self.overrides[k] for k in _RIGIDITY_TOL_KEYS
-              if k in self.overrides}
+        kw = {k: v for k, v in self.overrides.items() if k in _RIGIDITY_TOLS}
         if "samples" in job.parsed:
             kw["selfmap_samples"] = job.parsed["samples"]
         if "grid_points" in job.parsed:
@@ -368,9 +365,7 @@ def _row_from_verdict(job: JobSpec, verdict: Verdict) -> JobResult:
     return JobResult(
         job_id=job.id,
         theorem_id=verdict.theorem_id,
-        # a returned verdict never meets a raises:<Error> expect
-        passed=verdict.passed if job.expect == "pass" else (
-            job.expect == "fail" and not verdict.passed),
+        passed=("pass" if verdict.passed else "fail") == job.expect,
         margin=float(verdict.margin),
         quantities=quantities,
         hypotheses=hyps,
@@ -536,7 +531,7 @@ CHECKS = {
     "rigidity": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, {"samples", "grid_points"},
         lambda job, ctx: check_rigidity(_built(job), ctx.rigidity_cfg(job)),
-        RIGIDITY_VERDICTS, build=_rigidity_instance),
+        VERDICTS, build=_rigidity_instance),
     "proof_chain": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, set(),
         lambda job, ctx: check_proof_chain(_built(job), ctx.rigidity_cfg(job)),
@@ -567,8 +562,9 @@ def _run_job(job: JobSpec, ctx: _RunContext) -> JobResult:
 def run_suite(config: SuiteConfig, workers: int = 1) -> list:
     """Execute all jobs in order, serially, collecting one JobResult per job.
 
-    Job errors are captured in that job's result and never abort the suite;
-    a raised error counts as passed only when the job expects it by name.
+    Job errors are captured in that job's result and never abort the suite.
+    A job passes iff its outcome equals its ``expect``: "pass"/"fail" for a
+    Verdict, the verdict for a RigidityReport, "raises:<Name>" for an error.
     ``workers`` accepts only 1; it remains for callers that still pass it.
     """
     if workers != 1:
@@ -639,12 +635,11 @@ def _emit_text(results) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+REPORT_FORMATS = {"jsonl": _emit_jsonl, "csv": _emit_csv, "text": _emit_text}
+
+
 def emit_report(results, format: str = "jsonl") -> bytes:
     """Render executed jobs: jsonl (frozen keys), csv (flattened), or text."""
-    if format == "jsonl":
-        return _emit_jsonl(results)
-    if format == "csv":
-        return _emit_csv(results)
-    if format == "text":
-        return _emit_text(results)
-    raise SchwarzLabError(f"unknown report format {format!r}")
+    if format not in REPORT_FORMATS:
+        raise SchwarzLabError(f"unknown report format {format!r}")
+    return REPORT_FORMATS[format](results)

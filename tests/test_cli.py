@@ -83,6 +83,8 @@ def test_tolerance_flag_overrides(suite_file, capsys):
     ["run", "DIR"],
     ["caratheodory", "-p", "2"],
     ["caratheodory", "--dir", "0.3,0.4", "-p", "1e400"],
+    ["check", "rigidity", "--map", "identity", "--map-params", '{"n": 2}',
+     "--anchor", "1,0", "--anchor", "0,1", "-p", "2", "--variant", "nope"],
 ])
 def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
     paths = {"SUITE": suite_file, "MISSING": suite_file.parent / "missing.json",
@@ -143,6 +145,24 @@ def test_caratheodory_distance(capsys):
     row = json.loads(out)
     assert row["theorem_id"] == "caratheodory_distance_origin"
     assert row["passed"]
+
+
+@pytest.mark.parametrize("flag, bare, pairs", [
+    ("--to", "0.5", "[[0.5, 0.0]]"),
+    ("--dir", "0.7", "[[0.7, 0.0]]"),
+])
+def test_caratheodory_reads_a_bare_real_as_one_coordinate(flag, bare, pairs, capsys):
+    argv = ["caratheodory", "-p", "2", "--starts", "6", "--iters", "80", "--format", "jsonl"]
+    assert main(argv + [flag, bare]) == 0
+    out = capsys.readouterr().out
+    assert main(argv + [flag, pairs]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("to", ["1e400", f"[1{'0' * 400}]"], ids=["inf", "int-overflow"])
+def test_caratheodory_points_at_a_real_out_of_range(to, capsys):
+    assert main(["caratheodory", "--to", to, "-p", "2"]) == 2
+    assert "schema error: /jobs/0/z/0:" in capsys.readouterr().err
 
 
 def _loaded_by_import(package: str) -> str:

@@ -1,6 +1,7 @@
 """Map AST: evaluation, structure, serialization, gallery constructors."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from schwarz_lab import (
     Constant,
     Coordinate,
     DimensionMismatch,
+    InsufficientClearance,
     LinearMatrix,
     MapTuple,
     MoebiusDisk,
@@ -34,7 +36,7 @@ from schwarz_lab import (
     map_to_json,
     norm_p,
 )
-from schwarz_lab import maps
+from schwarz_lab import diff, maps
 from schwarz_lab.maps import MapExpr, NODES, _EvalCtx
 from schwarz_lab.rng import stream
 
@@ -141,6 +143,9 @@ def test_component_extraction():
         assert evaluate(component(lin, i), np.array([1.0, 1j]))[0] == pytest.approx(
             evaluate(lin, np.array([1.0, 1j]))[i]
         )
+    for i in (-1, 3):
+        with pytest.raises(BadParams):
+            f.component(i)
 
 
 def test_conjugate_map_is_pointwise_conjugate():
@@ -258,14 +263,38 @@ def test_node_protocol_properties(f):
     np.testing.assert_allclose(evaluate(conj.conjugate(), pts), vals, **close)
     for i in range(f.output_dim):
         np.testing.assert_allclose(evaluate(component(f, i), pts)[:, 0], vals[:, i], **close)
+    for node in _nodes(f):
+        subtrees = ()
+        for fld in dataclasses.fields(node):
+            value = getattr(node, fld.name)
+            if isinstance(value, MapExpr):
+                subtrees += (value,)
+            elif isinstance(value, tuple):
+                subtrees += value
+        assert node.children() == subtrees
+    try:
+        fz, df = diff._derivatives(f, pts)
+        conj_fz, conj_df = diff._derivatives(conj, pts)
+    except InsufficientClearance:
+        reject()
+    np.testing.assert_allclose(conj_fz, np.conj(fz), **close)
+    np.testing.assert_allclose(conj_df, np.conj(df), **close)
+    for i in range(f.output_dim):
+        cz, cd = diff._derivatives(component(f, i), pts)
+        assert cz[:, 0].tobytes() == fz[:, i].tobytes()
+        assert cd[:, 0].tobytes() == df[:, i].tobytes()
+
+
+def _nodes(f):
+    """Every node of a tree, depth first."""
+    yield f
+    for c in f.children():
+        yield from _nodes(c)
 
 
 def _tuples(f):
     """Every MapTuple node of a tree."""
-    if isinstance(f, MapTuple):
-        yield f
-    for c in f.children():
-        yield from _tuples(c)
+    return (node for node in _nodes(f) if isinstance(node, MapTuple))
 
 
 @settings(max_examples=60, deadline=None)

@@ -180,6 +180,14 @@ def test_schema_round_trip_idempotent():
     pytest.param(lambda d: d["jobs"][1].update(
         map={"gallery": "unitary", "params": {"matrix": [["1", 0], [0, 1]]}}),
                  "/jobs/1/map/params", id="gallery-unitary-entry-string"),
+    pytest.param(lambda d: d["jobs"].append(
+        {"id": "rig", "check": "rigidity", "map": _IDENTITY_2, "anchors": [_E1, _E2],
+         "exponent": 2, "variant": "bogus"}),
+                 "/jobs/2/variant", id="rigidity-variant-unknown"),
+    pytest.param(lambda d: d["jobs"].append(
+        {"id": "metric", "check": "caratheodory_metric", "direction": [[0.3, 0.0]],
+         "exponent": 2, "family": "bogus"}),
+                 "/jobs/2/family", id="caratheodory-family-unknown"),
 ])
 def test_schema_errors_carry_json_pointers(mutate, pointer):
     doc = small_config()
