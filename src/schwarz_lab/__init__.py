@@ -9,11 +9,9 @@ from .errors import (
     NoConvergence,
     NotOnBoundary,
     OutsideBall,
-    OutsideDisk,
     PoleHit,
     SchemaError,
     SchwarzLabError,
-    SingularGradient,
     StepTooLarge,
     ZeroVector,
 )
@@ -23,19 +21,12 @@ from .geometry import (
     as_exponent,
     cinner,
     cvector,
-    defining_rho,
-    grad_rho,
-    hyperbolic_distance,
     norm_p,
     norming_functional,
     pluriharmonic_V,
     realify,
     rigidity_v,
-    rvector,
     schwarz_v,
-    tangent_basis,
-    tangent_residuals,
-    unrealify,
 )
 from .maps import (
     Compose,
@@ -50,7 +41,6 @@ from .maps import (
     Product,
     Scale,
     Sum,
-    component,
     evaluate,
     identity_map,
     map_from_json,
@@ -73,7 +63,6 @@ from .diff import (
     real_jacobian,
 )
 from .verify import (
-    DiskGrid,
     HypothesisCheck,
     Verdict,
     VerifyConfig,
@@ -116,7 +105,6 @@ from .suite import (
     emit_report,
     parse_suite,
     run_suite,
-    serialize_suite,
 )
 
 __version__ = "0.1.0"

@@ -23,14 +23,6 @@ class NotOnBoundary(SchwarzLabError):
     """Point fails the unit-sphere (or distinguished-boundary) membership test."""
 
 
-class SingularGradient(SchwarzLabError):
-    """Gradient of the defining function is singular (p < 2 with a zero coordinate)."""
-
-
-class OutsideDisk(SchwarzLabError):
-    """Scalar argument expected inside the open unit disk."""
-
-
 class OutsideBall(SchwarzLabError):
     """Vector argument expected inside the open unit ball."""
 

@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * the inner product is conjugate-linear in the second slot,
   <a, b> = sum_j a_j * conj(b_j);
 * the realification of z in C^n is z' = (Re z, Im z) in R^{2n};
-* the defining function of the ball is rho(z) = ||z||_p^p - 1 for finite p.
+* the defining function of the ball is rho(z) = ||z||_p^p - 1 for finite p,
+  with gradient p * duality_map(z, p); BoundaryPoint keeps the normal and the
+  tangent probes every check reads.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    HypothesisFailed,
-    NotOnBoundary,
-    OutsideDisk,
-    SingularGradient,
-    ZeroVector,
-)
+from .errors import BadParams, HypothesisFailed, NotOnBoundary, ZeroVector
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 _NORMAL_MIN = np.finfo(float).tiny  # the least positive normal float
@@ -99,16 +94,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _directions(n: int) -> np.ndarray:
     """e_j, then i e_j, as the rows of one read-only (2n, n) array, built once per n."""
     return _read_only(np.vstack([np.eye(n), 1j * np.eye(n)]))
-
-
-def rvector(entries) -> np.ndarray:
-    """Validate and return a 1-d real vector with finite entries."""
-    x = np.asarray(entries, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise BadParams("empty vector")
-    if not np.all(np.isfinite(x)):
-        raise BadParams("vector has non-finite entries")
-    return x
 
 
 def cinner(a, b) -> complex:
@@ -233,42 +218,9 @@ def realify(z) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
-def unrealify(x) -> np.ndarray:
-    """(Re z, Im z) in R^{2n} -> z in C^n."""
-    x = rvector(x)
-    if x.size % 2:
-        raise BadParams("realified vector must have even length")
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
-
-
 # ---------------------------------------------------------------------------
-# defining function and boundary normals
+# boundary points: normal and tangent probes
 # ---------------------------------------------------------------------------
-
-
-def defining_rho(z, p) -> float:
-    """rho(z) = ||z||_p^p - 1.  Finite p only."""
-    p = as_exponent(p)
-    if p.is_inf:
-        raise BadParams("defining function is not available at p = inf")
-    z = cvector(z)
-    return float(np.sum(np.abs(z) ** p.p) - 1.0)
-
-
-def grad_rho(z, p) -> np.ndarray:
-    """Gradient p * (|z_j|^{p-2} z_j)_j of rho; outward normal on the sphere.
-
-    For p < 2 the gradient blows up at zero coordinates, which is reported
-    rather than silently regularized.
-    """
-    p = as_exponent(p)
-    if p.is_inf:
-        raise BadParams("gradient of the defining function needs finite p")
-    z = cvector(z)
-    if p.p < 2.0 and np.any(z == 0.0):
-        raise SingularGradient(f"grad rho singular at zero coordinate for p = {p.p}")
-    return p.p * duality_map(z, p.p)
 
 
 @dataclass(frozen=True)
@@ -378,37 +330,7 @@ def pluriharmonic_V(bp: BoundaryPoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tangent spaces
-# ---------------------------------------------------------------------------
-
-
-def tangent_residuals(alpha, bp: BoundaryPoint) -> tuple[float, float]:
-    """(|Re<alpha, grad rho>|, |<alpha, grad rho>|) at a boundary point.
-
-    The first residual measures membership in the real tangent space T_z,
-    the second in the complex tangent space T_z^{1,0}.  Finite p >= 2.
-    """
-    if bp.exponent.is_inf or bp.exponent.p < 2.0:
-        raise BadParams("tangent residuals need finite p >= 2 (C^1 boundary)")
-    g = grad_rho(bp.point, bp.exponent)
-    pairing = cinner(cvector(alpha), g)
-    return abs(pairing.real), abs(pairing)
-
-
-def tangent_basis(bp: BoundaryPoint) -> list[np.ndarray]:
-    """Orthonormal (w.r.t. Re<.,.>) basis of the real tangent space T_z.
-
-    T_z has real dimension 2n - 1; the basis is the SVD null space of the
-    realified normal direction, mapped back to C^n.
-    """
-    g = grad_rho(bp.point, bp.exponent) if not bp.exponent.is_inf else schwarz_v(bp)
-    gr = realify(g).reshape(1, -1)
-    _, _, vt = np.linalg.svd(gr)
-    return [unrealify(row) for row in vt[1:]]
-
-
-# ---------------------------------------------------------------------------
-# dual functionals and the disk metric
+# dual functionals
 # ---------------------------------------------------------------------------
 
 
@@ -430,19 +352,3 @@ def norming_functional(x, p) -> np.ndarray:
         c[j] = np.conj(x[j]) / abs(x[j])
         return c
     return np.conj(duality_map(x, p.p)) / nx ** (p.p - 1.0)
-
-
-def hyperbolic_distance(a, b) -> float:
-    """Poincare distance on the unit disk.
-
-    omega(a, b) = (1/2) log((|1 - conj(a) b| + |a - b|) / (|1 - conj(a) b| - |a - b|)).
-    """
-    a = complex(a)
-    b = complex(b)
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise OutsideDisk(f"hyperbolic distance needs |a|, |b| < 1, got {abs(a):.4f}, {abs(b):.4f}")
-    cross = abs(1.0 - np.conj(a) * b)
-    sep = abs(a - b)
-    if cross <= sep:
-        raise OutsideDisk("degenerate configuration: |1 - conj(a) b| <= |a - b|")
-    return 0.5 * math.log((cross + sep) / (cross - sep))

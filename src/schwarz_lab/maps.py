@@ -79,6 +79,8 @@ class MapExpr:
 
     def component(self, i: int) -> "MapExpr":
         """Scalar component i, for 0 <= i < output_dim; a scalar map is its own."""
+        if not 0 <= i < self.output_dim:
+            raise BadParams(f"component {i} out of range for output dimension {self.output_dim}")
         return self if self.is_scalar else Compose(Coordinate(i, self.output_dim), self)
 
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
@@ -466,13 +468,6 @@ class MapTuple(MapExpr):
 
 def identity_map(n: int) -> MapExpr:
     return MapTuple(tuple(Coordinate(j, n) for j in range(n)))
-
-
-def component(f: MapExpr, i: int) -> MapExpr:
-    """Scalar component i of a vector map, as an expression tree."""
-    if not 0 <= i < f.output_dim:
-        raise BadParams(f"component {i} out of range for output dimension {f.output_dim}")
-    return f.component(i)
 
 
 # ---------------------------------------------------------------------------

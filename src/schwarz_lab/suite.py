@@ -11,7 +11,9 @@ Adding a check means adding one entry to ``CHECKS``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -69,14 +71,13 @@ _KNOWN_TOLS = _VERIFY_TOLS | _RIGIDITY_TOLS | {"attain_tol"}
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One validated job: raw JSON inputs in ``params`` (for ``serialize_suite``),
-    and in ``parsed`` as the runners read them (MapExpr, read-only arrays, Exponent,
-    and under "built" the check's BoundaryPoint or RigidityInstance)."""
+    """One validated job: its inputs in ``parsed`` as the runners read them (MapExpr,
+    read-only arrays, Exponent, and under "built" the check's BoundaryPoint or
+    RigidityInstance)."""
 
     id: str
     check: str
     expect: str
-    params: dict
     parsed: dict = field(compare=False, repr=False)
 
 
@@ -252,7 +253,7 @@ def _validate_job(raw: dict, index: int) -> JobSpec:
             parsed["built"] = spec.build(parsed)
         except SchwarzLabError:
             pass
-    return JobSpec(job_id, check, expect, params, parsed)
+    return JobSpec(job_id, check, expect, parsed)
 
 
 def validate_overrides(overrides) -> dict:
@@ -303,19 +304,6 @@ def parse_suite(source) -> SuiteConfig:
             _fail(f"/jobs/{i}/id", f"duplicate job id {job.id!r}")
         seen.add(job.id)
     return SuiteConfig(name, seed, overrides, jobs)
-
-
-def serialize_suite(config: SuiteConfig) -> dict:
-    """Normalized document: defaults filled in, ready for json.dumps."""
-    return {
-        "suite_name": config.suite_name,
-        "seed": config.seed,
-        "tolerance_overrides": dict(sorted(config.tolerance_overrides.items())),
-        "jobs": [
-            {"id": j.id, "check": j.check, "expect": j.expect, **j.params}
-            for j in config.jobs
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +593,14 @@ def _emit_jsonl(results) -> bytes:
 
 def _emit_csv(results) -> bytes:
     keys = sorted({k for r in results for k in r.quantities})
-    header = ["id", "theorem_id", "passed", "margin"] + keys
-    rows = [",".join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", "theorem_id", "passed", "margin"] + keys)
     for r in results:
-        cells = [r.job_id, r.theorem_id, "true" if r.passed else "false",
-                 _fmt_float(r.margin)]
-        cells += [_fmt_float(r.quantities.get(k)) for k in keys]
-        rows.append(",".join(cells))
-    return ("\n".join(rows) + "\n").encode()
+        writer.writerow([r.job_id, r.theorem_id, "true" if r.passed else "false",
+                         _fmt_float(r.margin)]
+                        + [_fmt_float(r.quantities.get(k)) for k in keys])
+    return buf.getvalue().encode()
 
 
 def _emit_text(results) -> bytes:

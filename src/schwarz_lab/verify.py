@@ -45,7 +45,6 @@ __all__ = [
     "HypothesisCheck",
     "Verdict",
     "VerifyConfig",
-    "DiskGrid",
     "sample_ball",
     "operator_norm_lower",
     "verify_schwarz_pick",
@@ -620,28 +619,19 @@ def _pair_rows(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (R[:, None, :] @ V[:, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class DiskGrid:
-    """Real samples of a function on concentric circles plus the center value."""
-
-    radii: tuple
-    values: np.ndarray  # shape (len(radii), angles)
-    center: float
-
-
-def harnack_certificate(grid: DiskGrid) -> Verdict:
-    """Two-sided Harnack slack for a positive harmonic function sample grid."""
-    vals = np.asarray(grid.values, dtype=float)
-    c = float(grid.center)
-    lo = np.array([(1.0 - r) / (1.0 + r) * c for r in grid.radii])
-    hi = np.array([(1.0 + r) / (1.0 - r) * c for r in grid.radii])
-    if vals.ndim != 2 or len(vals) < len(lo):
-        raise BadParams("a DiskGrid needs a row of values per radius")
-    rows = vals[:len(lo)]
+def harnack_certificate(radii, values, center) -> Verdict:
+    """Two-sided Harnack slack for a positive harmonic function sampled on
+    concentric circles: one row of ``values`` per radius, plus the center value."""
+    vals = np.asarray(values, dtype=float)
+    c = float(center)
+    lo = np.array([(1.0 - r) / (1.0 + r) * c for r in radii])
+    hi = np.array([(1.0 + r) / (1.0 - r) * c for r in radii])
+    if vals.ndim != 2 or len(vals) != len(lo):
+        raise BadParams("a Harnack grid needs exactly one row of values per radius")
     # the row minima folded from inf as min(slack, row_min) folds them one by
     # one: a NaN minimum never compares below the slack, so its row drops out
-    lower_slack = min([math.inf, *np.min(rows - lo[:, None], axis=1).tolist()])
-    upper_slack = min([math.inf, *np.min(hi[:, None] - rows, axis=1).tolist()])
+    lower_slack = min([math.inf, *np.min(vals - lo[:, None], axis=1).tolist()])
+    upper_slack = min([math.inf, *np.min(hi[:, None] - vals, axis=1).tolist()])
     margin = min(lower_slack, upper_slack)
     checks = (
         HypothesisCheck("center_positive", c > 0.0, max(0.0, -c)),
@@ -702,7 +692,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
 
     vals = (1.0 - _pair_rows(fvals, V)).reshape(zetas.shape)
     phi0 = 1.0 - float(f0r @ V)
-    harnack = harnack_certificate(DiskGrid(HARNACK_RADII, vals, phi0))
+    harnack = harnack_certificate(HARNACK_RADII, vals, phi0)
 
     checks = (
         HypothesisCheck("pluriharmonic", True, ph_res),

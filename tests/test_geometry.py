@@ -14,24 +14,16 @@ from schwarz_lab import (
     Exponent,
     HypothesisFailed,
     NotOnBoundary,
-    OutsideDisk,
-    SingularGradient,
     ZeroVector,
     as_exponent,
     cinner,
     cvector,
-    defining_rho,
-    grad_rho,
-    hyperbolic_distance,
     norm_p,
     norming_functional,
     pluriharmonic_V,
     realify,
     rigidity_v,
     schwarz_v,
-    tangent_basis,
-    tangent_residuals,
-    unrealify,
 )
 from schwarz_lab.geometry import (
     _NORMAL_MIN,
@@ -109,7 +101,8 @@ def test_realify_roundtrip_and_isometry():
     assert np.array_equal(realify(z), np.array([0.0, 0.0, 1.0, 0.0]))
     gen = stream(7, "realify")
     w = gen.standard_normal(5) + 1j * gen.standard_normal(5)
-    assert np.allclose(unrealify(realify(w)), w)
+    x = realify(w)
+    assert np.array_equal(x[:5] + 1j * x[5:], w)
     assert np.linalg.norm(realify(w)) == pytest.approx(norm_p(w, 2), abs=1e-13)
 
 
@@ -118,34 +111,28 @@ def test_realify_roundtrip_and_isometry():
 # ---------------------------------------------------------------------------
 
 
+def _rho(z, p):
+    return lp_norm(z, p) ** p - 1.0
+
+
 def test_rho_and_gradient_frozen_values():
-    assert defining_rho([0.5, 0.5], 2) == pytest.approx(-0.5, abs=1e-15)
-    g = grad_rho(np.array([1.0, 0.0]), 4)
-    assert np.allclose(g, [4.0, 0.0], atol=1e-14)
-    with pytest.raises(BadParams):
-        defining_rho([0.5], "inf")
-    with pytest.raises(BadParams):
-        grad_rho([0.5], "inf")
-
-
-def test_gradient_singular_below_two():
-    with pytest.raises(SingularGradient):
-        grad_rho(np.array([1.0, 0.0]), 1.5)
-    # p = 2 collapses to 2z exactly, zeros included
-    z = np.array([0.3 + 0.1j, 0.0, -1e-300j])
-    assert np.array_equal(grad_rho(z, 2), 2 * z)
+    # grad rho = p * duality_map(z, p), p times the boundary normal
+    assert _rho(np.array([0.5, 0.5]), 2) == pytest.approx(-0.5, abs=1e-15)
+    assert np.array_equal(4 * _boundary([1.0, 0.0], 4).normal, [4.0, 0.0])
+    # below p = 2 the gradient's modulus p |z_j|^(p-1) tends to 0 at a zero coordinate
+    assert np.array_equal(1.5 * _boundary([1.0, 0.0], 1.5).normal, [1.5, 0.0])
 
 
 def test_gradient_is_outward_normal():
     gen = stream(3, "normal")
-    for p in (2.0, 3.0, 4.0):
+    for p in (2.0, 3.0, 4.0, 1.5):
         z = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         z /= norm_p(z, p)
-        g = grad_rho(z, p)
+        g = p * duality_map(z, p)
         # moving outward along the normal increases rho
         eps = 1e-6
-        ahead = defining_rho(z + eps * g, p)
-        behind = defining_rho(z - eps * g, p)
+        ahead = _rho(z + eps * g, p)
+        behind = _rho(z - eps * g, p)
         assert ahead > 0 > behind
 
 
@@ -237,15 +224,6 @@ def test_pluriharmonic_V_cases():
 # ---------------------------------------------------------------------------
 
 
-def test_tangent_residuals_frozen():
-    bp = _boundary([1.0, 0.0], 2)
-    re_res, full_res = tangent_residuals(np.array([1j, 0.0]), bp)
-    assert re_res == pytest.approx(0.0, abs=1e-15)
-    assert full_res == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(BadParams):
-        tangent_residuals(np.array([1j, 0]), _boundary([1, 0], 1.5))
-
-
 def test_normal_tangent_decompose():
     gen = stream(13, "decomp")
     for p in (2.0, 3.0, 4.0):
@@ -259,17 +237,21 @@ def test_normal_tangent_decompose():
         assert abs(cinner(beta, v).real) < 1e-12
 
 
-def test_tangent_basis_spans_tangent_space():
-    bp = _boundary([0.6, 0.8], 2)
-    basis = tangent_basis(bp)
-    assert len(basis) == 3  # 2n - 1
-    for alpha in basis:
-        re_res, _ = tangent_residuals(alpha, bp)
-        assert re_res < 1e-12
+def test_tangent_probes_span_the_real_tangent_space():
+    # realified, the probes have rank 2n - 1, and Re<u, normal> = 0 for each
+    cases = [(z, p) for p in (1.5, 2.0, 3.0, 4.0)
+             for z in ([0.6, 0.8j], [1.0, 0.0], [0.5, 0.0, -0.7 + 0.2j])]
+    cases.append(([1.0, 1j, np.exp(0.3j)], "inf"))
+    for z, p in cases:
+        z = np.asarray(z, dtype=complex)
+        bp = _boundary(z / norm_p(z, p), p)
+        probes = bp.tangent_probes
+        assert np.linalg.matrix_rank(np.hstack([probes.real, probes.imag])) == 2 * bp.dim - 1
+        assert np.max(np.abs((probes * np.conj(bp.normal)).sum(axis=1).real)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# duality map, norming functional, disk metric
+# duality map and norming functional
 # ---------------------------------------------------------------------------
 
 
@@ -286,7 +268,7 @@ def test_duality_map_pairs_to_the_norm_and_has_the_dual_norm(p, entries):
     # Re<J_p(x), x> = ||x||_p^p and ||J_p(x)||_q = ||x||_p^(p-1), 1/p + 1/q = 1
     assert cinner(jx, x).real == pytest.approx(nx**p, rel=1e-12, abs=0.0)
     assert lp_norm(jx, p / (p - 1.0)) == pytest.approx(nx ** (p - 1.0), rel=1e-12, abs=0.0)
-    assert np.array_equal(grad_rho(x, 2), 2 * x)
+    assert np.array_equal(duality_map(x, 2), x)
 
 
 def test_norming_functional_frozen_p3():
@@ -320,27 +302,6 @@ def test_norming_functional_is_holder_tight(p, seed):
     assert attained.real == pytest.approx(norm_p(x, p), rel=1e-10, abs=1e-10)
     # ... and never exceeds the norm elsewhere
     assert abs(np.sum(c * y)) <= norm_p(y, p) * (1 + 1e-10) + 1e-12
-
-
-def test_hyperbolic_distance_frozen():
-    assert hyperbolic_distance(0.0, 0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
-    assert hyperbolic_distance(0.3j, 0.3j) == 0.0
-    with pytest.raises(OutsideDisk):
-        hyperbolic_distance(1.0, 0.0)
-
-
-def test_hyperbolic_distance_moebius_invariance():
-    # distance is preserved by w -> (w + a)/(1 + a w) for real a
-    gen = stream(17, "hyp")
-    for _ in range(25):
-        a = float(gen.uniform(-0.8, 0.8))
-        u = complex(*gen.uniform(-0.6, 0.6, 2))
-        v = complex(*gen.uniform(-0.6, 0.6, 2))
-        mu = (u + a) / (1 + a * u)
-        mv = (v + a) / (1 + a * v)
-        assert hyperbolic_distance(mu, mv) == pytest.approx(
-            hyperbolic_distance(u, v), rel=1e-10, abs=1e-10
-        )
 
 
 def test_cvector_contract():

@@ -27,7 +27,6 @@ from schwarz_lab import (
     Scale,
     Sum,
     complex_jacobian,
-    component,
     evaluate,
     gallery,
     gallery_names,
@@ -134,18 +133,22 @@ def test_component_extraction():
     f = gallery("square_first", {"n": 3})
     z = np.array([0.4, 0.2j, -0.1])
     for i in range(3):
-        assert evaluate(component(f, i), z)[0] == pytest.approx(evaluate(f, z)[i])
+        assert evaluate(f.component(i), z)[0] == pytest.approx(evaluate(f, z)[i])
     composed = Compose(identity_map(3), f)
     for i in range(3):
-        assert evaluate(component(composed, i), z)[0] == pytest.approx(evaluate(f, z)[i])
+        assert evaluate(composed.component(i), z)[0] == pytest.approx(evaluate(f, z)[i])
     lin = LinearMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
     for i in range(2):
-        assert evaluate(component(lin, i), np.array([1.0, 1j]))[0] == pytest.approx(
+        assert evaluate(lin.component(i), np.array([1.0, 1j]))[0] == pytest.approx(
             evaluate(lin, np.array([1.0, 1j]))[i]
         )
-    for i in (-1, 3):
-        with pytest.raises(BadParams):
-            f.component(i)
+    # a scalar map is its own component 0 and has no other
+    scalar = Coordinate(0, 2)
+    assert scalar.component(0) is scalar
+    for g, bad in ((f, (-1, 3)), (scalar, (-1, 1, 5))):
+        for i in bad:
+            with pytest.raises(BadParams):
+                g.component(i)
 
 
 def test_conjugate_map_is_pointwise_conjugate():
@@ -262,7 +265,7 @@ def test_node_protocol_properties(f):
     np.testing.assert_allclose(evaluate(conj, pts), np.conj(vals), **close)
     np.testing.assert_allclose(evaluate(conj.conjugate(), pts), vals, **close)
     for i in range(f.output_dim):
-        np.testing.assert_allclose(evaluate(component(f, i), pts)[:, 0], vals[:, i], **close)
+        np.testing.assert_allclose(evaluate(f.component(i), pts)[:, 0], vals[:, i], **close)
     for node in _nodes(f):
         subtrees = ()
         for fld in dataclasses.fields(node):
@@ -280,7 +283,7 @@ def test_node_protocol_properties(f):
     np.testing.assert_allclose(conj_fz, np.conj(fz), **close)
     np.testing.assert_allclose(conj_df, np.conj(df), **close)
     for i in range(f.output_dim):
-        cz, cd = diff._derivatives(component(f, i), pts)
+        cz, cd = diff._derivatives(f.component(i), pts)
         assert cz[:, 0].tobytes() == fz[:, i].tobytes()
         assert cd[:, 0].tobytes() == df[:, i].tobytes()
 

@@ -1,7 +1,9 @@
 """Suite parsing, execution, report emission, and the shipped suite file."""
 
 import copy
+import csv
 import functools
+import io
 import json
 import operator
 import pathlib
@@ -20,7 +22,6 @@ from schwarz_lab.suite import (
     emit_report,
     parse_suite,
     run_suite,
-    serialize_suite,
     suite_passed,
 )
 
@@ -51,13 +52,14 @@ def test_empty_job_list_passes():
 
 
 def test_schema_round_trip_idempotent():
+    # a document parses to the same suite from a dict and from its JSON text
     config = parse_suite(small_config())
-    normalized = serialize_suite(config)
-    assert serialize_suite(parse_suite(normalized)) == normalized
-    assert serialize_suite(parse_suite(json.dumps(normalized))) == normalized
+    again = parse_suite(json.dumps(small_config()))
+    assert again == config
+    assert emit_report(run_suite(again)) == emit_report(run_suite(config))
     # defaults are filled in
-    assert normalized["jobs"][0]["expect"] == "pass"
-    assert normalized["tolerance_overrides"] == {}
+    assert config.jobs[0].expect == "pass"
+    assert config.tolerance_overrides == {}
 
 
 @pytest.mark.parametrize("mutate, pointer", [
@@ -357,6 +359,18 @@ def test_csv_header_and_rows():
     lines = text.splitlines()
     assert lines[0].startswith("id,theorem_id,passed,margin")
     assert len(lines) == 1 + len(results)
+
+
+def test_csv_quotes_ids_with_commas_quotes_and_newlines():
+    ids = ['pick,"quoted"', "two\nlines", 'a "b", c']
+    doc = small_config(jobs=[{"id": job_id, "check": "zhu",
+                              "map": {"gallery": "zhu_extremal",
+                                      "params": {"a": 0.3, "d": 0.2}}}
+                             for job_id in ids])
+    text = emit_report(run_suite(parse_suite(doc)), "csv").decode()
+    header, *rows = csv.reader(io.StringIO(text))
+    assert [row[0] for row in rows] == ids
+    assert {len(row) for row in rows} == {len(header)}
 
 
 def test_text_report_puts_failures_first():

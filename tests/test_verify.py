@@ -12,7 +12,6 @@ from schwarz_lab import (
     BoundaryPoint,
     Compose,
     Coordinate,
-    DiskGrid,
     HypothesisFailed,
     InsufficientClearance,
     LinearMatrix,
@@ -27,13 +26,11 @@ from schwarz_lab import (
     evaluate,
     gallery,
     haar_unitary,
-    grad_rho,
     harnack_certificate,
     identity_map,
     operator_norm_lower,
     parse_suite,
     run_suite,
-    schwarz_v,
     verify_kalaj,
     verify_liu_wang,
     verify_lp_boundary_schwarz,
@@ -557,7 +554,7 @@ def test_stacked_tangent_check_equals_the_probe_loop(n, p, zeros, real, seed):
     z0 = _sphere_point(gen, n, p, zeros, real)
     w0 = _sphere_point(gen, n, p, zeros[::-1], False)
     J = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    gw = grad_rho(w0.point, p)
+    gw = p * w0.normal
     stacked = verify_module._tangent_residual(J, z0.tangent_probes, gw)
     assert stacked == _ref_tangent_residual(J, z0, gw)
     # a NaN image is not dropped, as the loop's Python max dropped it
@@ -795,13 +792,12 @@ def test_pluriharmonic_rejects_nonpluriharmonic():
 
 def test_harnack_constant_and_sign_change():
     radii = (0.1, 0.5, 0.9)
-    const = DiskGrid(radii, np.full((3, 8), 2.0), 2.0)
-    v = harnack_certificate(const)
+    v = harnack_certificate(radii, np.full((3, 8), 2.0), 2.0)
     assert v.passed and v.margin > 0.0
     # phi = Re(zeta): sign-changing, center value 0
     angles = 2 * np.pi * np.arange(8) / 8
     vals = np.stack([r * np.cos(angles) for r in radii])
-    bad = harnack_certificate(DiskGrid(radii, vals, 0.0))
+    bad = harnack_certificate(radii, vals, 0.0)
     assert not bad.passed
 
 
@@ -810,18 +806,16 @@ def test_harnack_one_minus_re():
     radii = (0.5,)
     angles = 2 * np.pi * np.arange(32) / 32
     vals = (1.0 - 0.5 * np.cos(angles))[None, :]
-    v = harnack_certificate(DiskGrid(radii, vals, 1.0))
+    v = harnack_certificate(radii, vals, 1.0)
     assert v.passed
     # min phi = 0.5, lower Harnack bound = 1/3
     assert v.quantities["lower_slack"] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-12)
 
 
-def _harnack_slacks_by_row(grid):
+def _harnack_slacks_by_row(radii, vals, c):
     # the radius-by-radius loop harnack_certificate replaced, kept as its reference
-    vals = np.asarray(grid.values, dtype=float)
-    c = float(grid.center)
     lower_slack = upper_slack = math.inf
-    for i, r in enumerate(grid.radii):
+    for i, r in enumerate(radii):
         lo = (1.0 - r) / (1.0 + r) * c
         hi = (1.0 + r) / (1.0 - r) * c
         lower_slack = min(lower_slack, float(np.min(vals[i] - lo)))
@@ -841,16 +835,18 @@ _grid_values = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]),
 def test_harnack_slacks_equal_the_radius_loop_bit_for_bit(radii, angles, data, center):
     vals = np.array(data.draw(st.lists(_grid_values, min_size=len(radii) * angles,
                                        max_size=len(radii) * angles)))
-    grid = DiskGrid(tuple(radii), vals.reshape(len(radii), angles), center)
+    vals = vals.reshape(len(radii), angles)
     with np.errstate(all="ignore"):
-        want = _harnack_slacks_by_row(grid)
-        got = harnack_certificate(grid)
+        want = _harnack_slacks_by_row(radii, vals, center)
+        got = harnack_certificate(radii, vals, center)
     lower, upper = got.quantities["lower_slack"], got.quantities["upper_slack"]
     assert (lower.hex(), upper.hex()) == (want[0].hex(), want[1].hex())
     assert got.margin.hex() == min(want).hex()
 
 
-@pytest.mark.parametrize("values", [np.ones(9), np.ones((1, 4)), np.ones((2, 4))])
+@pytest.mark.parametrize("values", [np.ones(9), np.ones((1, 4)), np.ones((2, 4)),
+                                    np.vstack([np.ones((3, 4)), np.full((1, 4), -5.0)])])
 def test_harnack_grid_needs_a_row_per_radius(values):
+    # exactly one row per radius: an extra row would reach min_sample but no slack
     with pytest.raises(BadParams):
-        harnack_certificate(DiskGrid((0.1, 0.5, 0.9), values, 1.0))
+        harnack_certificate((0.1, 0.5, 0.9), values, 1.0)
