@@ -27,19 +27,6 @@ from .geometry import (
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
 
-__all__ = [
-    "MetricQuery",
-    "CompetitorFamily",
-    "OptBudget",
-    "OptResult",
-    "metric_origin_closed",
-    "distance_origin_closed",
-    "metric_lower_bound_opt",
-    "distance_lower_bound_opt",
-    "competitor_map",
-    "competitor_membership_max",
-]
-
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
 # boundary-adjacent points at which competitor_membership_max evaluates a competitor
 MEMBERSHIP_SAMPLES = 1000

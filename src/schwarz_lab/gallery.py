@@ -230,7 +230,8 @@ def build_product_mixed(n, m) -> MapExpr:
 
 def build_conjugate(n) -> MapExpr:
     """z -> conj(z); anti-holomorphic, pluriharmonic."""
-    return identity_map(_check_dim(n)).conjugate()
+    n = _check_dim(n)
+    return MapTuple(tuple(ConjugateCoordinate(j, n) for j in range(n)))
 
 
 def build_ph_linear_blend(n, mix=0.5) -> MapExpr:

@@ -7,10 +7,11 @@ LinearMatrix assemble vector maps.  Holomorphy is syntactic: a tree is
 holomorphic iff it contains no ConjugateCoordinate leaf.  Each node class is
 the one description of its node: a JSON ``tag``, dataclass fields that are
 its JSON keys, in order, and its value (_eval) and derivative (_tangent);
-leaves add ``input_dim`` and vector nodes ``output_dim``.  children(),
-component(i) and the JSON encoding follow from the fields.  conjugate()
-conjugates each field, and is overridden only where that is wrong: the
-coordinate pair, LinearMatrix and Compose.
+leaves add ``input_dim`` and vector nodes ``output_dim``.  _children() and
+the JSON encoding follow from the fields.  Conjugation and component
+extraction are compositions: conj(f) is
+``Compose(MapTuple(tuple(ConjugateCoordinate(j, m) for j in range(m))), f)``
+and f_i is ``Compose(Coordinate(i, m), f)``, for f with output in C^m.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class MapExpr:
     @functools.cached_property
     def input_dim(self) -> int:
         # children share the node's input, except Compose's outer (listed first)
-        return self.children()[-1].input_dim
+        return self._children()[-1].input_dim
 
     @property
     def output_dim(self) -> int:
@@ -63,25 +64,14 @@ class MapExpr:
     def is_scalar(self) -> bool:
         return self.output_dim == 1
 
-    def children(self) -> tuple["MapExpr", ...]:
+    def _children(self) -> tuple["MapExpr", ...]:
         """The subtrees held in the node's fields, in field order."""
         return tuple(sub for name, kind in _FIELDS[type(self)] if kind in _SUBTREES
                      for sub in _SUBTREES[kind](getattr(self, name)))
 
     @functools.cached_property
     def is_holomorphic(self) -> bool:
-        return all(c.is_holomorphic for c in self.children())
-
-    def conjugate(self) -> "MapExpr":
-        """z -> conj(f(z)); by default conjugates complex fields and subtrees."""
-        return type(self)(*(_FIELD_TYPES[kind].conjugate(getattr(self, name))
-                            for name, kind in _FIELDS[type(self)]))
-
-    def component(self, i: int) -> "MapExpr":
-        """Scalar component i, for 0 <= i < output_dim; a scalar map is its own."""
-        if not 0 <= i < self.output_dim:
-            raise BadParams(f"component {i} out of range for output dimension {self.output_dim}")
-        return self if self.is_scalar else Compose(Coordinate(i, self.output_dim), self)
+        return all(c.is_holomorphic for c in self._children())
 
     def _eval(self, z: np.ndarray, ctx: _EvalCtx):
         raise NotImplementedError
@@ -90,9 +80,6 @@ class MapExpr:
         """(f(z), df/dz . v + df/dz-bar . conj(v)) row by row: the values _eval
         gives and the exact derivative along the real direction v of each row."""
         raise NotImplementedError
-
-    def __call__(self, z):
-        return evaluate(self, z)
 
 
 def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
@@ -149,9 +136,6 @@ class Coordinate(MapExpr):
     def input_dim(self):
         return self.dim
 
-    def conjugate(self):
-        return ConjugateCoordinate(self.index, self.dim)
-
     def _eval(self, z, ctx):
         return z[:, self.index]
 
@@ -170,9 +154,6 @@ class ConjugateCoordinate(Coordinate):
     @property
     def is_holomorphic(self):
         return False
-
-    def conjugate(self):
-        return Coordinate(self.index, self.dim)
 
     def _eval(self, z, ctx):
         return np.conj(z[:, self.index])
@@ -384,10 +365,6 @@ class LinearMatrix(MapExpr):
     def output_dim(self):
         return self.matrix.shape[0]
 
-    def conjugate(self):
-        conj_z = identity_map(self.input_dim).conjugate()
-        return Compose(LinearMatrix(np.conj(self.matrix)), conj_z)
-
     def _eval(self, z, ctx):
         out = z @ self.matrix.T
         return out[:, 0] if self.is_scalar else out  # (k,) rows, as every scalar node
@@ -414,9 +391,6 @@ class Compose(MapExpr):
     @property
     def output_dim(self):
         return self.outer.output_dim
-
-    def conjugate(self):
-        return Compose(self.outer.conjugate(), self.inner)
 
     def _eval(self, z, ctx):
         mid = self.inner._eval(z, ctx)
@@ -543,21 +517,17 @@ def map_from_json(data: dict) -> MapExpr:
 class _FieldType(NamedTuple):
     encode: Callable
     decode: Callable
-    conjugate: Callable
 
 
-# how each field type is written to JSON, read back and conjugated; an int
-# is its own encoding and its own conjugate
+# how each field type is written to JSON and read back; an int is its own
+# encoding
 _FIELD_TYPES = {
-    int: _FieldType(int, json_int, int),
-    complex: _FieldType(_c2j, json_complex, complex.conjugate),
-    MapExpr: _FieldType(map_to_json, map_from_json, lambda f: f.conjugate()),
+    int: _FieldType(int, json_int),
+    complex: _FieldType(_c2j, json_complex),
+    MapExpr: _FieldType(map_to_json, map_from_json),
     tuple[MapExpr, ...]: _FieldType(lambda fs: [map_to_json(f) for f in fs],
-                                    lambda ds: tuple(map_from_json(d) for d in ds),
-                                    lambda fs: tuple(f.conjugate() for f in fs)),
-    np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m],
-                           json_matrix,
-                           np.conj),
+                                    lambda ds: tuple(map_from_json(d) for d in ds)),
+    np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m], json_matrix),
 }
 
 # the subtrees a field of each type holds

@@ -31,19 +31,6 @@ from .geometry import (
 from .maps import MapExpr, evaluate
 from .verify import HypothesisCheck, Verdict, sample_ball
 
-__all__ = [
-    "VARIANTS",
-    "VERDICTS",
-    "RigidityInstance",
-    "RigidityReport",
-    "RigidityConfig",
-    "check_rigidity",
-    "check_proof_chain",
-    "equality_case_1d",
-    "counterexample_polydisk_eigen",
-    "halton_ball_grid",
-]
-
 VARIANTS = ("p2", "polydisk", "schwarz_v", "rigidity_v")
 
 CERTIFIED = "certified"

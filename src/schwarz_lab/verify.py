@@ -41,22 +41,6 @@ from .geometry import (
 from .maps import MapExpr, evaluate
 from .rng import stream
 
-__all__ = [
-    "HypothesisCheck",
-    "Verdict",
-    "VerifyConfig",
-    "sample_ball",
-    "operator_norm_lower",
-    "verify_schwarz_pick",
-    "verify_zhu",
-    "verify_kalaj",
-    "verify_lp_boundary_schwarz",
-    "verify_liu_wang",
-    "verify_product_slice",
-    "verify_pluriharmonic_boundary",
-    "harnack_certificate",
-]
-
 
 @dataclass(frozen=True)
 class HypothesisCheck:

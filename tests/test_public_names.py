@@ -2,9 +2,14 @@
 
 The check reads the sources and imports nothing.  A name that ``__init__.py``
 imports counts as used when another package module refers to it as an
-identifier or an attribute (the strings of ``__all__`` do not count), or when a
-``perfbench`` script refers to it as an identifier, an attribute or a string
-(the tracer names its targets as strings).
+identifier or an attribute, or when a ``perfbench`` script refers to it as an
+identifier, an attribute or a string (the tracer names its targets as
+strings).  A public method or property of any package class counts as used
+when a package module refers to it as an attribute (``obj.name``) outside the
+body of that class, or a ``perfbench`` script refers to it as above; a method
+that only its own class calls should carry a leading underscore.  The names
+are matched, not resolved: a reference to another class's attribute of the
+same name counts too.
 """
 
 import ast
@@ -37,3 +42,26 @@ def test_every_public_name_is_referenced_outside_the_tests():
     for path in (ROOT / "perfbench").glob("*.py"):
         used |= _references(path, strings=True)
     assert sorted(public - used) == []
+
+
+def _attributes(node: ast.AST) -> set:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_every_public_method_is_referenced_outside_its_class():
+    statements = [node for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    attributes = [_attributes(node) for node in statements]
+    bench = set().union(*(_references(path, strings=True)
+                          for path in (ROOT / "perfbench").glob("*.py")))
+    checked, unused = 0, []
+    for cls in statements:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {fn.name for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+        used = bench.union(*(a for node, a in zip(statements, attributes) if node is not cls))
+        checked += len(methods)
+        unused += [f"{cls.name}.{name}" for name in sorted(methods - used)]
+    assert checked
+    assert unused == []
