@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .caratheodory import FAMILY_KINDS
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery_names
 from .geometry import INF_SPELLINGS
+from .maps import load_json
 from .suite import (
     REPORT_FORMATS,
     emit_report,
@@ -34,7 +34,7 @@ from .suite import (
 def _parse_vector_arg(text: str):
     """Accept [re, im] pair JSON, or reals: one number, a JSON array or a comma list."""
     try:
-        data = json.loads(text)
+        data = load_json(text)
     except ValueError:
         try:
             return [[float(t), 0.0] for t in text.split(",") if t.strip()]
@@ -48,7 +48,7 @@ def _parse_vector_arg(text: str):
 
 def _parse_map_arg(text: str, params_text: str | None):
     try:
-        data = json.loads(text)
+        data = load_json(text)
     except ValueError:
         data = None
     if isinstance(data, dict):
@@ -57,7 +57,7 @@ def _parse_map_arg(text: str, params_text: str | None):
     ref = {"gallery": text}
     if params_text:
         try:
-            ref["params"] = json.loads(params_text)
+            ref["params"] = load_json(params_text)
         except ValueError:
             raise SchemaError(
                 f"--map-params is not valid JSON: {params_text!r}") from None

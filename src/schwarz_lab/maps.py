@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -25,7 +26,7 @@ from typing import Callable, ClassVar, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, PoleHit
+from .errors import BadParams, DimensionMismatch, PoleHit, SchemaError
 
 _POLE_TOL = 1e-14
 _UNIT_TOL = 1e-12
@@ -33,6 +34,10 @@ _UNIT_TOL = 1e-12
 # Upper bound for every count in a suite job and every dimension or index read
 # from JSON: each one sizes an allocation or a loop.
 MAX_COUNT = 10**6
+# Deepest nesting of arrays and objects in an input document, itself level 1:
+# a map tree is read, evaluated and differentiated by nested calls, one per
+# node, so a deeper tree could exhaust the interpreter's recursion limit.
+MAX_DEPTH = 64
 
 
 class _EvalCtx:
@@ -459,6 +464,29 @@ def json_int(value) -> int:
             or not abs(value) <= MAX_COUNT or value != int(value)):
         raise ValueError(f"expected an integer of magnitude <= {MAX_COUNT}, got {value!r}")
     return int(value)
+
+
+def load_json(text):
+    """json.loads, except that text nested too deep to decode is a SchemaError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError(f"nested too deep to decode; at most {MAX_DEPTH} levels are read",
+                          path="/") from None
+
+
+def json_too_deep(doc) -> str | None:
+    """The JSON pointer of an array or object in doc nested below MAX_DEPTH
+    levels, else None; the walk keeps its own stack, so no depth recurses."""
+    stack = [(doc, "", 1)]
+    while stack:
+        node, path, level = stack.pop()
+        if level > MAX_DEPTH:
+            return path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        stack.extend((v, f"{path}/{k}", level + 1) for k, v in items
+                     if isinstance(v, (dict, list)))
+    return None
 
 
 def _c2j(value: complex) -> list[float]:

@@ -421,8 +421,7 @@ def equality_case_1d(f: MapExpr, cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) 
     return Verdict("disk_rigidity_equality", checks, quantities, margin, 0.0)
 
 
-def counterexample_polydisk_eigen(n: int = 3,
-                                  cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> Verdict:
+def counterexample_polydisk_eigen(n: int = 3) -> Verdict:
     """Squaring one polydisk coordinate breaks normal proportionality at (1,...,1).
 
     The Jacobian applied to the torus point has least-squares proportionality

@@ -35,7 +35,8 @@ from .caratheodory import (
 from .errors import BadParams, SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
 from .geometry import INF_SPELLINGS, BoundaryPoint, as_exponent
-from .maps import MAX_COUNT, MapExpr, is_real, map_from_json
+from .maps import (MAX_COUNT, MAX_DEPTH, MapExpr, is_real, json_too_deep, load_json,
+                   map_from_json)
 from .rigidity import (
     VARIANTS,
     VERDICTS,
@@ -277,11 +278,14 @@ def parse_suite(source) -> SuiteConfig:
     """
     if isinstance(source, (str, bytes)):
         try:
-            source = json.loads(source)
+            source = load_json(source)
         except ValueError as exc:
             _fail("/", f"invalid JSON: {exc}")
     if not isinstance(source, dict):
         _fail("/", "expected a JSON object")
+    deep = json_too_deep(source)
+    if deep is not None:
+        _fail(deep, f"nested more than {MAX_DEPTH} levels deep")
     extra = set(source) - {"suite_name", "seed", "tolerance_overrides", "jobs"}
     if extra:
         _fail("/", f"unexpected keys: {sorted(extra)}")
@@ -343,68 +347,23 @@ class _RunContext:
         return self.overrides.get("attain_tol", 1e-3)
 
 
-def _row_from_verdict(job: JobSpec, verdict: Verdict) -> JobResult:
-    hyps = tuple(
-        {"name": h.name, "ok": bool(h.ok), "residual": float(h.residual)}
-        for h in verdict.hypotheses
-    )
-    residuals = {h.name: float(h.residual) for h in verdict.hypotheses}
-    quantities = {k: float(v) for k, v in verdict.quantities.items()}
-    return JobResult(
-        job_id=job.id,
-        theorem_id=verdict.theorem_id,
-        passed=("pass" if verdict.passed else "fail") == job.expect,
-        margin=float(verdict.margin),
-        quantities=quantities,
-        hypotheses=hyps,
-        residuals=residuals,
-    )
-
-
-def _row_from_rigidity(job: JobSpec, report: RigidityReport) -> JobResult:
-    passed = report.verdict == job.expect
-    quantities = {k: float(v) for k, v in report.quantities.items()}
-    quantities["rank"] = float(report.rank)
-    quantities["identity_residual"] = float(report.identity_residual)
-    residuals = {}
-    for i, r in enumerate(report.fixed_point_residuals):
-        residuals[f"fixed_point_{i}"] = float(r)
-    for i, v in enumerate(report.equation_values):
-        residuals[f"equation_{i}_re"] = float(v.real)
-        residuals[f"equation_{i}_im"] = float(v.imag)
-    for i, r in enumerate(report.jf0_residuals):
-        residuals[f"jf0_{i}"] = float(r)
-    hyps = (
-        {"name": f"verdict_{report.verdict}", "ok": passed, "residual": 0.0},
-        {"name": "nonneg_pairings", "ok": bool(report.nonneg_ok),
-         "residual": 0.0},
-    )
-    return JobResult(
-        job_id=job.id,
-        theorem_id="rigidity_certificate",
-        passed=passed,
-        margin=None,
-        quantities=quantities,
-        hypotheses=hyps,
-        residuals=residuals,
-        note=report.reason,
-    )
-
-
-def _row_from_error(job: JobSpec, exc: Exception) -> JobResult:
-    name = type(exc).__name__
-    passed = job.expect == f"raises:{name}"
-    hyps = ({"name": f"raised_{name}", "ok": passed, "residual": 0.0},)
-    return JobResult(
-        job_id=job.id,
-        theorem_id=job.check,
-        passed=passed,
-        margin=None,
-        quantities={},
-        hypotheses=hyps,
-        residuals={},
-        note=str(exc),
-    )
+def _row(job: JobSpec, outcome: str, theorem_id: str, checks, outcome_row: str = "",
+         margin=None, quantities=None, residuals=None, note: str = "") -> JobResult:
+    """The one report row of every job: it passes iff ``outcome`` (a Verdict's
+    "pass"/"fail", a RigidityReport's verdict, or "raises:<Name>") equals its
+    expect.  ``outcome_row``, when given, names a first hypothesis row whose
+    ok is that pass; the hypothesis checks follow, and their residuals are
+    the row's unless ``residuals`` is given."""
+    passed = outcome == job.expect
+    hyps = tuple({"name": h.name, "ok": bool(h.ok), "residual": float(h.residual)}
+                 for h in checks)
+    if outcome_row:
+        hyps = ({"name": outcome_row, "ok": passed, "residual": 0.0},) + hyps
+    if residuals is None:
+        residuals = {h.name: h.residual for h in checks}
+    return JobResult(job.id, theorem_id, passed, None if margin is None else float(margin),
+                     {k: float(v) for k, v in (quantities or {}).items()}, hyps,
+                     {k: float(v) for k, v in residuals.items()}, note=note)
 
 
 def _boundary_point(parsed: dict, exponent=None) -> BoundaryPoint:
@@ -529,8 +488,7 @@ CHECKS = {
         lambda job, ctx: equality_case_1d(job.parsed["map"], ctx.rigidity_cfg(job))),
     "polydisk_counterexample": CheckSpec(
         {"n"}, set(),
-        lambda job, ctx: counterexample_polydisk_eigen(
-            job.parsed["n"], ctx.rigidity_cfg(job))),
+        lambda job, ctx: counterexample_polydisk_eigen(job.parsed["n"])),
     "caratheodory_metric": CheckSpec(
         {"direction", "exponent"}, {"base", "family", "starts", "iters"},
         _run_caratheodory_metric),
@@ -542,17 +500,25 @@ CHECKS = {
 
 def _run_job(job: JobSpec, ctx: _RunContext) -> JobResult:
     out = CHECKS[job.check].run(job, ctx)
-    if isinstance(out, RigidityReport):
-        return _row_from_rigidity(job, out)
-    return _row_from_verdict(job, out)
+    if not isinstance(out, RigidityReport):
+        return _row(job, "pass" if out.passed else "fail", out.theorem_id, out.hypotheses,
+                    margin=out.margin, quantities=out.quantities)
+    residuals = {f"fixed_point_{i}": r for i, r in enumerate(out.fixed_point_residuals)}
+    residuals.update((f"equation_{i}_{part}", x) for i, v in enumerate(out.equation_values)
+                     for part, x in (("re", v.real), ("im", v.imag)))
+    residuals.update((f"jf0_{i}", r) for i, r in enumerate(out.jf0_residuals))
+    return _row(job, out.verdict, "rigidity_certificate",
+                (HypothesisCheck("nonneg_pairings", out.nonneg_ok, 0.0),),
+                outcome_row=f"verdict_{out.verdict}", residuals=residuals, note=out.reason,
+                quantities={**out.quantities, "rank": out.rank,
+                            "identity_residual": out.identity_residual})
 
 
 def run_suite(config: SuiteConfig, workers: int = 1) -> list:
     """Execute all jobs in order, serially, collecting one JobResult per job.
 
-    Job errors are captured in that job's result and never abort the suite.
-    A job passes iff its outcome equals its ``expect``: "pass"/"fail" for a
-    Verdict, the verdict for a RigidityReport, "raises:<Name>" for an error.
+    Job errors are captured in that job's result and never abort the suite;
+    ``_row`` writes and judges every result, a verdict, report or error alike.
     ``workers`` accepts only 1; it remains for callers that still pass it.
     """
     if workers != 1:
@@ -563,7 +529,9 @@ def run_suite(config: SuiteConfig, workers: int = 1) -> list:
         try:
             results.append(_run_job(job, ctx))
         except Exception as exc:  # noqa: BLE001 - captured per contract
-            results.append(_row_from_error(job, exc))
+            name = type(exc).__name__
+            results.append(_row(job, f"raises:{name}", job.check, (), f"raised_{name}",
+                                note=str(exc)))
     return results
 
 

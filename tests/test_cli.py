@@ -94,6 +94,35 @@ def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+_DEEP_ARRAY = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "zhu", "--map", _DEEP_ARRAY],
+    ["check", "zhu", "--map", "zhu_extremal", "--map-params", _DEEP_ARRAY],
+    ["caratheodory", "-p", "2", "--to", _DEEP_ARRAY],
+], ids=["map", "map-params", "to"])
+def test_argument_nested_too_deep_to_decode_is_schema_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: /:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs, pointer", [
+    ('[{"id": "z", "check": "zhu", "map": '
+     + '{"node": "scale", "factor": [1, 0], "inner": ' * 500
+     + '{"node": "coordinate", "index": 0, "dim": 1}' + "}" * 500 + "}]",
+     "/jobs/0/map/inner/"),
+    ("[" * 200_000 + "]" * 200_000, "/:"),
+], ids=["map-500-nodes", "jobs-200000-arrays"])
+def test_suite_nested_past_the_cap_is_schema_error(jobs, pointer, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"suite_name": "deep", "seed": 1, "jobs": ' + jobs + "}")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {pointer}") and err.count("\n") == 1
+
+
 def test_gallery_list(capsys):
     assert main(["gallery", "list"]) == 0
     names = capsys.readouterr().out.split()

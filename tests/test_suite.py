@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from schwarz_lab import (BadParams, Coordinate, Power, Scale, SchemaError, geometry,
                          map_to_json, rigidity, suite)
+from schwarz_lab.maps import MAX_DEPTH
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -247,6 +248,17 @@ def test_shipped_suite_matches_golden_report():
         assert ([(h["name"], h["ok"]) for h in g["hypotheses"]]
                 == [(h["name"], h["ok"]) for h in w["hypotheses"]]), g["id"]
         assert _close(g, w), g["id"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_every_outcome_path_matches_its_golden_bytes(fmt):
+    # tests/golden/outcomes.<fmt> is `schwarz-lab run tests/golden/outcomes.json
+    # --format <fmt>`: a verdict that passes, fails, or misses its expect; an
+    # error that meets or misses its expect; and every exit of the rigidity
+    # check. Text is the one format that prints each row's note.
+    golden = GOLDEN.parent
+    config = parse_suite((golden / "outcomes.json").read_bytes())
+    assert emit_report(run_suite(config), fmt) == (golden / f"outcomes.{fmt}").read_bytes()
 
 
 def test_every_check_key_has_a_parser():
@@ -555,6 +567,59 @@ def test_input_errors_stay_job_results_on_every_run(job, error):
     assert first == second
     assert first.passed and first.hypotheses[0]["name"] == f"raised_{error}"
     assert first.note
+
+
+def _nested_map(kind: str, nodes: int) -> dict:
+    """z -> z on C^1 as ``nodes`` nested scale-by-one, first-power or compose
+    nodes over a coordinate; each node nests its inner map one JSON level deeper."""
+    m = {"node": "coordinate", "index": 0, "dim": 1}
+    for _ in range(nodes):
+        m = {"scale": {"node": "scale", "factor": [1.0, 0.0], "inner": m},
+             "power": {"node": "power", "exponent": 1, "inner": m},
+             "compose": {"node": "compose", "outer": _nested_map(kind, 0), "inner": m}}[kind]
+    return m
+
+
+# the suite document, its jobs array and the job hold the map three levels down,
+# so a map of this many nested nodes makes the document exactly MAX_DEPTH deep
+_NODES_AT_CAP = MAX_DEPTH - 4
+
+
+@pytest.mark.parametrize("kind", ["scale", "power", "compose"])
+def test_map_at_the_nesting_cap_runs_every_boundary_check(kind):
+    deep = _nested_map(kind, _NODES_AT_CAP)
+    results = run_suite(parse_suite(small_config(jobs=[
+        {"id": "zhu", "check": "zhu", "map": deep},
+        {"id": "pick", "check": "schwarz_pick", "map": deep, "exponent": 2, "samples": 50},
+        {"id": "lp", "check": "lp_boundary_schwarz", "map": deep, "point": [[1.0, 0.0]],
+         "exponent": 2},
+    ])))
+    assert [r.hypotheses[0]["name"] for r in results if r.hypotheses[0]["name"].startswith(
+        "raised_")] == []
+    assert suite_passed(results)
+
+
+@pytest.mark.parametrize("nodes", [_NODES_AT_CAP + 1, 300, 500])
+def test_map_nested_past_the_cap_is_schema_error(nodes):
+    # 300 nodes once parsed and then raised RecursionError in the job's run;
+    # 500 ended parse_suite in a RecursionError
+    with pytest.raises(SchemaError) as err:
+        parse_suite(json.dumps(small_config(jobs=[
+            {"id": "zhu", "check": "zhu", "map": _nested_map("scale", nodes)}])))
+    assert err.value.path.startswith("/jobs/0/map/inner")
+
+
+def test_jobs_nested_too_deep_to_decode_is_schema_error():
+    text = '{"suite_name": "deep", "seed": 1, "jobs": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    with pytest.raises(SchemaError) as err:
+        parse_suite(text)
+    assert err.value.path == "/"
+    # decodable, but nested past the cap: jobs/0 is level 3, so level
+    # MAX_DEPTH + 1 is MAX_DEPTH - 2 levels below it
+    deep = functools.reduce(lambda inner, _: [inner], range(MAX_DEPTH), [])
+    with pytest.raises(SchemaError) as err:
+        parse_suite(small_config(jobs=[deep]))
+    assert err.value.path == "/jobs/0" + "/0" * (MAX_DEPTH - 2)
 
 
 def test_shipped_suite_all_pass():

@@ -7,11 +7,12 @@ Each checkout's ``src/schwarz_lab`` is copied into a temporary directory as
 the packages ``schwarz_lab_a`` and ``schwarz_lab_b``, and both are imported
 into this one interpreter.  The suite documents are A's perfbench workload at
 each of ``--seeds``.  At every seed each side parses the document once and
-makes a cold and a warm pass, and all four reports must be equal byte for
-byte.  Then, at the first seed, warm passes alternate, A then B in even
-pairs and B then A in odd ones; a pass is ``run_suite(config)`` plus
-``emit_report(results, "jsonl")``, as perfbench times it.  With
-``--pairs 0`` only the reports are compared.
+makes a cold and a warm pass.  The cold passes must give equal jsonl, csv
+and text reports byte for byte (only text prints each row's note), and each
+warm pass the cold jsonl.  Then, at the first seed, warm passes alternate, A
+then B in even pairs and B then A in odd ones; a pass is
+``run_suite(config)`` plus ``emit_report(results, "jsonl")``, as perfbench
+times it.  With ``--pairs 0`` only the reports are compared.
 
 Printed: the sum ratio (A's total time over B's, so B's jobs_per_s over A's),
 the median of the per-pair ratios t_A / t_B, and the pairs B won.  Passing the
@@ -33,6 +34,8 @@ import time
 
 # Untimed passes per side before the pairs, so lazy set-up and caches settle.
 WARMUP_PASSES = 5
+# The report formats a cold pass must render alike on both sides; jsonl first.
+FORMATS = ("jsonl", "csv", "text")
 
 
 def load_package(root: pathlib.Path, name: str, tmp: pathlib.Path):
@@ -58,14 +61,23 @@ def one_pass(sl, config) -> tuple[float, bytes]:
 
 
 def same_reports(sides, doc: bytes, seed: int):
-    """Both sides' configs for doc when a cold and a warm pass of each give
-    one report, else None."""
+    """Both sides' configs for doc, and their jsonl report, when the sides'
+    cold passes give the same report in every format and each side's warm
+    pass the same jsonl, else None."""
     configs = [sl.parse_suite(doc) for sl in sides]
-    reports = [one_pass(sl, cfg)[1] for sl, cfg in zip(sides, configs) for _ in range(2)]
-    if any(r != reports[0] for r in reports):
-        print(f"ab_inprocess: the reports differ at seed {seed}", file=sys.stderr)
+    cold, warm = [], []
+    for sl, cfg in zip(sides, configs):
+        results = sl.run_suite(cfg)
+        cold.append([sl.emit_report(results, fmt) for fmt in FORMATS])
+        warm.append(one_pass(sl, cfg)[1])
+    differ = [fmt for fmt, a, b in zip(FORMATS, *cold) if a != b]
+    if any(r != cold[0][0] for r in warm):
+        differ.append("warm jsonl")
+    if differ:
+        print(f"ab_inprocess: the {', '.join(differ)} reports differ at seed {seed}",
+              file=sys.stderr)
         return None
-    return configs, reports[0]
+    return configs, cold[0][0]
 
 
 def compare(sides, configs, cold: bytes, args) -> int:
