@@ -34,9 +34,10 @@ _UNIT_TOL = 1e-12
 # Upper bound for every count in a suite job and every dimension or index read
 # from JSON: each one sizes an allocation or a loop.
 MAX_COUNT = 10**6
-# Deepest nesting of arrays and objects in an input document, itself level 1:
-# a map tree is read, evaluated and differentiated by nested calls, one per
-# node, so a deeper tree could exhaust the interpreter's recursion limit.
+# Deepest nesting of arrays and objects in an input document, itself level 1,
+# and of nodes in a map tree, its root level 1: a map tree is read, evaluated
+# and differentiated by nested calls, one per node, so a deeper tree could
+# exhaust the interpreter's recursion limit.
 MAX_DEPTH = 64
 
 
@@ -68,6 +69,16 @@ class MapExpr:
     @property
     def is_scalar(self) -> bool:
         return self.output_dim == 1
+
+    @functools.cached_property
+    def _depth(self) -> int:
+        """Nodes on the longest path from this node to a leaf, both counted."""
+        return 1 + max((c._depth for c in self._children()), default=0)
+
+    def __post_init__(self):
+        # nodes with subtrees run this last; a leaf's depth is 1
+        if self._depth > MAX_DEPTH:
+            raise BadParams(f"map tree nested more than {MAX_DEPTH} nodes deep")
 
     def _children(self) -> tuple["MapExpr", ...]:
         """The subtrees held in the node's fields, in field order."""
@@ -213,6 +224,7 @@ class Sum(MapExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _check_scalar_children("Sum", self.terms))
+        super().__post_init__()
 
     def _eval(self, z, ctx):
         acc = self.terms[0]._eval(z, ctx)
@@ -235,6 +247,7 @@ class Product(MapExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "factors", _check_scalar_children("Product", self.factors))
+        super().__post_init__()
 
     def _eval(self, z, ctx):
         acc = self.factors[0]._eval(z, ctx)
@@ -260,6 +273,7 @@ class Scale(MapExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _finite(self.factor, "scale factor"))
+        super().__post_init__()
 
     @property
     def output_dim(self):
@@ -287,6 +301,7 @@ class Power(MapExpr):
         object.__setattr__(self, "exponent", int(self.exponent))
         if not self.inner.is_scalar:
             raise BadParams("Power applies to scalar maps")
+        super().__post_init__()
 
     def _eval(self, z, ctx):
         return self.inner._eval(z, ctx) ** self.exponent
@@ -319,6 +334,7 @@ class MoebiusDisk(MapExpr):
             raise BadParams("Moebius rotation must be unimodular")
         if not self.inner.is_scalar:
             raise BadParams("MoebiusDisk applies to scalar maps")
+        super().__post_init__()
 
     def _rotated(self, u, ctx):
         """(rotation * u, its denominator 1 + conj(a) rotation u), guarding the pole."""
@@ -392,6 +408,7 @@ class Compose(MapExpr):
                 f"compose: outer expects C^{self.outer.input_dim}, "
                 f"inner produces C^{self.inner.output_dim}"
             )
+        super().__post_init__()
 
     @property
     def output_dim(self):
@@ -422,6 +439,7 @@ class MapTuple(MapExpr):
         object.__setattr__(
             self, "components", _check_scalar_children("MapTuple", self.components)
         )
+        super().__post_init__()
 
     @property
     def output_dim(self):
@@ -527,7 +545,12 @@ def map_to_json(f: MapExpr) -> dict:
                               for name, kind in _FIELDS[type(f)]}}
 
 
-def map_from_json(data: dict) -> MapExpr:
+def map_from_json(data: dict, depth: int = 1) -> MapExpr:
+    """Inverse of map_to_json.  data is a node at `depth` of its tree, the root
+    at 1: a tree deeper than MAX_DEPTH nodes is BadParams before any node of it
+    is built."""
+    if depth > MAX_DEPTH:
+        raise BadParams(f"map JSON nested more than {MAX_DEPTH} nodes deep")
     if not isinstance(data, dict) or "node" not in data:
         raise BadParams("map JSON must be an object with a 'node' tag")
     tag = data["node"]
@@ -535,7 +558,8 @@ def map_from_json(data: dict) -> MapExpr:
     if cls is None:
         raise BadParams(f"unknown map node '{tag}'")
     try:
-        return cls(*(_FIELD_TYPES[kind].decode(data[name]) for name, kind in _FIELDS[cls]))
+        return cls(*(_FIELD_TYPES[kind].decode(data[name], depth + 1) if kind in _SUBTREES
+                     else _FIELD_TYPES[kind].decode(data[name]) for name, kind in _FIELDS[cls]))
     except KeyError as exc:
         raise BadParams(f"map JSON node '{tag}' is missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -548,13 +572,13 @@ class _FieldType(NamedTuple):
 
 
 # how each field type is written to JSON and read back; an int is its own
-# encoding
+# encoding, and a subtree's decoder takes its depth
 _FIELD_TYPES = {
     int: _FieldType(int, json_int),
     complex: _FieldType(_c2j, json_complex),
     MapExpr: _FieldType(map_to_json, map_from_json),
     tuple[MapExpr, ...]: _FieldType(lambda fs: [map_to_json(f) for f in fs],
-                                    lambda ds: tuple(map_from_json(d) for d in ds)),
+                                    lambda ds, depth: tuple(map_from_json(d, depth) for d in ds)),
     np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m], json_matrix),
 }
 

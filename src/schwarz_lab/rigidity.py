@@ -26,7 +26,6 @@ from .geometry import (
     lp_norm,
     norm_p,
     rigidity_v,
-    with_lp_norms,
 )
 from .maps import MapExpr, evaluate
 from .verify import HypothesisCheck, Verdict, sample_ball
@@ -170,36 +169,50 @@ def _first_primes(k: int) -> np.ndarray:
         limit *= 2
 
 
-def _halton_unit(n: int, count: int) -> np.ndarray:
-    """The unscrambled Halton sample in [0, 1)^(2n+1).
+def _halton_column(base: int, count: int, out: np.ndarray) -> np.ndarray:
+    """out[:] = the van der Corput sequence in `base` at indices 1..count (the
+    all-zero point 0 is dropped), in place.  Each radical inverse adds digit *
+    b2r from the lowest digit up, with b2r = 1/base and then b2r /= base per
+    digit; that order of roundings is part of the sample, which
+    tests/test_rigidity.py pins to the reference Halton sampler bit for bit."""
+    q = np.arange(1, count + 1)
+    digit, term = np.empty_like(q), np.empty(count)
+    out[:] = 0.0
+    b2r = 1.0 / base
+    while q.any():
+        np.divmod(q, base, out=(q, digit))
+        out += np.multiply(digit, b2r, out=term)
+        b2r /= base
+    return out
 
-    Column j is the van der Corput sequence in the j-th prime base at indices
-    1..count (index 0, the all-zero point, is dropped).  Each radical inverse
-    adds digit * b2r from the lowest digit up, with b2r = 1/base and then
-    b2r /= base per digit; that order of roundings is part of the sample,
-    which tests/test_rigidity.py pins to the reference Halton sampler bit for
-    bit.  The columns are stored contiguously, as that sampler stores them,
-    so each coordinate of the grids built from them is a contiguous column.
-    """
-    idx = np.arange(1, count + 1)
-    columns = np.zeros((2 * n + 1, count))
-    for col, base in zip(columns, _first_primes(2 * n + 1).tolist()):
-        q, b2r = idx, 1.0 / base
-        while q.any():
-            q, digit = np.divmod(q, base)
-            col += digit * b2r
-            b2r /= base
-    return columns.T
+
+def _blocks(a: np.ndarray) -> list:
+    """a's rows as the fewest views of at most _BLOCK_ROWS rows, near equal in
+    size: a one-row block would sum a row's terms in another order."""
+    return np.array_split(a, max(1, -(-len(a) // _BLOCK_ROWS)))
 
 
 def _ball_grid(p: float, n: int, count: int) -> np.ndarray:
-    u = _halton_unit(n, count)
-    x = 2.0 * u[:, : 2 * n] - 1.0
-    z = x[:, :n] + 1j * x[:, n:]
-    return with_lp_norms(z, p, 0.999 * u[:, -1])
+    """Halton column j gives z_j its real part 2u - 1 and column n + j its
+    imaginary part; the last column u sets each row's lp norm to 0.999 u."""
+    bases = _first_primes(2 * n + 1).tolist()
+    grid = np.empty((n, count), dtype=complex).T  # column-major, as the sampler stores it
+    for base, col in zip(bases, [*grid.real.T, *grid.imag.T]):
+        _halton_column(base, count, col)
+        col *= 2.0
+        col -= 1.0
+    radii = _halton_column(bases[-1], count, np.empty(count))
+    radii *= 0.999
+    for rows, r in zip(_blocks(grid), _blocks(radii)):  # with_lp_norms, block by block
+        norms = lp_norm(rows, p)
+        norms[norms == 0.0] = 1.0
+        rows /= norms[:, None]
+        rows *= r[:, None]
+    return grid
 
 
 _GRID_MEMO_COORDS = 32_768  # count * n, 512 KiB of complex128
+_BLOCK_ROWS = 2048  # rows a grid is rescaled and read in at a time
 
 
 @functools.lru_cache(maxsize=32)
@@ -210,22 +223,23 @@ def _shared_grid(p: float, n: int, count: int) -> np.ndarray:
 def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy interior grid of the unit p-ball, (count, n).
 
-    Each call returns a fresh writable array.  Grids of count * n <= 32,768
-    are built once per (p, n, count) and kept read-only, the 32 most recently
-    used (16 MiB at most), in a process-wide memo; a call copies layout and
-    bits.  A larger grid is built on every call and not kept.
+    Every grid is read-only.  Grids of count * n <= 32,768 are built once per
+    (p, n, count), the 32 most recently used (16 MiB at most), and every call
+    returns the same array from a process-wide memo.  A larger grid is built
+    on every call and not kept.
     """
     e = as_exponent(p)
     if count * n > _GRID_MEMO_COORDS:
-        return _ball_grid(e.p, n, count)
-    return _shared_grid(e.p, n, count).copy(order="K")
+        return _read_only(_ball_grid(e.p, n, count))
+    return _shared_grid(e.p, n, count)
 
 
 def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
+    """max ||f(x) - x||_p over the interior grid, block by block, and the segments."""
     e = inst.exponent
     grid = halton_ball_grid(e, inst.dim, cfg.grid_points)
-    pts = np.vstack([grid, inst.segment_points])
-    return float(np.max(lp_norm(evaluate(inst.map, pts) - pts, e.p)))
+    return float(np.max([np.max(lp_norm(evaluate(inst.map, pts) - pts, e.p))
+                         for pts in [*_blocks(grid), inst.segment_points]]))
 
 
 def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
@@ -421,6 +435,11 @@ def equality_case_1d(f: MapExpr, cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) 
     return Verdict("disk_rigidity_equality", checks, quantities, margin, 0.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _square_first(n: int) -> MapExpr:
+    return gallery("square_first", {"n": n})  # the counterexample's map, built once per n
+
+
 def counterexample_polydisk_eigen(n: int = 3) -> Verdict:
     """Squaring one polydisk coordinate breaks normal proportionality at (1,...,1).
 
@@ -429,7 +448,7 @@ def counterexample_polydisk_eigen(n: int = 3) -> Verdict:
     """
     if n < 2:
         raise BadParams("the counterexample needs n >= 2")
-    f = gallery("square_first", {"n": n})
+    f = _square_first(n)
     z0 = np.ones(n, dtype=complex)
     J = complex_jacobian(f, z0)
     expected = np.diag([2.0] + [1.0] * (n - 1)).astype(complex)

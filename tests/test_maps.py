@@ -356,6 +356,39 @@ def test_json_rejects_garbage():
         map_from_json({"node": "power", "exponent": 2})  # missing inner
 
 
+def _scale_chain_json(levels: int) -> dict:
+    """A map dict of `levels` nested nodes: scale nodes around one coordinate."""
+    data = {"node": "coordinate", "index": 0, "dim": 1}
+    for _ in range(levels - 1):
+        data = {"node": "scale", "factor": 1.0, "inner": data}
+    return data
+
+
+def test_map_json_deeper_than_the_cap_is_bad_params():
+    # 500 levels once ended map_from_json in a RecursionError
+    assert evaluate(map_from_json(_scale_chain_json(maps.MAX_DEPTH)), 0.5)[0] == 0.5
+    for levels in (maps.MAX_DEPTH + 1, 500, 5000):
+        with pytest.raises(BadParams, match="nodes deep"):
+            map_from_json(_scale_chain_json(levels))
+    tuples = {"node": "coordinate", "index": 0, "dim": 1}
+    for _ in range(maps.MAX_DEPTH):
+        tuples = {"node": "tuple", "components": [tuples]}
+    with pytest.raises(BadParams, match="nodes deep"):
+        map_from_json(tuples)
+
+
+def test_node_classes_refuse_a_tree_deeper_than_the_cap():
+    # a 2000-node chain once built and then ended evaluate in a RecursionError
+    f = Coordinate(0, 1)
+    for _ in range(maps.MAX_DEPTH - 1):
+        f = Scale(1.0, f)
+    assert evaluate(f, 0.5)[0] == 0.5
+    for wrap in (lambda g: Scale(1.0, g), lambda g: MapTuple((g,)), lambda g: Power(1, g),
+                 lambda g: Compose(Coordinate(0, 1), g), lambda g: Sum((g, g))):
+        with pytest.raises(BadParams, match="nodes deep"):
+            wrap(f)
+
+
 # ---------------------------------------------------------------------------
 # gallery constructors
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """Rigidity certificates, the proof chain, and the counterexample gallery."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from schwarz_lab import (
     BadParams,
     BoundaryPoint,
     Compose,
+    Coordinate,
     HypothesisFailed,
     LinearMatrix,
+    MapTuple,
+    MoebiusDisk,
+    PoleHit,
     complex_jacobian,
     evaluate,
     gallery,
@@ -25,7 +31,7 @@ from schwarz_lab import (
     sample_ball,
 )
 from schwarz_lab import diff, rigidity
-from schwarz_lab.geometry import lp_norm
+from schwarz_lab.geometry import lp_norm, with_lp_norms
 from schwarz_lab.rigidity import (
     RigidityConfig,
     RigidityInstance,
@@ -37,6 +43,8 @@ from schwarz_lab.rigidity import (
     halton_ball_grid,
 )
 from schwarz_lab.rng import stream
+
+from test_maps import _trees
 
 FAST = RigidityConfig(selfmap_samples=400, grid_points=1500)
 
@@ -221,6 +229,15 @@ def test_counterexample_frozen_values():
     assert v2.quantities["residual"] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-9)
 
 
+def test_polydisk_counterexample_builds_its_map_once_per_n(monkeypatch):
+    # a warm boundary-fine pass runs n = 2..5 and builds no tree
+    cold = [counterexample_polydisk_eigen(n) for n in (2, 3, 4, 5)]
+    built = []
+    monkeypatch.setattr(rigidity, "gallery", lambda *args: built.append(args))
+    assert [counterexample_polydisk_eigen(n) for n in (2, 3, 4, 5)] == cold
+    assert built == []
+
+
 def test_halton_grid_deterministic_and_interior():
     g1 = halton_ball_grid(3, 2, 500)
     g2 = halton_ball_grid(3, 2, 500)
@@ -229,18 +246,14 @@ def test_halton_grid_deterministic_and_interior():
     assert norms.max() < 1.0
 
 
-def test_halton_grid_is_fresh_on_every_call():
-    # The raw Halton sample is built once per size; each call still returns
-    # its own writable grid.
+def test_halton_grid_is_shared_and_read_only():
+    # a memoised size is built once; every call returns that read-only array
     g1 = halton_ball_grid(3, 2, 500)
-    kept = g1.copy()
-    g1[:] = 0.0
-    g2 = halton_ball_grid(3, 2, 500)
-    g3 = halton_ball_grid(3, 2, 500)
-    assert np.array_equal(g2, kept) and np.array_equal(g3, kept)
-    assert not np.shares_memory(g2, g3)
-    assert g2.flags.writeable
-    assert np.allclose(halton_ball_grid(3, 2, 400), kept[:400], rtol=1e-14, atol=0.0)
+    assert halton_ball_grid(3, 2, 500) is g1
+    assert not g1.flags.writeable
+    with pytest.raises(ValueError):
+        g1[0] = 0.0
+    assert np.allclose(halton_ball_grid(3, 2, 400), g1[:400], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("count", [1, 2, 600, 1000, 2000, 7500])
@@ -249,9 +262,9 @@ def test_halton_sample_equals_scipy_bit_for_bit(n, count):
     # n = 12 takes 25 bases, past the fifteen primes up to 47.
     qmc = pytest.importorskip("scipy.stats").qmc
     want = qmc.Halton(d=2 * n + 1, scramble=False).random(count + 1)[1:]
-    got = rigidity._halton_unit(n, count)
+    got = np.stack([rigidity._halton_column(base, count, np.empty(count))
+                    for base in rigidity._first_primes(2 * n + 1).tolist()], axis=1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert got.strides[0] == want.strides[0] == got.itemsize  # stored column by column
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,8 +274,27 @@ def test_shared_grid_equals_a_fresh_build_byte_for_byte(p, n, count):
     got = halton_ball_grid(p, n, count)
     want = rigidity._ball_grid(p, n, count)
     assert got.tobytes() == want.tobytes() and got.strides == want.strides
-    kept = rigidity._shared_grid(p, n, count)
-    assert not kept.flags.writeable and not np.shares_memory(got, kept)
+    assert got is rigidity._shared_grid(p, n, count) and not got.flags.writeable
+
+
+def _ref_ball_grid(p, n, count):
+    """The grid as whole-array operations on the stacked (count, 2n + 1) sample,
+    stored column by column as the reference Halton sampler stores it."""
+    bases = rigidity._first_primes(2 * n + 1).tolist()
+    u = np.array([rigidity._halton_column(b, count, np.empty(count)) for b in bases]).T
+    x = 2.0 * u[:, : 2 * n] - 1.0
+    return with_lp_norms(x[:, :n] + 1j * x[:, n:], p, 0.999 * u[:, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1.25, 2.0, 3.0, math.inf]), n=st.integers(1, 9),
+       count=st.integers(1, 6000))
+@example(p=2.0, n=8, count=2049)  # a one-row last block would sum its row in another order
+def test_in_place_grid_equals_the_whole_array_build_bit_for_bit(p, n, count):
+    got = rigidity._ball_grid(p, n, count)
+    want = _ref_ball_grid(p, n, count)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous and want.flags.f_contiguous  # each coordinate a column
 
 
 def test_grids_over_the_memo_cap_are_not_kept():
@@ -271,11 +303,48 @@ def test_grids_over_the_memo_cap_are_not_kept():
     before = rigidity._shared_grid.cache_info()
     big = halton_ball_grid(3, n, count + 1)
     assert rigidity._shared_grid.cache_info() == before
-    assert big.flags.writeable and big.tobytes() == rigidity._ball_grid(3.0, n, count + 1).tobytes()
+    assert not big.flags.writeable
+    assert big.tobytes() == rigidity._ball_grid(3.0, n, count + 1).tobytes()
+    assert halton_ball_grid(3, n, count + 1) is not big
     halton_ball_grid(3, n, count)
     after = rigidity._shared_grid.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
     assert after.maxsize == 32
+
+
+def test_an_over_cap_grid_is_built_in_little_more_than_its_own_memory():
+    # the grid is 32.0 MB; with a (count, 2n + 1) Halton sample and whole-grid
+    # temporaries its build peaked at 162.5 MB
+    tracemalloc.start()
+    try:
+        grid = halton_ball_grid(2, 20, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == 32_000_000 and peak < 40_000_000
+
+
+_LINEAR_2 = LinearMatrix(np.array([[0.5, 0.2j], [-0.1, 0.4 + 0.1j]]))
+_MOEBIUS_2 = MapTuple((MoebiusDisk(0.3, 1j, Coordinate(0, 2)), Coordinate(1, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_trees.filter(lambda f: f.output_dim == f.input_dim),
+       p=st.sampled_from([2.0, 3.0]))
+@example(f=_LINEAR_2, p=2.0)
+@example(f=_MOEBIUS_2, p=3.0)
+@example(f=Compose(_LINEAR_2, _MOEBIUS_2), p=2.0)
+def test_blocked_identity_residual_equals_one_evaluate_bit_for_bit(f, p):
+    n = f.input_dim
+    inst = RigidityInstance(f, basis_anchors(n, p), p, "p2" if p == 2.0 else "rigidity_v")
+    for count in (1, 2047, 2048, 2049, 10_000):
+        pts = np.vstack([halton_ball_grid(p, n, count), inst.segment_points])
+        try:
+            want = np.max(lp_norm(evaluate(f, pts) - pts, p))
+        except PoleHit:
+            reject()
+        got = rigidity._identity_residual(inst, replace(FAST, grid_points=count))
+        assert np.float64(got).tobytes() == want.tobytes(), count
 
 
 def test_first_primes_grow_past_the_first_sieve():
