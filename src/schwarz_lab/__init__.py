@@ -17,9 +17,9 @@ from .errors import (
 )
 from .geometry import (
     BoundaryPoint,
-    Exponent,
     as_exponent,
     cinner,
+    conjugate_exponent,
     cvector,
     norm_p,
     norming_functional,
@@ -78,8 +78,6 @@ from .verify import (
     verify_zhu,
 )
 from .caratheodory import (
-    CompetitorFamily,
-    MetricQuery,
     OptBudget,
     OptResult,
     competitor_map,

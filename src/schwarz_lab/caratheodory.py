@@ -17,6 +17,7 @@ from .errors import BadParams, OutsideBall
 from .geometry import (
     _reduce_last_axis,
     as_exponent,
+    conjugate_exponent,
     cvector,
     l2_norm_rows,
     lp_norm,
@@ -32,39 +33,16 @@ FAMILY_KINDS = ("linear_dual", "linear_moebius")
 MEMBERSHIP_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class MetricQuery:
-    base: np.ndarray
-    direction: np.ndarray
-    exponent: object
-
-    def __post_init__(self):
-        e = as_exponent(self.exponent)
-        b = cvector(self.base)
-        d = cvector(self.direction)
-        if b.shape != d.shape:
-            raise BadParams("base and direction must share a dimension")
-        if norm_p(b, e) >= 1.0:
-            raise OutsideBall("metric query base must lie in the open ball")
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "exponent", e)
-
-
-@dataclass(frozen=True)
-class CompetitorFamily:
-    """Competitors f: ball -> disk with f(base) = 0 built into the chart.
+def _family(kind: str) -> str:
+    """A competitor family: maps f: ball -> disk with f(base) = 0 built into the chart.
 
     linear_dual: f(w) = sum c_j w_j with c on the dual-norm unit sphere
     (valid at base 0 only).  linear_moebius: the same linear map followed by
     the disk automorphism sending the base image to 0 (any base).
     """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise BadParams(f"unknown competitor family {self.kind!r}")
+    if kind not in FAMILY_KINDS:
+        raise BadParams(f"unknown competitor family {kind!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -88,12 +66,11 @@ class OptResult:
 
 def metric_origin_closed(z, p) -> float:
     """Infinitesimal metric at the origin: the norm of the direction."""
-    return float(norm_p(cvector(z), as_exponent(p)))
+    return float(norm_p(z, p))
 
 
 def distance_origin_closed(z, p) -> float:
-    e = as_exponent(p)
-    r = float(norm_p(cvector(z), e))
+    r = float(norm_p(z, p))
     if r >= 1.0:
         raise OutsideBall(f"||z||_p = {r} is not inside the unit ball")
     return 0.5 * math.log((1.0 + r) / (1.0 - r))
@@ -122,10 +99,10 @@ def _pair(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _reduce_last_axis(np.add, c * v[None, :])
 
 
-def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray,
-                   p) -> MapExpr:
-    """Materialize one family member as an expression tree."""
-    e = as_exponent(p)
+def competitor_map(kind: str, theta: np.ndarray, base: np.ndarray, p) -> MapExpr:
+    """Materialize one member of the family `kind` as an expression tree."""
+    kind = _family(kind)
+    p = as_exponent(p)
     base = cvector(base)
     n = base.shape[0]
     theta = np.asarray(theta, dtype=float)
@@ -133,12 +110,12 @@ def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray
         raise BadParams("theta must have 2n real entries")
     if not np.all(np.isfinite(theta)):
         raise BadParams("theta must be finite")
-    c, zero = _coefficients(theta[None, :], e.conjugate_value)
+    c, zero = _coefficients(theta[None, :], conjugate_exponent(p))
     if zero[0]:
         raise BadParams("degenerate parameters: zero coefficient vector")
     lin = LinearMatrix(c)
-    if family.kind == "linear_dual":
-        if float(norm_p(base, e)) > 0.0:
+    if kind == "linear_dual":
+        if float(norm_p(base, p)) > 0.0:
             raise BadParams("linear_dual competitors require base 0")
         return lin
     a0 = complex(np.sum(c[0] * base))
@@ -146,17 +123,17 @@ def competitor_map(family: CompetitorFamily, theta: np.ndarray, base: np.ndarray
     return Compose(moeb, lin)
 
 
-def competitor_membership_max(family: CompetitorFamily, theta: np.ndarray,
-                              base: np.ndarray, p, seed: int = 0) -> float:
+def competitor_membership_max(kind: str, theta: np.ndarray, base: np.ndarray, p,
+                              seed: int = 0) -> float:
     """Largest |f| over boundary-adjacent sample points; sound if < 1."""
-    e = as_exponent(p)
+    p = as_exponent(p)
     base = cvector(base)
     n = base.shape[0]
-    f = competitor_map(family, theta, base, e)
-    gen = stream(seed, "membership", n, str(e.p))
+    f = competitor_map(kind, theta, base, p)
+    gen = stream(seed, "membership", n, str(p))
     shape = (MEMBERSHIP_SAMPLES, n)
     raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    pts = with_lp_norms(raw, e.p, 0.999)
+    pts = with_lp_norms(raw, p, 0.999)
     return float(np.max(np.abs(evaluate(f, pts))))
 
 
@@ -268,39 +245,45 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     return OptResult(float(val[best]), theta[best], bool(step[best] < 1e-6), evals)
 
 
-def metric_lower_bound_opt(query: MetricQuery, family: CompetitorFamily,
+def metric_lower_bound_opt(base, direction, p, kind: str,
                            budget: OptBudget = OptBudget()) -> OptResult:
-    """Maximize |f'(base) . direction| over the family; lower bound for the metric."""
-    e = query.exponent
-    n = query.base.shape[0]
-    q = e.conjugate_value
-    if family.kind == "linear_dual" and float(norm_p(query.base, e)) > 0.0:
+    """Maximize |f'(base) . direction| over the family `kind`; lower bound for the metric."""
+    p = as_exponent(p)
+    base = cvector(base)
+    direction = cvector(direction)
+    if base.shape != direction.shape:
+        raise BadParams("base and direction must share a dimension")
+    r = norm_p(base, p)
+    if r >= 1.0:
+        raise OutsideBall("metric query base must lie in the open ball")
+    if _family(kind) == "linear_dual" and r > 0.0:
         raise BadParams("linear_dual competitors require base 0")
+    n = base.shape[0]
+    q = conjugate_exponent(p)
 
     def objective(thetas):
         c, zero = _coefficients(thetas, q)
-        val = modulus(_pair(c, query.direction))
-        if family.kind == "linear_moebius":
-            a0 = modulus(_pair(c, query.base))
+        val = modulus(_pair(c, direction))
+        if kind == "linear_moebius":
+            a0 = modulus(_pair(c, base))
             val /= 1.0 - a0 * a0
         val[zero] = -math.inf
         return val
 
-    return _coordinate_ascent(objective, 2 * n, budget,
-                              f"metric-{family.kind}-{e.p}")
+    return _coordinate_ascent(objective, 2 * n, budget, f"metric-{kind}-{p}")
 
 
 def distance_lower_bound_opt(z, w, p, budget: OptBudget = OptBudget()) -> OptResult:
     """Maximize the disk hyperbolic distance of linear_moebius images; lower bound for d^c."""
-    e = as_exponent(p)
+    p = as_exponent(p)
     z = cvector(z)
     w = cvector(w)
     if z.shape != w.shape:
         raise BadParams("z and w must share a dimension")
-    if norm_p(z, e) >= 1.0 or norm_p(w, e) >= 1.0:
+    if norm_p(z, p) >= 1.0 or norm_p(w, p) >= 1.0:
         raise OutsideBall("distance endpoints must lie in the open ball")
     n = z.shape[0]
-    q = e.conjugate_value
+    q = conjugate_exponent(p)
 
     def objective(thetas):
         c, zero = _coefficients(thetas, q)
@@ -316,4 +299,4 @@ def distance_lower_bound_opt(z, w, p, budget: OptBudget = OptBudget()) -> OptRes
         val[keep] = [math.atanh(x) for x in r[keep].tolist()]
         return val
 
-    return _coordinate_ascent(objective, 2 * n, budget, f"distance-{e.p}")
+    return _coordinate_ascent(objective, 2 * n, budget, f"distance-{p}")

@@ -147,20 +147,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_caratheodory(args) -> int:
-    if args.to:
-        job = {"id": "cli", "check": "caratheodory_distance",
-               "z": _parse_vector_arg(args.to),
-               "exponent": _parse_exponent_arg(args.exponent)}
-    elif args.dir is None:
-        raise SchemaError("caratheodory needs --dir (metric) or --to (distance)")
-    else:
-        job = {"id": "cli", "check": "caratheodory_metric",
-               "direction": _parse_vector_arg(args.dir),
-               "exponent": _parse_exponent_arg(args.exponent)}
-        if args.base:
-            job["base"] = _parse_vector_arg(args.base)
-        if args.family:
-            job["family"] = args.family
+    # one job from every flag given: the check's schema rejects a flag it does not take
+    job = {"id": "cli", "check": "caratheodory_distance" if args.to else "caratheodory_metric",
+           "exponent": _parse_exponent_arg(args.exponent)}
+    for key, text in (("z", args.to), ("direction", args.dir), ("base", args.base)):
+        if text:
+            job[key] = _parse_vector_arg(text)
+    if args.family:
+        job["family"] = args.family
     if args.starts is not None:
         job["starts"] = args.starts
     if args.iters is not None:

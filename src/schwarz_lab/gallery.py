@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams
-from .geometry import as_exponent, cvector, norm_p
+from .geometry import cvector, norm_p
 from .maps import (
     ConjugateCoordinate,
     Constant,
@@ -158,7 +158,6 @@ def build_kalaj_extremal(b, a=0.0, d=0.0, p=2) -> MapExpr:
 
     a = ||f(0)||, d = ||f'(0)||, both real with 0 <= a < 1 and d <= 1 - a^2.
     """
-    p = as_exponent(p)
     b = cvector(_complex_list(b))
     if abs(norm_p(b, p) - 1.0) > _UNIT_TOL:
         raise BadParams("kalaj_extremal direction b must be a unit vector for the given p")

@@ -29,50 +29,22 @@ _NORMAL_MIN = np.finfo(float).tiny  # the least positive normal float
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Ball exponent p in (1, inf]; math.inf encodes the polydisk case."""
-
-    p: float
-
-    def __post_init__(self):
-        p = float(self.p)
-        object.__setattr__(self, "p", p)
-        if not p > 1.0:
-            raise BadParams(f"exponent must satisfy p > 1, got {p}")
-
-    @classmethod
-    def infinity(cls) -> "Exponent":
-        return cls(math.inf)
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.p)
-
-    @property
-    def conjugate_value(self) -> float:
-        """Hoelder conjugate q with 1/p + 1/q = 1, as a plain float."""
-        if self.is_inf:
-            return 1.0
-        return self.p / (self.p - 1.0)
-
-    def __repr__(self):
-        return "Exponent(inf)" if self.is_inf else f"Exponent({self.p:g})"
-
-
 # the strings, in any case, that name the polydisk exponent
 INF_SPELLINGS = ("inf", "infinity", "oo")
 
 
-def as_exponent(p) -> Exponent:
-    """Coerce an Exponent, a number, or the string 'inf' to an Exponent."""
-    if isinstance(p, Exponent):
-        return p
-    if isinstance(p, str):
-        if p.lower() in INF_SPELLINGS:
-            return Exponent.infinity()
-        return Exponent(float(p))
-    return Exponent(float(p))
+def as_exponent(p) -> float:
+    """The ball exponent p in (1, inf] as a float, math.inf for the polydisk, from a
+    number, a numeric string or one of INF_SPELLINGS."""
+    p = math.inf if isinstance(p, str) and p.lower() in INF_SPELLINGS else float(p)
+    if not p > 1.0:
+        raise BadParams(f"exponent must satisfy p > 1, got {p}")
+    return p
+
+
+def conjugate_exponent(p: float) -> float:
+    """Hoelder conjugate q with 1/p + 1/q = 1 of an exponent p > 1 (1.0 at p = inf)."""
+    return 1.0 if math.isinf(p) else p / (p - 1.0)
 
 
 def cvector(entries) -> np.ndarray:
@@ -206,10 +178,8 @@ def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
 
 
 def norm_p(z, p) -> float:
-    """lp norm of a complex vector; p may be an Exponent or a number."""
-    if not isinstance(p, Exponent):
-        p = as_exponent(p)
-    return lp_norm(cvector(z), p.p)
+    """lp norm of a complex vector; p is anything as_exponent reads."""
+    return lp_norm(cvector(z), as_exponent(p))
 
 
 def realify(z) -> np.ndarray:
@@ -228,7 +198,7 @@ class BoundaryPoint:
     """A point certified to lie on the unit sphere of lp(C^n) within tolerance."""
 
     point: np.ndarray
-    exponent: Exponent
+    exponent: float
     tolerance: float = DEFAULT_BOUNDARY_TOL
 
     def __post_init__(self):
@@ -281,13 +251,13 @@ def schwarz_v(bp: BoundaryPoint) -> np.ndarray:
     rejected.
     """
     z = bp.point
-    if bp.exponent.is_inf:
+    if math.isinf(bp.exponent):
         if not bp.on_distinguished_boundary():
             raise NotOnBoundary(
                 "polydisk normal vector needs all |z_j| = 1 (distinguished boundary)"
             )
         return z / z.size
-    return duality_map(z, bp.exponent.p)
+    return duality_map(z, bp.exponent)
 
 
 def rigidity_v(bp: BoundaryPoint) -> np.ndarray:
@@ -295,10 +265,9 @@ def rigidity_v(bp: BoundaryPoint) -> np.ndarray:
 
     Satisfies ||v||_q = 1 for the conjugate exponent q.  Finite p only.
     """
-    if bp.exponent.is_inf:
+    if math.isinf(bp.exponent):
         raise BadParams("rigidity vector is defined for finite p only")
-    p = bp.exponent.p
-    return (np.abs(bp.point) ** (p - 1.0)).astype(complex)
+    return (np.abs(bp.point) ** (bp.exponent - 1.0)).astype(complex)
 
 
 def pluriharmonic_V(bp: BoundaryPoint) -> np.ndarray:
@@ -312,13 +281,13 @@ def pluriharmonic_V(bp: BoundaryPoint) -> np.ndarray:
     w = bp.point
     wr = realify(w)
     tol = max(bp.tolerance, 1e-9)
-    if bp.exponent.is_inf:
+    p = bp.exponent
+    if math.isinf(p):
         if not bp.on_distinguished_boundary():
             raise HypothesisFailed("image must lie on the distinguished boundary")
         if abs(lp_norm(wr, math.inf) - 1.0) > tol:
             raise HypothesisFailed("realified image must lie on the sup-norm unit sphere")
         return wr / (2.0 * w.size)
-    p = bp.exponent.p
     if p < 2.0:
         raise HypothesisFailed("pluriharmonic pairing vector needs p >= 2")
     gap = abs(lp_norm(wr, p) - 1.0)
@@ -346,9 +315,9 @@ def norming_functional(x, p) -> np.ndarray:
     nx = norm_p(x, p)
     if nx == 0.0:
         raise ZeroVector("norming functional of the zero vector is not unique")
-    if p.is_inf:
+    if math.isinf(p):
         j = int(np.argmax(np.abs(x)))
         c = np.zeros_like(x)
         c[j] = np.conj(x[j]) / abs(x[j])
         return c
-    return np.conj(duality_map(x, p.p)) / nx ** (p.p - 1.0)
+    return np.conj(duality_map(x, p)) / nx ** (p - 1.0)

@@ -58,7 +58,7 @@ DEFAULT_RIGIDITY_CONFIG = RigidityConfig()
 class RigidityInstance:
     map: MapExpr
     anchors: tuple
-    exponent: object
+    exponent: float
     variant: str
 
     def __post_init__(self):
@@ -82,23 +82,23 @@ class RigidityInstance:
             raise BadParams("map must be a self-map of the anchors' space")
         for i in range(len(anchors)):
             for j in range(i + 1, len(anchors)):
-                if np.allclose(anchors[i].point, anchors[j].point, atol=1e-12):
+                if np.allclose(anchors[i].point, anchors[j].point, rtol=0.0, atol=1e-12):
                     raise BadParams("anchors must be distinct")
-        if self.variant == "p2" and (e.is_inf or e.p != 2.0):
+        if self.variant == "p2" and e != 2.0:
             raise BadParams("the p2 variant requires exponent 2")
         if self.variant == "polydisk":
-            if not e.is_inf:
+            if not math.isinf(e):
                 raise BadParams("the polydisk variant requires exponent inf")
             for a in anchors:
                 if not a.on_distinguished_boundary():
                     raise BadParams("polydisk anchors must be torus points")
-        if self.variant == "schwarz_v" and not e.is_inf and e.p < 2.0:
+        if self.variant == "schwarz_v" and e < 2.0:
             raise BadParams("the schwarz_v variant requires p >= 2 or inf")
-        if self.variant == "schwarz_v" and e.is_inf:
+        if self.variant == "schwarz_v" and math.isinf(e):
             for a in anchors:
                 if not a.on_distinguished_boundary():
                     raise BadParams("schwarz_v anchors at p=inf must be torus points")
-        if self.variant == "rigidity_v" and e.is_inf:
+        if self.variant == "rigidity_v" and math.isinf(e):
             raise BadParams("the rigidity_v variant requires a finite exponent")
 
     @property
@@ -228,17 +228,17 @@ def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     returns the same array from a process-wide memo.  A larger grid is built
     on every call and not kept.
     """
-    e = as_exponent(p)
+    p = as_exponent(p)
     if count * n > _GRID_MEMO_COORDS:
-        return _read_only(_ball_grid(e.p, n, count))
-    return _shared_grid(e.p, n, count)
+        return _read_only(_ball_grid(p, n, count))
+    return _shared_grid(p, n, count)
 
 
 def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
     """max ||f(x) - x||_p over the interior grid, block by block, and the segments."""
-    e = inst.exponent
-    grid = halton_ball_grid(e, inst.dim, cfg.grid_points)
-    return float(np.max([np.max(lp_norm(evaluate(inst.map, pts) - pts, e.p))
+    p = inst.exponent
+    grid = halton_ball_grid(p, inst.dim, cfg.grid_points)
+    return float(np.max([np.max(lp_norm(evaluate(inst.map, pts) - pts, p))
                          for pts in [*_blocks(grid), inst.segment_points]]))
 
 
@@ -253,7 +253,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     failed and "" when the equations passed.
     """
     f = inst.map
-    e = inst.exponent
+    p = inst.exponent
     n = inst.dim
     A = inst.anchor_matrix
     quantities: dict = {}
@@ -264,7 +264,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
                               nonneg, tuple(jf0), math.nan, quantities), J0, F
 
     f0 = evaluate(f, np.zeros(n, dtype=complex))
-    origin_res = float(norm_p(f0, e))
+    origin_res = float(norm_p(f0, p))
     quantities["origin_residual"] = origin_res
     if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
@@ -275,21 +275,21 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
-    pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
-    escape = float(np.max(lp_norm(evaluate(f, pts), e.p)))
+    pts = sample_ball(p, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
+    escape = float(np.max(lp_norm(evaluate(f, pts), p)))
     quantities["selfmap_escape"] = float(np.maximum(0.0, escape - 1.0))
     if not escape <= 1.0 + 1e-10:
         return partial(HYPOTHESES_FAIL, "map leaves the unit ball on samples")
 
-    fixed = lp_norm(F[1:] - A, e.p).tolist()
+    fixed = lp_norm(F[1:] - A, p).tolist()
     if not np.max(fixed) <= cfg.fixed_tol:
         return partial(HYPOTHESES_FAIL, "anchor is not a fixed point", fixed=fixed)
 
     eqs = [complex(row @ (J @ a.point))
            for row, a, J in zip(inst.pairing_rows, inst.anchors, jacs)]
     J0A = np.array([J0 @ a for a in A])
-    jf0 = lp_norm(J0A - A, e.p).tolist()
-    holder_norms = lp_norm(J0A, e.p).tolist()
+    jf0 = lp_norm(J0A - A, p).tolist()
+    holder_norms = lp_norm(J0A, p).tolist()
     quantities["holder_norm_max"] = float(np.max(holder_norms))
     quantities["holder_norm_min"] = float(np.min(holder_norms))
 

@@ -23,8 +23,6 @@ import numpy as np
 
 from .caratheodory import (
     FAMILY_KINDS,
-    CompetitorFamily,
-    MetricQuery,
     OptBudget,
     competitor_membership_max,
     distance_lower_bound_opt,
@@ -73,7 +71,7 @@ _KNOWN_TOLS = _VERIFY_TOLS | _RIGIDITY_TOLS | {"attain_tol"}
 @dataclass(frozen=True)
 class JobSpec:
     """One validated job: its inputs in ``parsed`` as the runners read them (MapExpr,
-    read-only arrays, Exponent, and under "built" the check's BoundaryPoint or
+    read-only arrays, the exponent as a float, and under "built" the check's BoundaryPoint or
     RigidityInstance)."""
 
     id: str
@@ -409,9 +407,9 @@ def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
     if np.any(base):
         raise SchwarzLabError(
             "metric check compares against the origin closed form; base must be 0")
-    family = CompetitorFamily(a.get("family", "linear_dual"))
+    family = a.get("family", "linear_dual")
     budget = ctx.opt_budget(job)
-    out = metric_lower_bound_opt(MetricQuery(base, direction, p), family, budget)
+    out = metric_lower_bound_opt(base, direction, p, family, budget)
     membership = competitor_membership_max(family, out.params, base, p, seed=budget.seed)
     closed = metric_origin_closed(direction, p)
     return _attainment_verdict("caratheodory_metric_origin", closed, out,
@@ -423,8 +421,8 @@ def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> Verdict:
     w = np.zeros_like(z)
     budget = ctx.opt_budget(job)
     out = distance_lower_bound_opt(z, w, p, budget=budget)
-    membership = competitor_membership_max(CompetitorFamily("linear_moebius"),
-                                           out.params, w, p, seed=budget.seed)
+    membership = competitor_membership_max("linear_moebius", out.params, w, p,
+                                           seed=budget.seed)
     closed = distance_origin_closed(z, p)
     return _attainment_verdict("caratheodory_distance_origin", closed, out,
                                membership, ctx.attain_tol())

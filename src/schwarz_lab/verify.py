@@ -27,6 +27,7 @@ from .geometry import (
     BoundaryPoint,
     as_exponent,
     cinner,
+    conjugate_exponent,
     cvector,
     duality_map,
     l2_norm_rows,
@@ -87,11 +88,11 @@ HARNACK_ANGLES = 16
 
 def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.999):
     """Deterministic interior sample: p-sphere directions times uniform radii."""
-    e = as_exponent(p)
-    gen = stream(seed, label, n, str(e.p))
+    p = as_exponent(p)
+    gen = stream(seed, label, n, str(p))
     raw = np.empty((count, n), dtype=complex)
     raw.real, raw.imag = gen.standard_normal((2, count, n))
-    return with_lp_norms(raw, e.p, gen.uniform(0.0, shell, count))
+    return with_lp_norms(raw, p, gen.uniform(0.0, shell, count))
 
 
 def _holomorphy_check(f: MapExpr, res: float, tol: float) -> HypothesisCheck:
@@ -103,8 +104,14 @@ def _holomorphy_check(f: MapExpr, res: float, tol: float) -> HypothesisCheck:
 def _dual_rows(v: np.ndarray, r: float) -> np.ndarray:
     """duality_map(row, r) of each row scaled by its largest modulus (the maps
     below normalise, so the scale is free, and every power is then of a
-    number in (0, 1])."""
+    number in (0, 1]).  numpy divides by a real through its reciprocal, which
+    overflows below about 5.6e-309, so rows under 2**-1000 are scaled up first."""
     top = np.abs(v).max(axis=1, keepdims=True)
+    tiny = ((top > 0.0) & (top < 2.0 ** -1000))[:, 0]
+    if tiny.any():
+        v, top = v.copy(), top.copy()
+        v[tiny] *= 2.0 ** 600
+        top[tiny] *= 2.0 ** 600
     return duality_map(v / np.where(top > 0.0, top, 1.0), r)
 
 
@@ -122,28 +129,28 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
     bound; stacked matmuls give each start the gemv a lone start gets.
     """
     J = np.asarray(matrix, dtype=complex)
-    e = as_exponent(p)
-    if e.is_inf:
+    p = as_exponent(p)
+    if math.isinf(p):
         return float(np.abs(J).sum(axis=1).max())
-    if e.p == 2.0:
+    if p == 2.0:
         return float(np.linalg.svd(J, compute_uv=False)[0])
     n = J.shape[1]
     JH = np.conj(J).T
-    gen = stream(seed, "opnorm", n, e.p)
+    gen = stream(seed, "opnorm", n, p)
     raw = gen.standard_normal((starts, 2, n))
     x = raw[:, 0] + 1j * raw[:, 1]
-    x /= lp_norm(x, e.p)[:, None]
+    x /= lp_norm(x, p)[:, None]
     y = (J @ x[:, :, None])[:, :, 0]  # J x for each start's current x
-    val = lp_norm(y, e.p)
+    val = lp_norm(y, p)
     live = np.arange(starts)
     for _ in range(iters):
-        z = (JH @ _dual_rows(y[live], e.p)[:, :, None])[:, :, 0]
-        cand = _dual_rows(z, e.conjugate_value)
-        cn = lp_norm(cand, e.p)
+        z = (JH @ _dual_rows(y[live], p)[:, :, None])[:, :, 0]
+        cand = _dual_rows(z, conjugate_exponent(p))
+        cn = lp_norm(cand, p)
         live, cand, cn = live[cn != 0.0], cand[cn != 0.0], cn[cn != 0.0]
         cand /= cn[:, None]
         cy = (J @ cand[:, :, None])[:, :, 0]
-        cval = lp_norm(cy, e.p)
+        cval = lp_norm(cy, p)
         better = cval > val[live]
         live = live[better]
         y[live], val[live] = cy[better], cval[better]
@@ -171,26 +178,26 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
 
     margin = min over samples of ||z||_p - ||f(z)||_p.
     """
-    e = as_exponent(p)
+    p = as_exponent(p)
     n = f.input_dim
     if f.output_dim != n:
         raise BadParams("self-map verification needs matching dimensions")
     origin = np.zeros(n, dtype=complex)
     f0 = evaluate(f, origin)
-    origin_res = float(norm_p(f0, e)) if np.any(f0) else 0.0
+    origin_res = float(norm_p(f0, p)) if np.any(f0) else 0.0
     if not origin_res <= 1e-10:
         raise HypothesisFailed(
             f"map must fix the origin; ||f(0)||_p = {origin_res:.3e}"
         )
 
-    pts = sample_ball(e, n, cfg.samples, cfg.seed, "schwarz-pick")
+    pts = sample_ball(p, n, cfg.samples, cfg.seed, "schwarz-pick")
     vals = evaluate(f, pts)
-    in_norms = lp_norm(pts, e.p)
-    out_norms = lp_norm(vals, e.p)
+    in_norms = lp_norm(pts, p)
+    out_norms = lp_norm(vals, p)
     margin = float(np.min(in_norms - out_norms))
 
     _, J0, holo_res, _ = _origin_and_probe(f, pts[0] * 0.5)
-    opnorm = operator_norm_lower(J0, e, seed=cfg.seed)
+    opnorm = operator_norm_lower(J0, p, seed=cfg.seed)
 
     checks = (
         HypothesisCheck("fixes_origin", True, origin_res),
@@ -264,20 +271,20 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     """
     if f.input_dim != 1:
         raise BadParams("expected a map of one complex variable")
-    e = as_exponent(p)
+    p = as_exponent(p)
     (f0, _, b), J0, holo_res, (fprime1,) = _origin_and_probe(f, 0.2 + 0.2j, 1.0)
-    b_norm = float(norm_p(b, e))
+    b_norm = float(norm_p(b, p))
     if not abs(b_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(1)||_p = {b_norm}, expected 1")
-    fprime1_norm = float(norm_p(fprime1, e))
+    fprime1_norm = float(norm_p(fprime1, p))
 
-    a = float(norm_p(f0, e))
+    a = float(norm_p(f0, p))
     col = J0[:, 0]
-    d = float(norm_p(col, e))
+    d = float(norm_p(col, p))
     bound = _disk_bound(a, d)
 
     # verify_zhu's bound on psi = ell . f
-    ell = norming_functional(b, e)
+    ell = norming_functional(b, p)
     psi1 = complex(ell @ b)
     if not abs(psi1 - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"radial limit at 1 is {psi1}, not 1")
@@ -310,9 +317,9 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
     """Relative error of (1 - ||val||_p^p)/t against p*lambda*||v||_2^2, where
     val = f(z0 - t v) and v = z0.normal."""
-    e = z0.exponent
-    slope = (1.0 - float(norm_p(val, e)) ** e.p) / t
-    target = e.p * lam * float(np.linalg.norm(v)) ** 2
+    p = z0.exponent
+    slope = (1.0 - float(norm_p(val, p)) ** p) / t
+    target = p * lam * float(np.linalg.norm(v)) ** 2
     if target == 0.0:
         return math.inf
     return abs(slope - target) / abs(target)
@@ -334,8 +341,8 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     eigenvalue is still reported but the margin is withheld (nan): the lower
     bound lambda >= 1 is only claimed for origin-fixing maps.
     """
-    e = z0.exponent
-    if e.is_inf or e.p < 2.0:
+    p = z0.exponent
+    if math.isinf(p) or p < 2.0:
         raise HypothesisFailed("certificate requires a finite exponent p >= 2")
     n = z0.dim
     if f.input_dim != n or f.output_dim != n:
@@ -349,13 +356,13 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     vz = z0.normal
     f0, slope_val = evaluate(f, np.stack([np.zeros(n, dtype=complex), z0.point - SLOPE_T * vz]))
     w0 = cvector(w0)
-    w_norm = lp_norm(w0, e.p)
+    w_norm = lp_norm(w0, p)
     if not abs(w_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
     # schwarz_v at w0 (the gate implies its BoundaryPoint check); grad rho is p times it
-    vw = duality_map(w0, e.p)
+    vw = duality_map(w0, p)
 
-    origin_res = float(norm_p(f0, e))
+    origin_res = float(norm_p(f0, p))
     fixes_origin = origin_res <= cfg.hypothesis_tol
 
     pulled = np.conj(J).T @ vw
@@ -365,7 +372,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     imag_res = abs(pairing.imag) / vz_sq
     prop_res = float(np.linalg.norm(pulled - lam * vz))
 
-    tangent_res = _tangent_residual(J, z0.tangent_probes, e.p * vw)
+    tangent_res = _tangent_residual(J, z0.tangent_probes, p * vw)
 
     slope_rel = _slope_rel_error(slope_val, z0, vz, lam, SLOPE_T)
 
@@ -395,8 +402,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
 def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
                     cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     """Euclidean-ball boundary fixed point: eigenvalue bound and determinant cap."""
-    e = z0.exponent
-    if e.is_inf or e.p != 2.0:
+    if z0.exponent != 2.0:
         raise HypothesisFailed("this statement is specific to the round ball p = 2")
     n = z0.dim
     if f.input_dim != n or f.output_dim != n:
@@ -462,9 +468,9 @@ def _cmul(a, b):
     return out
 
 
-def _pseudo_hyperbolic_rows(a: np.ndarray, b: np.ndarray, e) -> np.ndarray:
+def _pseudo_hyperbolic_rows(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Pseudo-hyperbolic distance from each row of a (k, n) to b, for p in {2, inf}."""
-    if e.is_inf:
+    if math.isinf(p):
         num = np.abs(a - b)
         den = np.abs(1.0 - np.conj(a) * b[None, :])
         return np.max(num / den, axis=1)
@@ -487,13 +493,13 @@ def _moebius_apply(coef, x):
     return (al * x + be) / (ga * x + 1.0)
 
 
-def _slice_chain(zs, ws, vals, coefs, z_fix, e):
+def _slice_chain(zs, ws, vals, coefs, z_fix, p):
     """Least slacks of the proof's two inequalities over the rows (z, w) -> f(z, w).
 
     With v the Moebius-normalised value of each f-row, the chain is
     |w - v|^2 <= |1 - conj(w) v|^2 <= (1 - |w|^2) / (1 - delta(z, z_fix)^2).
     """
-    delta = _pseudo_hyperbolic_rows(zs, z_fix, e)
+    delta = _pseudo_hyperbolic_rows(zs, z_fix, p)
     cap = 1.0 / np.maximum(1e-15, 1.0 - _square(delta))
     al, be, ga = np.array(coefs).T
     norm_val = (vals - be) / (al - _cmul(ga, vals))
@@ -514,8 +520,8 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
     conclusion f(z, w) = phi(w) everywhere; the proof's inequality chain is
     checked on samples after numerically normalizing phi to the identity.
     """
-    e = as_exponent(p)
-    if not (e.is_inf or e.p == 2.0):
+    p = as_exponent(p)
+    if p not in (2.0, math.inf):
         raise BadParams("product-slice verification supports p in {2, inf}")
     if f.input_dim != n + m or f.output_dim != m:
         raise BadParams("expected f: C^(n+m) -> C^m")
@@ -535,7 +541,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
         )
 
     # conclusion: f(z, w) = phi(w) for all z
-    zs = sample_ball(e, n, cfg.samples, cfg.seed, "product-z", 0.98)
+    zs = sample_ball(p, n, cfg.samples, cfg.seed, "product-z", 0.98)
     ws = sample_ball("inf", m, cfg.samples, cfg.seed, "product-w", 0.98)
     pts = np.concatenate([zs, ws], axis=1)
     fvals = evaluate(f, pts)
@@ -565,7 +571,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
     if fit_res > 1e-9:
         raise BadParams("phi must act componentwise by disk Moebius maps")
 
-    chain_first, chain_second = _slice_chain(zs[:256], ws[:256], fvals[:256], coefs, z_fix, e)
+    chain_first, chain_second = _slice_chain(zs[:256], ws[:256], fvals[:256], coefs, z_fix, p)
 
     holo_res = holomorphy_residual(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex))
     checks = (
@@ -639,7 +645,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     where V is the boundary weight vector at w0 = f(z0) and J_r the real
     Jacobian of the realified map.
     """
-    e = z0.exponent
+    p = z0.exponent
     n = z0.dim
     if f.input_dim != n:
         raise BadParams("map input dimension must match the boundary point")
@@ -658,11 +664,11 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     fvals = evaluate(f, np.vstack([z0.point, np.zeros(n, dtype=complex),
                                    (zetas[:, :, None] * z0.point).reshape(-1, n)]))
     w0, f0, fvals = fvals[0], fvals[1], fvals[2:]
-    w_norm = float(norm_p(w0, e))
+    w_norm = float(norm_p(w0, p))
     if not abs(w_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(z0)||_p = {w_norm}, boundary image required")
-    slack = 1e-6 if e.is_inf else max(1e-9, 4.0 * e.p * cfg.hypothesis_tol)
-    w0bp = BoundaryPoint(w0, e, tolerance=slack)
+    slack = 1e-6 if math.isinf(p) else max(1e-9, 4.0 * p * cfg.hypothesis_tol)
+    w0bp = BoundaryPoint(w0, p, tolerance=slack)
     V = pluriharmonic_V(w0bp)
 
     # C1 at z0: the tangent pass's pole guard backs the c1_at_boundary row,
@@ -672,7 +678,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     lhs = float((J @ z0r) @ V)
     f0r = realify(f0)
     mid = (1.0 - float(f0r @ V)) / 2.0
-    low = (1.0 - lp_norm(f0r, e.p)) / 2.0
+    low = (1.0 - lp_norm(f0r, p)) / 2.0
 
     vals = (1.0 - _pair_rows(fvals, V)).reshape(zetas.shape)
     phi0 = 1.0 - float(f0r @ V)

@@ -96,7 +96,7 @@ def ball_self_map_instances(p, n: int) -> list[tuple[str, MapExpr]]:
         out.append(("first_times_last", build_first_times_last(n)))
     if n == 1:
         out.append(("zhu_extremal_origin", build_zhu_extremal(0.0, 0.5)))
-    if not p.is_inf and abs(p.p - 2.0) < 1e-12:
+    if abs(p - 2.0) < 1e-12:
         gen = stream(0, "gallery-unitary", n)
         out.append(("unitary", build_unitary(haar_unitary(n, gen))))
         dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)

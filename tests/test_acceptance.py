@@ -132,7 +132,6 @@ def test_criterion_06_pluriharmonic_chain():
 
 def test_criterion_07_caratheodory_attainment():
     budget = sl.OptBudget(starts=10, iters=120, seed=0)
-    family = sl.CompetitorFamily("linear_dual")
     worst = 0.0
     unsound = 0.0
     for p in (2, 3, "inf"):
@@ -141,9 +140,8 @@ def test_criterion_07_caratheodory_attainment():
             for _ in range(10):
                 xi = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / 2.0
                 want = sl.metric_origin_closed(xi, p)
-                out = sl.metric_lower_bound_opt(
-                    sl.MetricQuery(np.zeros(n, dtype=complex), xi, p),
-                    family, budget)
+                out = sl.metric_lower_bound_opt(np.zeros(n, dtype=complex), xi, p,
+                                                "linear_dual", budget)
                 worst = max(worst, want - out.value)
                 unsound = max(unsound, out.value - want)
     dist = sl.distance_lower_bound_opt([0.5], [0.0], 2, budget=budget)

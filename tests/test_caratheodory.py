@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from schwarz_lab import caratheodory, norm_p, suite
 from schwarz_lab.caratheodory import (
     FAMILY_KINDS,
-    CompetitorFamily,
-    MetricQuery,
     OptBudget,
     OptResult,
     _coefficients,
@@ -28,7 +26,7 @@ from schwarz_lab.caratheodory import (
     metric_origin_closed,
 )
 from schwarz_lab.errors import BadParams, OutsideBall
-from schwarz_lab.geometry import as_exponent, cvector, lp_norm
+from schwarz_lab.geometry import as_exponent, conjugate_exponent, cvector, lp_norm
 from schwarz_lab.maps import evaluate
 from schwarz_lab.rng import stream
 from schwarz_lab.suite import _job_seed, parse_suite, run_suite
@@ -64,8 +62,7 @@ def test_metric_homogeneity():
 
 
 def test_linear_dual_attains_basis_direction():
-    q = MetricQuery(np.zeros(2), np.array([1.0, 0.0]), 2)
-    out = metric_lower_bound_opt(q, CompetitorFamily("linear_dual"), FAST)
+    out = metric_lower_bound_opt(np.zeros(2), np.array([1.0, 0.0]), 2, "linear_dual", FAST)
     assert out.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -75,8 +72,7 @@ def test_optimizer_attains_closed_form(p):
     for n in (1, 3):
         xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         xi /= max(1.0, float(norm_p(xi, p)))
-        q = MetricQuery(np.zeros(n), xi, p)
-        out = metric_lower_bound_opt(q, CompetitorFamily("linear_dual"), FAST)
+        out = metric_lower_bound_opt(np.zeros(n), xi, p, "linear_dual", FAST)
         want = metric_origin_closed(xi, p)
         assert abs(out.value - want) <= 1e-3, (p, n, out.value, want)
         # soundness: never exceeds the closed form
@@ -84,17 +80,15 @@ def test_optimizer_attains_closed_form(p):
 
 
 def test_optimizer_soundness_membership():
-    q = MetricQuery(np.zeros(2), np.array([0.3, 0.4j]), 3)
-    out = metric_lower_bound_opt(q, CompetitorFamily("linear_dual"), FAST)
-    worst = competitor_membership_max(CompetitorFamily("linear_dual"), out.params,
-                                      np.zeros(2), 3)
+    out = metric_lower_bound_opt(np.zeros(2), np.array([0.3, 0.4j]), 3, "linear_dual", FAST)
+    worst = competitor_membership_max("linear_dual", out.params, np.zeros(2), 3)
     assert worst < 1.0
 
 
 def test_competitor_map_vanishes_at_base():
     base = np.array([0.3, -0.2j])
     theta = np.array([0.5, -1.0, 0.25, 2.0])
-    f = competitor_map(CompetitorFamily("linear_moebius"), theta, base, 2)
+    f = competitor_map("linear_moebius", theta, base, 2)
     assert abs(evaluate(f, base)[0]) <= 1e-14
 
 
@@ -116,21 +110,24 @@ def test_distance_optimizer_symmetry_sampled():
 
 
 def test_family_and_query_validation():
-    with pytest.raises(BadParams):
-        CompetitorFamily("spline")
+    direction = np.array([1.0, 0.0])
+    with pytest.raises(BadParams, match="unknown competitor family"):
+        metric_lower_bound_opt(np.zeros(2), direction, 2, "spline", FAST)
+    with pytest.raises(BadParams, match="unknown competitor family"):
+        competitor_map("spline", np.ones(4), np.zeros(2), 2)
     with pytest.raises(OutsideBall):
-        MetricQuery(np.array([1.2, 0.0]), np.array([1.0, 0.0]), 2)
-    q = MetricQuery(np.array([0.5, 0.0]), np.array([1.0, 0.0]), 2)
-    with pytest.raises(BadParams):
-        metric_lower_bound_opt(q, CompetitorFamily("linear_dual"), FAST)
+        metric_lower_bound_opt(np.array([1.2, 0.0]), direction, 2, "linear_moebius", FAST)
+    with pytest.raises(BadParams, match="share a dimension"):
+        metric_lower_bound_opt(np.zeros(3), direction, 2, "linear_dual", FAST)
+    with pytest.raises(BadParams, match="base 0"):
+        metric_lower_bound_opt(np.array([0.5, 0.0]), direction, 2, "linear_dual", FAST)
 
 
 def test_moebius_family_off_origin_bound():
     # base away from 0: optimizer still returns a sound lower bound,
     # which at p=2 equals the known automorphism-invariant value
     base = np.array([0.5 + 0j])
-    q = MetricQuery(base, np.array([1.0 + 0j]), 2)
-    out = metric_lower_bound_opt(q, CompetitorFamily("linear_moebius"), FAST)
+    out = metric_lower_bound_opt(base, np.array([1.0 + 0j]), 2, "linear_moebius", FAST)
     # n=1 Poincare metric of the disk: 1/(1-|z|^2)
     assert out.value == pytest.approx(1.0 / (1.0 - 0.25), abs=1e-3)
 
@@ -212,28 +209,28 @@ def _ref_ascent(objective, dim, budget, label, accepted=None):
     return OptResult(float(best_val), best_theta, converged, evals)
 
 
-def _ref_metric(query, family, budget):
-    e = query.exponent
-    n = query.base.shape[0]
-    q = e.conjugate_value
+def _ref_metric(base, direction, p, kind, budget):
+    p = as_exponent(p)
+    n = base.shape[0]
+    q = conjugate_exponent(p)
 
     def objective(theta):
         c = _ref_coefficients(theta, n, q)
         if c is None:
             return -math.inf
-        pairing = abs(complex(np.sum(c * query.direction)))
-        if family.kind == "linear_dual":
+        pairing = abs(complex(np.sum(c * direction)))
+        if kind == "linear_dual":
             return pairing
-        a0 = abs(complex(np.sum(c * query.base)))
+        a0 = abs(complex(np.sum(c * base)))
         return pairing / (1.0 - a0 * a0)
 
-    return _ref_ascent(objective, 2 * n, budget, f"metric-{family.kind}-{e.p}")
+    return _ref_ascent(objective, 2 * n, budget, f"metric-{kind}-{p}")
 
 
 def _ref_distance(z, w, p, budget):
-    e = as_exponent(p)
+    p = as_exponent(p)
     n = z.shape[0]
-    q = e.conjugate_value
+    q = conjugate_exponent(p)
 
     def objective(theta):
         c = _ref_coefficients(theta, n, q)
@@ -247,7 +244,7 @@ def _ref_distance(z, w, p, budget):
             return -math.inf
         return math.atanh(r)
 
-    return _ref_ascent(objective, 2 * n, budget, f"distance-{e.p}")
+    return _ref_ascent(objective, 2 * n, budget, f"distance-{p}")
 
 
 def _assert_same(got, want):
@@ -273,10 +270,8 @@ def test_batched_ascents_equal_scalar_reference(n, p, seed, starts, iters, kind)
     if kind == "linear_moebius":
         base = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
     xi = cvector(gen.standard_normal(n) + 1j * gen.standard_normal(n))
-    query = MetricQuery(base, xi, p)
-    family = CompetitorFamily(kind)
-    _assert_same(metric_lower_bound_opt(query, family, budget),
-                 _ref_metric(query, family, budget))
+    _assert_same(metric_lower_bound_opt(base, xi, p, kind, budget),
+                 _ref_metric(base, xi, p, kind, budget))
     z = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
     w = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
     _assert_same(distance_lower_bound_opt(z, w, p, budget=budget),
@@ -301,7 +296,7 @@ def test_zero_coefficient_rows_are_flagged():
     for i in (0, 2):
         assert np.array_equal(c[i], _ref_coefficients(theta[i], 3, 1.5))
     with pytest.raises(BadParams):
-        competitor_map(CompetitorFamily("linear_dual"), np.zeros(6), np.zeros(3), 3)
+        competitor_map("linear_dual", np.zeros(6), np.zeros(3), 3)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -310,9 +305,9 @@ def test_non_finite_theta_is_rejected_before_the_coefficients(kind, bad):
     # an infinite entry would give 1/||g|| = 0, then inf * 0 = NaN in _coefficients
     theta = np.array([bad, 0.0, 0.0, 0.0])
     with pytest.raises(BadParams, match="finite"):
-        competitor_map(CompetitorFamily(kind), theta, np.zeros(2), 2)
+        competitor_map(kind, theta, np.zeros(2), 2)
     with pytest.raises(BadParams, match="2n"):
-        competitor_map(CompetitorFamily(kind), theta[:3], np.zeros(2), 2)
+        competitor_map(kind, theta[:3], np.zeros(2), 2)
 
 
 def _ref_coefficient_rows(theta, q):
@@ -356,11 +351,10 @@ def test_metric_lower_bound_is_sound_at_the_origin(p, kind, parts, seed):
     # the closed form, and the competitor it reports stays inside the disk.
     n = len(parts) // 2
     direction = np.array(parts[:n]) + 1j * np.array(parts[n:])
-    family = CompetitorFamily(kind)
-    out = metric_lower_bound_opt(MetricQuery(np.zeros(n), direction, p), family,
+    out = metric_lower_bound_opt(np.zeros(n), direction, p, kind,
                                  OptBudget(starts=3, iters=20, seed=seed))
     assert out.value <= metric_origin_closed(direction, p) + 1e-9
-    assert competitor_membership_max(family, out.params, np.zeros(n), p) <= 1.0 + 1e-9
+    assert competitor_membership_max(kind, out.params, np.zeros(n), p) <= 1.0 + 1e-9
 
 
 def test_caratheodory_jobs_check_membership_on_their_own_seed(monkeypatch):

@@ -194,6 +194,18 @@ def test_caratheodory_points_at_a_real_out_of_range(to, capsys):
     assert "schema error: /jobs/0/z/0:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--base", "0.1"], "base"),
+    (["--dir", "0.3"], "direction"),
+    (["--family", "linear_dual"], "family"),
+], ids=["base", "dir", "family"])
+def test_caratheodory_distance_rejects_a_metric_flag(flags, key, capsys):
+    # --to makes a distance job, which takes none of these; none is dropped
+    assert main(["caratheodory", "--to", "0.5", "-p", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: /jobs/0:") and f"'{key}'" in err
+
+
 def _loaded_by_import(package: str) -> str:
     """The modules of ``package`` that a fresh interpreter holds after importing
     schwarz_lab and its CLI, as a printed sorted list."""

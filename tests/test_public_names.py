@@ -9,7 +9,8 @@ when a package module refers to it as an attribute (``obj.name``) outside the
 body of that class, or a ``perfbench`` script refers to it as above; a method
 that only its own class calls should carry a leading underscore.  The names
 are matched, not resolved: a reference to another class's attribute of the
-same name counts too.
+same name counts too.  And no module but ``__init__.py``, whose imports are the
+exports, imports a name it never refers to.
 """
 
 import ast
@@ -64,4 +65,19 @@ def test_every_public_method_is_referenced_outside_its_class():
         checked += len(methods)
         unused += [f"{cls.name}.{name}" for name in sorted(methods - used)]
     assert checked
+    assert unused == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []

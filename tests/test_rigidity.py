@@ -171,6 +171,20 @@ def test_instance_validation():
         RigidityInstance(identity_map(n), dft_anchors(n), "inf", "rigidity_v")
 
 
+@pytest.mark.parametrize("angle, distinct", [(3e-6, True), (1e-13, False), (0.0, False)])
+def test_anchor_distinctness_is_an_absolute_test(angle, distinct):
+    # (0.6, 0.8) turned by `angle` lies `angle` away from it in the 2-norm;
+    # a relative tolerance would call 3e-6 equal, and by the order of the pair
+    a = np.array([0.6, 0.8], dtype=complex)
+    pair = [BoundaryPoint(a, 2), BoundaryPoint(np.exp(1j * angle) * a, 2)]
+    for anchors in (pair, pair[::-1]):
+        if distinct:
+            assert len(RigidityInstance(identity_map(2), anchors, 2, "p2").anchors) == 2
+        else:
+            with pytest.raises(BadParams, match="distinct"):
+                RigidityInstance(identity_map(2), anchors, 2, "p2")
+
+
 def test_proof_chain_identity_all_links():
     n = 2
     inst = RigidityInstance(identity_map(n), basis_anchors(n, 2), 2, "p2")
@@ -380,7 +394,7 @@ def _ref_identity_residual(f, inst, cfg):
         for t in np.linspace(0.05, 0.99, 12):
             segs.append(t * a.point)
     pts = np.vstack([grid, np.array(segs)])
-    return float(np.max(lp_norm(evaluate(f, pts) - pts, e.p)))
+    return float(np.max(lp_norm(evaluate(f, pts) - pts, e)))
 
 
 def _ref_check_rigidity(inst, cfg):
@@ -405,7 +419,7 @@ def _ref_check_rigidity(inst, cfg):
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial("hypotheses_fail", "map is not holomorphic at the anchors")
     pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
-    escape = float(np.max(lp_norm(evaluate(f, pts), e.p)))
+    escape = float(np.max(lp_norm(evaluate(f, pts), e)))
     quantities["selfmap_escape"] = max(0.0, escape - 1.0)
     if escape > 1.0 + 1e-10:
         return partial("hypotheses_fail", "map leaves the unit ball on samples")

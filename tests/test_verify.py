@@ -28,6 +28,7 @@ from schwarz_lab import (
     haar_unitary,
     harnack_certificate,
     identity_map,
+    map_to_json,
     operator_norm_lower,
     parse_suite,
     run_suite,
@@ -41,7 +42,8 @@ from schwarz_lab import (
 )
 from schwarz_lab import diff as diff_module
 from schwarz_lab import verify as verify_module
-from schwarz_lab.geometry import as_exponent, cinner, cvector, lp_norm, realify
+from schwarz_lab.geometry import (as_exponent, cinner, conjugate_exponent, cvector, lp_norm,
+                                  realify)
 from schwarz_lab.verify import _pair_rows, _pseudo_hyperbolic_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
 from helpers import boundary_slope_check, normal_tangent_decompose
@@ -61,6 +63,14 @@ def test_operator_norm_exact_cases():
     assert operator_norm_lower(J, 2) == pytest.approx(3.0, abs=1e-12)
     J2 = np.array([[1.0, -2.0], [0.5, 0.5j]], dtype=complex)
     assert operator_norm_lower(J2, "inf") == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-310])
+def test_operator_norm_of_a_subnormal_matrix_raises_no_warning(t):
+    # numpy divides a row by its largest modulus through the reciprocal, which
+    # is inf below about 5.6e-309; the power method scales such rows up first
+    J = t * np.array([[1.0, 0.0], [0.0, 1.0j]])
+    assert operator_norm_lower(J, 3) == pytest.approx(t, rel=1e-9)
 
 
 def test_operator_norm_ascent_matches_known_p3():
@@ -88,26 +98,26 @@ def _ref_dual(v, r):
 def _ref_operator_norm_lower(J, p, starts, iters, seed):
     """The p-norm power method one start at a time."""
     e = as_exponent(p)
-    if e.is_inf:
+    if math.isinf(e):
         return float(np.abs(J).sum(axis=1).max())
-    if e.p == 2.0:
+    if e == 2.0:
         return float(np.linalg.svd(J, compute_uv=False)[0])
     n = J.shape[1]
-    gen = stream(seed, "opnorm", n, e.p)
+    gen = stream(seed, "opnorm", n, e)
     best = 0.0
     for _ in range(starts):
         x = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        x /= lp_norm(x, e.p)
+        x /= lp_norm(x, e)
         y = J @ x
-        val = lp_norm(y, e.p)
+        val = lp_norm(y, e)
         for _ in range(iters):
-            x = _ref_dual(np.conj(J).T @ _ref_dual(y, e.p), e.conjugate_value)
-            xn = lp_norm(x, e.p)
+            x = _ref_dual(np.conj(J).T @ _ref_dual(y, e), conjugate_exponent(e))
+            xn = lp_norm(x, e)
             if xn == 0.0:
                 break
             x /= xn
             cy = J @ x
-            cval = lp_norm(cy, e.p)
+            cval = lp_norm(cy, e)
             if not cval > val:
                 break
             y, val = cy, cval
@@ -118,13 +128,13 @@ def _ref_operator_norm_lower(J, p, starts, iters, seed):
 def _ref_projected_ascent(J, p, starts, iters, seed):
     """The projected-gradient ascent the power method replaced."""
     e = as_exponent(p)
-    if e.is_inf:
+    if math.isinf(e):
         return float(np.abs(J).sum(axis=1).max())
-    if e.p == 2.0:
+    if e == 2.0:
         return float(np.linalg.svd(J, compute_uv=False)[0])
     n = J.shape[1]
-    gen = stream(seed, "opnorm", n, e.p)
-    pval = e.p
+    gen = stream(seed, "opnorm", n, e)
+    pval = e
     best = 0.0
     for _ in range(starts):
         xi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
@@ -268,6 +278,56 @@ def test_schwarz_pick_verdict_is_unitarily_invariant_at_p2(name, params):
     assert v.passed and vu.passed
     assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
     assert vu.margin >= 0.0 and abs(vu.margin - v.margin) <= 1e-3
+
+
+@st.composite
+def _self_map_chains(draw, stretch=False):
+    """(p, f, t): f is a Compose chain of 1-4 origin-fixing self-maps of the unit lp
+    ball of C^n: unimodular diag_power, coordinate permutations as LinearMatrix,
+    Scale by |t| <= 1, first_times_last and, at p = 2, unitaries.  With stretch,
+    the blocks preserve every norm (permutations, unit diagonals, unitaries) and
+    f is Scale(t, chain) with t in [1.05, 2]; otherwise t is 1."""
+    p = draw(st.sampled_from([2.0, 3.0, math.inf]))
+    n = draw(st.integers(2, 3))
+    kinds = ["diag", "perm"] + ([] if stretch else ["scale", "first_times_last"])
+    kinds += ["unitary"] if p == 2.0 else []
+    ident = identity_map(n)
+    f = None
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "diag":
+            ks = draw(st.lists(st.integers(1, 1 if stretch else 3), min_size=n, max_size=n))
+            block = gallery("diag_power", {"ks": ks, "units": draw(
+                st.lists(_unimodular, min_size=n, max_size=n))})
+        elif kind == "perm":
+            block = LinearMatrix(np.eye(n)[draw(st.permutations(range(n)))])
+        elif kind == "scale":
+            block = Scale(draw(st.floats(0.0, 1.0)) * draw(_unimodular), ident)
+        elif kind == "first_times_last":
+            block = gallery("first_times_last", {"n": n})
+        else:
+            block = LinearMatrix(haar_unitary(n, stream(draw(st.integers(0, 10_000)), "chain")))
+        f = block if f is None else Compose(block, f)
+    t = draw(st.floats(1.05, 2.0)) if stretch else 1.0
+    return p, (Scale(t, f) if stretch else f), t
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain=_self_map_chains(), seed=st.integers(0, 10_000))
+def test_schwarz_pick_passes_on_composed_self_maps(chain, seed):
+    # origin-fixing self-maps of the ball are closed under composition
+    p, f, _ = chain
+    v = verify_schwarz_pick(f, p, VerifyConfig(samples=200, seed=seed))
+    assert v.passed, (p, map_to_json(f), v.margin, v.hypotheses)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chain=_self_map_chains(stretch=True), seed=st.integers(0, 10_000))
+def test_schwarz_pick_fails_on_a_stretched_isometry_chain(chain, seed):
+    # t times a norm-preserving chain moves every point out by the factor t > 1
+    p, f, t = chain
+    v = verify_schwarz_pick(f, p, VerifyConfig(samples=200, seed=seed))
+    assert not v.passed
+    assert v.margin < 0.0 and v.quantities["opnorm_lower_estimate"] == pytest.approx(t)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +762,7 @@ def test_pseudo_hyperbolic_frozen():
 def _ref_pseudo_hyperbolic(a, b, e):
     """The scalar distance the row form replaced."""
     a, b = cvector(a), cvector(b)
-    if e.is_inf:
+    if math.isinf(e):
         return float(np.max(np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)))
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     cross = abs(1.0 - complex(cinner(b, a))) ** 2
