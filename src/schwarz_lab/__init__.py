@@ -63,9 +63,9 @@ from .diff import (
     real_jacobian,
 )
 from .verify import (
+    CheckConfig,
     HypothesisCheck,
     Verdict,
-    VerifyConfig,
     harnack_certificate,
     operator_norm_lower,
     sample_ball,
@@ -78,7 +78,6 @@ from .verify import (
     verify_zhu,
 )
 from .caratheodory import (
-    OptBudget,
     OptResult,
     competitor_map,
     competitor_membership_max,
@@ -88,7 +87,6 @@ from .caratheodory import (
     metric_origin_closed,
 )
 from .rigidity import (
-    RigidityConfig,
     RigidityInstance,
     RigidityReport,
     check_proof_chain,

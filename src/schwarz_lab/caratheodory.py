@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import stream
+from .verify import DEFAULT_CONFIG, CheckConfig
 
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
 # boundary-adjacent points at which competitor_membership_max evaluates a competitor
@@ -43,17 +44,6 @@ def _family(kind: str) -> str:
     if kind not in FAMILY_KINDS:
         raise BadParams(f"unknown competitor family {kind!r}")
     return kind
-
-
-@dataclass(frozen=True)
-class OptBudget:
-    starts: int = 24
-    iters: int = 150
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.starts < 1 or self.iters < 1:
-            raise BadParams("budget needs at least one start and one pass")
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,7 @@ def competitor_membership_max(kind: str, theta: np.ndarray, base: np.ndarray, p,
     return float(np.max(np.abs(evaluate(f, pts))))
 
 
-def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
+def _coordinate_ascent(objective, dim: int, cfg: CheckConfig, label: str):
     """Multi-start coordinate ascent for objectives invariant to theta scaling.
 
     Candidates stay on the unit sphere (the parameterization is projective),
@@ -177,13 +167,13 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     columns in numpy's order; and the q = 1 norm skips a power and a root of
     1.0, which return their input.
     """
-    gen = stream(budget.seed, "caratheodory-opt", label, dim)
-    theta = gen.standard_normal((budget.starts, dim))
+    gen = stream(cfg.seed, "caratheodory-opt", label, dim)
+    theta = gen.standard_normal((cfg.starts, dim))
     nt = l2_norm_rows(theta)
     theta /= np.where(nt > 0.0, nt, 1.0)[:, None]
     val = objective(theta)
-    step = np.full(budget.starts, 0.5)
-    passes = [0] * budget.starts
+    step = np.full(cfg.starts, 0.5)
+    passes = [0] * cfg.starts
     moves = 2 * dim
     order = np.arange(moves)
     # Move 2k adds +step to coordinate k and move 2k + 1 adds -step; the
@@ -193,10 +183,10 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
     delta[order, order // 2] = np.tile([1.0, -1.0], dim)
     # Row i of T, V and S belongs to start live[i], as do P[i] and first[i],
     # its pass count and next move.
-    live = list(range(budget.starts))
+    live = list(range(cfg.starts))
     T, V, S = theta.copy(), val.copy(), step.copy()
-    P, first = [0] * budget.starts, [0] * budget.starts
-    iters = budget.iters
+    P, first = [0] * cfg.starts, [0] * cfg.starts
+    iters = cfg.iters
     while live:
         cand = T[:, None, :] + S[:, None, None] * delta  # |T| is 1 (or 0) and S <= 0.5: no move is 0
         cand /= l2_norm_rows(cand)[:, :, None]
@@ -238,7 +228,7 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
             keep = [i for i in range(len(live)) if i not in stop]
             T, V, S = T[keep], V[keep], S[keep]
             live, P, first = ([x[i] for i in keep] for x in (live, P, first))
-    evals = budget.starts + moves * sum(passes)
+    evals = cfg.starts + moves * sum(passes)
     best = int(np.argmax(val))  # the first maximum, as a strict > scan keeps
     if val[best] == -math.inf:
         return OptResult(-math.inf, np.zeros(dim), False, evals)
@@ -246,7 +236,7 @@ def _coordinate_ascent(objective, dim: int, budget: OptBudget, label: str):
 
 
 def metric_lower_bound_opt(base, direction, p, kind: str,
-                           budget: OptBudget = OptBudget()) -> OptResult:
+                           cfg: CheckConfig = DEFAULT_CONFIG) -> OptResult:
     """Maximize |f'(base) . direction| over the family `kind`; lower bound for the metric."""
     p = as_exponent(p)
     base = cvector(base)
@@ -270,10 +260,10 @@ def metric_lower_bound_opt(base, direction, p, kind: str,
         val[zero] = -math.inf
         return val
 
-    return _coordinate_ascent(objective, 2 * n, budget, f"metric-{kind}-{p}")
+    return _coordinate_ascent(objective, 2 * n, cfg, f"metric-{kind}-{p}")
 
 
-def distance_lower_bound_opt(z, w, p, budget: OptBudget = OptBudget()) -> OptResult:
+def distance_lower_bound_opt(z, w, p, cfg: CheckConfig = DEFAULT_CONFIG) -> OptResult:
     """Maximize the disk hyperbolic distance of linear_moebius images; lower bound for d^c."""
     p = as_exponent(p)
     z = cvector(z)
@@ -299,4 +289,4 @@ def distance_lower_bound_opt(z, w, p, budget: OptBudget = OptBudget()) -> OptRes
         val[keep] = [math.atanh(x) for x in r[keep].tolist()]
         return val
 
-    return _coordinate_ascent(objective, 2 * n, budget, f"distance-{p}")
+    return _coordinate_ascent(objective, 2 * n, cfg, f"distance-{p}")

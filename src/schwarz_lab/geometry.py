@@ -35,11 +35,16 @@ INF_SPELLINGS = ("inf", "infinity", "oo")
 
 def as_exponent(p) -> float:
     """The ball exponent p in (1, inf] as a float, math.inf for the polydisk, from a
-    number, a numeric string or one of INF_SPELLINGS."""
-    p = math.inf if isinstance(p, str) and p.lower() in INF_SPELLINGS else float(p)
-    if not p > 1.0:
-        raise BadParams(f"exponent must satisfy p > 1, got {p}")
-    return p
+    number, a string naming a finite number, or one of INF_SPELLINGS."""
+    if isinstance(p, str) and p.lower() in INF_SPELLINGS:
+        return math.inf
+    try:
+        value = float(p)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value > 1.0 or isinstance(p, str) and math.isinf(value):
+        raise BadParams(f"exponent must be a number > 1 or 'inf', got {p!r}")
+    return value
 
 
 def conjugate_exponent(p: float) -> float:

@@ -28,7 +28,7 @@ from .geometry import (
     rigidity_v,
 )
 from .maps import MapExpr, evaluate
-from .verify import HypothesisCheck, Verdict, sample_ball
+from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict, sample_ball
 
 VARIANTS = ("p2", "polydisk", "schwarz_v", "rigidity_v")
 
@@ -37,21 +37,6 @@ EQUATIONS_FAIL = "equations_fail"
 HYPOTHESES_FAIL = "hypotheses_fail"
 # every verdict a rigidity check reaches, the one a suite job expects by default first
 VERDICTS = (CERTIFIED, EQUATIONS_FAIL, HYPOTHESES_FAIL)
-
-
-@dataclass(frozen=True)
-class RigidityConfig:
-    origin_tol: float = 1e-10
-    holo_tol: float = 1e-7
-    fixed_tol: float = 1e-8
-    equation_tol: float = 1e-7
-    identity_tol: float = 1e-7
-    selfmap_samples: int = 2000
-    grid_points: int = 10_000
-    seed: int = 0
-
-
-DEFAULT_RIGIDITY_CONFIG = RigidityConfig()
 
 
 @dataclass(frozen=True)
@@ -234,7 +219,7 @@ def halton_ball_grid(p, n: int, count: int) -> np.ndarray:
     return _shared_grid(p, n, count)
 
 
-def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
+def _identity_residual(inst: RigidityInstance, cfg: CheckConfig) -> float:
     """max ||f(x) - x||_p over the interior grid, block by block, and the segments."""
     p = inst.exponent
     grid = halton_ball_grid(p, inst.dim, cfg.grid_points)
@@ -242,7 +227,7 @@ def _identity_residual(inst: RigidityInstance, cfg: RigidityConfig) -> float:
                          for pts in [*_blocks(grid), inst.segment_points]]))
 
 
-def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
+def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
     """Every rigidity check short of the identity residual, anchors stacked.
 
     Checks the origin, holomorphy, the self-map samples, the fixed points and
@@ -275,7 +260,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
-    pts = sample_ball(p, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
+    pts = sample_ball(p, n, cfg.samples, cfg.seed, "rigidity-selfmap", 0.999)
     escape = float(np.max(lp_norm(evaluate(f, pts), p)))
     quantities["selfmap_escape"] = float(np.maximum(0.0, escape - 1.0))
     if not escape <= 1.0 + 1e-10:
@@ -313,7 +298,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: RigidityConfig):
 
 
 def check_rigidity(inst: RigidityInstance,
-                   cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> RigidityReport:
+                   cfg: CheckConfig = DEFAULT_CONFIG) -> RigidityReport:
     """Evaluate the anchor equations and certify or refute the identity conclusion."""
     report = _rigidity_core(inst, cfg)[0]
     if report.verdict:
@@ -345,7 +330,7 @@ def _slice_values(inst: RigidityInstance, xis: np.ndarray) -> np.ndarray:
 
 
 def check_proof_chain(inst: RigidityInstance,
-                      cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> Verdict:
+                      cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Walk the intermediate identities behind the rigidity conclusion.
 
     Links per anchor a, on the slice psi_a(xi) = row_a . f(xi a) / target:
@@ -398,7 +383,7 @@ def check_proof_chain(inst: RigidityInstance,
                    min(slacks), 0.0)
 
 
-def equality_case_1d(f: MapExpr, cfg: RigidityConfig = DEFAULT_RIGIDITY_CONFIG) -> Verdict:
+def equality_case_1d(f: MapExpr, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Boundary derivative exactly 1 forces the identity on the disk."""
     if f.input_dim != 1 or f.output_dim != 1:
         raise BadParams("expected a scalar self-map of the disk")

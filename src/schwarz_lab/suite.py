@@ -3,7 +3,8 @@
 A suite is one JSON document naming jobs; each job binds a check to a map
 (gallery reference or inline expression JSON), point data, and an exponent.
 Every input is parsed once, by ``parse_suite``, which also builds each job's
-boundary point or rigidity instance; the runners read only the parsed values.
+boundary point or rigidity instance and its ``CheckConfig``; the runners read
+only the parsed values.
 Execution is deterministic: every random draw is keyed by the suite seed and
 the job id, so re-running a config byte-for-byte reproduces the report.
 Adding a check means adding one entry to ``CHECKS``.
@@ -23,7 +24,6 @@ import numpy as np
 
 from .caratheodory import (
     FAMILY_KINDS,
-    OptBudget,
     competitor_membership_max,
     distance_lower_bound_opt,
     distance_origin_closed,
@@ -38,7 +38,6 @@ from .maps import (MAX_COUNT, MAX_DEPTH, MapExpr, is_real, json_too_deep, load_j
 from .rigidity import (
     VARIANTS,
     VERDICTS,
-    RigidityConfig,
     RigidityInstance,
     RigidityReport,
     check_proof_chain,
@@ -47,9 +46,9 @@ from .rigidity import (
     equality_case_1d,
 )
 from .verify import (
+    CheckConfig,
     HypothesisCheck,
     Verdict,
-    VerifyConfig,
     verify_kalaj,
     verify_liu_wang,
     verify_lp_boundary_schwarz,
@@ -62,21 +61,21 @@ from .verify import (
 # Distance from the unit sphere allowed for boundary points and anchors.
 _BOUNDARY_TOL = 1e-8
 
-# the tolerances a suite may override: each config's *_tol fields, and attain_tol
-_VERIFY_TOLS, _RIGIDITY_TOLS = ({f.name for f in fields(cfg) if f.name.endswith("_tol")}
-                                for cfg in (VerifyConfig, RigidityConfig))
-_KNOWN_TOLS = _VERIFY_TOLS | _RIGIDITY_TOLS | {"attain_tol"}
+# the tolerances a suite may override, and the job keys that set a CheckConfig count
+_KNOWN_TOLS = {f.name for f in fields(CheckConfig) if f.name.endswith("_tol")}
+_CONFIG_COUNTS = ("samples", "grid_points", "starts", "iters")
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """One validated job: its inputs in ``parsed`` as the runners read them (MapExpr,
     read-only arrays, the exponent as a float, and under "built" the check's BoundaryPoint or
-    RigidityInstance)."""
+    RigidityInstance), and ``cfg``, its keyed seed, overrides and counts."""
 
     id: str
     check: str
     expect: str
+    cfg: CheckConfig
     parsed: dict = field(compare=False, repr=False)
 
 
@@ -84,7 +83,6 @@ class JobSpec:
 class SuiteConfig:
     suite_name: str
     seed: int
-    tolerance_overrides: dict
     jobs: tuple
 
 
@@ -215,7 +213,13 @@ _PARSERS = {
 }
 
 
-def _validate_job(raw: dict, index: int) -> JobSpec:
+def _job_seed(suite_seed: int, job_id: str) -> int:
+    digest = hashlib.blake2s(f"{suite_seed}:{job_id}".encode(),
+                             digest_size=8).digest()
+    return int.from_bytes(digest, "big") % (2 ** 63)
+
+
+def _validate_job(raw: dict, index: int, seed: int, overrides: dict) -> JobSpec:
     path = f"/jobs/{index}"
     if not isinstance(raw, dict):
         _fail(path, "expected an object")
@@ -252,10 +256,12 @@ def _validate_job(raw: dict, index: int) -> JobSpec:
             parsed["built"] = spec.build(parsed)
         except SchwarzLabError:
             pass
-    return JobSpec(job_id, check, expect, parsed)
+    cfg = CheckConfig(seed=_job_seed(seed, job_id), **overrides,
+                      **{k: parsed[k] for k in _CONFIG_COUNTS if k in parsed})
+    return JobSpec(job_id, check, expect, cfg, parsed)
 
 
-def validate_overrides(overrides) -> dict:
+def _validate_overrides(overrides) -> dict:
     """Check tolerance overrides (known names, positive numbers); SchemaError if not."""
     if not isinstance(overrides, dict):
         _fail("/tolerance_overrides", "expected an object")
@@ -294,55 +300,22 @@ def parse_suite(source) -> SuiteConfig:
         _fail("/seed", "expected a non-negative integer (wall-clock seeding "
               "is not allowed)")
 
-    overrides = validate_overrides(source.get("tolerance_overrides", {}))
+    overrides = _validate_overrides(source.get("tolerance_overrides", {}))
 
     raw_jobs = source.get("jobs")
     if not isinstance(raw_jobs, list):
         _fail("/jobs", "expected an array")
-    jobs = tuple(_validate_job(raw, i) for i, raw in enumerate(raw_jobs))
+    jobs = tuple(_validate_job(raw, i, seed, overrides) for i, raw in enumerate(raw_jobs))
     seen = set()
     for i, job in enumerate(jobs):
         if job.id in seen:
             _fail(f"/jobs/{i}/id", f"duplicate job id {job.id!r}")
         seen.add(job.id)
-    return SuiteConfig(name, seed, overrides, jobs)
+    return SuiteConfig(name, seed, jobs)
 
 
 # ---------------------------------------------------------------------------
 # execution
-
-
-def _job_seed(suite_seed: int, job_id: str) -> int:
-    digest = hashlib.blake2s(f"{suite_seed}:{job_id}".encode(),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big") % (2 ** 63)
-
-
-@dataclass(frozen=True)
-class _RunContext:
-    seed: int
-    overrides: dict
-
-    def verify_cfg(self, job: JobSpec) -> VerifyConfig:
-        kw = {k: v for k, v in self.overrides.items() if k in _VERIFY_TOLS}
-        if "samples" in job.parsed:
-            kw["samples"] = job.parsed["samples"]
-        return VerifyConfig(seed=_job_seed(self.seed, job.id), **kw)
-
-    def rigidity_cfg(self, job: JobSpec) -> RigidityConfig:
-        kw = {k: v for k, v in self.overrides.items() if k in _RIGIDITY_TOLS}
-        if "samples" in job.parsed:
-            kw["selfmap_samples"] = job.parsed["samples"]
-        if "grid_points" in job.parsed:
-            kw["grid_points"] = job.parsed["grid_points"]
-        return RigidityConfig(seed=_job_seed(self.seed, job.id), **kw)
-
-    def opt_budget(self, job: JobSpec) -> OptBudget:
-        return OptBudget(seed=_job_seed(self.seed, job.id),
-                         **{k: job.parsed[k] for k in ("starts", "iters") if k in job.parsed})
-
-    def attain_tol(self) -> float:
-        return self.overrides.get("attain_tol", 1e-3)
 
 
 def _row(job: JobSpec, outcome: str, theorem_id: str, checks, outcome_row: str = "",
@@ -400,7 +373,7 @@ def _attainment_verdict(theorem_id: str, closed: float, out, membership: float,
     return Verdict(theorem_id, checks, quantities, margin, tolerance=0.0)
 
 
-def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
+def _run_caratheodory_metric(job: JobSpec) -> Verdict:
     a = job.parsed
     p, direction = a["exponent"], a["direction"]
     base = a["base"] if "base" in a else np.zeros_like(direction)
@@ -408,29 +381,27 @@ def _run_caratheodory_metric(job: JobSpec, ctx: _RunContext) -> Verdict:
         raise SchwarzLabError(
             "metric check compares against the origin closed form; base must be 0")
     family = a.get("family", "linear_dual")
-    budget = ctx.opt_budget(job)
-    out = metric_lower_bound_opt(base, direction, p, family, budget)
-    membership = competitor_membership_max(family, out.params, base, p, seed=budget.seed)
+    out = metric_lower_bound_opt(base, direction, p, family, job.cfg)
+    membership = competitor_membership_max(family, out.params, base, p, seed=job.cfg.seed)
     closed = metric_origin_closed(direction, p)
     return _attainment_verdict("caratheodory_metric_origin", closed, out,
-                               membership, ctx.attain_tol())
+                               membership, job.cfg.attain_tol)
 
 
-def _run_caratheodory_distance(job: JobSpec, ctx: _RunContext) -> Verdict:
+def _run_caratheodory_distance(job: JobSpec) -> Verdict:
     p, z = job.parsed["exponent"], job.parsed["z"]
     w = np.zeros_like(z)
-    budget = ctx.opt_budget(job)
-    out = distance_lower_bound_opt(z, w, p, budget=budget)
+    out = distance_lower_bound_opt(z, w, p, job.cfg)
     membership = competitor_membership_max("linear_moebius", out.params, w, p,
-                                           seed=budget.seed)
+                                           seed=job.cfg.seed)
     closed = distance_origin_closed(z, p)
     return _attainment_verdict("caratheodory_distance_origin", closed, out,
-                               membership, ctx.attain_tol())
+                               membership, job.cfg.attain_tol)
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One check: the job keys it requires and also accepts, ``run(job, ctx)``
+    """One check: the job keys it requires and also accepts, ``run(job)``
     (a Verdict or RigidityReport), the outcomes a job may expect, default first,
     and ``build(parsed)``, if any, the input object ``parse_suite`` makes once."""
 
@@ -444,49 +415,44 @@ class CheckSpec:
 CHECKS = {
     "schwarz_pick": CheckSpec(
         {"map", "exponent"}, {"samples"},
-        lambda job, ctx: verify_schwarz_pick(
-            job.parsed["map"], job.parsed["exponent"], cfg=ctx.verify_cfg(job))),
+        lambda job: verify_schwarz_pick(job.parsed["map"], job.parsed["exponent"], job.cfg)),
     "zhu": CheckSpec(
         {"map"}, set(),
-        lambda job, ctx: verify_zhu(job.parsed["map"], ctx.verify_cfg(job))),
+        lambda job: verify_zhu(job.parsed["map"], job.cfg)),
     "kalaj": CheckSpec(
         {"map", "exponent"}, set(),
-        lambda job, ctx: verify_kalaj(
-            job.parsed["map"], job.parsed["exponent"], ctx.verify_cfg(job))),
+        lambda job: verify_kalaj(job.parsed["map"], job.parsed["exponent"], job.cfg)),
     "lp_boundary_schwarz": CheckSpec(
         {"map", "point", "exponent"}, set(),
-        lambda job, ctx: verify_lp_boundary_schwarz(
-            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        lambda job: verify_lp_boundary_schwarz(job.parsed["map"], _built(job), job.cfg),
         build=_boundary_point),
     "liu_wang": CheckSpec(
         {"map", "point"}, set(),
-        lambda job, ctx: verify_liu_wang(
-            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        lambda job: verify_liu_wang(job.parsed["map"], _built(job), job.cfg),
         build=lambda parsed: _boundary_point(parsed, 2)),
     "product_slice": CheckSpec(
         {"map", "phi", "z_fix", "exponent", "n", "m"}, {"samples"},
-        lambda job, ctx: verify_product_slice(
+        lambda job: verify_product_slice(
             *(job.parsed[k] for k in ("map", "phi", "z_fix", "exponent", "n", "m")),
-            ctx.verify_cfg(job))),
+            job.cfg)),
     "pluriharmonic_boundary": CheckSpec(
         {"map", "point", "exponent"}, set(),
-        lambda job, ctx: verify_pluriharmonic_boundary(
-            job.parsed["map"], _built(job), ctx.verify_cfg(job)),
+        lambda job: verify_pluriharmonic_boundary(job.parsed["map"], _built(job), job.cfg),
         build=_boundary_point),
     "rigidity": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, {"samples", "grid_points"},
-        lambda job, ctx: check_rigidity(_built(job), ctx.rigidity_cfg(job)),
+        lambda job: check_rigidity(_built(job), job.cfg),
         VERDICTS, build=_rigidity_instance),
     "proof_chain": CheckSpec(
         {"map", "anchors", "exponent", "variant"}, set(),
-        lambda job, ctx: check_proof_chain(_built(job), ctx.rigidity_cfg(job)),
+        lambda job: check_proof_chain(_built(job), job.cfg),
         build=_rigidity_instance),
     "equality_1d": CheckSpec(
         {"map"}, set(),
-        lambda job, ctx: equality_case_1d(job.parsed["map"], ctx.rigidity_cfg(job))),
+        lambda job: equality_case_1d(job.parsed["map"], job.cfg)),
     "polydisk_counterexample": CheckSpec(
         {"n"}, set(),
-        lambda job, ctx: counterexample_polydisk_eigen(job.parsed["n"])),
+        lambda job: counterexample_polydisk_eigen(job.parsed["n"])),
     "caratheodory_metric": CheckSpec(
         {"direction", "exponent"}, {"base", "family", "starts", "iters"},
         _run_caratheodory_metric),
@@ -496,8 +462,8 @@ CHECKS = {
 }
 
 
-def _run_job(job: JobSpec, ctx: _RunContext) -> JobResult:
-    out = CHECKS[job.check].run(job, ctx)
+def _run_job(job: JobSpec) -> JobResult:
+    out = CHECKS[job.check].run(job)
     if not isinstance(out, RigidityReport):
         return _row(job, "pass" if out.passed else "fail", out.theorem_id, out.hypotheses,
                     margin=out.margin, quantities=out.quantities)
@@ -521,11 +487,10 @@ def run_suite(config: SuiteConfig, workers: int = 1) -> list:
     """
     if workers != 1:
         raise BadParams(f"suites run serially; workers must be 1, got {workers!r}")
-    ctx = _RunContext(config.seed, dict(config.tolerance_overrides))
     results = []
     for job in config.jobs:
         try:
-            results.append(_run_job(job, ctx))
+            results.append(_run_job(job))
         except Exception as exc:  # noqa: BLE001 - captured per contract
             name = type(exc).__name__
             results.append(_row(job, f"raises:{name}", job.check, (), f"raised_{name}",

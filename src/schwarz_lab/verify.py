@@ -70,16 +70,32 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class VerifyConfig:
+class CheckConfig:
+    """The tolerances, sample counts and seed every check reads; a suite builds one
+    per job.  Each ``*_tol`` field is a suite override name."""
+
     hypothesis_tol: float = 1e-8
     margin_tol: float = 1e-7
-    samples: int = 2000
-    seed: int = 0
     tangent_tol: float = 1e-7
     slope_rel_tol: float = 0.02
+    origin_tol: float = 1e-10
+    holo_tol: float = 1e-7
+    fixed_tol: float = 1e-8
+    equation_tol: float = 1e-7
+    identity_tol: float = 1e-7
+    attain_tol: float = 1e-3
+    samples: int = 2000
+    grid_points: int = 10_000
+    starts: int = 24
+    iters: int = 150
+    seed: int = 0
+
+    def __post_init__(self):
+        if min(self.samples, self.grid_points, self.starts, self.iters) < 1:
+            raise BadParams("samples, grid_points, starts and iters must each be at least 1")
 
 
-DEFAULT_CONFIG = VerifyConfig()
+DEFAULT_CONFIG = CheckConfig()
 SLOPE_T = 1e-3  # inward step of the lp verifier's radial slope probe
 # the circles of the pluriharmonic chain's Harnack grid, and the angles on each
 HARNACK_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -173,7 +189,7 @@ def _origin_and_probe(f: MapExpr, probe, *points):
     return vals, _wirtinger(d[0]), _cr_defect(d[1]), d[2:, :, 0]
 
 
-def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+def verify_schwarz_pick(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Norm decrease under an origin-fixing self-map, plus derivative norm at 0.
 
     margin = min over samples of ||z||_p - ||f(z)||_p.
@@ -185,7 +201,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
     origin = np.zeros(n, dtype=complex)
     f0 = evaluate(f, origin)
     origin_res = float(norm_p(f0, p)) if np.any(f0) else 0.0
-    if not origin_res <= 1e-10:
+    if not origin_res <= cfg.origin_tol:
         raise HypothesisFailed(
             f"map must fix the origin; ||f(0)||_p = {origin_res:.3e}"
         )
@@ -201,7 +217,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Ve
 
     checks = (
         HypothesisCheck("fixes_origin", True, origin_res),
-        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.holo_tol),
         HypothesisCheck("operator_norm_le_1", opnorm <= 1.0 + 1e-9,
                         max(0.0, opnorm - 1.0)),
     )
@@ -225,7 +241,7 @@ def _disk_bound(w0, d: float) -> float:
     return 2.0 * abs(1.0 - w0) ** 2 / (1.0 - abs(w0) ** 2 + d)
 
 
-def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+def verify_zhu(f: MapExpr, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Sharp lower bound for the radial derivative of a disk self-map at 1.
 
     f(0), f(1), J_f(0) and f'(1) come from one tangent pass; f'(1) is exact,
@@ -247,7 +263,7 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
     checks = (
         HypothesisCheck("fixes_one_radially", True, fix_res),
         HypothesisCheck("derivative_real", imag_res <= cfg.hypothesis_tol, imag_res),
-        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.holo_tol),
         HypothesisCheck("maps_disk_to_disk", escape <= 1.0 + 1e-10,
                         max(0.0, escape - 1.0)),
     )
@@ -262,7 +278,7 @@ def verify_zhu(f: MapExpr, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
                    fprime1.real - bound, cfg.margin_tol)
 
 
-def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+def verify_kalaj(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Vector-valued boundary derivative bound for a disk-to-ball map.
 
     The scalar reduction pairs f with the norming functional ell of f(1) and
@@ -293,7 +309,7 @@ def verify_kalaj(f: MapExpr, p, cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
 
     checks = (
         HypothesisCheck("boundary_image_unit_norm", True, abs(b_norm - 1.0)),
-        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.holo_tol),
         HypothesisCheck("scalar_reduction_margin_ok", scalar_margin >= -cfg.margin_tol,
                         max(0.0, -scalar_margin)),
     )
@@ -334,7 +350,7 @@ def _tangent_residual(J: np.ndarray, probes: np.ndarray, g: np.ndarray) -> float
 
 
 def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
-                               cfg: VerifyConfig = DEFAULT_CONFIG):
+                               cfg: CheckConfig = DEFAULT_CONFIG):
     """Normal-eigenvalue certificate at a boundary point carried to the boundary.
 
     The eigenvalue is quantities["lambda"].  When f does not fix the origin the
@@ -349,7 +365,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
         raise BadParams("map dimensions must match the boundary point")
 
     w0, J, holo_res = _jacobian_and_defect(f, z0.point)
-    if not (f.is_holomorphic and holo_res <= 1e-7):
+    if not (f.is_holomorphic and holo_res <= cfg.holo_tol):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
     # one batch: f(0) and the slope probe f(z0 - t v)
@@ -400,7 +416,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
 
 
 def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
-                    cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+                    cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Euclidean-ball boundary fixed point: eigenvalue bound and determinant cap."""
     if z0.exponent != 2.0:
         raise HypothesisFailed("this statement is specific to the round ball p = 2")
@@ -415,7 +431,7 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
 
     vals, J, holo = _jacobian_and_defect(f, np.stack([z0.point, np.zeros(n, dtype=complex)]))
     f0, J, holo_res = vals[1], J[0], float(holo[0])
-    if not (f.is_holomorphic and holo_res <= 1e-7):
+    if not (f.is_holomorphic and holo_res <= cfg.holo_tol):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
     pairing = complex(cinner(J @ z0.point, z0.point))
@@ -512,7 +528,7 @@ def _slice_chain(zs, ws, vals, coefs, z_fix, p):
 
 def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
                          n: int, m: int,
-                         cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+                         cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """A map of a ball-polydisk product that fixes one slice is slice-constant.
 
     f takes the concatenated input (z, w) in C^{n+m} and returns m disk values;
@@ -576,7 +592,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
     holo_res = holomorphy_residual(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex))
     checks = (
         HypothesisCheck("slice_is_fixed", True, slice_gap),
-        _holomorphy_check(f, holo_res, cfg.hypothesis_tol * 10),
+        _holomorphy_check(f, holo_res, cfg.holo_tol),
         HypothesisCheck("phi_componentwise_moebius", True, fit_res),
         HypothesisCheck("chain_pointwise_bound", chain_first >= -1e-10,
                         max(0.0, -chain_first)),
@@ -638,7 +654,7 @@ def harnack_certificate(radii, values, center) -> Verdict:
 
 
 def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
-                                  cfg: VerifyConfig = DEFAULT_CONFIG) -> Verdict:
+                                  cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Chain of lower bounds for the radial real-derivative pairing at z0.
 
     lhs = (J_r z0') . V >= mid = (1 - f(0)' . V)/2 >= low = (1 - ||f(0)'||_p)/2 > 0

@@ -62,3 +62,14 @@ def ulps(got, want) -> float:
         if not want:
             return 0.0 if not err else math.inf
         return float(err / math.ulp(float(abs(want))))
+
+
+def metric_origin_closed(z, p):
+    """The Carathéodory metric at the origin in the direction z: ||z||_p."""
+    return lp_norm(z, p)
+
+
+def distance_origin_closed(z, p):
+    """The Carathéodory distance from the origin to z: atanh ||z||_p."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.atanh(lp_norm(z, p))

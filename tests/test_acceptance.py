@@ -30,7 +30,7 @@ def test_criterion_01_schwarz_pick_norm_decrease():
     for p in (2, 3, 4, "inf"):
         for n in (1, 2, 3, 5):
             for name, f in ball_self_map_instances(p, n):
-                v = sl.verify_schwarz_pick(f, p, sl.VerifyConfig(samples=10_000, seed=count))
+                v = sl.verify_schwarz_pick(f, p, sl.CheckConfig(samples=10_000, seed=count))
                 worst = min(worst, v.margin)
                 count += 1
                 assert v.passed, (name, p, n, v.margin)
@@ -131,7 +131,7 @@ def test_criterion_06_pluriharmonic_chain():
 
 
 def test_criterion_07_caratheodory_attainment():
-    budget = sl.OptBudget(starts=10, iters=120, seed=0)
+    budget = sl.CheckConfig(starts=10, iters=120, seed=0)
     worst = 0.0
     unsound = 0.0
     for p in (2, 3, "inf"):
@@ -144,7 +144,7 @@ def test_criterion_07_caratheodory_attainment():
                                                 "linear_dual", budget)
                 worst = max(worst, want - out.value)
                 unsound = max(unsound, out.value - want)
-    dist = sl.distance_lower_bound_opt([0.5], [0.0], 2, budget=budget)
+    dist = sl.distance_lower_bound_opt([0.5], [0.0], 2, cfg=budget)
     dist_gap = abs(dist.value - 0.5 * math.log(3.0))
     ok = worst <= 1e-3 and unsound <= 1e-9 and dist_gap <= 1e-9
     _line(7, ok, f"max attainment gap {worst:.3e}, max overshoot {unsound:.3e}, "

@@ -103,9 +103,9 @@ def _workload_pass(name: str, monkeypatch) -> dict:
     out = {"passes": 0, "repeats": 0, "evaluates": 0, "evaluated_again": 0,
            "ladder_checks": set()}
 
-    def job(spec, ctx):
+    def job(spec):
         current[:] = spec.id, spec.check
-        return run_job(spec, ctx)
+        return run_job(spec)
 
     def rows(f, z):
         held.append(f)  # keeps id(f) unique for the whole pass

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from schwarz_lab import caratheodory, norm_p, suite
 from schwarz_lab.caratheodory import (
     FAMILY_KINDS,
-    OptBudget,
     OptResult,
     _coefficients,
     _coordinate_ascent,
@@ -30,9 +29,10 @@ from schwarz_lab.geometry import as_exponent, conjugate_exponent, cvector, lp_no
 from schwarz_lab.maps import evaluate
 from schwarz_lab.rng import stream
 from schwarz_lab.suite import _job_seed, parse_suite, run_suite
+from schwarz_lab.verify import CheckConfig
 
 SUITE_DIR = pathlib.Path(__file__).resolve().parent.parent / "suites"
-FAST = OptBudget(starts=6, iters=80, seed=0)
+FAST = CheckConfig(starts=6, iters=80, seed=0)
 
 
 def test_closed_forms_frozen():
@@ -94,7 +94,7 @@ def test_competitor_map_vanishes_at_base():
 
 def test_distance_optimizer_reaches_closed_form():
     out = distance_lower_bound_opt(np.zeros(1), np.array([0.5 + 0j]), 2,
-                                   budget=FAST)
+                                   cfg=FAST)
     assert abs(out.value - 0.5 * math.log(3.0)) <= 1e-3
     assert out.value <= 0.5 * math.log(3.0) + 1e-9
 
@@ -102,10 +102,10 @@ def test_distance_optimizer_reaches_closed_form():
 def test_distance_optimizer_symmetry_sampled():
     z = np.array([0.2 + 0.1j, -0.3])
     w = np.array([-0.1, 0.25j])
-    a = distance_lower_bound_opt(z, w, 2, budget=FAST).value
-    b = distance_lower_bound_opt(w, z, 2, budget=FAST).value
+    a = distance_lower_bound_opt(z, w, 2, cfg=FAST).value
+    b = distance_lower_bound_opt(w, z, 2, cfg=FAST).value
     assert abs(a - b) <= 2e-3
-    assert distance_lower_bound_opt(z, z, 2, budget=FAST).value == pytest.approx(
+    assert distance_lower_bound_opt(z, z, 2, cfg=FAST).value == pytest.approx(
         0.0, abs=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_converged_flag_belongs_to_the_best_start():
         vals[-1] = next(rising)
         return vals
 
-    out = _coordinate_ascent(objective, dim, OptBudget(starts=2, iters=30),
+    out = _coordinate_ascent(objective, dim, CheckConfig(starts=2, iters=30),
                              "flat-then-rising")
     assert out.evaluations == 1 + 19 * 2 * dim + 1 + 30 * 2 * dim
     assert out.value > 0.0
@@ -265,7 +265,7 @@ def _ball_point(gen, n, p, radius):
        iters=st.integers(1, 40), kind=st.sampled_from(FAMILY_KINDS))
 def test_batched_ascents_equal_scalar_reference(n, p, seed, starts, iters, kind):
     gen = stream(seed, "ascent-reference", n)
-    budget = OptBudget(starts=starts, iters=iters, seed=seed)
+    budget = CheckConfig(starts=starts, iters=iters, seed=seed)
     base = np.zeros(n, dtype=complex)
     if kind == "linear_moebius":
         base = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
@@ -274,12 +274,12 @@ def test_batched_ascents_equal_scalar_reference(n, p, seed, starts, iters, kind)
                  _ref_metric(base, xi, p, kind, budget))
     z = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
     w = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
-    _assert_same(distance_lower_bound_opt(z, w, p, budget=budget),
+    _assert_same(distance_lower_bound_opt(z, w, p, cfg=budget),
                  _ref_distance(z, w, p, budget))
 
 
 def test_all_minus_inf_objective_matches_scalar_reference():
-    budget = OptBudget(starts=3, iters=25, seed=5)
+    budget = CheckConfig(starts=3, iters=25, seed=5)
     got = _coordinate_ascent(lambda thetas: np.full(len(thetas), -math.inf), 3,
                              budget, "all-minus-inf")
     want = _ref_ascent(lambda theta: -math.inf, 3, budget, "all-minus-inf")
@@ -352,7 +352,7 @@ def test_metric_lower_bound_is_sound_at_the_origin(p, kind, parts, seed):
     n = len(parts) // 2
     direction = np.array(parts[:n]) + 1j * np.array(parts[n:])
     out = metric_lower_bound_opt(np.zeros(n), direction, p, kind,
-                                 OptBudget(starts=3, iters=20, seed=seed))
+                                 CheckConfig(starts=3, iters=20, seed=seed))
     assert out.value <= metric_origin_closed(direction, p) + 1e-9
     assert competitor_membership_max(kind, out.params, np.zeros(n), p) <= 1.0 + 1e-9
 
@@ -412,7 +412,7 @@ def test_sweep_replay_matches_scalar_scan_on_hard_cases():
             for cutoff in (math.inf, 0.5):
                 for starts, iters in ((6, 60), (1, 60), (3, 1), (3, 2)):
                     f = _bumpy(seed, dim, cutoff)
-                    budget = OptBudget(starts=starts, iters=iters, seed=seed)
+                    budget = CheckConfig(starts=starts, iters=iters, seed=seed)
                     accepted = []
                     want = _ref_ascent(f, dim, budget, "bumpy", accepted)
                     got = _coordinate_ascent(lambda T: np.array([f(t) for t in T]), dim,
@@ -466,7 +466,7 @@ def _counting(monkeypatch):
 
 def test_sweep_without_an_acceptance_is_one_objective_call(monkeypatch):
     calls = _counting(monkeypatch)
-    budget = OptBudget(starts=3, iters=7, seed=1)
+    budget = CheckConfig(starts=3, iters=7, seed=1)
     out = caratheodory._coordinate_ascent(lambda thetas: np.zeros(len(thetas)), 4,
                                           budget, "flat")
     assert out.evaluations == 3 + 7 * 2 * 4 * 3

@@ -71,8 +71,34 @@ def test_tolerance_flag_overrides(suite_file, capsys):
     assert "FAIL  zhu" in out
 
 
+@pytest.mark.parametrize("text, pointer", [
+    ('{"suite_name": "x", "seed": 1, "jobs": [', "/"),
+    ('{"suite_name": "x", "seed": 1, "tolerance_overrides": [1], "jobs": []}',
+     "/tolerance_overrides"),
+], ids=["invalid-json", "overrides-not-an-object"])
+def test_tolerance_flag_with_a_bad_suite_file_is_schema_error(text, pointer, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--tolerance", "margin_tol=1e-9"]) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {pointer}:")
+
+
+def test_tolerance_flag_replaces_the_files_value(tmp_path):
+    # z -> (1 - 5e-9) z^2 has Zhu margin -1e-8: it passes at margin_tol 1e-7, fails at 1e-9
+    f = schwarz_lab.Scale(1.0 - 5e-9, schwarz_lab.Power(2, schwarz_lab.Coordinate(0, 1)))
+    path = tmp_path / "zhu.json"
+    path.write_text(json.dumps({
+        "suite_name": "zhu", "seed": 3, "tolerance_overrides": {"margin_tol": 1e-9},
+        "jobs": [{"id": "zhu", "check": "zhu", "map": schwarz_lab.map_to_json(f)}]}))
+    assert main(["run", str(path)]) == 1
+    assert main(["run", str(path), "--tolerance", "margin_tol=1e-7"]) == 0
+    assert main(["run", str(path), "--tolerance", "margin_tol=1e-7",
+                 "--tolerance", "margin_tol=1e-9"]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "SUITE", "--tolerance", "margin_tol=abc"],
+    ["run", "SUITE", "--tolerance", "bogus_tol=1"],
     ["check", "zhu", "--map", "zhu_extremal", "--map-params", "{bad"],
     ["caratheodory", "--dir", "0.3,0.4", "-p", "abc"],
     ["check", "schwarz_pick", "--map", "identity", "--map-params", '{"n": 2}',

@@ -73,7 +73,7 @@ def test_short_row_reductions_of_moduli_equal_numpy_bit_for_bit(a):
 
 
 def test_exponent_validation():
-    for bad in (1.0, 0.5, "1", math.nan, "nan", -math.inf):
+    for bad in (1.0, 0.5, "1", math.nan, "nan", -math.inf, "1e400", "+inf", "abc", "", None):
         with pytest.raises(BadParams):
             as_exponent(bad)
     for spelling in ("inf", "Infinity", "OO", math.inf):

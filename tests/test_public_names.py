@@ -9,8 +9,9 @@ when a package module refers to it as an attribute (``obj.name``) outside the
 body of that class, or a ``perfbench`` script refers to it as above; a method
 that only its own class calls should carry a leading underscore.  The names
 are matched, not resolved: a reference to another class's attribute of the
-same name counts too.  And no module but ``__init__.py``, whose imports are the
-exports, imports a name it never refers to.
+same name counts too.  No module but ``__init__.py``, whose imports are the
+exports, imports a name it never refers to.  And every field of
+``CheckConfig`` is read as an attribute by a package module outside the class.
 """
 
 import ast
@@ -81,3 +82,17 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_check_config_field_is_read_outside_its_class():
+    # a tolerance or count that no check reads is a knob that does nothing
+    fields, read = None, set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and node.name == "CheckConfig":
+                fields = {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
+                continue
+            read |= {sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    assert fields
+    assert sorted(fields - read) == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from schwarz_lab import (
     BadParams,
     BoundaryPoint,
+    CheckConfig,
     Compose,
     Coordinate,
     HypothesisFailed,
@@ -33,7 +34,6 @@ from schwarz_lab import (
 from schwarz_lab import diff, rigidity
 from schwarz_lab.geometry import lp_norm, with_lp_norms
 from schwarz_lab.rigidity import (
-    RigidityConfig,
     RigidityInstance,
     RigidityReport,
     check_proof_chain,
@@ -46,7 +46,7 @@ from schwarz_lab.rng import stream
 
 from test_maps import _trees
 
-FAST = RigidityConfig(selfmap_samples=400, grid_points=1500)
+FAST = CheckConfig(samples=400, grid_points=1500)
 
 
 def basis_anchors(n, p):
@@ -418,7 +418,7 @@ def _ref_check_rigidity(inst, cfg):
     quantities["holomorphy_residual"] = worst_holo
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial("hypotheses_fail", "map is not holomorphic at the anchors")
-    pts = sample_ball(e, n, cfg.selfmap_samples, cfg.seed, "rigidity-selfmap", 0.999)
+    pts = sample_ball(e, n, cfg.samples, cfg.seed, "rigidity-selfmap", 0.999)
     escape = float(np.max(lp_norm(evaluate(f, pts), e)))
     quantities["selfmap_escape"] = max(0.0, escape - 1.0)
     if escape > 1.0 + 1e-10:
@@ -518,7 +518,7 @@ def _instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(inst=_instances(), seed=st.integers(0, 3))
 def test_stacked_rigidity_equals_the_per_anchor_reference(inst, seed):
-    cfg = RigidityConfig(selfmap_samples=64, grid_points=64, seed=seed)
+    cfg = CheckConfig(samples=64, grid_points=64, seed=seed)
     assert check_rigidity(inst, cfg) == _ref_check_rigidity(inst, cfg)
 
 

@@ -25,6 +25,7 @@ from schwarz_lab.suite import (
     run_suite,
     suite_passed,
 )
+from schwarz_lab.verify import CheckConfig
 
 SUITE_DIR = pathlib.Path(__file__).resolve().parent.parent / "suites"
 
@@ -58,9 +59,21 @@ def test_schema_round_trip_idempotent():
     again = parse_suite(json.dumps(small_config()))
     assert again == config
     assert emit_report(run_suite(again)) == emit_report(run_suite(config))
-    # defaults are filled in
+    # defaults are filled in; each job's config holds its keyed seed and its counts
     assert config.jobs[0].expect == "pass"
-    assert config.tolerance_overrides == {}
+    assert config.jobs[0].cfg == CheckConfig(seed=suite._job_seed(7, "zhu"))
+    assert config.jobs[1].cfg == CheckConfig(seed=suite._job_seed(7, "pick"), samples=200)
+
+
+def test_job_config_takes_the_overrides_and_the_count_keys_only():
+    tols = {"holo_tol": 1e-6, "attain_tol": 0.01}
+    doc = small_config(tolerance_overrides=tols, jobs=[
+        {"id": "dist", "check": "caratheodory_distance", "z": [[0.5, 0.0]], "exponent": 2,
+         "starts": 3, "iters": 9},
+        {"id": "poly", "check": "polydisk_counterexample", "n": 3}])
+    dist, poly = parse_suite(doc).jobs
+    assert dist.cfg == CheckConfig(seed=suite._job_seed(7, "dist"), starts=3, iters=9, **tols)
+    assert poly.cfg == CheckConfig(seed=suite._job_seed(7, "poly"), **tols)
 
 
 @pytest.mark.parametrize("mutate, pointer", [

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from schwarz_lab import (
     BadParams,
     BoundaryPoint,
+    CheckConfig,
     Compose,
+    Constant,
     Coordinate,
     HypothesisFailed,
     InsufficientClearance,
@@ -22,7 +24,6 @@ from schwarz_lab import (
     Product,
     Scale,
     Sum,
-    VerifyConfig,
     evaluate,
     gallery,
     haar_unitary,
@@ -50,7 +51,7 @@ from helpers import boundary_slope_check, normal_tangent_decompose
 from test_maps import _small, _unimodular
 from test_rigidity import nan_map_json
 
-CFG = VerifyConfig(samples=500)
+CFG = CheckConfig(samples=500)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ def test_operator_norm_lower_zero_gradient_stops_each_start(p):
 
 
 def test_schwarz_pick_identity_margin_zero():
-    v = verify_schwarz_pick(identity_map(2), 3, VerifyConfig(samples=200, seed=1))
+    v = verify_schwarz_pick(identity_map(2), 3, CheckConfig(samples=200, seed=1))
     assert v.passed
     assert v.margin == pytest.approx(0.0, abs=1e-12)
     assert v.quantities["opnorm_lower_estimate"] == pytest.approx(1.0, abs=1e-9)
@@ -223,7 +224,7 @@ def test_schwarz_pick_identity_margin_zero():
 
 def test_schwarz_pick_contraction_margin_positive():
     v = verify_schwarz_pick(gallery("scaled_identity", {"n": 2, "t": 0.5}), 2,
-                            VerifyConfig(samples=200, seed=1))
+                            CheckConfig(samples=200, seed=1))
     assert v.passed and v.margin > 0.0
     assert v.quantities["opnorm_lower_estimate"] == pytest.approx(0.5, abs=1e-9)
 
@@ -231,12 +232,27 @@ def test_schwarz_pick_contraction_margin_positive():
 def test_schwarz_pick_requires_origin_fixed():
     f = gallery("moebius_fix1", {"a": 0.3})
     with pytest.raises(HypothesisFailed):
-        verify_schwarz_pick(f, 2, VerifyConfig(samples=50, seed=0))
+        verify_schwarz_pick(f, 2, CheckConfig(samples=50, seed=0))
+
+
+def test_schwarz_pick_origin_gate_reads_origin_tol():
+    f = Sum((Scale(0.5, Coordinate(0, 1)), Constant(1e-9, 1)))
+    with pytest.raises(HypothesisFailed, match="fix the origin"):
+        verify_schwarz_pick(f, 2, CheckConfig(samples=50))
+    v = verify_schwarz_pick(f, 2, CheckConfig(samples=50, origin_tol=1e-8))
+    assert v.hypotheses[0].residual == pytest.approx(1e-9)
+
+
+@pytest.mark.parametrize("count", ["samples", "grid_points", "starts", "iters"])
+def test_check_config_rejects_a_zero_count(count):
+    # a zero count would reach numpy as a reduction over no samples
+    with pytest.raises(BadParams):
+        CheckConfig(**{count: 0})
 
 
 def test_schwarz_pick_first_times_last_p3():
     v = verify_schwarz_pick(gallery("first_times_last", {"n": 3}), 3,
-                            VerifyConfig(samples=2000, seed=2))
+                            CheckConfig(samples=2000, seed=2))
     assert v.passed
     assert v.margin >= -1e-10
 
@@ -258,8 +274,8 @@ def test_schwarz_pick_margin_is_unitarily_invariant_at_p2(n, seed, t):
     gen = stream(seed, "pick-unitary", n)
     f = LinearMatrix(t * haar_unitary(n, gen))
     U = haar_unitary(n, gen)
-    v = verify_schwarz_pick(f, 2, VerifyConfig(samples=300, seed=seed))
-    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, VerifyConfig(samples=300, seed=seed))
+    v = verify_schwarz_pick(f, 2, CheckConfig(samples=300, seed=seed))
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, CheckConfig(samples=300, seed=seed))
     assert vu.passed == v.passed == (t <= 1.0)
     assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
     assert abs(vu.margin - v.margin) <= 1e-9
@@ -273,8 +289,8 @@ def test_schwarz_pick_verdict_is_unitarily_invariant_at_p2(name, params):
     # verdicts agree.
     f = gallery(name, params)
     U = haar_unitary(f.input_dim, stream(9, "pick-unitary-nonlinear"))
-    v = verify_schwarz_pick(f, 2, VerifyConfig(samples=300, seed=4))
-    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, VerifyConfig(samples=300, seed=4))
+    v = verify_schwarz_pick(f, 2, CheckConfig(samples=300, seed=4))
+    vu = verify_schwarz_pick(_unitary_conjugate(f, U), 2, CheckConfig(samples=300, seed=4))
     assert v.passed and vu.passed
     assert [h.ok for h in vu.hypotheses] == [h.ok for h in v.hypotheses]
     assert vu.margin >= 0.0 and abs(vu.margin - v.margin) <= 1e-3
@@ -316,7 +332,7 @@ def _self_map_chains(draw, stretch=False):
 def test_schwarz_pick_passes_on_composed_self_maps(chain, seed):
     # origin-fixing self-maps of the ball are closed under composition
     p, f, _ = chain
-    v = verify_schwarz_pick(f, p, VerifyConfig(samples=200, seed=seed))
+    v = verify_schwarz_pick(f, p, CheckConfig(samples=200, seed=seed))
     assert v.passed, (p, map_to_json(f), v.margin, v.hypotheses)
 
 
@@ -325,7 +341,7 @@ def test_schwarz_pick_passes_on_composed_self_maps(chain, seed):
 def test_schwarz_pick_fails_on_a_stretched_isometry_chain(chain, seed):
     # t times a norm-preserving chain moves every point out by the factor t > 1
     p, f, t = chain
-    v = verify_schwarz_pick(f, p, VerifyConfig(samples=200, seed=seed))
+    v = verify_schwarz_pick(f, p, CheckConfig(samples=200, seed=seed))
     assert not v.passed
     assert v.margin < 0.0 and v.quantities["opnorm_lower_estimate"] == pytest.approx(t)
 
