@@ -5,9 +5,15 @@
     schwarz-lab check NAME --map MAP [--point VEC] [-p P] [...]
     schwarz-lab caratheodory --dir VEC -p P [--base VEC] [--to VEC]
 
-Suites run serially, one job after another, in file order.  Exit status is 0
-iff every executed job passed; schema problems, including malformed arguments,
-exit 2.
+``run``, ``check`` and ``caratheodory`` each build one suite document (the file
+with the --tolerance pairs merged in, or a one-job suite keyed by the flags),
+which ``parse_suite`` reads once.  A flag value is its JSON reading, else its
+text; JSON's NaN and Infinity stay text, so ``-p Infinity`` names the polydisk.
+Vector flags also take bare reals (one number, a JSON array or a comma list)
+as [re, 0] pairs, and ``--map`` a gallery name or map JSON.  Suites run
+serially, in file order.  Exit status is 0 iff every executed job passed;
+schema problems, including malformed arguments, exit 2 with the JSON pointer
+of the key at fault.
 """
 
 from __future__ import annotations
@@ -18,149 +24,89 @@ import sys
 from .caratheodory import FAMILY_KINDS
 from .errors import SchemaError, SchwarzLabError
 from .gallery import gallery_names
-from .geometry import INF_SPELLINGS
 from .maps import load_json
-from .suite import (
-    REPORT_FORMATS,
-    emit_report,
-    parse_suite,
-    run_suite,
-    suite_passed,
-)
+from .suite import REPORT_FORMATS, emit_report, parse_suite, run_suite, suite_passed
 
 
-def _parse_vector_arg(text: str):
-    """Accept [re, im] pair JSON, or reals: one number, a JSON array or a comma list."""
+def _read(text: str):
+    """A flag value: its JSON reading, else (and for JSON's NaN and Infinity) its text."""
+    if text.strip() in ("NaN", "Infinity", "-Infinity"):
+        return text
     try:
-        data = load_json(text)
+        return load_json(text)
     except ValueError:
+        return text
+
+
+def _read_vector(text: str):
+    """_read, but bare reals (a number, a JSON array or a comma list) become [re, 0] pairs."""
+    data = _read(text)
+    if isinstance(data, str):
         try:
             return [[float(t), 0.0] for t in text.split(",") if t.strip()]
         except ValueError:
-            raise SchemaError(f"cannot parse vector argument {text!r}")
+            return text
     coords = data if isinstance(data, list) else [data]
     if coords and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in coords):
         return [[t, 0.0] for t in coords]  # as read: the schema points at one out of range
     return data
 
 
-def _parse_map_arg(text: str, params_text: str | None):
-    try:
-        data = load_json(text)
-    except ValueError:
-        data = None
-    if isinstance(data, dict):
-        return data
-    # bare gallery name, params in a separate flag
-    ref = {"gallery": text}
-    if params_text:
-        try:
-            ref["params"] = load_json(params_text)
-        except ValueError:
-            raise SchemaError(
-                f"--map-params is not valid JSON: {params_text!r}") from None
-    return ref
+def _read_map(text: str) -> dict:
+    """Map JSON, or else a gallery reference by name."""
+    data = _read(text)
+    return data if isinstance(data, dict) else {"gallery": data}
 
 
-def _parse_exponent_arg(text: str):
-    if text.lower() in INF_SPELLINGS:
-        return text
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(f"cannot parse exponent argument {text!r}") from None
-    return int(value) if value.is_integer() else value
+# the job key each check and caratheodory flag sets, and how its text is read
+_JOB_FLAGS = {
+    **dict.fromkeys(("check", "exponent", "samples", "variant", "expect",
+                     "family", "starts", "iters"), _read),
+    **dict.fromkeys(("point", "direction", "base", "z"), _read_vector),
+    "anchors": lambda texts: [_read_vector(t) for t in texts],
+    "map": _read_map,
+}
 
 
-def _tolerance_pairs(items):
-    out = {}
-    for item in items or []:
+def _tolerances(items) -> dict:
+    """The --tolerance K=V pairs, a later one replacing an earlier one."""
+    pairs = {}
+    for item in items or ():
         key, sep, value = item.partition("=")
         if not sep:
-            raise SchemaError(f"--tolerance expects k=v, got {item!r}")
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise SchemaError(
-                f"--tolerance {key} expects a number, got {value!r}") from None
-    return out
+            raise SchemaError(f"expected K=V, got {item!r}", path="/tolerance_overrides")
+        pairs[key] = _read(value)
+    return pairs
 
 
-def _emit(results, fmt: str) -> int:
-    sys.stdout.buffer.write(emit_report(results, fmt))
-    sys.stdout.buffer.flush()
-    return 0 if suite_passed(results) else 1
-
-
-def _cmd_run(args) -> int:
+def _file_suite(args):
+    """run's suite file, each --tolerance pair replacing the file's value."""
     try:
         with open(args.suite, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read suite file {args.suite!r}: {exc.strerror}") from None
-    config = parse_suite(text)
-    if args.tolerance:
-        # the file parsed, so it is an object; each flag replaces the file's value
+    try:
         doc = load_json(text)
-        doc["tolerance_overrides"] = {**doc.get("tolerance_overrides", {}),
-                                      **_tolerance_pairs(args.tolerance)}
-        config = parse_suite(doc)
-    return _emit(run_suite(config), args.format)
+    except ValueError:
+        return text  # parse_suite points at the invalid JSON
+    # a document or overrides of the wrong type is left for parse_suite to point at
+    overrides = doc.get("tolerance_overrides", {}) if isinstance(doc, dict) else None
+    if isinstance(overrides, dict):
+        doc["tolerance_overrides"] = {**overrides, **_tolerances(args.tolerance)}
+    return doc
 
 
-def _cmd_gallery(args) -> int:
-    if args.action != "list":
-        raise SchemaError(f"unknown gallery action {args.action!r}")
-    for name in gallery_names():
-        print(name)
-    return 0
-
-
-def _single_job_config(job: dict, seed: int, tolerances: dict) -> dict:
-    return {
-        "suite_name": "cli",
-        "seed": seed,
-        "tolerance_overrides": tolerances,
-        "jobs": [job],
-    }
-
-
-def _cmd_check(args) -> int:
-    job = {"id": "cli", "check": args.name,
-           "map": _parse_map_arg(args.map, args.map_params)}
-    if args.point:
-        job["point"] = _parse_vector_arg(args.point)
-    if args.exponent is not None:
-        job["exponent"] = _parse_exponent_arg(args.exponent)
-    if args.samples is not None:
-        job["samples"] = args.samples
-    if args.variant:
-        job["variant"] = args.variant
-    if args.anchor:
-        job["anchors"] = [_parse_vector_arg(a) for a in args.anchor]
-    if args.expect:
-        job["expect"] = args.expect
-    config = parse_suite(_single_job_config(
-        job, args.seed, _tolerance_pairs(args.tolerance)))
-    return _emit(run_suite(config), args.format)
-
-
-def _cmd_caratheodory(args) -> int:
-    # one job from every flag given: the check's schema rejects a flag it does not take
-    job = {"id": "cli", "check": "caratheodory_distance" if args.to else "caratheodory_metric",
-           "exponent": _parse_exponent_arg(args.exponent)}
-    for key, text in (("z", args.to), ("direction", args.dir), ("base", args.base)):
-        if text:
-            job[key] = _parse_vector_arg(text)
-    if args.family:
-        job["family"] = args.family
-    if args.starts is not None:
-        job["starts"] = args.starts
-    if args.iters is not None:
-        job["iters"] = args.iters
-    config = parse_suite(_single_job_config(
-        job, args.seed, _tolerance_pairs(args.tolerance)))
-    return _emit(run_suite(config), args.format)
+def _job_suite(args) -> dict:
+    """The one-job suite of a check or caratheodory command: one key per flag given."""
+    job = {"id": "cli", **{key: _JOB_FLAGS[key](value) for key, value in vars(args).items()
+                           if key in _JOB_FLAGS and value is not None}}
+    if args.command == "caratheodory":
+        job["check"] = "caratheodory_distance" if "z" in job else "caratheodory_metric"
+    if getattr(args, "map_params", None) is not None:
+        job["map"]["params"] = _read(args.map_params)
+    return {"suite_name": "cli", "seed": _read(args.seed),
+            "tolerance_overrides": _tolerances(args.tolerance), "jobs": [job]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,53 +114,54 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=REPORT_FORMATS, default="text")
-        p.add_argument("--tolerance", action="append", metavar="K=V")
-        p.add_argument("--seed", type=int, default=0)
-
     p_run = sub.add_parser("run", help="execute a suite file")
     p_run.add_argument("suite")
-    p_run.add_argument("--format", choices=REPORT_FORMATS, default="text")
-    p_run.add_argument("--tolerance", action="append", metavar="K=V")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(suite_doc=_file_suite)
 
     p_gal = sub.add_parser("gallery", help="inspect the map gallery")
     p_gal.add_argument("action", choices=("list",))
-    p_gal.set_defaults(func=_cmd_gallery)
 
     p_chk = sub.add_parser("check", help="run one verification job")
-    p_chk.add_argument("name")
-    p_chk.add_argument("--map", required=True,
-                       help="gallery name or map JSON")
+    p_chk.add_argument("check", metavar="NAME")
+    p_chk.add_argument("--map", required=True, help="gallery name or map JSON")
     p_chk.add_argument("--map-params", help="gallery params JSON")
     p_chk.add_argument("--point", help="boundary point vector")
     p_chk.add_argument("-p", "--exponent")
-    p_chk.add_argument("--samples", type=int)
+    p_chk.add_argument("--samples")
     p_chk.add_argument("--variant")
-    p_chk.add_argument("--anchor", action="append",
+    p_chk.add_argument("--anchor", dest="anchors", action="append", metavar="VEC",
                        help="rigidity anchor vector (repeatable)")
     p_chk.add_argument("--expect")
-    common(p_chk)
-    p_chk.set_defaults(func=_cmd_check)
 
     p_car = sub.add_parser("caratheodory", help="metric / distance bounds")
-    p_car.add_argument("--base", help="base point (default origin)")
-    p_car.add_argument("--dir", help="direction vector for the metric")
-    p_car.add_argument("--to", help="endpoint: report distance from 0 instead")
+    p_car.add_argument("--base", metavar="VEC", help="base point (default origin)")
+    p_car.add_argument("--dir", dest="direction", metavar="VEC", help="metric direction")
+    p_car.add_argument("--to", dest="z", metavar="VEC",
+                       help="endpoint: report distance from 0 instead")
     p_car.add_argument("-p", "--exponent", required=True)
     p_car.add_argument("--family", choices=FAMILY_KINDS)
-    p_car.add_argument("--starts", type=int)
-    p_car.add_argument("--iters", type=int)
-    common(p_car)
-    p_car.set_defaults(func=_cmd_caratheodory)
+    p_car.add_argument("--starts")
+    p_car.add_argument("--iters")
+
+    for p in (p_chk, p_car):
+        p.add_argument("--seed", default="0")
+        p.set_defaults(suite_doc=_job_suite)
+    for p in (p_run, p_chk, p_car):
+        p.add_argument("--format", choices=REPORT_FORMATS, default="text")
+        p.add_argument("--tolerance", action="append", metavar="K=V")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "gallery":
+        print("\n".join(gallery_names()))
+        return 0
     try:
-        return args.func(args)
+        results = run_suite(parse_suite(args.suite_doc(args)))
+        sys.stdout.buffer.write(emit_report(results, args.format))
+        sys.stdout.buffer.flush()
+        return 0 if suite_passed(results) else 1
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

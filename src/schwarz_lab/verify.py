@@ -379,7 +379,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     vw = duality_map(w0, p)
 
     origin_res = float(norm_p(f0, p))
-    fixes_origin = origin_res <= cfg.hypothesis_tol
+    fixes_origin = origin_res <= cfg.origin_tol
 
     pulled = np.conj(J).T @ vw
     vz_sq = float(np.linalg.norm(vz)) ** 2
@@ -632,8 +632,9 @@ def harnack_certificate(radii, values, center) -> Verdict:
     c = float(center)
     lo = np.array([(1.0 - r) / (1.0 + r) * c for r in radii])
     hi = np.array([(1.0 + r) / (1.0 - r) * c for r in radii])
-    if vals.ndim != 2 or len(vals) != len(lo):
-        raise BadParams("a Harnack grid needs exactly one row of values per radius")
+    if vals.ndim != 2 or len(vals) != len(lo) or vals.size == 0:
+        raise BadParams("a Harnack grid needs a radius, and exactly one non-empty row "
+                        "of values per radius")
     # the row minima folded from inf as min(slack, row_min) folds them one by
     # one: a NaN minimum never compares below the slack, so its row drops out
     lower_slack = min([math.inf, *np.min(vals - lo[:, None], axis=1).tolist()])

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import schwarz_lab
+from schwarz_lab import cli
 from schwarz_lab.cli import main
+from schwarz_lab.suite import parse_suite
 
 
 @pytest.fixture()
@@ -118,6 +120,60 @@ def test_malformed_argument_is_schema_error(argv, suite_file, capsys):
     argv = [str(paths[a]) if a in paths else a for a in argv]
     assert main(argv) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["caratheodory", "--dir", "0.3,0.4", "-p", "abc"], "/jobs/0/exponent"),
+    (["run", "SUITE", "--tolerance", "margin_tol=abc"], "/tolerance_overrides/margin_tol"),
+    (["check", "zhu", "--map", "zhu_extremal", "--map-params", "{bad"], "/jobs/0/map/params"),
+    (["check", "schwarz_pick", "--map", "identity", "--map-params", '{"n": 2}',
+      "-p", "2", "--samples", "0"], "/jobs/0/samples"),
+], ids=["exponent", "tolerance", "map-params", "samples"])
+def test_malformed_argument_names_the_key_it_sets(argv, pointer, suite_file, capsys):
+    argv = [str(suite_file) if a == "SUITE" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {pointer}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "SUITE", "--tolerance", "margin_tol=1e-7"],
+    ["check", "zhu", "--map", "zhu_extremal", "--tolerance", "margin_tol=1e-7"],
+    ["caratheodory", "--dir", "0.3", "-p", "2", "--starts", "6", "--iters", "80"],
+], ids=["run", "check", "caratheodory"])
+def test_each_command_parses_its_suite_once(argv, suite_file, monkeypatch, capsys):
+    docs = []
+    monkeypatch.setattr(cli, "parse_suite", lambda doc: docs.append(doc) or parse_suite(doc))
+    assert main([str(suite_file) if a == "SUITE" else a for a in argv]) == 0
+    assert len(docs) == 1
+
+
+def test_every_spelling_of_infinity_names_the_polydisk(capsys):
+    reports = []
+    for spelling in ("Infinity", "OO", "inf"):
+        assert main(["caratheodory", "--dir", "0.3,0.4", "-p", spelling, "--starts", "6",
+                     "--iters", "80", "--format", "jsonl"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("argv, job", [
+    (["check", "lp_boundary_schwarz", "--map", "square_first", "--map-params", '{"n": 2}',
+      "--point", "1,0", "-p", "3"],
+     {"check": "lp_boundary_schwarz", "map": {"gallery": "square_first", "params": {"n": 2}},
+      "point": [[1.0, 0.0], [0.0, 0.0]], "exponent": 3}),
+    (["caratheodory", "--dir", "0.3,0.4", "-p", "4", "--starts", "6", "--iters", "80"],
+     {"check": "caratheodory_metric", "direction": [[0.3, 0.0], [0.4, 0.0]], "exponent": 4,
+      "starts": 6, "iters": 80}),
+], ids=["check", "caratheodory"])
+def test_a_command_reports_as_its_job_run_from_a_suite_file(argv, job, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"suite_name": "cli", "seed": 5, "tolerance_overrides":
+                                {"margin_tol": 1e-6}, "jobs": [{"id": "cli", **job}]}))
+    flags = ["--format", "csv", "--tolerance", "margin_tol=1e-6"]
+    assert main(argv + flags + ["--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert main(["run", str(path)] + flags[:2]) == 0
+    assert capsys.readouterr().out == out
 
 
 _DEEP_ARRAY = "[" * 5000 + "]" * 5000
@@ -232,17 +288,31 @@ def test_caratheodory_distance_rejects_a_metric_flag(flags, key, capsys):
     assert err.startswith("schema error: /jobs/0:") and f"'{key}'" in err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(pathlib.Path(schwarz_lab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_entry_point_writes_the_golden_report():
+    # tests/golden/paper.jsonl is this command's output, byte for byte
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "schwarz_lab.cli", "run", "suites/paper.json",
+                          "--format", "jsonl"], capture_output=True, cwd=root, timeout=300,
+                         env=_src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (root / "tests" / "golden" / "paper.jsonl").read_bytes()
+
+
 def _loaded_by_import(package: str) -> str:
     """The modules of ``package`` that a fresh interpreter holds after importing
     schwarz_lab and its CLI, as a printed sorted list."""
     code = ("import sys, schwarz_lab, schwarz_lab.cli; "
             f"print(sorted(m for m in sys.modules if m == {package!r} "
             f"or m.startswith({package + '.'!r})))")
-    src = str(pathlib.Path(schwarz_lab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env=env)
+                         check=True, timeout=120, env=_src_env())
     return out.stdout.strip()
 
 

@@ -17,6 +17,7 @@ from schwarz_lab import (
     HypothesisFailed,
     InsufficientClearance,
     LinearMatrix,
+    MapTuple,
     MoebiusDisk,
     NoConvergence,
     PoleHit,
@@ -568,6 +569,18 @@ def test_lp_boundary_interior_diagonal_anchor():
     assert verdict.passed and verdict.quantities["lambda"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_lp_boundary_origin_gate_reads_origin_tol():
+    # ||f(0)||_3 = 1e-9 lies between origin_tol (1e-10) and hypothesis_tol (1e-8)
+    f = MapTuple((Coordinate(0, 2), Sum((Coordinate(1, 2), Constant(1e-9, 2)))))
+    z0 = BoundaryPoint(np.array([1.0, 0.0], dtype=complex), 3)
+    v = verify_lp_boundary_schwarz(f, z0, CFG)
+    origin = v.hypotheses[0]
+    assert (origin.name, origin.ok) == ("fixes_origin", False)
+    assert origin.residual == pytest.approx(1e-9)
+    assert math.isnan(v.margin) and not v.passed
+    assert verify_lp_boundary_schwarz(f, z0, CheckConfig(samples=500, origin_tol=1e-8)).passed
+
+
 def test_lp_boundary_slope_residual_is_boundary_slope_check():
     f = gallery("diag_power", {"ks": [2, 1, 3], "units": [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]})
     for p in (2, 3, 4):
@@ -926,3 +939,11 @@ def test_harnack_grid_needs_a_row_per_radius(values):
     # exactly one row per radius: an extra row would reach min_sample but no slack
     with pytest.raises(BadParams):
         harnack_certificate((0.1, 0.5, 0.9), values, 1.0)
+
+
+@pytest.mark.parametrize("radii, values", [([], np.zeros((0, 16))), ([0.5], np.zeros((1, 0)))],
+                         ids=["no-radius", "no-value-per-row"])
+def test_harnack_grid_needs_a_radius_and_a_value_per_row(radii, values):
+    # an empty grid would reach numpy as a reduction over no values
+    with pytest.raises(BadParams):
+        harnack_certificate(radii, values, 1.0)
