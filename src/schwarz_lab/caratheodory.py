@@ -26,7 +26,7 @@ from .geometry import (
     with_lp_norms,
 )
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
-from .rng import stream
+from .rng import gaussian_rows, stream
 from .verify import DEFAULT_CONFIG, CheckConfig
 
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
@@ -121,9 +121,7 @@ def competitor_membership_max(kind: str, theta: np.ndarray, base: np.ndarray, p,
     n = base.shape[0]
     f = competitor_map(kind, theta, base, p)
     gen = stream(seed, "membership", n, str(p))
-    shape = (MEMBERSHIP_SAMPLES, n)
-    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    pts = with_lp_norms(raw, p, 0.999)
+    pts = with_lp_norms(gaussian_rows(gen, MEMBERSHIP_SAMPLES, n), p, 0.999)
     return float(np.max(np.abs(evaluate(f, pts))))
 
 

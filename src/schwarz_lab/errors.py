@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class SchwarzLabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; `path`, if given, is
+    the JSON pointer of the offending entry, and str() leads with it."""
+
+    def __init__(self, message: str = "", path: str = ""):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.path = path
+        self.message = message
 
 
 class BadParams(SchwarzLabError):
@@ -48,12 +54,4 @@ class NoConvergence(SchwarzLabError):
 
 
 class SchemaError(SchwarzLabError):
-    """Suite configuration failed schema validation.
-
-    `path` holds a JSON-pointer-style location of the offending entry.
-    """
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
-        self.message = message
+    """Suite configuration failed schema validation; `path` locates it in the suite."""

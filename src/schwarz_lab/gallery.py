@@ -12,6 +12,7 @@ import numpy as np
 from .errors import BadParams
 from .geometry import cvector, norm_p
 from .maps import (
+    Compose,
     ConjugateCoordinate,
     Constant,
     Coordinate,
@@ -29,6 +30,7 @@ from .maps import (
     json_matrix,
     json_real,
 )
+from .rng import gaussian_rows
 
 _UNIT_TOL = 1e-9
 
@@ -113,8 +115,7 @@ def build_unitary(matrix) -> MapExpr:
 
 def haar_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian, phases fixed."""
-    a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(gaussian_rows(gen, n, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -203,13 +204,7 @@ def build_product_projection(n, m) -> MapExpr:
 
 def build_product_moebius(n, m, a, rotation=None) -> MapExpr:
     """(z, w) -> componentwise Moebius of w; constant in z."""
-    n, m = _check_dim(n), _check_dim(m)
-    inner = build_moebius_tuple(m, a, rotation)
-    comps = []
-    for i in range(m):
-        node = inner.components[i]
-        comps.append(MoebiusDisk(node.a, node.rotation, Coordinate(n + i, n + m)))
-    return MapTuple(tuple(comps))
+    return Compose(build_moebius_tuple(m, a, rotation), build_product_projection(n, m))
 
 
 def build_product_mixed(n, m) -> MapExpr:

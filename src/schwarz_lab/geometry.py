@@ -175,11 +175,11 @@ def modulus(z: np.ndarray) -> np.ndarray:
 
 
 def with_lp_norms(z: np.ndarray, q: float, radii) -> np.ndarray:
-    """Rows of z rescaled to lq norms `radii` (one per row, or one for all);
-    zero rows stay zero."""
-    norms = lp_norm(z, q)
-    norms[norms == 0.0] = 1.0
-    return z / norms[:, None] * np.reshape(radii, (-1, 1))
+    """z with its rows rescaled in place to lq norms `radii` (one per row, or
+    one for all), and returned; zero rows stay zero.  z is a complex array."""
+    norms = lp_norm(z, q)[:, None]
+    np.divide(z, norms, out=z, where=norms != 0.0)
+    return np.multiply(z, np.reshape(radii, (-1, 1)), out=z)
 
 
 def norm_p(z, p) -> float:

@@ -545,10 +545,11 @@ def map_to_json(f: MapExpr) -> dict:
                               for name, kind in _FIELDS[type(f)]}}
 
 
-def map_from_json(data: dict, depth: int = 1) -> MapExpr:
+def map_from_json(data: dict, depth: int = 1, path: str = "") -> MapExpr:
     """Inverse of map_to_json.  data is a node at `depth` of its tree, the root
-    at 1: a tree deeper than MAX_DEPTH nodes is BadParams before any node of it
-    is built."""
+    at 1, and at JSON pointer `path` below it: a tree deeper than MAX_DEPTH nodes
+    is BadParams before any node of it is built, and a key the node does not
+    declare is BadParams at that key's path."""
     if depth > MAX_DEPTH:
         raise BadParams(f"map JSON nested more than {MAX_DEPTH} nodes deep")
     if not isinstance(data, dict) or "node" not in data:
@@ -557,8 +558,14 @@ def map_from_json(data: dict, depth: int = 1) -> MapExpr:
     cls = NODES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise BadParams(f"unknown map node '{tag}'")
+    keys = ["node", *(name for name, _ in _FIELDS[cls])]
+    for key in data:
+        if key not in keys:
+            raise BadParams(f"map node '{tag}' has no key {key!r}; its keys are {keys}",
+                            path=f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}")
     try:
-        return cls(*(_FIELD_TYPES[kind].decode(data[name], depth + 1) if kind in _SUBTREES
+        return cls(*(_FIELD_TYPES[kind].decode(data[name], depth + 1, f"{path}/{name}")
+                     if kind in _SUBTREES
                      else _FIELD_TYPES[kind].decode(data[name]) for name, kind in _FIELDS[cls]))
     except KeyError as exc:
         raise BadParams(f"map JSON node '{tag}' is missing field {exc}") from exc
@@ -572,13 +579,14 @@ class _FieldType(NamedTuple):
 
 
 # how each field type is written to JSON and read back; an int is its own
-# encoding, and a subtree's decoder takes its depth
+# encoding, and a subtree's decoder takes its depth and JSON pointer
 _FIELD_TYPES = {
     int: _FieldType(int, json_int),
     complex: _FieldType(_c2j, json_complex),
     MapExpr: _FieldType(map_to_json, map_from_json),
     tuple[MapExpr, ...]: _FieldType(lambda fs: [map_to_json(f) for f in fs],
-                                    lambda ds, depth: tuple(map_from_json(d, depth) for d in ds)),
+                                    lambda ds, depth, path: tuple(map_from_json(
+                                        d, depth, f"{path}/{i}") for i, d in enumerate(ds))),
     np.ndarray: _FieldType(lambda m: [[_c2j(v) for v in row] for row in m], json_matrix),
 }
 

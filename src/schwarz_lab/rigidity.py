@@ -26,6 +26,7 @@ from .geometry import (
     lp_norm,
     norm_p,
     rigidity_v,
+    with_lp_norms,
 )
 from .maps import MapExpr, evaluate
 from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict, sample_ball
@@ -155,19 +156,22 @@ def _first_primes(k: int) -> np.ndarray:
 
 
 def _halton_column(base: int, count: int, out: np.ndarray) -> np.ndarray:
-    """out[:] = the van der Corput sequence in `base` at indices 1..count (the
-    all-zero point 0 is dropped), in place.  Each radical inverse adds digit *
-    b2r from the lowest digit up, with b2r = 1/base and then b2r /= base per
-    digit; that order of roundings is part of the sample, which
+    """out[:] = the van der Corput sequence in `base` at indices 1..count, in place.
+    Digit k takes the values 0..base - 1 in turn, each for base**k indices, so its
+    terms digit * b2r are one cycle (cut at count + 1 entries) copied along the
+    column.  Digits add lowest first, b2r = 1/base then /= base: the roundings
     tests/test_rigidity.py pins to the reference Halton sampler bit for bit."""
-    q = np.arange(1, count + 1)
-    digit, term = np.empty_like(q), np.empty(count)
+    term = np.empty(count + 1)  # one digit's terms at the indices 0..count
     out[:] = 0.0
-    b2r = 1.0 / base
-    while q.any():
-        np.divmod(q, base, out=(q, digit))
-        out += np.multiply(digit, b2r, out=term)
-        b2r /= base
+    b2r, hold = 1.0 / base, 1
+    while hold <= count:
+        cycle = min(base * hold, count + 1)
+        term[:cycle] = np.arange(cycle) // hold * b2r
+        reps = (count + 1) // cycle
+        term[cycle:reps * cycle].reshape(reps - 1, cycle)[:] = term[:cycle]
+        term[reps * cycle:] = term[:count + 1 - reps * cycle]
+        out += term[1:]
+        b2r, hold = b2r / base, hold * base
     return out
 
 
@@ -186,13 +190,9 @@ def _ball_grid(p: float, n: int, count: int) -> np.ndarray:
         _halton_column(base, count, col)
         col *= 2.0
         col -= 1.0
-    radii = _halton_column(bases[-1], count, np.empty(count))
-    radii *= 0.999
-    for rows, r in zip(_blocks(grid), _blocks(radii)):  # with_lp_norms, block by block
-        norms = lp_norm(rows, p)
-        norms[norms == 0.0] = 1.0
-        rows /= norms[:, None]
-        rows *= r[:, None]
+    radii = 0.999 * _halton_column(bases[-1], count, np.empty(count))
+    for rows, r in zip(_blocks(grid), _blocks(radii)):
+        with_lp_norms(rows, p, r)
     return grid
 
 

@@ -3,6 +3,8 @@
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by a hash of (seed, label, ...).  Reruns with the same key
 reproduce streams bit for bit, independent of job scheduling order.
+Complex Gaussian rows come from gaussian_rows, except the starts of
+`verify.operator_norm_lower` and the directions of `diff.pluriharmonic_residual`.
 """
 
 from __future__ import annotations
@@ -27,3 +29,12 @@ def philox_key(*parts) -> np.ndarray:
 def stream(seed, *labels) -> np.random.Generator:
     """Generator for a named stream, deterministic in (seed, labels)."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
+
+
+def gaussian_rows(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count rows of C^n: the real parts are gen's next count * n standard normals,
+    the imaginary parts the count * n after them.  operator_norm_lower and
+    pluriharmonic_residual interleave each row's parts, and keep that draw."""
+    rows = np.empty((count, n), dtype=complex)
+    rows.real, rows.imag = gen.standard_normal((2, count, n))
+    return rows

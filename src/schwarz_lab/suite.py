@@ -190,7 +190,7 @@ def _want_map(value, path: str) -> MapExpr:
     try:
         return map_from_json(value)
     except SchwarzLabError as exc:
-        _fail(path, str(exc))
+        _fail(path + exc.path, exc.message)
 
 
 def _want_count(value, path: str) -> int:

@@ -40,7 +40,7 @@ from .geometry import (
     with_lp_norms,
 )
 from .maps import MapExpr, evaluate
-from .rng import stream
+from .rng import gaussian_rows, stream
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,7 @@ def sample_ball(p, n: int, count: int, seed: int, label: str, shell: float = 0.9
     """Deterministic interior sample: p-sphere directions times uniform radii."""
     p = as_exponent(p)
     gen = stream(seed, label, n, str(p))
-    raw = np.empty((count, n), dtype=complex)
-    raw.real, raw.imag = gen.standard_normal((2, count, n))
-    return with_lp_norms(raw, p, gen.uniform(0.0, shell, count))
+    return with_lp_norms(gaussian_rows(gen, count, n), p, gen.uniform(0.0, shell, count))
 
 
 def _holomorphy_check(f: MapExpr, res: float, tol: float) -> HypothesisCheck:
@@ -577,7 +575,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
             coef = _fit_moebius_3pt(xs, ys)
         except np.linalg.LinAlgError:
             raise BadParams("phi must act componentwise by disk Moebius maps")
-        probe = 0.5 * (gen2.standard_normal(8) + 1j * gen2.standard_normal(8))
+        probe = 0.5 * gaussian_rows(gen2, 8, 1)[:, 0]
         probe /= np.maximum(1.0, np.abs(probe) / 0.9)
         cols = np.zeros((8, m), dtype=complex)
         cols[:, i] = probe
@@ -669,7 +667,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
 
     # interior pluriharmonicity
     gen = stream(cfg.seed, "ph-interior", n)
-    probes = 0.3 * (gen.standard_normal((4, n)) + 1j * gen.standard_normal((4, n)))
+    probes = 0.3 * gaussian_rows(gen, 4, n)
     probes = np.vstack([probes, 0.9 * z0.point[None, :]])
     ph_res = float(np.max(pluriharmonic_residual(f, probes, seed=cfg.seed)))  # NaN stays NaN
     if not ph_res <= 1e-6:

@@ -135,6 +135,25 @@ def test_malformed_argument_names_the_key_it_sets(argv, pointer, suite_file, cap
     assert capsys.readouterr().err.startswith(f"schema error: {pointer}:")
 
 
+_SQUARE = {"node": "power", "exponent": 2,
+           "inner": {"node": "coordinate", "index": 0, "dim": 1}}
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["check", "zhu", "--map", json.dumps({**_SQUARE, "bogus": 1})], "/jobs/0/map/bogus"),
+    (["check", "zhu", "--map", json.dumps({**_SQUARE, "inner": {**_SQUARE["inner"], "x": 0}})],
+     "/jobs/0/map/inner/x"),
+    (["check", "zhu", "--map", json.dumps(_SQUARE["inner"]), "--map-params", '{"x": 1}'],
+     "/jobs/0/map/params"),
+], ids=["top", "nested", "map-params-beside-an-inline-map"])
+def test_an_undeclared_map_key_is_a_schema_error_at_its_pointer(argv, pointer, capsys):
+    # each of these printed PASS and exited 0 while map keys were read silently
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"schema error: {pointer}: map node ")
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "SUITE", "--tolerance", "margin_tol=1e-7"],
     ["check", "zhu", "--map", "zhu_extremal", "--tolerance", "margin_tol=1e-7"],

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,31 @@ def test_json_rejects_garbage():
         map_from_json({"no_node": 1})
     with pytest.raises(BadParams):
         map_from_json({"node": "power", "exponent": 2})  # missing inner
+
+
+def _json_nodes(data, pointer=""):
+    """(pointer, node object) of every node of a map's JSON, root first."""
+    yield pointer, data
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _json_nodes(value, f"{pointer}/{key}")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):
+                yield from _json_nodes(item, f"{pointer}/{key}/{i}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_trees, key=st.sampled_from(["bogus", "params", "a/b~c", "Node"]))
+def test_an_undeclared_key_at_any_node_is_bad_params_at_its_pointer(f, key):
+    escaped = key.replace("~", "~0").replace("/", "~1")
+    blob = map_to_json(f)
+    for pointer, node in _json_nodes(blob):
+        node[key] = 1
+        with pytest.raises(BadParams, match=f"has no key '{re.escape(key)}'") as err:
+            map_from_json(blob)
+        assert err.value.path == f"{pointer}/{escaped}"
+        del node[key]
+    assert map_to_json(map_from_json(blob)) == map_to_json(f)
 
 
 def _scale_chain_json(levels: int) -> dict:

@@ -281,6 +281,31 @@ def test_halton_sample_equals_scipy_bit_for_bit(n, count):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _ref_halton_column(base, count):
+    """The van der Corput column by dividing out each index's digits, lowest
+    first: out += digit * b2r, then b2r /= base."""
+    q = np.arange(1, count + 1)
+    digit, term = np.empty_like(q), np.empty(count)
+    out = np.zeros(count)
+    b2r = 1.0 / base
+    while q.any():
+        np.divmod(q, base, out=(q, digit))
+        out += np.multiply(digit, b2r, out=term)
+        b2r /= base
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(rigidity._first_primes(25).tolist()),
+       count=st.one_of(st.integers(1, 12_345), st.sampled_from([10**5])))
+@example(base=2, count=1)
+@example(base=47, count=47 * 47 + 1)
+@example(base=97, count=96)
+def test_block_written_halton_column_equals_the_digit_loop_bit_for_bit(base, count):
+    got = rigidity._halton_column(base, count, np.empty(count))
+    assert got.tobytes() == _ref_halton_column(base, count).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([1.25, 2.0, 3.0, 4.0, math.inf]), n=st.integers(1, 3),
        count=st.integers(1, 3000))

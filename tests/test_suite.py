@@ -613,6 +613,17 @@ def test_map_at_the_nesting_cap_runs_every_boundary_check(kind):
     assert suite_passed(results)
 
 
+def test_an_undeclared_map_key_in_a_suite_file_is_a_schema_error_at_its_pointer(tmp_path):
+    square = {"node": "power", "exponent": 2,
+              "inner": {"node": "coordinate", "index": 0, "dim": 1, "bogus": 1}}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(small_config(jobs=[{"id": "zhu", "check": "zhu", "map": square}])))
+    with pytest.raises(SchemaError) as err:
+        parse_suite(path.read_bytes())
+    assert err.value.path == "/jobs/0/map/inner/bogus"
+    assert err.value.message.startswith("map node 'coordinate' has no key 'bogus'")
+
+
 @pytest.mark.parametrize("nodes", [_NODES_AT_CAP + 1, 300, 500])
 def test_map_nested_past_the_cap_is_schema_error(nodes):
     # 300 nodes once parsed and then raised RecursionError in the job's run;
