@@ -61,6 +61,7 @@ from .diff import (
     pluriharmonic_residual,
     radial_boundary_derivative,
     real_jacobian,
+    tangent_pass,
 )
 from .verify import (
     CheckConfig,
@@ -85,6 +86,8 @@ from .caratheodory import (
     distance_origin_closed,
     metric_lower_bound_opt,
     metric_origin_closed,
+    verify_caratheodory_distance,
+    verify_caratheodory_metric,
 )
 from .rigidity import (
     RigidityInstance,

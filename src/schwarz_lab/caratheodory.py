@@ -3,7 +3,8 @@
 The closed forms at the origin are one-liners; the point of this module is
 the independent lower-bound estimator: a derivative-free multi-start ascent
 over explicit competitor families of holomorphic maps into the disk.  At the
-origin the two routes must meet, which is what the acceptance suite checks.
+origin the two routes must meet, which verify_caratheodory_metric and
+verify_caratheodory_distance check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, OutsideBall
+from .errors import BadParams, OutsideBall, SchwarzLabError
 from .geometry import (
     _reduce_last_axis,
     as_exponent,
@@ -27,7 +28,7 @@ from .geometry import (
 )
 from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
 from .rng import gaussian_rows, stream
-from .verify import DEFAULT_CONFIG, CheckConfig
+from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict
 
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
 # boundary-adjacent points at which competitor_membership_max evaluates a competitor
@@ -288,3 +289,40 @@ def distance_lower_bound_opt(z, w, p, cfg: CheckConfig = DEFAULT_CONFIG) -> OptR
         return val
 
     return _coordinate_ascent(objective, 2 * n, cfg, f"distance-{p}")
+
+
+def _attainment(theorem_id: str, closed: float, out: OptResult, membership: float,
+                tol: float) -> Verdict:
+    """The closed form against the ascent's lower bound, its gap in [-1e-9, tol]."""
+    gap = closed - out.value
+    margin = min(tol - gap, gap + 1e-9)
+    checks = (
+        HypothesisCheck("competitors_map_into_disk", membership <= 1.0 + 1e-9,
+                        max(0.0, membership - 1.0)),
+        HypothesisCheck("optimizer_converged", bool(out.converged), 0.0),
+    )
+    quantities = {"closed_form": closed, "optimized": out.value, "gap": gap,
+                  "evaluations": float(out.evaluations)}
+    return Verdict(theorem_id, checks, quantities, margin, tolerance=0.0)
+
+
+def verify_caratheodory_metric(direction, p, family: str = "linear_dual",
+                               cfg: CheckConfig = DEFAULT_CONFIG, base=None) -> Verdict:
+    """The ascent over `family` attains the metric's closed form at base 0."""
+    base = np.zeros_like(direction) if base is None else base
+    if np.any(base):
+        raise SchwarzLabError(
+            "metric check compares against the origin closed form; base must be 0")
+    out = metric_lower_bound_opt(base, direction, p, family, cfg)
+    membership = competitor_membership_max(family, out.params, base, p, seed=cfg.seed)
+    return _attainment("caratheodory_metric_origin", metric_origin_closed(direction, p), out,
+                       membership, cfg.attain_tol)
+
+
+def verify_caratheodory_distance(z, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
+    """The ascent over linear_moebius attains the distance's closed form from 0 to z."""
+    w = np.zeros_like(z)
+    out = distance_lower_bound_opt(z, w, p, cfg)
+    membership = competitor_membership_max("linear_moebius", out.params, w, p, seed=cfg.seed)
+    return _attainment("caratheodory_distance_origin", distance_origin_closed(z, p), out,
+                       membership, cfg.attain_tol)

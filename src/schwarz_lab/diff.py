@@ -7,10 +7,11 @@
 * complex_jacobian_fd: fourth-order central differences along the same
   directions, via the Cauchy-Riemann relations; the exact route's cross-check.
 
-The pass also gives f's values at its points, and a boundary derivative
-J.w along a real direction w.  radial_boundary_derivative, a Richardson
-ladder on the one-sided radial quotient, serves only the one-variable
-equality case, which makes no tangent pass.
+tangent_pass, the checks' reader, returns from one pass f's values at its
+points, the complex Jacobian, the Cauchy-Riemann defect and the derivative
+along e_1.  radial_boundary_derivative, a Richardson ladder on the
+one-sided radial quotient, serves only the one-variable equality case,
+which makes no tangent pass.
 """
 
 from __future__ import annotations
@@ -169,10 +170,13 @@ def holomorphy_residual(f: MapExpr, z):
     return _cr_defect(_derivatives(f, z)[1])
 
 
-def _jacobian_and_defect(f: MapExpr, z):
-    """(f(z), complex_jacobian(f, z), holomorphy_residual(f, z)) from one tangent pass."""
+def tangent_pass(f: MapExpr, z):
+    """(f(z), complex_jacobian(f, z), holomorphy_residual(f, z), df/dx_1 at z)
+    from one tangent pass, each equal to its own call's value bit for bit.
+    df/dx_1 is the derivative along the first real direction e_1: (m,) per
+    point, f'(1) along the inward radius at 1 on the disk."""
     vals, d = _derivatives(f, z)
-    return vals, _wirtinger(d), _cr_defect(d)
+    return vals, _wirtinger(d), _cr_defect(d), d[..., 0]
 
 
 def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):

@@ -493,6 +493,11 @@ def load_json(text):
                           path="/") from None
 
 
+def json_pointer(path: str, key) -> str:
+    """The JSON pointer to key below path, escaped as RFC 6901 asks: ~ as ~0, / as ~1."""
+    return f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
 def json_too_deep(doc) -> str | None:
     """The JSON pointer of an array or object in doc nested below MAX_DEPTH
     levels, else None; the walk keeps its own stack, so no depth recurses."""
@@ -502,7 +507,7 @@ def json_too_deep(doc) -> str | None:
         if level > MAX_DEPTH:
             return path
         items = node.items() if isinstance(node, dict) else enumerate(node)
-        stack.extend((v, f"{path}/{k}", level + 1) for k, v in items
+        stack.extend((v, json_pointer(path, k), level + 1) for k, v in items
                      if isinstance(v, (dict, list)))
     return None
 
@@ -562,7 +567,7 @@ def map_from_json(data: dict, depth: int = 1, path: str = "") -> MapExpr:
     for key in data:
         if key not in keys:
             raise BadParams(f"map node '{tag}' has no key {key!r}; its keys are {keys}",
-                            path=f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}")
+                            path=json_pointer(path, key))
     try:
         return cls(*(_FIELD_TYPES[kind].decode(data[name], depth + 1, f"{path}/{name}")
                      if kind in _SUBTREES

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diff import _jacobian_and_defect, complex_jacobian, radial_boundary_derivative
+from .diff import complex_jacobian, radial_boundary_derivative, tangent_pass
 from .errors import BadParams, HypothesisFailed
 from .gallery import gallery
 from .geometry import (
@@ -129,6 +129,11 @@ class RigidityReport:
     jf0_residuals: tuple
     identity_residual: float
     quantities: dict
+
+    @property
+    def hypotheses(self) -> tuple:
+        """The anchor condition as a row: real, nonnegative anchors for rigidity_v."""
+        return (HypothesisCheck("nonneg_pairings", self.nonneg_ok, 0.0),)
 
 
 def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
@@ -254,7 +259,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
     if not origin_res <= cfg.origin_tol:  # every gate fails on NaN
         return partial(HYPOTHESES_FAIL, "map does not fix the origin")
 
-    F, jacs, holo = _jacobian_and_defect(f, np.vstack([np.zeros(n), A]))
+    F, jacs, holo, _ = tangent_pass(f, np.vstack([np.zeros(n), A]))
     J0, jacs = jacs[0], jacs[1:]
     quantities["holomorphy_residual"] = worst_holo = float(np.max(holo[1:]))
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):

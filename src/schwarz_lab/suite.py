@@ -22,19 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .caratheodory import (
-    FAMILY_KINDS,
-    competitor_membership_max,
-    distance_lower_bound_opt,
-    distance_origin_closed,
-    metric_lower_bound_opt,
-    metric_origin_closed,
-)
+from .caratheodory import FAMILY_KINDS, verify_caratheodory_distance, verify_caratheodory_metric
 from .errors import BadParams, SchemaError, SchwarzLabError
 from .gallery import gallery, gallery_names
 from .geometry import INF_SPELLINGS, BoundaryPoint, as_exponent
-from .maps import (MAX_COUNT, MAX_DEPTH, MapExpr, is_real, json_too_deep, load_json,
-                   map_from_json)
+from .maps import (MAX_COUNT, MAX_DEPTH, MapExpr, is_real, json_pointer, json_too_deep,
+                   load_json, map_from_json)
 from .rigidity import (
     VARIANTS,
     VERDICTS,
@@ -47,8 +40,6 @@ from .rigidity import (
 )
 from .verify import (
     CheckConfig,
-    HypothesisCheck,
-    Verdict,
     verify_kalaj,
     verify_liu_wang,
     verify_lp_boundary_schwarz,
@@ -268,9 +259,9 @@ def _validate_overrides(overrides) -> dict:
     clean = {}
     for key, value in overrides.items():
         if key not in _KNOWN_TOLS:
-            _fail(f"/tolerance_overrides/{key}", "unknown tolerance name")
+            _fail(json_pointer("/tolerance_overrides", key), "unknown tolerance name")
         if not is_real(value) or value <= 0:
-            _fail(f"/tolerance_overrides/{key}", "expected a positive number")
+            _fail(json_pointer("/tolerance_overrides", key), "expected a positive number")
         clean[key] = float(value)
     return clean
 
@@ -355,50 +346,6 @@ def _built(job: JobSpec):
     return CHECKS[job.check].build(job.parsed) if built is None else built
 
 
-def _attainment_verdict(theorem_id: str, closed: float, out, membership: float,
-                        tol: float) -> Verdict:
-    gap = closed - out.value
-    margin = min(tol - gap, gap + 1e-9)
-    checks = (
-        HypothesisCheck("competitors_map_into_disk", membership <= 1.0 + 1e-9,
-                        max(0.0, membership - 1.0)),
-        HypothesisCheck("optimizer_converged", bool(out.converged), 0.0),
-    )
-    quantities = {
-        "closed_form": closed,
-        "optimized": out.value,
-        "gap": gap,
-        "evaluations": float(out.evaluations),
-    }
-    return Verdict(theorem_id, checks, quantities, margin, tolerance=0.0)
-
-
-def _run_caratheodory_metric(job: JobSpec) -> Verdict:
-    a = job.parsed
-    p, direction = a["exponent"], a["direction"]
-    base = a["base"] if "base" in a else np.zeros_like(direction)
-    if np.any(base):
-        raise SchwarzLabError(
-            "metric check compares against the origin closed form; base must be 0")
-    family = a.get("family", "linear_dual")
-    out = metric_lower_bound_opt(base, direction, p, family, job.cfg)
-    membership = competitor_membership_max(family, out.params, base, p, seed=job.cfg.seed)
-    closed = metric_origin_closed(direction, p)
-    return _attainment_verdict("caratheodory_metric_origin", closed, out,
-                               membership, job.cfg.attain_tol)
-
-
-def _run_caratheodory_distance(job: JobSpec) -> Verdict:
-    p, z = job.parsed["exponent"], job.parsed["z"]
-    w = np.zeros_like(z)
-    out = distance_lower_bound_opt(z, w, p, job.cfg)
-    membership = competitor_membership_max("linear_moebius", out.params, w, p,
-                                           seed=job.cfg.seed)
-    closed = distance_origin_closed(z, p)
-    return _attainment_verdict("caratheodory_distance_origin", closed, out,
-                               membership, job.cfg.attain_tol)
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """One check: the job keys it requires and also accepts, ``run(job)``
@@ -455,10 +402,12 @@ CHECKS = {
         lambda job: counterexample_polydisk_eigen(job.parsed["n"])),
     "caratheodory_metric": CheckSpec(
         {"direction", "exponent"}, {"base", "family", "starts", "iters"},
-        _run_caratheodory_metric),
+        lambda job: verify_caratheodory_metric(
+            job.parsed["direction"], job.parsed["exponent"], cfg=job.cfg,
+            **{k: job.parsed[k] for k in ("family", "base") if k in job.parsed})),
     "caratheodory_distance": CheckSpec(
         {"z", "exponent"}, {"starts", "iters"},
-        _run_caratheodory_distance),
+        lambda job: verify_caratheodory_distance(job.parsed["z"], job.parsed["exponent"], job.cfg)),
 }
 
 
@@ -471,8 +420,7 @@ def _run_job(job: JobSpec) -> JobResult:
     residuals.update((f"equation_{i}_{part}", x) for i, v in enumerate(out.equation_values)
                      for part, x in (("re", v.real), ("im", v.imag)))
     residuals.update((f"jf0_{i}", r) for i, r in enumerate(out.jf0_residuals))
-    return _row(job, out.verdict, "rigidity_certificate",
-                (HypothesisCheck("nonneg_pairings", out.nonneg_ok, 0.0),),
+    return _row(job, out.verdict, "rigidity_certificate", out.hypotheses,
                 outcome_row=f"verdict_{out.verdict}", residuals=residuals, note=out.reason,
                 quantities={**out.quantities, "rank": out.rank,
                             "identity_residual": out.identity_residual})

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff import (
-    _cr_defect,
-    _derivatives,
-    _jacobian_and_defect,
-    _wirtinger,
-    holomorphy_residual,
-    pluriharmonic_residual,
-    real_jacobian,
-)
+from .diff import holomorphy_residual, pluriharmonic_residual, real_jacobian, tangent_pass
 from .errors import BadParams, HypothesisFailed
 from .geometry import (
     BoundaryPoint,
@@ -178,15 +170,6 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
 # ---------------------------------------------------------------------------
 
 
-def _origin_and_probe(f: MapExpr, probe, *points):
-    """From one tangent pass over 0, probe (a point, or a scalar on the disk)
-    and points: f at each, J_f(0), the Cauchy-Riemann defect at probe and
-    df/dx_1 at points (at 1 on the disk, f'(1) along the inward radius).
-    Each equals its one-point value bit for bit."""
-    vals, d = _derivatives(f, np.vstack([np.zeros_like(probe), probe, *points]))
-    return vals, _wirtinger(d[0]), _cr_defect(d[1]), d[2:, :, 0]
-
-
 def verify_schwarz_pick(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """Norm decrease under an origin-fixing self-map, plus derivative norm at 0.
 
@@ -210,7 +193,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Ver
     out_norms = lp_norm(vals, p)
     margin = float(np.min(in_norms - out_norms))
 
-    _, J0, holo_res, _ = _origin_and_probe(f, pts[0] * 0.5)
+    _, (J0, _), (_, holo_res), _ = tangent_pass(f, np.stack([origin, pts[0] * 0.5]))
     opnorm = operator_norm_lower(J0, p, seed=cfg.seed)
 
     checks = (
@@ -246,7 +229,8 @@ def verify_zhu(f: MapExpr, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     so derivative_error, kept in the report's keys, is 0.0."""
     if f.input_dim != 1 or f.output_dim != 1:
         raise BadParams("disk verifier needs a scalar map of one variable")
-    (f0, _, f1), J0, holo_res, (fprime1,) = _origin_and_probe(f, 0.3 + 0.1j, 1.0)
+    (f0, _, f1), (J0, _, _), (_, holo_res, _), (_, _, fprime1) = tangent_pass(
+        f, np.array([[0.0], [0.3 + 0.1j], [1.0]]))
     f0, f1, fprime1 = complex(f0[0]), complex(f1[0]), complex(fprime1[0])
     fix_res = abs(f1 - 1.0)
     if not fix_res <= cfg.hypothesis_tol:
@@ -286,7 +270,8 @@ def verify_kalaj(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     if f.input_dim != 1:
         raise BadParams("expected a map of one complex variable")
     p = as_exponent(p)
-    (f0, _, b), J0, holo_res, (fprime1,) = _origin_and_probe(f, 0.2 + 0.2j, 1.0)
+    (f0, _, b), (J0, _, _), (_, holo_res, _), (_, _, fprime1) = tangent_pass(
+        f, np.array([[0.0], [0.2 + 0.2j], [1.0]]))
     b_norm = float(norm_p(b, p))
     if not abs(b_norm - 1.0) <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"||f(1)||_p = {b_norm}, expected 1")
@@ -362,7 +347,7 @@ def verify_lp_boundary_schwarz(f: MapExpr, z0: BoundaryPoint,
     if f.input_dim != n or f.output_dim != n:
         raise BadParams("map dimensions must match the boundary point")
 
-    w0, J, holo_res = _jacobian_and_defect(f, z0.point)
+    w0, J, holo_res, _ = tangent_pass(f, z0.point)
     if not (f.is_holomorphic and holo_res <= cfg.holo_tol):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")
 
@@ -427,7 +412,7 @@ def verify_liu_wang(f: MapExpr, z0: BoundaryPoint,
     if not fix_res <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"z0 is not fixed: ||f(z0) - z0|| = {fix_res:.3e}")
 
-    vals, J, holo = _jacobian_and_defect(f, np.stack([z0.point, np.zeros(n, dtype=complex)]))
+    vals, J, holo, _ = tangent_pass(f, np.stack([z0.point, np.zeros(n, dtype=complex)]))
     f0, J, holo_res = vals[1], J[0], float(holo[0])
     if not (f.is_holomorphic and holo_res <= cfg.holo_tol):
         raise HypothesisFailed(f"map is not holomorphic at z0 (residual {holo_res:.2e})")

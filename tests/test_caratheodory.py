@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schwarz_lab import caratheodory, norm_p, suite
+from schwarz_lab import caratheodory, norm_p
 from schwarz_lab.caratheodory import (
     FAMILY_KINDS,
     OptResult,
@@ -367,7 +367,7 @@ def test_caratheodory_jobs_check_membership_on_their_own_seed(monkeypatch):
         seeds.append(seed)
         return competitor_membership_max(*args, seed=seed, **kwargs)
 
-    monkeypatch.setattr(suite, "competitor_membership_max", captured)
+    monkeypatch.setattr(caratheodory, "competitor_membership_max", captured)
     run_suite(config)
     assert seeds == [_job_seed(config.seed, job.id) for job in config.jobs]
 

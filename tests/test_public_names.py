@@ -10,8 +10,10 @@ body of that class, or a ``perfbench`` script refers to it as above; a method
 that only its own class calls should carry a leading underscore.  The names
 are matched, not resolved: a reference to another class's attribute of the
 same name counts too.  No module but ``__init__.py``, whose imports are the
-exports, imports a name it never refers to.  And every field of
-``CheckConfig`` is read as an attribute by a package module outside the class.
+exports, imports a name it never refers to.  Every field of ``CheckConfig``
+is read as an attribute by a package module outside the class.  And each
+check's verdict is built in its theorem module, not in the suite runner, and
+reads derivatives through ``diff``'s public names.
 """
 
 import ast
@@ -96,3 +98,21 @@ def test_every_check_config_field_is_read_outside_its_class():
                      if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
     assert fields
     assert sorted(fields - read) == []
+
+
+def test_the_runner_builds_no_verdict_and_no_module_reads_diff_privately():
+    suite = ast.parse((PACKAGE / "suite.py").read_text())
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(suite) if isinstance(node, ast.Call)}
+    assert sorted(called & {"Verdict", "HypothesisCheck"}) == []
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "diff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "diff":
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name[0] == "_"]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "diff" and node.attr[0] == "_"):
+                private.append(f"{path.name}: diff.{node.attr}")
+    assert private == []

@@ -647,6 +647,28 @@ def test_jobs_nested_too_deep_to_decode_is_schema_error():
     assert err.value.path == "/jobs/0" + "/0" * (MAX_DEPTH - 2)
 
 
+def test_an_override_pointer_escapes_tilde_and_slash_in_its_key():
+    # RFC 6901 writes a key's "~" as "~0" and its "/" as "~1"; unescaped,
+    # "a/b~c" would point at the key "b~c" under the key "a"
+    doc = small_config(tolerance_overrides={"a/b~c": 1e-3})
+    with pytest.raises(SchemaError) as err:
+        parse_suite(doc)
+    assert err.value.path == "/tolerance_overrides/a~1b~0c"
+    assert _resolve(doc, err.value.path) == 1e-3
+
+
+def test_a_too_deep_pointer_escapes_tilde_and_slash_in_its_keys():
+    doc = small_config()
+    doc["jobs"][0]["map"]["params"]["n~/x"] = functools.reduce(
+        lambda inner, _: [inner], range(70), [])
+    with pytest.raises(SchemaError) as err:
+        parse_suite(doc)
+    # the key's value is level 6 of the document, so level MAX_DEPTH + 1 lies
+    # MAX_DEPTH - 5 levels below it
+    assert err.value.path == "/jobs/0/map/params/n~0~1x" + "/0" * (MAX_DEPTH - 5)
+    assert isinstance(_resolve(doc, err.value.path), list)
+
+
 def test_shipped_suite_all_pass():
     config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
     results = run_suite(config)

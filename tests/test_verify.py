@@ -481,15 +481,13 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
     # |z|^2 z + z^2 has a Cauchy-Riemann defect at the probes and none at 0
     z = sl.Coordinate(0, 1)
     not_holo = sl.Sum((sl.Product((z, sl.ConjugateCoordinate(0, 1), z)), sl.Power(2, z)))
+    origin = np.zeros(1, dtype=complex)
     for f in (gallery("zhu_extremal", {"a": 0.4, "d": 0.3}), not_holo,
               gallery("kalaj_extremal", {"b": [0.6, 0.8], "a": 0.2, "d": 0.5, "p": 2})):
         for probe in (0.3 + 0.1j, 0.2 + 0.2j):
-            _, J0, res, _ = verify_module._origin_and_probe(f, probe)
-            origin = np.zeros(1, dtype=complex)
-            assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
-            assert res == diff_module.holomorphy_residual(f, np.array([probe]))
-            # the disk verifiers add 1 to the pass: f(1) and df/dx(1) ride along
-            (f0, _, f1), J0, res, (fprime1,) = verify_module._origin_and_probe(f, probe, 1.0)
+            # the pass the disk verifiers make, over 0, the probe and 1
+            (f0, _, f1), (J0, _, _), (_, res, _), (_, _, fprime1) = diff_module.tangent_pass(
+                f, np.array([[0.0], [probe], [1.0]]))
             assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
             assert res == diff_module.holomorphy_residual(f, np.array([probe]))
             one_vals, one_d = diff_module._derivatives(f, np.ones(1, dtype=complex))
@@ -498,7 +496,7 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
             assert np.allclose(f0, evaluate(f, origin), rtol=0.0, atol=1e-15)
     # Schwarz-Pick's probe is a point of C^n
     f, probe = gallery("first_times_last", {"n": 3}), np.array([0.1, -0.2j, 0.3 + 0.1j])
-    _, J0, res, _ = verify_module._origin_and_probe(f, probe)
+    _, (J0, _), (_, res), _ = diff_module.tangent_pass(f, np.stack([np.zeros(3), probe]))
     assert J0.tobytes() == diff_module.complex_jacobian(f, np.zeros(3, dtype=complex)).tobytes()
     assert res == diff_module.holomorphy_residual(f, probe)
 
@@ -523,7 +521,7 @@ _disk_maps = st.recursive(st.just(Coordinate(0, 1)), _grow_disk_maps, max_leaves
 def test_disk_jet_radial_derivative_equals_the_richardson_ladder(f):
     one = np.ones(1, dtype=complex)
     try:
-        fprime1 = verify_module._origin_and_probe(f, 0.3 + 0.1j, 1.0)[-1][0]
+        fprime1 = diff_module.tangent_pass(f, np.array([[0.0], [0.3 + 0.1j], [1.0]]))[-1][2]
         rad = diff_module.radial_boundary_derivative(f, one, one)
     except (InsufficientClearance, NoConvergence, PoleHit):
         reject()
