@@ -192,9 +192,7 @@ def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
     zs, single = _as_points(z, f.input_dim)
     cvector(zs)
     k, n = zs.shape
-    gen = _rng.stream(seed, "ph-residual", n)
-    d = gen.standard_normal((8, 2, n))
-    d = d[:, 0] + 1j * d[:, 1]
+    d = _rng.gaussian_pairs(_rng.stream(seed, "ph-residual", n), 8, n)
     d /= l2_norm_rows(d)[:, None]
     c = np.broadcast_to(zs[:, None, :], (k, 8, n))
     pts = np.stack([c + h * d, c - h * d, c + 1j * h * d, c - 1j * h * d, c], axis=2)

@@ -277,7 +277,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
 
     eqs = [complex(row @ (J @ a.point))
            for row, a, J in zip(inst.pairing_rows, inst.anchors, jacs)]
-    J0A = np.array([J0 @ a for a in A])
+    J0A = np.matvec(J0, A)
     jf0 = lp_norm(J0A - A, p).tolist()
     holder_norms = lp_norm(J0A, p).tolist()
     quantities["holder_norm_max"] = float(np.max(holder_norms))
@@ -324,7 +324,7 @@ def check_rigidity(inst: RigidityInstance,
 def _slices(inst: RigidityInstance, F: np.ndarray) -> np.ndarray:
     """row_a . F[a] / target for each anchor a and each row of F[a], F (k, P, n): (k, P)."""
     rows = inst.pairing_rows / inst.target
-    return (F @ rows[:, :, None])[:, :, 0]
+    return np.matvec(F, rows)
 
 
 def _slice_values(inst: RigidityInstance, xis: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by a hash of (seed, label, ...).  Reruns with the same key
 reproduce streams bit for bit, independent of job scheduling order.
-Complex Gaussian rows come from gaussian_rows, except the starts of
-`verify.operator_norm_lower` and the directions of `diff.pluriharmonic_residual`.
+Complex Gaussian rows come from gaussian_rows or gaussian_pairs, which differ
+only in the order they take a stream's standard normals.
 """
 
 from __future__ import annotations
@@ -33,8 +33,15 @@ def stream(seed, *labels) -> np.random.Generator:
 
 def gaussian_rows(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
     """count rows of C^n: the real parts are gen's next count * n standard normals,
-    the imaginary parts the count * n after them.  operator_norm_lower and
-    pluriharmonic_residual interleave each row's parts, and keep that draw."""
+    the imaginary parts the count * n after them."""
     rows = np.empty((count, n), dtype=complex)
     rows.real, rows.imag = gen.standard_normal((2, count, n))
+    return rows
+
+
+def gaussian_pairs(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count rows of C^n drawn row by row: each row's n real parts are gen's
+    next n standard normals, its n imaginary parts the n after them."""
+    rows = np.empty((count, n), dtype=complex)
+    rows.real, rows.imag = np.moveaxis(gen.standard_normal((count, 2, n)), 1, 0)
     return rows

@@ -32,7 +32,7 @@ from .geometry import (
     with_lp_norms,
 )
 from .maps import MapExpr, evaluate
-from .rng import gaussian_rows, stream
+from .rng import gaussian_pairs, gaussian_rows, stream
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
     normalised to ||x||_p = 1, from keyed random starts, all in lockstep.
     A start stops once ||J x||_p stops strictly increasing, or after `iters`
     steps.  Every iterate is a unit vector, so the best value is a lower
-    bound; stacked matmuls give each start the gemv a lone start gets.
+    bound; np.matvec gives each start the product a lone start gets.
     """
     J = np.asarray(matrix, dtype=complex)
     p = as_exponent(p)
@@ -142,20 +142,18 @@ def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80
         return float(np.linalg.svd(J, compute_uv=False)[0])
     n = J.shape[1]
     JH = np.conj(J).T
-    gen = stream(seed, "opnorm", n, p)
-    raw = gen.standard_normal((starts, 2, n))
-    x = raw[:, 0] + 1j * raw[:, 1]
+    x = gaussian_pairs(stream(seed, "opnorm", n, p), starts, n)
     x /= lp_norm(x, p)[:, None]
-    y = (J @ x[:, :, None])[:, :, 0]  # J x for each start's current x
+    y = np.matvec(J, x)  # J x for each start's current x
     val = lp_norm(y, p)
     live = np.arange(starts)
     for _ in range(iters):
-        z = (JH @ _dual_rows(y[live], p)[:, :, None])[:, :, 0]
+        z = np.matvec(JH, _dual_rows(y[live], p))
         cand = _dual_rows(z, conjugate_exponent(p))
         cn = lp_norm(cand, p)
         live, cand, cn = live[cn != 0.0], cand[cn != 0.0], cn[cn != 0.0]
         cand /= cn[:, None]
-        cy = (J @ cand[:, :, None])[:, :, 0]
+        cy = np.matvec(J, cand)
         cval = lp_norm(cy, p)
         better = cval > val[live]
         live = live[better]
@@ -235,6 +233,8 @@ def verify_zhu(f: MapExpr, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     fix_res = abs(f1 - 1.0)
     if not fix_res <= cfg.hypothesis_tol:
         raise HypothesisFailed(f"radial limit at 1 is {f1}, not 1")
+    if not abs(f0) < 1.0:
+        raise HypothesisFailed("f(0) must lie in the open disk")
     imag_res = abs(fprime1.imag)
     d = abs(J0[0, 0])
     bound = _disk_bound(f0, d)
@@ -278,6 +278,8 @@ def verify_kalaj(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     fprime1_norm = float(norm_p(fprime1, p))
 
     a = float(norm_p(f0, p))
+    if not a < 1.0:
+        raise HypothesisFailed("f(0) must lie in the open ball")
     col = J0[:, 0]
     d = float(norm_p(col, p))
     bound = _disk_bound(a, d)
@@ -326,7 +328,7 @@ def _slope_rel_error(val, z0: BoundaryPoint, v, lam: float, t: float) -> float:
 
 def _tangent_residual(J: np.ndarray, probes: np.ndarray, g: np.ndarray) -> float:
     """max |Re<J u, g>| over the rows u of probes, all at once, each rounded as alone."""
-    rows = (J[None] @ probes[:, :, None])[:, :, 0]
+    rows = np.matvec(J, probes)
     # (1, n) by (1, n) for one row: numpy multiplies a one-element broadcast
     # in its unfused scalar loop, a lone probe's (n,) by (n,) in its fused one
     return float(np.max(np.abs((rows * np.conj(g)[None, :]).sum(axis=1).real), initial=0.0))
@@ -598,16 +600,6 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
 # ---------------------------------------------------------------------------
 
 
-def _pair_rows(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """realify(row) @ V for each row of w, bit for bit (one BLAS dot per row).
-
-    R @ V and (R * V).sum(1) can round differently from the per-row dot.
-    """
-    cvector(w)  # rejects non-finite entries, as realify does
-    R = np.concatenate([w.real, w.imag], axis=1)
-    return (R[:, None, :] @ V[:, None])[:, 0, 0]
-
-
 def harnack_certificate(radii, values, center) -> Verdict:
     """Two-sided Harnack slack for a positive harmonic function sampled on
     concentric circles: one row of ``values`` per radius, plus the center value."""
@@ -680,9 +672,11 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     mid = (1.0 - float(f0r @ V)) / 2.0
     low = (1.0 - lp_norm(f0r, p)) / 2.0
 
-    vals = (1.0 - _pair_rows(fvals, V)).reshape(zetas.shape)
+    cvector(fvals)  # rejects non-finite entries, as realify does
+    # realify(row) @ V per row, bit for bit: R @ V and (R * V).sum(1) can round otherwise
+    vals = 1.0 - np.vecdot(np.concatenate([fvals.real, fvals.imag], axis=1), V)
     phi0 = 1.0 - float(f0r @ V)
-    harnack = harnack_certificate(HARNACK_RADII, vals, phi0)
+    harnack = harnack_certificate(HARNACK_RADII, vals.reshape(zetas.shape), phi0)
 
     checks = (
         HypothesisCheck("pluriharmonic", True, ph_res),

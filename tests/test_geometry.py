@@ -354,6 +354,48 @@ def test_row_norms_match_one_vector_norms_bit_for_bit(q):
                         assert l2_norm_rows(rows).tobytes() == want.tobytes()
 
 
+def _row_operands(gen, shape, entries, layout):
+    """A standard normal array of `shape` with row scales from 1e-5 to 1e5: real or
+    complex, contiguous, or a strided view (the .real of a complex array, or
+    every other column of a complex one)."""
+    x = gen.standard_normal((2, *shape[:-1], 2 * shape[-1]))
+    x = (x[0] + 1j * x[1]) * 10.0 ** gen.uniform(-5, 5, (*shape[:-1], 1))
+    if entries == "real":
+        return x[..., :shape[-1]].real if layout == "strided" else x[..., :shape[-1]].real.copy()
+    return x[..., ::2] if layout == "strided" else x[..., :shape[-1]].copy()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 64), m=st.integers(1, 6), rows=st.integers(1, 9),
+       entries=st.sampled_from(["real", "complex"]),
+       layout=st.sampled_from(["contiguous", "strided"]), stacked=st.booleans(),
+       transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_vecdot_and_matvec_rows_equal_one_point_products_bit_for_bit(
+        n, m, rows, entries, layout, stacked, transposed, seed):
+    # The premise of every per-row product in the package (l2_norm_rows, the
+    # Harnack pairing, the tangent residual, the power method, the rigidity
+    # slices): each row of np.vecdot and np.matvec is the one-point @.
+    gen = stream(seed, "row-products", n)
+    lead = (3, rows) if stacked else (rows,)
+    A, B = (_row_operands(gen, (*lead, n), entries, layout) for _ in range(2))
+    # np.vecdot conjugates its first argument; conj is exact
+    out = np.vecdot(np.conj(A), B)
+    assert all(out[i] == A[i] @ B[i] for i in np.ndindex(lead))
+    # a stack of matrices, one per vector, or one matrix for every vector.  A
+    # matrix with no unit stride takes another loop in np.matvec than in @, so
+    # the package passes C-ordered or transposed matrices only
+    mats = (3, m) if stacked else (m,)
+    if transposed:  # the power method's conj(J).T
+        M = np.conj(np.swapaxes(_row_operands(gen, (*mats[:-1], n, m), entries, "contiguous"),
+                                -1, -2))
+    else:
+        M = _row_operands(gen, (*mats, n), entries, "contiguous")
+    X = _row_operands(gen, (3, n) if stacked else (rows, n), entries, layout)
+    out = np.matvec(M, X)
+    for i in range(len(X)):
+        assert out[i].tobytes() == ((M[i] if stacked else M) @ X[i]).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, math.inf]), seed=st.integers(0, 10_000),
        order=st.permutations(range(5)), n=st.integers(1, 5))

@@ -13,7 +13,9 @@ same name counts too.  No module but ``__init__.py``, whose imports are the
 exports, imports a name it never refers to.  Every field of ``CheckConfig``
 is read as an attribute by a package module outside the class.  And each
 check's verdict is built in its theorem module, not in the suite runner, and
-reads derivatives through ``diff``'s public names.
+reads derivatives through ``diff``'s public names.  Per-row products go
+through numpy's ``vecdot`` and ``matvec``, not stacked matmuls, and complex
+Gaussian rows come from ``rng``.
 """
 
 import ast
@@ -116,3 +118,32 @@ def test_the_runner_builds_no_verdict_and_no_module_reads_diff_privately():
                   and node.value.id == "diff" and node.attr[0] == "_"):
                 private.append(f"{path.name}: diff.{node.attr}")
     assert private == []
+
+
+def _last_index_is_none(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts[-1] if isinstance(node.slice, ast.Tuple) else node.slice
+    return isinstance(index, ast.Constant) and index.value is None
+
+
+def test_per_row_products_use_gufuncs_and_normals_come_from_rng():
+    # x[:, :, None] on the right of @ is the stacked per-row product that
+    # np.matvec and np.vecdot replace; xis @ a.point[None, :], an outer
+    # product, keeps its last axis and is allowed
+    stacked, normals = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and _last_index_is_none(node.right)):
+                stacked.append(f"{path.name}:{node.lineno}")
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "standard_normal"):
+                    normals.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert stacked == []
+    # the Caratheodory ascent's starting thetas are real
+    assert [n for n in normals if not n.startswith("rng.py:")] == [
+        "caratheodory.py:_coordinate_ascent"]

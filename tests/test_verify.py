@@ -1,6 +1,7 @@
 """Verifier verdicts: frozen values, extremal equality, hypothesis gating."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ from schwarz_lab import (
 from schwarz_lab import diff as diff_module
 from schwarz_lab import verify as verify_module
 from schwarz_lab.geometry import (as_exponent, cinner, conjugate_exponent, cvector, lp_norm,
-                                  realify)
-from schwarz_lab.verify import _pair_rows, _pseudo_hyperbolic_rows, _slice_chain, _square
+                                  pluriharmonic_V, realify)
+from schwarz_lab.verify import _pseudo_hyperbolic_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
 from helpers import boundary_slope_check, normal_tangent_decompose
 from test_maps import _small, _unimodular
@@ -383,6 +384,27 @@ def test_zhu_rejects_wrong_boundary_value():
         verify_zhu(f, CFG)
 
 
+@pytest.mark.parametrize("f", [
+    Constant(1.0, 1),
+    # 1 - z + z^2: f(0) = f(1) = 1
+    Sum((Constant(1.0, 1), Scale(-1.0, Coordinate(0, 1)), Power(2, Coordinate(0, 1)))),
+], ids=["constant", "quadratic"])
+def test_zhu_rejects_f0_on_the_circle(f):
+    with pytest.raises(HypothesisFailed, match="f\\(0\\) must lie in the open disk"):
+        verify_zhu(f, CFG)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+@pytest.mark.parametrize("f", [
+    MapTuple((Constant(1.0, 1), Constant(0.0, 1))),
+    # (1, (1 - z)/2): f(1) = (1, 0) on the sphere, f(0) = (1, 1/2) outside the ball
+    MapTuple((Constant(1.0, 1), Sum((Constant(0.5, 1), Scale(-0.5, Coordinate(0, 1)))))),
+], ids=["on-sphere", "outside"])
+def test_kalaj_rejects_f0_outside_the_open_ball(f, p):
+    with pytest.raises(HypothesisFailed, match="f\\(0\\) must lie in the open ball"):
+        verify_kalaj(f, p, CFG)
+
+
 def test_kalaj_disk_embedding_equality():
     # f(xi) = (xi, 0): boundary derivative norm 1, bound 1
     import schwarz_lab as sl
@@ -666,11 +688,38 @@ def test_boundary_verifiers_reject_a_map_that_is_nan_off_the_origin(check):
 @given(n=st.integers(1, 4), rows=st.integers(1, 20), lo=st.integers(-5, 5),
        seed=st.integers(0, 10_000))
 def test_harnack_pairing_rows_equal_per_row_dots(n, rows, lo, seed):
+    # the pairing verify_pluriharmonic_boundary makes of its Harnack rows
     gen = stream(seed, "pair-rows", n)
     scale = 10.0 ** gen.uniform(lo, 5, (rows, 1))
     w = scale * (gen.standard_normal((rows, n)) + 1j * gen.standard_normal((rows, n)))
     V = 10.0 ** gen.uniform(-5, 5) * gen.standard_normal(2 * n)
-    assert _pair_rows(w, V).tolist() == [float(realify(row) @ V) for row in w]
+    paired = np.vecdot(np.concatenate([w.real, w.imag], axis=1), V)
+    assert paired.tolist() == [float(realify(row) @ V) for row in w]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 10_000))
+def test_pluriharmonic_harnack_values_are_per_row_dots(n, seed):
+    # the verdict's Harnack grid, 1 - realify(f(zeta z0)) @ V, pairs each row alone
+    gen = stream(seed, "harnack-rows", n)
+    f = LinearMatrix(haar_unitary(n, gen))
+    z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    z0 = BoundaryPoint(z / np.linalg.norm(z), 2)
+    seen = []
+
+    def capture(radii, values, center):
+        seen.append(np.asarray(values))
+        return harnack_certificate(radii, values, center)
+
+    with mock.patch.object(verify_module, "harnack_certificate", capture):
+        verify_pluriharmonic_boundary(f, z0, CFG)
+    angles = 2.0 * np.pi * np.arange(verify_module.HARNACK_ANGLES) / verify_module.HARNACK_ANGLES
+    zetas = np.asarray(verify_module.HARNACK_RADII)[:, None] * np.exp(1j * angles)
+    fvals = evaluate(f, np.vstack([z0.point, np.zeros(n, dtype=complex),
+                                   (zetas[:, :, None] * z0.point).reshape(-1, n)]))
+    V = pluriharmonic_V(BoundaryPoint(fvals[0], 2))
+    expected = [1.0 - float(realify(row) @ V) for row in fvals[2:]]
+    assert seen[0].reshape(-1).tolist() == expected
 
 
 def test_lp_boundary_rejects_infinite_p_and_small_p():
