@@ -80,7 +80,6 @@ from .verify import (
 )
 from .caratheodory import (
     OptResult,
-    competitor_map,
     competitor_membership_max,
     distance_lower_bound_opt,
     distance_origin_closed,

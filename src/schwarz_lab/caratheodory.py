@@ -24,27 +24,23 @@ from .geometry import (
     lp_norm,
     modulus,
     norm_p,
-    with_lp_norms,
 )
-from .maps import Compose, Coordinate, LinearMatrix, MapExpr, MoebiusDisk, evaluate
-from .rng import gaussian_rows, stream
+from .rng import stream
 from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict
 
+# Maps f: ball -> disk with f(base) = 0.  linear_dual: f(w) = sum c_j w_j, c on the
+# dual-norm unit sphere (base 0 only); linear_moebius: then the disk automorphism
+# u -> (u - a0) / (1 - conj(a0) u), a0 = sum c_j base_j (any base in the ball).
 FAMILY_KINDS = ("linear_dual", "linear_moebius")
-# boundary-adjacent points at which competitor_membership_max evaluates a competitor
-MEMBERSHIP_SAMPLES = 1000
 
 
-def _family(kind: str) -> str:
-    """A competitor family: maps f: ball -> disk with f(base) = 0 built into the chart.
-
-    linear_dual: f(w) = sum c_j w_j with c on the dual-norm unit sphere
-    (valid at base 0 only).  linear_moebius: the same linear map followed by
-    the disk automorphism sending the base image to 0 (any base).
-    """
+def _check_family(kind: str, base_norm: float) -> None:
+    if base_norm >= 1.0:
+        raise OutsideBall("competitor base must lie in the open ball")
     if kind not in FAMILY_KINDS:
         raise BadParams(f"unknown competitor family {kind!r}")
-    return kind
+    if kind == "linear_dual" and base_norm > 0.0:
+        raise BadParams("linear_dual competitors require base 0")
 
 
 @dataclass(frozen=True)
@@ -90,40 +86,28 @@ def _pair(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _reduce_last_axis(np.add, c * v[None, :])
 
 
-def competitor_map(kind: str, theta: np.ndarray, base: np.ndarray, p) -> MapExpr:
-    """Materialize one member of the family `kind` as an expression tree."""
-    kind = _family(kind)
+def competitor_membership_max(kind: str, theta: np.ndarray, base: np.ndarray, p) -> float:
+    """sup |f| over the ball of radius 0.999 for the member theta of `kind`; sound if < 1.
+
+    By Hoelder, sum c_j w_j reaches r = 0.999 ||c||_q there, in any phase, so the disk
+    automorphism of linear_moebius reaches (r + |a0|) / (1 + |a0| r) at -r a0 / |a0|."""
     p = as_exponent(p)
     base = cvector(base)
-    n = base.shape[0]
+    _check_family(kind, norm_p(base, p))
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2 * n,):
+    if theta.shape != (2 * base.shape[0],):
         raise BadParams("theta must have 2n real entries")
     if not np.all(np.isfinite(theta)):
         raise BadParams("theta must be finite")
-    c, zero = _coefficients(theta[None, :], conjugate_exponent(p))
+    q = conjugate_exponent(p)
+    c, zero = _coefficients(theta[None, :], q)
     if zero[0]:
         raise BadParams("degenerate parameters: zero coefficient vector")
-    lin = LinearMatrix(c)
+    r = 0.999 * lp_norm(c[0], q)
     if kind == "linear_dual":
-        if float(norm_p(base, p)) > 0.0:
-            raise BadParams("linear_dual competitors require base 0")
-        return lin
-    a0 = complex(np.sum(c[0] * base))
-    moeb = MoebiusDisk(-a0, 1.0, Coordinate(0, 1))
-    return Compose(moeb, lin)
-
-
-def competitor_membership_max(kind: str, theta: np.ndarray, base: np.ndarray, p,
-                              seed: int = 0) -> float:
-    """Largest |f| over boundary-adjacent sample points; sound if < 1."""
-    p = as_exponent(p)
-    base = cvector(base)
-    n = base.shape[0]
-    f = competitor_map(kind, theta, base, p)
-    gen = stream(seed, "membership", n, str(p))
-    pts = with_lp_norms(gaussian_rows(gen, MEMBERSHIP_SAMPLES, n), p, 0.999)
-    return float(np.max(np.abs(evaluate(f, pts))))
+        return r
+    a0 = abs(complex(np.sum(c[0] * base)))
+    return (r + a0) / (1.0 + a0 * r)
 
 
 def _coordinate_ascent(objective, dim: int, cfg: CheckConfig, label: str):
@@ -242,11 +226,7 @@ def metric_lower_bound_opt(base, direction, p, kind: str,
     direction = cvector(direction)
     if base.shape != direction.shape:
         raise BadParams("base and direction must share a dimension")
-    r = norm_p(base, p)
-    if r >= 1.0:
-        raise OutsideBall("metric query base must lie in the open ball")
-    if _family(kind) == "linear_dual" and r > 0.0:
-        raise BadParams("linear_dual competitors require base 0")
+    _check_family(kind, norm_p(base, p))
     n = base.shape[0]
     q = conjugate_exponent(p)
 
@@ -291,9 +271,11 @@ def distance_lower_bound_opt(z, w, p, cfg: CheckConfig = DEFAULT_CONFIG) -> OptR
     return _coordinate_ascent(objective, 2 * n, cfg, f"distance-{p}")
 
 
-def _attainment(theorem_id: str, closed: float, out: OptResult, membership: float,
+def _attainment(theorem_id: str, closed: float, out: OptResult, kind: str, base, p,
                 tol: float) -> Verdict:
-    """The closed form against the ascent's lower bound, its gap in [-1e-9, tol]."""
+    """The closed form against the ascent's lower bound, its gap in [-1e-9, tol], and
+    the best competitor of the family `kind` at base against the disk."""
+    membership = competitor_membership_max(kind, out.params, base, p)
     gap = closed - out.value
     margin = min(tol - gap, gap + 1e-9)
     checks = (
@@ -314,15 +296,13 @@ def verify_caratheodory_metric(direction, p, family: str = "linear_dual",
         raise SchwarzLabError(
             "metric check compares against the origin closed form; base must be 0")
     out = metric_lower_bound_opt(base, direction, p, family, cfg)
-    membership = competitor_membership_max(family, out.params, base, p, seed=cfg.seed)
     return _attainment("caratheodory_metric_origin", metric_origin_closed(direction, p), out,
-                       membership, cfg.attain_tol)
+                       family, base, p, cfg.attain_tol)
 
 
 def verify_caratheodory_distance(z, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Verdict:
     """The ascent over linear_moebius attains the distance's closed form from 0 to z."""
     w = np.zeros_like(z)
     out = distance_lower_bound_opt(z, w, p, cfg)
-    membership = competitor_membership_max("linear_moebius", out.params, w, p, seed=cfg.seed)
     return _attainment("caratheodory_distance_origin", distance_origin_closed(z, p), out,
-                       membership, cfg.attain_tol)
+                       "linear_moebius", w, p, cfg.attain_tol)

@@ -9,6 +9,7 @@ only in the order they take a stream's standard normals.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,9 +27,25 @@ def philox_key(*parts) -> np.ndarray:
     return np.array([k0, k1], dtype=np.uint64)
 
 
+@functools.cache
+def _key_seed() -> type:
+    """A seed type whose state is a given key, which Philox(seed) takes as its key;
+    Philox(key=...) draws OS entropy for a SeedSequence it then discards.  Built on
+    first use, so importing the package loads no numpy.random."""
+
+    class Key(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return Key
+
+
 def stream(seed, *labels) -> np.random.Generator:
     """Generator for a named stream, deterministic in (seed, labels)."""
-    return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
+    return np.random.Generator(np.random.Philox(_key_seed()(philox_key(seed, *labels))))
 
 
 def gaussian_rows(gen: np.random.Generator, count: int, n: int) -> np.ndarray:

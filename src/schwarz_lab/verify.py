@@ -110,7 +110,8 @@ def _holomorphy_check(f: MapExpr, res: float, tol: float) -> HypothesisCheck:
 def _dual_rows(v: np.ndarray, r: float) -> np.ndarray:
     """duality_map(row, r) of each row scaled by its largest modulus (the maps
     below normalise, so the scale is free, and every power is then of a
-    number in (0, 1]).  numpy divides by a real through its reciprocal, which
+    number in (0, 1], or 1 + 1 ulp, which from r = 2**53 on is taken as 1 lest
+    its power overflow).  numpy divides by a real through its reciprocal, which
     overflows below about 5.6e-309, so rows under 2**-1000 are scaled up first."""
     top = np.abs(v).max(axis=1, keepdims=True)
     tiny = ((top > 0.0) & (top < 2.0 ** -1000))[:, 0]
@@ -118,7 +119,8 @@ def _dual_rows(v: np.ndarray, r: float) -> np.ndarray:
         v, top = v.copy(), top.copy()
         v[tiny] *= 2.0 ** 600
         top[tiny] *= 2.0 ** 600
-    return duality_map(v / np.where(top > 0.0, top, 1.0), r)
+    u = v / np.where(top > 0.0, top, 1.0)
+    return np.minimum(np.abs(u), 1.0) ** (r - 2.0) * u if r > 2.0 ** 53 else duality_map(u, r)
 
 
 def operator_norm_lower(matrix: np.ndarray, p, starts: int = 64, iters: int = 80,

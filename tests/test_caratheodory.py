@@ -17,7 +17,6 @@ from schwarz_lab.caratheodory import (
     _coefficients,
     _coordinate_ascent,
     _pair,
-    competitor_map,
     competitor_membership_max,
     distance_lower_bound_opt,
     distance_origin_closed,
@@ -25,10 +24,11 @@ from schwarz_lab.caratheodory import (
     metric_origin_closed,
 )
 from schwarz_lab.errors import BadParams, OutsideBall
-from schwarz_lab.geometry import as_exponent, conjugate_exponent, cvector, lp_norm
-from schwarz_lab.maps import evaluate
-from schwarz_lab.rng import stream
-from schwarz_lab.suite import _job_seed, parse_suite, run_suite
+from schwarz_lab.geometry import (as_exponent, conjugate_exponent, cvector, lp_norm,
+                                  with_lp_norms)
+from schwarz_lab.maps import Compose, Coordinate, LinearMatrix, MoebiusDisk, evaluate
+from schwarz_lab.rng import gaussian_rows, stream
+from schwarz_lab.suite import parse_suite, run_suite
 from schwarz_lab.verify import CheckConfig
 
 SUITE_DIR = pathlib.Path(__file__).resolve().parent.parent / "suites"
@@ -85,13 +85,6 @@ def test_optimizer_soundness_membership():
     assert worst < 1.0
 
 
-def test_competitor_map_vanishes_at_base():
-    base = np.array([0.3, -0.2j])
-    theta = np.array([0.5, -1.0, 0.25, 2.0])
-    f = competitor_map("linear_moebius", theta, base, 2)
-    assert abs(evaluate(f, base)[0]) <= 1e-14
-
-
 def test_distance_optimizer_reaches_closed_form():
     out = distance_lower_bound_opt(np.zeros(1), np.array([0.5 + 0j]), 2,
                                    cfg=FAST)
@@ -114,9 +107,11 @@ def test_family_and_query_validation():
     with pytest.raises(BadParams, match="unknown competitor family"):
         metric_lower_bound_opt(np.zeros(2), direction, 2, "spline", FAST)
     with pytest.raises(BadParams, match="unknown competitor family"):
-        competitor_map("spline", np.ones(4), np.zeros(2), 2)
+        competitor_membership_max("spline", np.ones(4), np.zeros(2), 2)
     with pytest.raises(OutsideBall):
         metric_lower_bound_opt(np.array([1.2, 0.0]), direction, 2, "linear_moebius", FAST)
+    with pytest.raises(OutsideBall):
+        competitor_membership_max("linear_moebius", np.ones(4), np.array([1.2, 0.0]), 2)
     with pytest.raises(BadParams, match="share a dimension"):
         metric_lower_bound_opt(np.zeros(3), direction, 2, "linear_dual", FAST)
     with pytest.raises(BadParams, match="base 0"):
@@ -295,8 +290,8 @@ def test_zero_coefficient_rows_are_flagged():
     assert not c[1].any()
     for i in (0, 2):
         assert np.array_equal(c[i], _ref_coefficients(theta[i], 3, 1.5))
-    with pytest.raises(BadParams):
-        competitor_map("linear_dual", np.zeros(6), np.zeros(3), 3)
+    with pytest.raises(BadParams, match="zero coefficient"):
+        competitor_membership_max("linear_dual", np.zeros(6), np.zeros(3), 3)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -305,9 +300,9 @@ def test_non_finite_theta_is_rejected_before_the_coefficients(kind, bad):
     # an infinite entry would give 1/||g|| = 0, then inf * 0 = NaN in _coefficients
     theta = np.array([bad, 0.0, 0.0, 0.0])
     with pytest.raises(BadParams, match="finite"):
-        competitor_map(kind, theta, np.zeros(2), 2)
+        competitor_membership_max(kind, theta, np.zeros(2), 2)
     with pytest.raises(BadParams, match="2n"):
-        competitor_map(kind, theta[:3], np.zeros(2), 2)
+        competitor_membership_max(kind, theta[:3], np.zeros(2), 2)
 
 
 def _ref_coefficient_rows(theta, q):
@@ -357,19 +352,50 @@ def test_metric_lower_bound_is_sound_at_the_origin(p, kind, parts, seed):
     assert competitor_membership_max(kind, out.params, np.zeros(n), p) <= 1.0 + 1e-9
 
 
-def test_caratheodory_jobs_check_membership_on_their_own_seed(monkeypatch):
-    doc = json.loads((SUITE_DIR / "paper.json").read_text())
-    doc["jobs"] = [job for job in doc["jobs"] if job["check"].startswith("caratheodory_")]
-    config = parse_suite(doc)
-    seeds = []
+# ---------------------------------------------------------------------------
+# the competitor as a map tree: the reference for its exact supremum
+# ---------------------------------------------------------------------------
 
-    def captured(*args, seed=0, **kwargs):
-        seeds.append(seed)
-        return competitor_membership_max(*args, seed=seed, **kwargs)
 
-    monkeypatch.setattr(caratheodory, "competitor_membership_max", captured)
-    run_suite(config)
-    assert seeds == [_job_seed(config.seed, job.id) for job in config.jobs]
+def _ref_competitor(kind, c, base):
+    """The member with coefficient row c as a map tree: the linear part, then
+    for linear_moebius the disk automorphism sending the base image to 0."""
+    lin = LinearMatrix(c[None, :])
+    if kind == "linear_dual":
+        return lin
+    return Compose(MoebiusDisk(-complex(np.sum(c * base)), 1.0, Coordinate(0, 1)), lin)
+
+
+def _hoelder_extremal(c, p, q, phase):
+    """The w with ||w||_p = 0.999 and sum c_j w_j = 0.999 ||c||_q phase: w_j is
+    conj(c_j) |c_j|^(q-2), which at q = 1 puts every coordinate on the circle."""
+    w = np.abs(c) ** (q - 1.0) * np.exp(-1j * np.angle(c))
+    return w * (0.999 * phase / lp_norm(w, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), p=st.sampled_from([1.5, 2, 3, 4, "inf"]),
+       kind=st.sampled_from(FAMILY_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_membership_max_is_the_supremum_of_the_competitor_map(n, p, kind, seed):
+    gen = stream(seed, "competitor-supremum", n)
+    p = as_exponent(p)
+    q = conjugate_exponent(p)
+    theta = gen.standard_normal(2 * n)
+    theta[gen.uniform(size=2 * n) < 0.2] = 0.0
+    theta[0] = 1.0  # no zero coefficient vector
+    base = np.zeros(n, dtype=complex)
+    if kind == "linear_moebius":
+        base = _ball_point(gen, n, p, gen.uniform(0.0, 0.9))
+    sup = competitor_membership_max(kind, theta, base, p)
+    (c,), _ = _coefficients(theta[None, :], q)
+    f = _ref_competitor(kind, c, base)
+    assert abs(evaluate(f, base)[0]) <= 1e-14
+    a0 = complex(np.sum(c * base))
+    phase = -a0 / abs(a0) if a0 else 1.0
+    assert abs(abs(evaluate(f, _hoelder_extremal(c, p, q, phase))[0]) - sup) <= 1e-12
+    sphere = with_lp_norms(gaussian_rows(gen, 1000, n), p, 0.999)
+    assert np.max(np.abs(evaluate(f, sphere))) <= sup + 1e-12
+    assert sup < 1.0
 
 
 # ---------------------------------------------------------------------------

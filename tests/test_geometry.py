@@ -354,6 +354,17 @@ def test_row_norms_match_one_vector_norms_bit_for_bit(q):
                         assert l2_norm_rows(rows).tobytes() == want.tobytes()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the branch a row takes depends on the floating-point flags its whole batch "
+    "raises: beside a row whose power sum underflows, a row with an exact subnormal "
+    "power sum takes the rescaled branch, one ulp away from its plain root"))
+def test_a_row_norm_does_not_depend_on_the_rest_of_its_batch():
+    row = 2.0 ** -530 * np.array([7.0, 4.0, 5.0])
+    alone = lp_norm(row[None, :], 2.0)[0]
+    assert alone.hex() == "0x1.2f9422c23c47ep-527"
+    assert lp_norm(np.array([row, [1e-200, 0.0, 0.0]]), 2.0)[0].hex() == alone.hex()
+
+
 def _row_operands(gen, shape, entries, layout):
     """A standard normal array of `shape` with row scales from 1e-5 to 1e5: real or
     complex, contiguous, or a strided view (the .real of a complex array, or

@@ -45,6 +45,7 @@ from schwarz_lab import (
 )
 from schwarz_lab import diff as diff_module
 from schwarz_lab import verify as verify_module
+from schwarz_lab.cli import main
 from schwarz_lab.geometry import (as_exponent, cinner, conjugate_exponent, cvector, lp_norm,
                                   pluriharmonic_V, realify)
 from schwarz_lab.verify import _pseudo_hyperbolic_rows, _slice_chain, _square
@@ -86,6 +87,18 @@ def test_operator_norm_ascent_matches_known_p3():
 def test_operator_norm_lower_is_finite_when_powers_overflow():
     # (1e4)^100 overflows; the p->p norm of the diagonal matrix is 1e4.
     assert operator_norm_lower(np.diag([1e4, 1.0]), 100) == pytest.approx(1e4, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e20, 1e300])
+def test_operator_norm_at_a_huge_exponent_raises_no_warning(p):
+    # A row scaled by its largest modulus can keep a modulus of 1 + 1 ulp,
+    # whose power p - 2 overflowed; the conjugate exponent rounds to 1.0.
+    # The tests turn RuntimeWarnings into errors.
+    assert operator_norm_lower(np.eye(2), p) == pytest.approx(1.0, rel=1e-12)
+    J = np.array([[1.0, 0.5], [0.2j, 0.7]])
+    assert operator_norm_lower(J, p) == pytest.approx(1.5, rel=1e-12)
+    assert main(["check", "schwarz_pick", "-p", str(p), "--map", "identity",
+                 "--map-params", '{"n": 2}']) == 0
 
 
 def _ref_dual(v, r):
