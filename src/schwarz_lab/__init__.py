@@ -57,7 +57,6 @@ from .diff import (
     RichardsonConfig,
     complex_jacobian,
     complex_jacobian_fd,
-    holomorphy_residual,
     pluriharmonic_residual,
     radial_boundary_derivative,
     real_jacobian,
@@ -67,7 +66,6 @@ from .verify import (
     CheckConfig,
     HypothesisCheck,
     Verdict,
-    harnack_certificate,
     operator_norm_lower,
     sample_ball,
     verify_kalaj,

@@ -1,6 +1,6 @@
 """Differentiation of map expressions.
 
-* complex_jacobian, real_jacobian and holomorphy_residual read exact
+* complex_jacobian, real_jacobian and tangent_pass read exact
   derivatives from one forward-mode tangent pass (Griewank and Walther,
   Evaluating Derivatives, 2nd ed., 2008): each node's _tangent carries f(z)
   and df/dz . v + df/dz-bar . conj(v) along the directions v = e_j, i e_j;
@@ -149,8 +149,10 @@ def real_jacobian(f: MapExpr, z) -> np.ndarray:
 
 
 def _cr_defect(d: np.ndarray):
-    """holomorphy_residual from _derivatives' output: A - D = Re d/dx - Im d/dy
-    and B + C = Re d/dy + Im d/dx, the same floats as the real blocks'."""
+    """The Cauchy-Riemann defect ||A - D||_F + ||B + C||_F of the real Jacobian
+    (A, B; C, D) from _derivatives' output, A - D = Re d/dx - Im d/dy and
+    B + C = Re d/dy + Im d/dx: ||Re s||_F + ||Im s||_F for s = 2 df/dz-bar, so 0
+    up to rounding on holomorphic maps.  A float for one point, (k,) for a stack."""
     n = d.shape[-1] // 2
     dx, dy = d[..., :n], d[..., n:]
     size = dx.shape[-2] * n
@@ -159,21 +161,10 @@ def _cr_defect(d: np.ndarray):
     return res if d.ndim == 3 else float(res[0])
 
 
-def holomorphy_residual(f: MapExpr, z):
-    """Cauchy-Riemann defect ||A - D||_F + ||B + C||_F of the real Jacobian.
-
-    It equals ||Re s||_F + ||Im s||_F for s = d/dx + i d/dy = 2 df/dz-bar, so
-    it vanishes, up to rounding, on holomorphic maps.  One point gives a
-    float; a (k, n) stack gives the k defects from one tangent pass, each
-    equal to its one-point value bit for bit.
-    """
-    return _cr_defect(_derivatives(f, z)[1])
-
-
 def tangent_pass(f: MapExpr, z):
-    """(f(z), complex_jacobian(f, z), holomorphy_residual(f, z), df/dx_1 at z)
-    from one tangent pass, each equal to its own call's value bit for bit.
-    df/dx_1 is the derivative along the first real direction e_1: (m,) per
+    """(f(z), complex_jacobian(f, z), the Cauchy-Riemann defect of real_jacobian(f, z),
+    df/dx_1 at z) from one tangent pass, each equal to its one-point value bit for
+    bit.  df/dx_1 is the derivative along the first real direction e_1: (m,) per
     point, f'(1) along the inward radius at 1 on the disk."""
     vals, d = _derivatives(f, z)
     return vals, _wirtinger(d), _cr_defect(d), d[..., 0]

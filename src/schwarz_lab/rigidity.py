@@ -66,10 +66,8 @@ class RigidityInstance:
             raise BadParams("anchors must share one dimension")
         if self.map.input_dim != n or self.map.output_dim != n:
             raise BadParams("map must be a self-map of the anchors' space")
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                if np.allclose(anchors[i].point, anchors[j].point, rtol=0.0, atol=1e-12):
-                    raise BadParams("anchors must be distinct")
+        if _has_near_duplicate(self.anchor_matrix):
+            raise BadParams("anchors must be distinct")
         if self.variant == "p2" and e != 2.0:
             raise BadParams("the p2 variant requires exponent 2")
         if self.variant == "polydisk":
@@ -124,16 +122,29 @@ class RigidityReport:
     reason: str
     fixed_point_residuals: tuple
     equation_values: tuple
-    rank: int
     nonneg_ok: bool
     jf0_residuals: tuple
-    identity_residual: float
-    quantities: dict
+    quantities: dict  # rank and identity_residual are -1.0 and NaN until reached
 
     @property
     def hypotheses(self) -> tuple:
         """The anchor condition as a row: real, nonnegative anchors for rigidity_v."""
         return (HypothesisCheck("nonneg_pairings", self.nonneg_ok, 0.0),)
+
+
+def _has_near_duplicate(points: np.ndarray) -> bool:
+    """Whether two rows lie within 1e-12 in every coordinate, as np.allclose(a, b,
+    rtol=0, atol=1e-12) judges each pair.  Rows sorted by the real part of their
+    first coordinate are judged only against the rows within 2e-12 after them:
+    a pair within 1e-12 differs there by 1e-12 at most."""
+    rows = points[np.argsort(points[:, 0].real, kind="stable")]
+    key = rows[:, 0].real
+    width = np.searchsorted(key, key + 2e-12, side="right") - np.arange(len(rows))
+    for d in range(1, int(np.max(width))):
+        i = np.flatnonzero(width[:-d] > d)
+        if np.any(np.max(np.abs(rows[i + d] - rows[i]), axis=1) <= 1e-12):
+            return True
+    return False
 
 
 def _pairing_row(inst: RigidityInstance, anchor: BoundaryPoint) -> np.ndarray:
@@ -246,12 +257,12 @@ def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
     p = inst.exponent
     n = inst.dim
     A = inst.anchor_matrix
-    quantities: dict = {}
+    quantities: dict = {"rank": -1.0, "identity_residual": math.nan}
     J0 = F = None
 
-    def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True, jf0=()):
-        return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), rank,
-                              nonneg, tuple(jf0), math.nan, quantities), J0, F
+    def partial(verdict, reason, fixed=(), eqs=(), nonneg=True, jf0=()):
+        return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs),
+                              nonneg, tuple(jf0), quantities), J0, F
 
     f0 = evaluate(f, np.zeros(n, dtype=complex))
     origin_res = float(norm_p(f0, p))
@@ -299,7 +310,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
         nonneg = max_imag <= 1e-12 and min_real >= -1e-12
 
     quantities["rank"] = float(inst.anchor_rank)
-    return partial("", "", fixed=fixed, eqs=eqs, rank=inst.anchor_rank, nonneg=nonneg, jf0=jf0)
+    return partial("", "", fixed=fixed, eqs=eqs, nonneg=nonneg, jf0=jf0)
 
 
 def check_rigidity(inst: RigidityInstance,
@@ -311,13 +322,13 @@ def check_rigidity(inst: RigidityInstance,
     ident = _identity_residual(inst, cfg)
     if not report.nonneg_ok:
         verdict, reason = HYPOTHESES_FAIL, "anchors must be real with nonnegative coordinates"
-    elif report.rank < inst.dim:
+    elif inst.anchor_rank < inst.dim:
         verdict, reason = HYPOTHESES_FAIL, "insufficient anchors"
     elif not ident <= cfg.identity_tol:
         verdict, reason = HYPOTHESES_FAIL, "identity residual too large despite passing equations"
     else:
         verdict, reason = CERTIFIED, ""
-    return replace(report, verdict=verdict, reason=reason, identity_residual=ident,
+    return replace(report, verdict=verdict, reason=reason,
                    quantities=dict(report.quantities, identity_residual=ident))
 
 
@@ -364,7 +375,7 @@ def check_proof_chain(inst: RigidityInstance,
     b_res = float(np.max(np.abs([psi0, psi1 - 1.0, der - 1.0])))
 
     d_res = float(np.max(report.jf0_residuals))
-    e_res = float(np.linalg.norm(J0 - np.eye(n))) if report.rank == n else math.inf
+    e_res = float(np.linalg.norm(J0 - np.eye(n))) if inst.anchor_rank == n else math.inf
 
     checks = (
         HypothesisCheck("slice_into_disk", a_res <= 1e-10, max(0.0, a_res)),
@@ -380,7 +391,7 @@ def check_proof_chain(inst: RigidityInstance,
         "slice_identity_residual": c_res,
         "jf0_anchor_residual": d_res,
         "jf0_identity_residual": e_res,
-        "rank": float(report.rank),
+        "rank": float(inst.anchor_rank),
     }
     slacks = [1e-10 - a_res, 1e-7 - b_res, 1e-9 - c_res, 1e-7 - d_res]
     slacks.append(1e-7 - e_res if math.isfinite(e_res) else -1.0)

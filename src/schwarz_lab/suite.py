@@ -88,7 +88,6 @@ class JobResult:
     quantities: dict
     hypotheses: tuple
     residuals: dict
-    runtime_ms: float | None = None
     note: str = ""
 
     def to_json(self) -> dict:
@@ -106,7 +105,7 @@ class JobResult:
             ],
             "residuals": {k: _finite_or_none(v)
                           for k, v in self.residuals.items()},
-            "runtime_ms": self.runtime_ms,
+            "runtime_ms": None,
         }
 
 
@@ -422,8 +421,7 @@ def _run_job(job: JobSpec) -> JobResult:
     residuals.update((f"jf0_{i}", r) for i, r in enumerate(out.jf0_residuals))
     return _row(job, out.verdict, "rigidity_certificate", out.hypotheses,
                 outcome_row=f"verdict_{out.verdict}", residuals=residuals, note=out.reason,
-                quantities={**out.quantities, "rank": out.rank,
-                            "identity_residual": out.identity_residual})
+                quantities=out.quantities)
 
 
 def run_suite(config: SuiteConfig, workers: int = 1) -> list:

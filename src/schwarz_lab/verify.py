@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diff import holomorphy_residual, pluriharmonic_residual, real_jacobian, tangent_pass
+from .diff import pluriharmonic_residual, real_jacobian, tangent_pass
 from .errors import BadParams, HypothesisFailed
 from .geometry import (
     BoundaryPoint,
@@ -576,7 +576,7 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
 
     chain_first, chain_second = _slice_chain(zs[:256], ws[:256], fvals[:256], coefs, z_fix, p)
 
-    holo_res = holomorphy_residual(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex))
+    holo_res = tangent_pass(f, np.concatenate([z_fix * 0.5, np.zeros(m)]).astype(complex))[2]
     checks = (
         HypothesisCheck("slice_is_fixed", True, slice_gap),
         _holomorphy_check(f, holo_res, cfg.holo_tol),
@@ -602,33 +602,20 @@ def verify_product_slice(f: MapExpr, phi: MapExpr, z_fix: np.ndarray, p,
 # ---------------------------------------------------------------------------
 
 
-def harnack_certificate(radii, values, center) -> Verdict:
-    """Two-sided Harnack slack for a positive harmonic function sampled on
-    concentric circles: one row of ``values`` per radius, plus the center value."""
-    vals = np.asarray(values, dtype=float)
+def _harnack(values, center) -> tuple:
+    """(ok, margin): the two-sided Harnack slack of a positive harmonic function
+    sampled on the circles of HARNACK_RADII, one row of ``values`` per radius,
+    given its center value; ok when the center is positive, no sample is
+    negative and the margin reaches -1e-12."""
     c = float(center)
-    lo = np.array([(1.0 - r) / (1.0 + r) * c for r in radii])
-    hi = np.array([(1.0 + r) / (1.0 - r) * c for r in radii])
-    if vals.ndim != 2 or len(vals) != len(lo) or vals.size == 0:
-        raise BadParams("a Harnack grid needs a radius, and exactly one non-empty row "
-                        "of values per radius")
+    lo = np.array([(1.0 - r) / (1.0 + r) * c for r in HARNACK_RADII])
+    hi = np.array([(1.0 + r) / (1.0 - r) * c for r in HARNACK_RADII])
     # the row minima folded from inf as min(slack, row_min) folds them one by
     # one: a NaN minimum never compares below the slack, so its row drops out
-    lower_slack = min([math.inf, *np.min(vals - lo[:, None], axis=1).tolist()])
-    upper_slack = min([math.inf, *np.min(hi[:, None] - vals, axis=1).tolist()])
+    lower_slack = min([math.inf, *np.min(values - lo[:, None], axis=1).tolist()])
+    upper_slack = min([math.inf, *np.min(hi[:, None] - values, axis=1).tolist()])
     margin = min(lower_slack, upper_slack)
-    checks = (
-        HypothesisCheck("center_positive", c > 0.0, max(0.0, -c)),
-        HypothesisCheck("samples_nonnegative", float(vals.min()) >= 0.0,
-                        max(0.0, -float(vals.min()))),
-    )
-    quantities = {
-        "center_value": c,
-        "lower_slack": lower_slack,
-        "upper_slack": upper_slack,
-        "min_sample": float(vals.min()),
-    }
-    return Verdict("harnack_positivity", checks, quantities, margin, 1e-12)
+    return c > 0.0 and float(values.min()) >= 0.0 and margin >= -1e-12, margin  # NaN fails
 
 
 def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
@@ -678,14 +665,14 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
     # realify(row) @ V per row, bit for bit: R @ V and (R * V).sum(1) can round otherwise
     vals = 1.0 - np.vecdot(np.concatenate([fvals.real, fvals.imag], axis=1), V)
     phi0 = 1.0 - float(f0r @ V)
-    harnack = harnack_certificate(HARNACK_RADII, vals.reshape(zetas.shape), phi0)
+    harnack_ok, harnack_margin = _harnack(vals.reshape(zetas.shape), phi0)
 
     checks = (
         HypothesisCheck("pluriharmonic", True, ph_res),
         HypothesisCheck("boundary_to_boundary", True, abs(w_norm - 1.0)),
         HypothesisCheck("c1_at_boundary", True, 0.0),
         HypothesisCheck("low_positive", low > 0.0, max(0.0, -low)),
-        HypothesisCheck("harnack", harnack.passed, max(0.0, -harnack.margin)),
+        HypothesisCheck("harnack", harnack_ok, max(0.0, -harnack_margin)),
     )
     quantities = {
         "lhs": lhs,
@@ -693,7 +680,7 @@ def verify_pluriharmonic_boundary(f: MapExpr, z0: BoundaryPoint,
         "low": low,
         "margin_lhs_mid": lhs - mid,
         "margin_mid_low": mid - low,
-        "harnack_margin": harnack.margin,
+        "harnack_margin": harnack_margin,
     }
     margin = min(lhs - mid, mid - low)
     return Verdict("pluriharmonic_boundary_schwarz", checks, quantities, margin,

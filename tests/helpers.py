@@ -1,5 +1,6 @@
 """Routines only the tests call: instance sweeps, a slope probe, a Jacobian
-block split and a normal/tangent split, built on the package's own functions.
+block split with its Cauchy-Riemann defect and a normal/tangent split, built
+on the package's own functions.
 
 The checks themselves never call these, so they live beside the tests that
 do rather than in ``schwarz_lab``.
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 
+from schwarz_lab.diff import real_jacobian
 from schwarz_lab.errors import ZeroVector
 from schwarz_lab.gallery import (
     build_diag_power,
@@ -70,6 +72,16 @@ def cr_blocks(real_jac: np.ndarray):
         real_jac[..., m:, :n],
         real_jac[..., m:, n:],
     )
+
+
+def cr_defect(f: MapExpr, z):
+    """||A - D||_F + ||B + C||_F of real_jacobian(f, z) = (A, B; C, D): a float
+    for one point (n,), and for a stack (k, n) the k one-point floats."""
+    z = np.asarray(z)
+    if z.ndim == 2:
+        return np.array([cr_defect(f, row) for row in z])
+    a, b, c, d = cr_blocks(real_jacobian(f, z))
+    return float(np.linalg.norm(a - d) + np.linalg.norm(b + c))
 
 
 def ball_self_map_instances(p, n: int) -> list[tuple[str, MapExpr]]:

@@ -185,8 +185,8 @@ def test_criterion_08_rigidity_suite():
         _basis_anchors(n, 3)[1:], 3, "schwarz_v"))
     withheld = (partial.verdict == "hypotheses_fail"
                 and all(abs(v - 1.0) <= 1e-8 for v in partial.equation_values)
-                and partial.identity_residual >= 0.1)
-    assert withheld, (partial.verdict, partial.reason, partial.identity_residual)
+                and partial.quantities["identity_residual"] >= 0.1)
+    assert withheld, (partial.verdict, partial.reason, partial.quantities)
 
     eye = np.eye(2, dtype=complex)
     negated = sl.check_rigidity(sl.RigidityInstance(
@@ -196,7 +196,7 @@ def test_criterion_08_rigidity_suite():
             and all(abs(v + 1.0) <= 1e-8 for v in negated.equation_values))
     assert miss, (negated.verdict, negated.equation_values)
     _line(8, True, f"{len(cases)} certificates, withheld on rank "
-          f"{partial.rank}/{n}, negated anchors rejected")
+          f"{partial.quantities['rank']:.0f}/{n}, negated anchors rejected")
 
 
 def _gallery_instances():

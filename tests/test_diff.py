@@ -20,7 +20,6 @@ from schwarz_lab import (
     complex_jacobian_fd,
     evaluate,
     gallery,
-    holomorphy_residual,
     pluriharmonic_residual,
     radial_boundary_derivative,
     real_jacobian,
@@ -29,7 +28,7 @@ from schwarz_lab import (
 from schwarz_lab import diff
 from schwarz_lab.maps import _EvalCtx
 from schwarz_lab.rng import stream
-from helpers import cr_blocks
+from helpers import cr_blocks, cr_defect
 from test_maps import _trees
 
 
@@ -54,7 +53,7 @@ def test_real_jacobian_frozen_values():
     assert np.allclose(Jg, [[1.0, 0.0], [0.0, -1.0]], atol=1e-12)
     A, B, C, D = cr_blocks(Jg)
     assert np.linalg.norm(A - D) == pytest.approx(2.0, abs=1e-12)
-    assert holomorphy_residual(g, np.array([0.3 + 0.1j])) == pytest.approx(2.0, abs=1e-12)
+    assert tangent_pass(g, np.array([0.3 + 0.1j]))[2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_holomorphy_residual_small_for_holomorphic():
@@ -64,7 +63,7 @@ def test_holomorphy_residual_small_for_holomorphic():
         ("zhu", gallery("zhu_extremal", {"a": 0.3, "d": 0.2})),
     ]:
         z = 0.4 * (gen.standard_normal(f.input_dim) + 1j * gen.standard_normal(f.input_dim))
-        assert holomorphy_residual(f, z) < 1e-7, name
+        assert tangent_pass(f, z)[2] < 1e-7, name
 
 
 def test_cauchy_vs_fd_cross_validation():
@@ -99,17 +98,16 @@ def test_stacked_derivatives_match_per_point_calls_bit_for_bit(f, k, seed):
     zs = 0.4 * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
     try:
         singles = [complex_jacobian(f, z) for z in zs]
-        residuals = [holomorphy_residual(f, z) for z in zs]
+        residuals = [tangent_pass(f, z)[2] for z in zs]
     except InsufficientClearance:
         reject()
     stacked = complex_jacobian(f, zs)
     assert stacked.shape == (k, f.output_dim, n)
     assert stacked.tobytes() == np.stack(singles).tobytes()
-    assert holomorphy_residual(f, zs).tolist() == residuals
+    assert tangent_pass(f, zs)[2].tolist() == residuals
     # the one-point residual is still the two Frobenius norms of the CR defect
     for z, res in zip(zs, residuals):
-        a, b, c, d = cr_blocks(real_jacobian(f, z))
-        assert res == float(np.linalg.norm(a - d) + np.linalg.norm(b + c))
+        assert res == cr_defect(f, z)
     assert real_jacobian(f, zs).tobytes() == np.stack(
         [real_jacobian(f, z) for z in zs]).tobytes()
 
@@ -129,9 +127,9 @@ def test_one_pass_jacobian_and_defect_equal_the_two_calls_bit_for_bit(f, k, seed
         assert jac.tobytes() == complex_jacobian(f, z).tobytes()
         assert jac.shape == complex_jacobian(f, z).shape
         if z.ndim == 1:
-            assert type(res) is float and res == holomorphy_residual(f, z)
+            assert type(res) is float and res == cr_defect(f, z)
         else:
-            assert res.tobytes() == holomorphy_residual(f, z).tobytes()
+            assert res.tobytes() == cr_defect(f, z).tobytes()
         # df/dx_1 is the real Jacobian's first column, (Re, Im) stacked
         assert dx.shape == vals.shape
         first = real_jacobian(f, z)[..., 0]
@@ -181,7 +179,7 @@ def test_tangent_jacobian_equals_cauchy_rule_on_holomorphic_trees(f, seed):
     if gap > 1e-10:
         reject()  # a pole near the circles: the rule cannot vouch for itself
     assert np.max(np.abs(J - ref)) <= 1e-9 * (1.0 + np.max(np.abs(J)))
-    assert holomorphy_residual(f, z) <= 1e-14
+    assert tangent_pass(f, z)[2] <= 1e-14
 
 
 @settings(max_examples=50, deadline=None)
@@ -223,7 +221,7 @@ def test_points_near_a_moebius_pole_raise_insufficient_clearance(n, a, angles, o
     f = MoebiusDisk(a, rotation, Coordinate(j, n))
     z = 0.5 * stream(seed, "near-pole", n).standard_normal(n).astype(complex)
     z[j] = -1.0 / (np.conj(a) * rotation) + offset * np.exp(1j * angles[2])
-    for routine in (complex_jacobian, real_jacobian, holomorphy_residual):
+    for routine in (complex_jacobian, real_jacobian, tangent_pass):
         with pytest.raises(InsufficientClearance):
             routine(f, z)
 
@@ -240,7 +238,7 @@ def test_each_derivative_evaluates_one_batch(monkeypatch):
     z = np.array([0.1, 0.2j, -0.3])
     # the exact routes run the tangent pass and evaluate nothing
     for routine, batches in [(complex_jacobian, 0), (real_jacobian, 0),
-                             (holomorphy_residual, 0), (pluriharmonic_residual, 1),
+                             (tangent_pass, 0), (pluriharmonic_residual, 1),
                              (complex_jacobian_fd, 2)]:
         calls.clear()
         routine(f, z)
@@ -248,7 +246,7 @@ def test_each_derivative_evaluates_one_batch(monkeypatch):
     # a (k, n) stack is still one batch, or none
     zs = np.stack([z, 0.5 * z, -z, 1j * z])
     for routine, batches in [(complex_jacobian, 0), (real_jacobian, 0),
-                             (holomorphy_residual, 0), (pluriharmonic_residual, 1)]:
+                             (tangent_pass, 0), (pluriharmonic_residual, 1)]:
         calls.clear()
         routine(f, zs)
         assert len(calls) == batches, (routine.__name__, calls)

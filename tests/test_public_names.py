@@ -13,7 +13,8 @@ same name counts too.  No module but ``__init__.py``, whose imports are the
 exports, imports a name it never refers to.  Every field of ``CheckConfig``
 is read as an attribute by a package module outside the class.  And each
 check's verdict is built in its theorem module, not in the suite runner, and
-reads derivatives through ``diff``'s public names.  Per-row products go
+reads derivatives through ``diff``'s public names: ``tangent_pass``, the one
+reader of a pass, and the names the tracer's ``TARGETS`` list.  Per-row products go
 through numpy's ``vecdot`` and ``matvec``, not stacked matmuls, and complex
 Gaussian rows come from ``rng``.  The Carathéodory module builds no map tree.
 """
@@ -118,6 +119,23 @@ def test_the_runner_builds_no_verdict_and_no_module_reads_diff_privately():
                   and node.value.id == "diff" and node.attr[0] == "_"):
                 private.append(f"{path.name}: diff.{node.attr}")
     assert private == []
+
+
+def test_check_modules_import_from_diff_only_the_pass_and_the_traced_names():
+    # a name the tracer does not time is a second reader of the pass
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    [targets] = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    allowed = {"tangent_pass"} | {node.value for node in ast.walk(targets)
+                                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    extra = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "diff.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "diff":
+                extra += [f"{path.name}: {a.name}" for a in node.names if a.name not in allowed]
+    assert extra == []
 
 
 def _last_index_is_none(node: ast.AST) -> bool:

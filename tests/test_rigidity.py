@@ -24,7 +24,6 @@ from schwarz_lab import (
     evaluate,
     gallery,
     haar_unitary,
-    holomorphy_residual,
     identity_map,
     norm_p,
     parse_suite,
@@ -44,6 +43,7 @@ from schwarz_lab.rigidity import (
 )
 from schwarz_lab.rng import stream
 
+from helpers import cr_defect
 from test_maps import _trees
 
 FAST = CheckConfig(samples=400, grid_points=1500)
@@ -79,8 +79,8 @@ def test_identity_certified_all_variants():
         assert rep.verdict == "certified", (variant, p, rep.reason)
         target = float(n) if variant == "polydisk" else 1.0
         assert all(abs(v - target) <= 1e-9 for v in rep.equation_values)
-        assert rep.rank == n
-        assert rep.identity_residual <= 1e-12
+        assert rep.quantities["rank"] == n
+        assert rep.quantities["identity_residual"] <= 1e-12
 
 
 def test_insufficient_anchors_withholds_certificate():
@@ -92,8 +92,8 @@ def test_insufficient_anchors_withholds_certificate():
     assert rep.verdict == "hypotheses_fail"
     assert rep.reason == "insufficient anchors"
     assert all(abs(v - 1.0) <= 1e-9 for v in rep.equation_values)
-    assert rep.rank == n - 1
-    assert rep.identity_residual >= 0.1
+    assert rep.quantities["rank"] == n - 1
+    assert rep.quantities["identity_residual"] >= 0.1
 
 
 def test_negated_anchors_fail_equations():
@@ -183,6 +183,35 @@ def test_anchor_distinctness_is_an_absolute_test(angle, distinct):
         else:
             with pytest.raises(BadParams, match="distinct"):
                 RigidityInstance(identity_map(2), anchors, 2, "p2")
+
+
+def _near_duplicate_by_pairs(points):
+    # the pairwise loop RigidityInstance ran before the sorted window, kept as its reference
+    return any(np.allclose(points[i], points[j], rtol=0.0, atol=1e-12)
+               for i in range(len(points)) for j in range(i + 1, len(points)))
+
+
+_plants = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 2), st.booleans(),
+                             st.sampled_from([0.5e-12, 1e-12, 1.5e-12, 3e-12]), st.booleans()),
+                   max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 12), shared=st.integers(0, 12),
+       plants=_plants, seed=st.integers(0, 10_000))
+def test_near_duplicate_anchors_are_judged_as_the_pairwise_loop(n, k, shared, plants, seed):
+    # rows moved by 0.5, 1, 1.5 or 3 times the 1e-12 tolerance in one real or
+    # imaginary part, and rows sharing a first coordinate, which fill one window
+    gen = stream(seed, "near-duplicates", n)
+    rows = list(gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
+    for row in rows[:shared]:
+        row[0] = rows[0][0]
+    for i, j, imag, offset, negative in plants:
+        row = rows[i % k].copy()
+        row[j % n] += (1j if imag else 1.0) * (-offset if negative else offset)
+        rows.append(row)
+    points = np.array(rows)[gen.permutation(len(rows))]
+    assert rigidity._has_near_duplicate(points) == _near_duplicate_by_pairs(points)
 
 
 def test_proof_chain_identity_all_links():
@@ -430,8 +459,8 @@ def _ref_check_rigidity(inst, cfg):
 
     def partial(verdict, reason, fixed=(), eqs=(), rank=-1, nonneg=True,
                 jf0=(), ident=math.nan):
-        return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), rank,
-                              nonneg, tuple(jf0), ident, dict(quantities))
+        return RigidityReport(verdict, reason, tuple(fixed), tuple(eqs), nonneg, tuple(jf0),
+                              dict(quantities, rank=float(rank), identity_residual=ident))
 
     origin_res = float(norm_p(evaluate(f, np.zeros(n, dtype=complex)), e))
     quantities["origin_residual"] = origin_res
@@ -439,7 +468,7 @@ def _ref_check_rigidity(inst, cfg):
         return partial("hypotheses_fail", "map does not fix the origin")
     worst_holo = 0.0
     for a in inst.anchors:
-        worst_holo = max(worst_holo, float(holomorphy_residual(f, a.point)))
+        worst_holo = max(worst_holo, cr_defect(f, a.point))
     quantities["holomorphy_residual"] = worst_holo
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial("hypotheses_fail", "map is not holomorphic at the anchors")
@@ -479,9 +508,7 @@ def _ref_check_rigidity(inst, cfg):
     M = A.real if inst.variant == "rigidity_v" else A
     svals = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
-    quantities["rank"] = float(rank)
     ident = _ref_identity_residual(f, inst, cfg)
-    quantities["identity_residual"] = ident
     rest = dict(fixed=fixed, eqs=eqs, rank=rank, nonneg=nonneg, jf0=jf0, ident=ident)
     if not nonneg:
         return partial("hypotheses_fail", "anchors must be real with nonnegative coordinates",
@@ -637,5 +664,6 @@ def test_p2_rigidity_invariant_under_unitary_conjugation(name, k):
         g = Compose(LinearMatrix(U), Compose(f, LinearMatrix(U.conj().T)))
         moved = [BoundaryPoint(U @ a.point, 2, tolerance=1e-9) for a in anchors]
         rep_u = check_rigidity(RigidityInstance(g, moved, 2, "p2"), FAST)
-        assert (rep_u.verdict, rep_u.rank) == (rep.verdict, rep.rank)
+        assert ((rep_u.verdict, rep_u.quantities["rank"])
+                == (rep.verdict, rep.quantities["rank"]))
         assert np.max(np.abs(np.subtract(rep_u.equation_values, rep.equation_values))) <= 1e-9

@@ -9,6 +9,7 @@ import operator
 import pathlib
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from schwarz_lab import (BadParams, Coordinate, Power, Scale, SchemaError, geometry,
                          map_to_json, rigidity, suite)
 from schwarz_lab.maps import MAX_DEPTH
+from schwarz_lab.rng import stream
 from schwarz_lab.suite import (
     emit_report,
     parse_suite,
@@ -448,6 +450,20 @@ def test_runs_read_only_parsed_inputs(monkeypatch):
 
 _IDENTITY_2 = {"gallery": "identity", "params": {"n": 2}}
 _E1, _E2 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+
+
+def test_a_thousand_anchor_rigidity_suite_parses_in_under_a_second():
+    # anchor distinctness once took a Python loop over every pair: 12.5 s here
+    gen = stream(5, "many-anchors", 2)
+    z = gen.standard_normal((1000, 2)) + 1j * gen.standard_normal((1000, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    anchors = [[[c.real, c.imag] for c in row] for row in z.tolist()]
+    doc = small_config(jobs=[{"id": "many", "check": "rigidity", "map": _IDENTITY_2,
+                              "anchors": anchors, "exponent": 2, "variant": "p2"}])
+    start = time.perf_counter()
+    config = parse_suite(doc)
+    assert time.perf_counter() - start < 1.0
+    assert len(config.jobs[0].parsed["built"].anchors) == 1000
 
 
 def test_boundary_points_and_rigidity_instances_are_built_at_parse(monkeypatch):

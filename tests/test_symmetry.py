@@ -203,7 +203,8 @@ def test_rigidity_is_equivariant(case):
     inst, moved = case
     cfg = CheckConfig(samples=64, grid_points=64)
     v, w = check_rigidity(inst, cfg), check_rigidity(moved, cfg)
-    assert (w.verdict, w.reason, w.rank) == (v.verdict, v.reason, v.rank)
+    assert ((w.verdict, w.reason, w.quantities["rank"])
+            == (v.verdict, v.reason, v.quantities["rank"]))
     assert [(h.name, h.ok) for h in w.hypotheses] == [(h.name, h.ok) for h in v.hypotheses]
     assert len(w.fixed_point_residuals) == len(v.fixed_point_residuals)
     assert len(w.equation_values) == len(v.equation_values)

@@ -29,7 +29,6 @@ from schwarz_lab import (
     evaluate,
     gallery,
     haar_unitary,
-    harnack_certificate,
     identity_map,
     map_to_json,
     operator_norm_lower,
@@ -50,7 +49,7 @@ from schwarz_lab.geometry import (as_exponent, cinner, conjugate_exponent, cvect
                                   pluriharmonic_V, realify)
 from schwarz_lab.verify import _pseudo_hyperbolic_rows, _slice_chain, _square
 from schwarz_lab.rng import stream
-from helpers import boundary_slope_check, normal_tangent_decompose
+from helpers import boundary_slope_check, cr_defect, normal_tangent_decompose
 from test_maps import _small, _unimodular
 from test_rigidity import nan_map_json
 
@@ -524,7 +523,7 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
             (f0, _, f1), (J0, _, _), (_, res, _), (_, _, fprime1) = diff_module.tangent_pass(
                 f, np.array([[0.0], [probe], [1.0]]))
             assert J0.tobytes() == diff_module.complex_jacobian(f, origin).tobytes()
-            assert res == diff_module.holomorphy_residual(f, np.array([probe]))
+            assert res == cr_defect(f, np.array([probe]))
             one_vals, one_d = diff_module._derivatives(f, np.ones(1, dtype=complex))
             assert f1.tobytes() == one_vals.tobytes()
             assert fprime1.tobytes() == one_d[:, 0].tobytes()
@@ -533,7 +532,7 @@ def test_disk_verifiers_take_the_origin_jacobian_and_probe_defect_in_one_pass():
     f, probe = gallery("first_times_last", {"n": 3}), np.array([0.1, -0.2j, 0.3 + 0.1j])
     _, (J0, _), (_, res), _ = diff_module.tangent_pass(f, np.stack([np.zeros(3), probe]))
     assert J0.tobytes() == diff_module.complex_jacobian(f, np.zeros(3, dtype=complex)).tobytes()
-    assert res == diff_module.holomorphy_residual(f, probe)
+    assert res == cr_defect(f, probe)
 
 
 def _grow_disk_maps(maps):
@@ -718,13 +717,13 @@ def test_pluriharmonic_harnack_values_are_per_row_dots(n, seed):
     f = LinearMatrix(haar_unitary(n, gen))
     z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     z0 = BoundaryPoint(z / np.linalg.norm(z), 2)
-    seen = []
+    seen, harnack = [], verify_module._harnack
 
-    def capture(radii, values, center):
-        seen.append(np.asarray(values))
-        return harnack_certificate(radii, values, center)
+    def capture(values, center):
+        seen.append(values)
+        return harnack(values, center)
 
-    with mock.patch.object(verify_module, "harnack_certificate", capture):
+    with mock.patch.object(verify_module, "_harnack", capture):
         verify_pluriharmonic_boundary(f, z0, CFG)
     angles = 2.0 * np.pi * np.arange(verify_module.HARNACK_ANGLES) / verify_module.HARNACK_ANGLES
     zetas = np.asarray(verify_module.HARNACK_RADII)[:, None] * np.exp(1j * angles)
@@ -940,29 +939,31 @@ def test_pluriharmonic_rejects_nonpluriharmonic():
 
 
 def test_harnack_constant_and_sign_change():
-    radii = (0.1, 0.5, 0.9)
-    v = harnack_certificate(radii, np.full((3, 8), 2.0), 2.0)
-    assert v.passed and v.margin > 0.0
+    radii = verify_module.HARNACK_RADII
+    ok, margin = verify_module._harnack(np.full((len(radii), 8), 2.0), 2.0)
+    assert ok and margin > 0.0
     # phi = Re(zeta): sign-changing, center value 0
     angles = 2 * np.pi * np.arange(8) / 8
     vals = np.stack([r * np.cos(angles) for r in radii])
-    bad = harnack_certificate(radii, vals, 0.0)
-    assert not bad.passed
+    assert not verify_module._harnack(vals, 0.0)[0]
 
 
 def test_harnack_one_minus_re():
     # phi(zeta) = 1 - Re zeta, harmonic positive, center 1
-    radii = (0.5,)
+    radii = np.array(verify_module.HARNACK_RADII)
     angles = 2 * np.pi * np.arange(32) / 32
-    vals = (1.0 - 0.5 * np.cos(angles))[None, :]
-    v = harnack_certificate(radii, vals, 1.0)
-    assert v.passed
-    # min phi = 0.5, lower Harnack bound = 1/3
-    assert v.quantities["lower_slack"] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-12)
+    vals = 1.0 - radii[:, None] * np.cos(angles)
+    ok, margin = verify_module._harnack(vals, 1.0)
+    assert ok
+    # on the circle of radius r: min phi = 1 - r, lower Harnack bound = (1 - r)/(1 + r);
+    # the upper bound's slack is larger on every circle, so the lower sets the margin
+    lower = (1.0 - radii) - (1.0 - radii) / (1.0 + radii)
+    assert margin == pytest.approx(np.min(lower), abs=1e-12)
+    assert lower[4] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-12)
 
 
 def _harnack_slacks_by_row(radii, vals, c):
-    # the radius-by-radius loop harnack_certificate replaced, kept as its reference
+    # the radius-by-radius loop verify._harnack replaced, kept as its reference
     lower_slack = upper_slack = math.inf
     for i, r in enumerate(radii):
         lo = (1.0 - r) / (1.0 + r) * c
@@ -977,33 +978,16 @@ _grid_values = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]),
 
 
 @settings(max_examples=150, deadline=None)
-@given(radii=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=9),
-       angles=st.integers(1, 17), data=st.data(),
+@given(angles=st.integers(1, 17), data=st.data(),
        center=st.one_of(st.floats(0.0, 4.0), st.just(math.nan),
                         st.floats(allow_nan=True, allow_infinity=True)))
-def test_harnack_slacks_equal_the_radius_loop_bit_for_bit(radii, angles, data, center):
+def test_harnack_slacks_equal_the_radius_loop_bit_for_bit(angles, data, center):
+    radii = verify_module.HARNACK_RADII
     vals = np.array(data.draw(st.lists(_grid_values, min_size=len(radii) * angles,
                                        max_size=len(radii) * angles)))
     vals = vals.reshape(len(radii), angles)
     with np.errstate(all="ignore"):
         want = _harnack_slacks_by_row(radii, vals, center)
-        got = harnack_certificate(radii, vals, center)
-    lower, upper = got.quantities["lower_slack"], got.quantities["upper_slack"]
-    assert (lower.hex(), upper.hex()) == (want[0].hex(), want[1].hex())
-    assert got.margin.hex() == min(want).hex()
-
-
-@pytest.mark.parametrize("values", [np.ones(9), np.ones((1, 4)), np.ones((2, 4)),
-                                    np.vstack([np.ones((3, 4)), np.full((1, 4), -5.0)])])
-def test_harnack_grid_needs_a_row_per_radius(values):
-    # exactly one row per radius: an extra row would reach min_sample but no slack
-    with pytest.raises(BadParams):
-        harnack_certificate((0.1, 0.5, 0.9), values, 1.0)
-
-
-@pytest.mark.parametrize("radii, values", [([], np.zeros((0, 16))), ([0.5], np.zeros((1, 0)))],
-                         ids=["no-radius", "no-value-per-row"])
-def test_harnack_grid_needs_a_radius_and_a_value_per_row(radii, values):
-    # an empty grid would reach numpy as a reduction over no values
-    with pytest.raises(BadParams):
-        harnack_certificate(radii, values, 1.0)
+        ok, margin = verify_module._harnack(vals, center)
+    assert margin.hex() == min(want).hex()
+    assert ok == (center > 0.0 and float(vals.min()) >= 0.0 and min(want) >= -1e-12)
