@@ -29,7 +29,7 @@ from .geometry import (
     with_lp_norms,
 )
 from .maps import MapExpr, evaluate
-from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict, sample_ball
+from .verify import DEFAULT_CONFIG, CheckConfig, HypothesisCheck, Verdict
 
 VARIANTS = ("p2", "polydisk", "schwarz_v", "rigidity_v")
 
@@ -132,14 +132,25 @@ class RigidityReport:
         return (HypothesisCheck("nonneg_pairings", self.nonneg_ok, 0.0),)
 
 
+_KEY_TURNS = 0.6180339887498949  # golden-ratio turns: the key phases e^{2 pi i j turns} never repeat
+
+
 def _has_near_duplicate(points: np.ndarray) -> bool:
     """Whether two rows lie within 1e-12 in every coordinate, as np.allclose(a, b,
-    rtol=0, atol=1e-12) judges each pair.  Rows sorted by the real part of their
-    first coordinate are judged only against the rows within 2e-12 after them:
-    a pair within 1e-12 differs there by 1e-12 at most."""
-    rows = points[np.argsort(points[:, 0].real, kind="stable")]
-    key = rows[:, 0].real
-    width = np.searchsorted(key, key + 2e-12, side="right") - np.arange(len(rows))
+    rtol=0, atol=1e-12) judges each pair.  The sort key Re sum_j conj(u_j) z_j,
+    u_j fixed unit phases, is a filter only: a pair within 1e-12 differs there
+    by n * 1e-12 at most, and two keys and a window's end round by less than
+    4n eps times the largest sum of |terms|, so each row is judged against the
+    rows within both bounds after it."""
+    n = points.shape[1]
+    u = np.exp(2j * math.pi * _KEY_TURNS * np.arange(1, n + 1))
+    terms = np.concatenate([points.real, points.imag], axis=1)
+    w = np.concatenate([u.real, u.imag])
+    key = terms @ w
+    window = n * 1.000001e-12 + 4 * n * np.finfo(float).eps * np.max(np.abs(terms) @ np.abs(w))
+    order = np.argsort(key, kind="stable")
+    rows, key = points[order], key[order]
+    width = np.searchsorted(key, key + window, side="right") - np.arange(len(rows))
     for d in range(1, int(np.max(width))):
         i = np.flatnonzero(width[:-d] > d)
         if np.any(np.max(np.abs(rows[i + d] - rows[i]), axis=1) <= 1e-12):
@@ -246,7 +257,7 @@ def _identity_residual(inst: RigidityInstance, cfg: CheckConfig) -> float:
 def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
     """Every rigidity check short of the identity residual, anchors stacked.
 
-    Checks the origin, holomorphy, the self-map samples, the fixed points and
+    Checks the origin, holomorphy, the self-map grid, the fixed points and
     the pairing equations in that order, stopping at the first failure; then
     the nonneg test and the rank.  One tangent pass, at the origin and the
     anchors, gives F = f there, J_f(0) and the anchor Jacobians.  Returns
@@ -276,7 +287,7 @@ def _rigidity_core(inst: RigidityInstance, cfg: CheckConfig):
     if not (f.is_holomorphic and worst_holo <= cfg.holo_tol):
         return partial(HYPOTHESES_FAIL, "map is not holomorphic at the anchors")
 
-    pts = sample_ball(p, n, cfg.samples, cfg.seed, "rigidity-selfmap", 0.999)
+    pts = halton_ball_grid(p, n, cfg.samples)
     escape = float(np.max(lp_norm(evaluate(f, pts), p)))
     quantities["selfmap_escape"] = float(np.maximum(0.0, escape - 1.0))
     if not escape <= 1.0 + 1e-10:

@@ -16,7 +16,8 @@ check's verdict is built in its theorem module, not in the suite runner, and
 reads derivatives through ``diff``'s public names: ``tangent_pass``, the one
 reader of a pass, and the names the tracer's ``TARGETS`` list.  Per-row products go
 through numpy's ``vecdot`` and ``matvec``, not stacked matmuls, and complex
-Gaussian rows come from ``rng``.  The Carathéodory module builds no map tree.
+Gaussian rows come from ``rng``.  The Carathéodory module builds no map tree,
+and the rigidity module draws nothing keyed.
 """
 
 import ast
@@ -175,3 +176,16 @@ def test_caratheodory_imports_nothing_from_maps():
     modules = [getattr(node, "module", None) or "" for node in imports]
     names = [alias.name for node in imports for alias in node.names]
     assert [m for m in modules + names if m.split(".")[-1] == "maps"] == []
+
+
+def test_rigidity_imports_no_keyed_draw():
+    # its self-map escape and identity residual both read the deterministic grid
+    keyed = []
+    for node in ast.walk(ast.parse((PACKAGE / "rigidity.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            keyed += [f"{module}: {a.name}" for a in node.names
+                      if module == "rng" or a.name in ("rng", "sample_ball")]
+        elif isinstance(node, ast.Import):
+            keyed += [a.name for a in node.names if a.name.split(".")[-1] == "rng"]
+    assert keyed == []

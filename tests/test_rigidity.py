@@ -1,6 +1,7 @@
 """Rigidity certificates, the proof chain, and the counterexample gallery."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from schwarz_lab import (
     MapTuple,
     MoebiusDisk,
     PoleHit,
+    Scale,
     complex_jacobian,
     evaluate,
     gallery,
@@ -28,7 +30,6 @@ from schwarz_lab import (
     norm_p,
     parse_suite,
     run_suite,
-    sample_ball,
 )
 from schwarz_lab import diff, rigidity
 from schwarz_lab.geometry import lp_norm, with_lp_norms
@@ -212,6 +213,67 @@ def test_near_duplicate_anchors_are_judged_as_the_pairwise_loop(n, k, shared, pl
         rows.append(row)
     points = np.array(rows)[gen.permutation(len(rows))]
     assert rigidity._has_near_duplicate(points) == _near_duplicate_by_pairs(points)
+
+
+_offsets = st.sampled_from([0.5e-12, 1e-12 * (1 - 2**-30), 1e-12, 1e-12 * (1 + 2**-30), 1.5e-12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 12),
+       plants=st.lists(st.tuples(st.integers(0, 11), _offsets, st.booleans()), max_size=4),
+       seed=st.integers(0, 10_000))
+def test_near_duplicates_at_the_key_bound_are_judged_as_the_pairwise_loop(n, k, plants, seed):
+    # every row shares its first coordinate and the others lie on the unit
+    # circle; a planted row moves each coordinate by the same modulus along the
+    # key's phase u_j, so its key moves by n times that, the most a pair within
+    # that modulus can differ there
+    gen = stream(seed, "aligned-duplicates", n)
+    first = gen.standard_normal() + 1j * gen.standard_normal()
+    rows = [np.concatenate([[first], np.exp(2j * np.pi * gen.uniform(0.0, 1.0, n - 1))])
+            for _ in range(k)]
+    u = np.exp(2j * np.pi * rigidity._KEY_TURNS * np.arange(1, n + 1))
+    for i, offset, negative in plants:
+        rows.append(rows[i % k] + (-offset if negative else offset) * u)
+    points = np.array(rows)[gen.permutation(len(rows))]
+    assert rigidity._has_near_duplicate(points) == _near_duplicate_by_pairs(points)
+
+
+def test_ten_thousand_anchors_sharing_a_coordinate_are_judged_in_half_a_second():
+    # (0, e^{i theta_j}) once fell in one window keyed on Re z_1 alone: 5 s here
+    theta = 2 * np.pi * np.arange(10_000) / 10_000
+    points = np.stack([np.zeros(10_000), np.exp(1j * theta)], axis=1)
+    start = time.perf_counter()
+    assert not rigidity._has_near_duplicate(points)
+    assert time.perf_counter() - start < 0.5
+
+
+def _scaled_identity(n, t):
+    return MapTuple(tuple(Scale(t, Coordinate(j, n)) for j in range(n)))
+
+
+@pytest.mark.parametrize("p, n, samples", [(2, 1, 50), (3, 2, 400), (1.5, 3, 2000)])
+def test_selfmap_escape_is_the_largest_norm_over_the_samples_grid(p, n, samples):
+    f = _scaled_identity(n, 1.5)
+    inst = RigidityInstance(f, basis_anchors(n, p), p, "rigidity_v")
+    rep = check_rigidity(inst, CheckConfig(samples=samples, grid_points=64))
+    assert rep.reason == "map leaves the unit ball on samples"
+    grid = halton_ball_grid(p, n, samples)
+    assert rep.quantities["selfmap_escape"] == float(np.max(lp_norm(evaluate(f, grid), p))) - 1.0
+
+
+@pytest.mark.parametrize("factor, reason", [
+    (1 + 5e-10, "map leaves the unit ball on samples"),
+    (1 + 5e-11, "anchor is not a fixed point"),
+    (1 - 1e-12, "anchor is not a fixed point"),
+])
+def test_selfmap_gate_admits_escapes_up_to_1e_10(factor, reason):
+    # f = t z with t = factor / m, m the grid's largest norm, so the escape is
+    # factor - 1; t is not 1, so a map that passes the gate stops at the anchors
+    p, n = 3, 2
+    m = float(np.max(lp_norm(halton_ball_grid(p, n, FAST.samples), p)))
+    f = _scaled_identity(n, factor / m)
+    rep = check_rigidity(RigidityInstance(f, basis_anchors(n, p), p, "schwarz_v"), FAST)
+    assert (rep.verdict, rep.reason) == ("hypotheses_fail", reason)
 
 
 def test_proof_chain_identity_all_links():
@@ -472,7 +534,7 @@ def _ref_check_rigidity(inst, cfg):
     quantities["holomorphy_residual"] = worst_holo
     if not f.is_holomorphic or worst_holo > cfg.holo_tol:
         return partial("hypotheses_fail", "map is not holomorphic at the anchors")
-    pts = sample_ball(e, n, cfg.samples, cfg.seed, "rigidity-selfmap", 0.999)
+    pts = halton_ball_grid(e, n, cfg.samples)
     escape = float(np.max(lp_norm(evaluate(f, pts), e)))
     quantities["selfmap_escape"] = max(0.0, escape - 1.0)
     if escape > 1.0 + 1e-10:

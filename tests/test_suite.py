@@ -436,6 +436,26 @@ def test_seed_changes_samples_not_stability():
     assert row_a.margin != row_b.margin
 
 
+def test_rigidity_and_chain_rows_do_not_move_with_the_seed():
+    # both read the deterministic grid, the self-map escape of rigid-selfmap-escape too
+    paper = json.loads((SUITE_DIR / "paper.json").read_text())
+    outcomes = json.loads((GOLDEN.parent / "outcomes.json").read_text())
+    jobs = [job for job in paper["jobs"] + outcomes["jobs"]
+            if job["check"] in ("rigidity", "proof_chain")]
+    assert "rigid-selfmap-escape" in [job["id"] for job in jobs]
+    want, got = (emit_report(run_suite(parse_suite(dict(paper, jobs=jobs, seed=seed))), "jsonl")
+                 for seed in (7, 8))
+    assert got == want
+
+
+def test_a_second_paper_run_builds_no_grid():
+    config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
+    run_suite(config)
+    misses = rigidity._shared_grid.cache_info().misses
+    run_suite(config)
+    assert rigidity._shared_grid.cache_info().misses == misses
+
+
 def test_runs_read_only_parsed_inputs(monkeypatch):
     config = parse_suite((SUITE_DIR / "paper.json").read_bytes())
 
@@ -575,7 +595,8 @@ def test_threads_sharing_the_grid_memo_give_the_serial_report():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert reports == [want] * 6
-    assert rigidity._shared_grid.cache_info().currsize == 2
+    # per exponent, the 700-point identity grid and the 2,000-point self-map grid
+    assert rigidity._shared_grid.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("job, error", [
