@@ -12,7 +12,6 @@ from .errors import (
     PoleHit,
     SchemaError,
     SchwarzLabError,
-    StepTooLarge,
     ZeroVector,
 )
 from .geometry import (
@@ -52,7 +51,6 @@ from .gallery import (
     haar_unitary,
 )
 from .diff import (
-    JacobianRecord,
     RadialDerivative,
     RichardsonConfig,
     complex_jacobian,

@@ -4,14 +4,15 @@
   derivatives from one forward-mode tangent pass (Griewank and Walther,
   Evaluating Derivatives, 2nd ed., 2008): each node's _tangent carries f(z)
   and df/dz . v + df/dz-bar . conj(v) along the directions v = e_j, i e_j;
-* complex_jacobian_fd: fourth-order central differences along the same
-  directions, via the Cauchy-Riemann relations; the exact route's cross-check.
+* complex_jacobian_fd: one fourth-order central-difference stencil at step
+  1e-4 along the same directions, via the Cauchy-Riemann relations; the exact
+  route's cross-check.  A near-pole probe raises InsufficientClearance.
 
 tangent_pass, the checks' reader, returns from one pass f's values at its
 points, the complex Jacobian, the Cauchy-Riemann defect and the derivative
 along e_1.  radial_boundary_derivative, a Richardson ladder on the
 one-sided radial quotient, serves only the one-variable equality case,
-which makes no tangent pass.
+which makes no tangent pass.  Every step is a module constant.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientClearance, NoConvergence, PoleHit, StepTooLarge
+from .errors import DimensionMismatch, InsufficientClearance, NoConvergence, PoleHit
 from .geometry import BoundaryPoint, _directions, cvector, l2_norm_rows
 from .maps import MapExpr, _as_points, _EvalCtx, evaluate
 from . import rng as _rng
 
 # smallest admissible Moebius denominator at a differentiation point or probe
 _DENOMINATOR_FLOOR = 1e-6
+_FD_STEP = 1e-4                 # complex_jacobian_fd's stencil step
+_PH_STEP = 2e-4                 # pluriharmonic_residual's Laplacian step
 
 
 @dataclass(frozen=True)
@@ -38,30 +41,22 @@ class RichardsonConfig:
 
 
 @dataclass(frozen=True)
-class JacobianRecord:
-    matrix: np.ndarray
-    method: str
-    scale: float                # step size
-    error_estimate: float
-
-
-@dataclass(frozen=True)
 class RadialDerivative:
     value: np.ndarray           # J_f(z0) . inward
     error_estimate: float
     stages_used: int
 
 
-def _guarded(run, err_cls, what: str):
+def _guarded(run, what: str):
     """run(ctx) on a fresh evaluation context, rejecting near-pole points."""
     ctx = _EvalCtx()
     try:
         out = run(ctx)
     except PoleHit as exc:
-        raise err_cls(f"{what}: {exc}") from exc
+        raise InsufficientClearance(f"{what}: {exc}") from exc
     if ctx.min_denominator < _DENOMINATOR_FLOOR:
-        raise err_cls(f"{what}: Moebius denominator {ctx.min_denominator:.2e} "
-                      f"below floor {_DENOMINATOR_FLOOR:.1e}")
+        raise InsufficientClearance(f"{what}: Moebius denominator {ctx.min_denominator:.2e} "
+                                    f"below floor {_DENOMINATOR_FLOOR:.1e}")
     return out
 
 
@@ -82,8 +77,7 @@ def _derivatives(f: MapExpr, z):
     k, n = zs.shape
     pts = np.repeat(zs, 2 * n, axis=0)
     dirs = np.tile(_directions(n), (k, 1))
-    vals, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), InsufficientClearance,
-                       "tangent pass")
+    vals, d = _guarded(lambda ctx: f._tangent(pts, dirs, ctx), "tangent pass")
     vals = vals.reshape(k, 2 * n, -1)[:, 0]
     # C order: products with the matrices round by their memory layout
     d = np.ascontiguousarray(d.reshape(k, 2 * n, -1).transpose(0, 2, 1))
@@ -110,31 +104,27 @@ _FD4_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _FD4_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 
 
-def _fd4(f: MapExpr, z, h: float, what: str) -> np.ndarray:
+def _fd4(f: MapExpr, z) -> np.ndarray:
     """Fourth-order derivatives of f at one point along the 2n real directions
-    e_j, i e_j: shape (m, 2n), the x-directions first.  The 8n probe points
-    are evaluated as one batch.
+    e_j, i e_j at step _FD_STEP: shape (m, 2n), the x-directions first.  The 8n
+    probe points are evaluated as one batch.
     """
     z = cvector(z)
     n = z.size
-    pts = z + (_FD4_OFFSETS[:, None, None] * h) * _directions(n)
-    vals = _guarded(lambda ctx: evaluate(f, pts.reshape(-1, n), ctx=ctx), StepTooLarge,
-                    what).reshape(len(_FD4_OFFSETS), 2 * n, -1)
-    w = _FD4_WEIGHTS[:, None] / (12.0 * h)
+    pts = z + (_FD4_OFFSETS[:, None, None] * _FD_STEP) * _directions(n)
+    vals = _guarded(lambda ctx: evaluate(f, pts.reshape(-1, n), ctx=ctx),
+                    "finite difference").reshape(len(_FD4_OFFSETS), 2 * n, -1)
+    w = _FD4_WEIGHTS[:, None] / (12.0 * _FD_STEP)
     # one sum per direction: one sum over the whole batch can round differently
     return np.stack([(w * vals[:, c]).sum(axis=0) for c in range(2 * n)], axis=1)
 
 
-def complex_jacobian_fd(f: MapExpr, z, h: float = 1e-4) -> JacobianRecord:
-    """Finite-difference Jacobian: (d/dx - i d/dy)/2 per coordinate.
-
-    Independent of the tangent pass; used as its cross-check.  The error
-    estimate compares steps h and 2h.
+def complex_jacobian_fd(f: MapExpr, z) -> np.ndarray:
+    """Finite-difference Jacobian (d/dx - i d/dy)/2 per coordinate at one point:
+    the (m, n) matrix from _fd4's stencil.  Independent of the tangent pass;
+    used as its cross-check.
     """
-    z = cvector(z)
-    jac, jac_coarse = (_wirtinger(_fd4(f, z, step, "finite difference")) for step in (h, 2.0 * h))
-    err = float(np.max(np.abs(jac - jac_coarse))) / 15.0 if jac.size else 0.0
-    return JacobianRecord(jac, "central_difference", h, err)
+    return _wirtinger(_fd4(f, z))
 
 
 def real_jacobian(f: MapExpr, z) -> np.ndarray:
@@ -170,19 +160,20 @@ def tangent_pass(f: MapExpr, z):
     return vals, _wirtinger(d), _cr_defect(d), d[..., 0]
 
 
-def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
+def pluriharmonic_residual(f: MapExpr, z, seed=0):
     """Max 5-point discrete Laplacian of f along 8 random complex lines through z.
 
     Pluriharmonic maps are harmonic on every complex line, so the residual
-    is O(h^2) for them and order-one for genuinely non-harmonic maps such
-    as z -> |z_1|^2.  One point (n,) gives a float; a (k, n) stack gives the
-    k residuals, each equal to its one-point value bit for bit, because
-    every point uses the same 8 lines.  The 40 probe points of every point
-    are evaluated as one batch.
+    is O(h^2), h = _PH_STEP, for them and order-one for genuinely non-harmonic
+    maps such as z -> |z_1|^2.  One point (n,) gives a float; a (k, n) stack
+    gives the k residuals, each equal to its one-point value bit for bit,
+    because every point uses the same 8 lines.  The 40 probe points of every
+    point are evaluated as one batch.
     """
     zs, single = _as_points(z, f.input_dim)
     cvector(zs)
     k, n = zs.shape
+    h = _PH_STEP
     d = _rng.gaussian_pairs(_rng.stream(seed, "ph-residual", n), 8, n)
     d /= l2_norm_rows(d)[:, None]
     c = np.broadcast_to(zs[:, None, :], (k, 8, n))
@@ -198,23 +189,18 @@ def pluriharmonic_residual(f: MapExpr, z, h: float = 2e-4, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def radial_boundary_derivative(
-    f: MapExpr,
-    z0,
-    inward,
-    cfg: RichardsonConfig | None = None,
-) -> RadialDerivative:
+def radial_boundary_derivative(f: MapExpr, z0, inward) -> RadialDerivative:
     """Richardson-extrapolated J_f(z0) . inward from one-sided quotients.
 
-    Uses Q(t) = (f(z0) - f(z0 - t * inward)) / t on the ladder
+    Uses Q(t) = (f(z0) - f(z0 - t * inward)) / t on RichardsonConfig()'s ladder
     t = t0 * 2^{-k}; the quotient has an expansion in integer powers of t,
     so each extrapolation stage cancels one more order; z0 joins the ladder's batch.
     """
-    cfg = cfg or RichardsonConfig()
+    cfg = RichardsonConfig()
     z0 = z0.point if isinstance(z0, BoundaryPoint) else cvector(z0)
     inward = cvector(inward)
     if inward.size != z0.size:
-        raise StepTooLarge("inward direction dimension mismatch")
+        raise DimensionMismatch("inward direction dimension mismatch")
     ts = cfg.t0 * 0.5 ** np.arange(cfg.stages + 1)
     vals = evaluate(f, np.stack([z0] + [z0 - t * inward for t in ts]))
     quot = (vals[:1] - vals[1:]) / ts[:, None]

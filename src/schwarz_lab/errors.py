@@ -42,11 +42,7 @@ class PoleHit(SchwarzLabError):
 
 
 class InsufficientClearance(SchwarzLabError):
-    """A Moebius denominator at a point to differentiate at is under the clearance floor."""
-
-
-class StepTooLarge(SchwarzLabError):
-    """Finite-difference step exceeds the map's analyticity clearance."""
+    """A Moebius denominator at a point or probe of a derivative is under the clearance floor."""
 
 
 class NoConvergence(SchwarzLabError):

@@ -181,7 +181,7 @@ def verify_schwarz_pick(f: MapExpr, p, cfg: CheckConfig = DEFAULT_CONFIG) -> Ver
         raise BadParams("self-map verification needs matching dimensions")
     origin = np.zeros(n, dtype=complex)
     f0 = evaluate(f, origin)
-    origin_res = float(norm_p(f0, p)) if np.any(f0) else 0.0
+    origin_res = float(norm_p(f0, p))
     if not origin_res <= cfg.origin_tol:
         raise HypothesisFailed(
             f"map must fix the origin; ||f(0)||_p = {origin_res:.3e}"

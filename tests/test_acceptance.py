@@ -232,7 +232,7 @@ def test_criterion_09_differentiation_cross_checks():
         for z in pts:
             exact = sl.complex_jacobian(f, z)
             rf = sl.complex_jacobian_fd(f, z)
-            worst = max(worst, float(np.max(np.abs(exact - rf.matrix))))
+            worst = max(worst, float(np.max(np.abs(exact - rf))))
 
     worst_chain = 0.0
     parts = [sl.gallery("scaled_identity", {"n": 2, "t": 0.6}),

@@ -10,12 +10,12 @@ from schwarz_lab import (
     Compose,
     ConjugateCoordinate,
     Coordinate,
+    DimensionMismatch,
     InsufficientClearance,
     MoebiusDisk,
     NoConvergence,
     PoleHit,
     Product,
-    StepTooLarge,
     complex_jacobian,
     complex_jacobian_fd,
     evaluate,
@@ -72,7 +72,7 @@ def test_cauchy_vs_fd_cross_validation():
     for _ in range(5):
         z = np.array([complex(gen.uniform(-0.5, 0.5), gen.uniform(-0.5, 0.5))])
         a = complex_jacobian(f, z)
-        b = complex_jacobian_fd(f, z).matrix
+        b = complex_jacobian_fd(f, z)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -84,8 +84,8 @@ def test_cauchy_and_fd_jacobians_agree_on_random_trees(f):
     z = 0.3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
     try:
         a = complex_jacobian(f, z)
-        b = complex_jacobian_fd(f, z).matrix
-    except (InsufficientClearance, StepTooLarge):
+        b = complex_jacobian_fd(f, z)
+    except InsufficientClearance:
         reject()
     assert np.max(np.abs(a - b)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
 
@@ -190,8 +190,8 @@ def test_tangent_real_jacobian_equals_fd4_on_all_trees(f, seed):
     z = 0.3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
     try:
         J = real_jacobian(f, z)
-        d = diff._fd4(f, z, 1e-4, "finite difference")
-    except (InsufficientClearance, StepTooLarge):
+        d = diff._fd4(f, z)
+    except InsufficientClearance:
         reject()
     assert np.max(np.abs(J - np.vstack([d.real, d.imag]))) <= 1e-6 * (1.0 + np.max(np.abs(d)))
 
@@ -239,7 +239,7 @@ def test_each_derivative_evaluates_one_batch(monkeypatch):
     # the exact routes run the tangent pass and evaluate nothing
     for routine, batches in [(complex_jacobian, 0), (real_jacobian, 0),
                              (tangent_pass, 0), (pluriharmonic_residual, 1),
-                             (complex_jacobian_fd, 2)]:
+                             (complex_jacobian_fd, 1)]:
         calls.clear()
         routine(f, z)
         assert len(calls) == batches, (routine.__name__, calls)
@@ -331,10 +331,24 @@ def test_radial_derivative_of_square_at_one():
 
 
 def test_radial_derivative_reports_nonconvergence():
-    # a degree-8 difference quotient cannot be extrapolated to 1e-15 in 3 stages
-    from schwarz_lab import Power, RichardsonConfig
-
-    f = Power(9, Coordinate(0, 1))
-    cfg = RichardsonConfig(t0=0.5, stages=3, tol=1e-15)
+    # the pole at 1/0.99 sits 0.0101 past z = 1, about the ladder's coarsest
+    # step 1e-2, so the default ladder stalls at 1.4e-7, over its 1e-9 tolerance
+    f = MoebiusDisk(-0.99, 1.0, Coordinate(0, 1))
     with pytest.raises(NoConvergence):
-        radial_boundary_derivative(f, np.array([1.0 + 0j]), np.array([1.0 + 0j]), cfg)
+        radial_boundary_derivative(f, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+
+
+def test_a_finite_difference_probe_on_a_pole_raises_insufficient_clearance():
+    # the pole is at -2, so the +h probe along x from -2 - 1e-4 lands on it;
+    # the point itself is clear of the pole, and the tangent pass accepts it
+    f = MoebiusDisk(0.5, 1.0, Coordinate(0, 1))
+    z = np.array([-2.0 - 1e-4 + 0j])
+    complex_jacobian(f, z)
+    with pytest.raises(InsufficientClearance, match="finite difference"):
+        complex_jacobian_fd(f, z)
+
+
+def test_a_ladder_direction_of_the_wrong_dimension_raises_dimension_mismatch():
+    f = gallery("square_first", {"n": 2})
+    with pytest.raises(DimensionMismatch):
+        radial_boundary_derivative(f, np.zeros(2, dtype=complex), np.ones(1, dtype=complex))

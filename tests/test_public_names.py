@@ -17,7 +17,9 @@ reads derivatives through ``diff``'s public names: ``tangent_pass``, the one
 reader of a pass, and the names the tracer's ``TARGETS`` list.  Per-row products go
 through numpy's ``vecdot`` and ``matvec``, not stacked matmuls, and complex
 Gaussian rows come from ``rng``.  The Carathéodory module builds no map tree,
-and the rigidity module draws nothing keyed.
+and the rigidity module draws nothing keyed.  No public ``diff`` routine has a
+knob: its only defaulted parameter may be ``seed``.  Every exception class is
+raised by some package module.
 """
 
 import ast
@@ -189,3 +191,28 @@ def test_rigidity_imports_no_keyed_draw():
         elif isinstance(node, ast.Import):
             keyed += [a.name for a in node.names if a.name.split(".")[-1] == "rng"]
     assert keyed == []
+
+
+def test_public_diff_routines_default_no_parameter_but_the_seed():
+    # steps and ladders are module constants; a default no caller sets is a knob
+    knobs = []
+    for node in ast.parse((PACKAGE / "diff.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            knobs += [f"{node.name}({a.arg})" for a in defaulted if a.arg != "seed"]
+    assert knobs == []
+
+
+def test_every_exception_class_is_raised_by_the_package():
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert sorted(classes - raised) == []

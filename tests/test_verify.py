@@ -1,6 +1,7 @@
 """Verifier verdicts: frozen values, extremal equality, hypothesis gating."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from schwarz_lab import (
     haar_unitary,
     identity_map,
     map_to_json,
+    norm_p,
     operator_norm_lower,
     parse_suite,
     run_suite,
@@ -255,6 +257,31 @@ def test_schwarz_pick_origin_gate_reads_origin_tol():
         verify_schwarz_pick(f, 2, CheckConfig(samples=50))
     v = verify_schwarz_pick(f, 2, CheckConfig(samples=50, origin_tol=1e-8))
     assert v.hypotheses[0].residual == pytest.approx(1e-9)
+
+
+@pytest.mark.parametrize("p", [1.25, 2, 3, 100, 1e300, "inf"])
+def test_schwarz_pick_reports_a_zero_origin_residual_as_plus_zero(p):
+    # the residual is ||f(0)||_p with no branch for f(0) = 0, so the norm of
+    # zeros and signed zeros must be +0.0 and raise no warning
+    signed = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.zeros(3, dtype=complex), signed, signed[:1]):
+            r = norm_p(z, p)
+            assert r == 0.0 and math.copysign(1.0, r) == 1.0
+        # -z sends the origin to (-0, -0)
+        v = verify_schwarz_pick(Scale(-1.0, identity_map(2)), p, CheckConfig(samples=50))
+    assert math.copysign(1.0, v.hypotheses[0].residual) == 1.0
+    assert v.hypotheses[0].residual == 0.0
+
+
+@pytest.mark.parametrize("t, ok", [(1 + 5e-9, False), (1 + 5e-10, True)])
+def test_schwarz_pick_operator_norm_gate_sits_at_1e_9(t, ok):
+    # J_f(0) = t I has norm t at every p; the gate is opnorm <= 1 + 1e-9
+    v = verify_schwarz_pick(Scale(t, identity_map(2)), 2, CheckConfig(samples=50))
+    check = {h.name: h for h in v.hypotheses}["operator_norm_le_1"]
+    assert check.ok is ok
+    assert check.residual == pytest.approx(t - 1.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("count", ["samples", "grid_points", "starts", "iters"])
@@ -759,6 +786,19 @@ def test_lp_boundary_nonfixing_origin_reports_lambda_only():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("verifier, p, name", [
+    (verify_lp_boundary_schwarz, 3, "normal_proportionality"),
+    (verify_liu_wang, 2, "normal_eigenvector")])
+@pytest.mark.parametrize("delta, ok", [(5e-6, False), (5e-7, True)])
+def test_normal_eigenvector_gates_sit_at_1e_6(verifier, p, name, delta, ok):
+    # J = [[1, delta], [0, 1]] fixes e_1, and J^H e_1 - e_1 = (0, delta)
+    f = LinearMatrix(np.array([[1.0, delta], [0.0, 1.0]], dtype=complex))
+    v = verifier(f, BoundaryPoint(np.array([1.0, 0.0], dtype=complex), p), CFG)
+    check = {h.name: h for h in v.hypotheses}[name]
+    assert check.ok is ok
+    assert check.residual == pytest.approx(delta, rel=1e-9)
+
+
 def test_liu_wang_identity():
     z0 = BoundaryPoint(np.array([0.6, 0.8], dtype=complex), 2)
     v = verify_liu_wang(identity_map(2), z0, CFG)
@@ -826,6 +866,22 @@ def test_product_mixed_fixes_no_slice():
     f = gallery("product_mixed", {"n": 2, "m": 2})
     with pytest.raises(HypothesisFailed):
         verify_product_slice(f, identity_map(2), np.zeros(2), 2, 2, 2, CFG)
+
+
+@pytest.mark.parametrize("delta", [5e-10, 5e-11])
+def test_product_slice_gap_gate_sits_at_1e_10(delta):
+    # product_moebius plus delta in each component misses the slice by delta
+    n, m, params = 1, 2, {"a": [0.3, 0.3], "rotation": [1.0, 1.0]}
+    f = gallery("product_moebius", {"n": n, "m": m, **params})
+    shifted = MapTuple(tuple(Sum((Compose(Coordinate(i, m), f), Constant(delta, n + m)))
+                             for i in range(m)))
+    phi = gallery("moebius_tuple", {"m": m, **params})
+    if delta > 1e-10:
+        with pytest.raises(HypothesisFailed, match="slice at z_fix is not fixed"):
+            verify_product_slice(shifted, phi, np.zeros(n), 2, n, m, CFG)
+    else:
+        v = verify_product_slice(shifted, phi, np.zeros(n), 2, n, m, CFG)
+        assert v.quantities["slice_gap"] == pytest.approx(delta, rel=1e-6)
 
 
 def test_product_slice_polydisk_factor():
