@@ -6,10 +6,11 @@ pass (see diff.py).  Scalar nodes produce one output; MapTuple and
 LinearMatrix assemble vector maps.  Holomorphy is syntactic: a tree is
 holomorphic iff it contains no ConjugateCoordinate leaf.  Each node class is
 the one description of its node: a JSON ``tag``, dataclass fields that are
-its JSON keys, in order, and its value (_eval) and derivative (_tangent);
-leaves add ``input_dim`` and vector nodes ``output_dim``.  _children() and
-the JSON encoding follow from the fields.  Conjugation and component
-extraction are compositions: conj(f) is
+its JSON keys, in order, and its one arithmetic, _tangent, which gives its
+value and, along a direction, its derivative; evaluate is that pass without
+a direction.  Leaves add ``input_dim`` and vector nodes ``output_dim``.
+_children() and the JSON encoding follow from the fields.  Conjugation and
+component extraction are compositions: conj(f) is
 ``Compose(MapTuple(tuple(ConjugateCoordinate(j, m) for j in range(m))), f)``
 and f_i is ``Compose(Coordinate(i, m), f)``, for f with output in C^m.
 """
@@ -52,8 +53,8 @@ class _EvalCtx:
 
 @dataclass(frozen=True, eq=False)
 class MapExpr:
-    """Base class.  Subclasses set ``tag`` and implement _eval and _tangent;
-    leaves also implement input_dim, and vector nodes output_dim."""
+    """Base class.  Subclasses set ``tag`` and implement _tangent; leaves also
+    implement input_dim, and vector nodes output_dim."""
 
     tag: ClassVar[str]
 
@@ -89,12 +90,10 @@ class MapExpr:
     def is_holomorphic(self) -> bool:
         return all(c.is_holomorphic for c in self._children())
 
-    def _eval(self, z: np.ndarray, ctx: _EvalCtx):
-        raise NotImplementedError
-
-    def _tangent(self, z: np.ndarray, v: np.ndarray, ctx: _EvalCtx):
-        """(f(z), df/dz . v + df/dz-bar . conj(v)) row by row: the values _eval
-        gives and the exact derivative along the real direction v of each row."""
+    def _tangent(self, z: np.ndarray, v: np.ndarray | None, ctx: _EvalCtx):
+        """(f(z), df/dz . v + df/dz-bar . conj(v)) row by row: f's values and the
+        exact derivative along the real direction v of each row, or (f(z), None)
+        when v is None, which computes no derivative."""
         raise NotImplementedError
 
 
@@ -118,7 +117,7 @@ def evaluate(f: MapExpr, z, ctx: _EvalCtx | None = None) -> np.ndarray:
     """Evaluate f at one point (returns shape (m,)) or a batch (returns (B, m))."""
     pts, single = _as_points(z, f.input_dim)
     ctx = ctx or _EvalCtx()
-    vals = f._eval(pts, ctx)
+    vals = f._tangent(pts, None, ctx)[0]
     if f.is_scalar and vals.ndim == 1:
         vals = vals.reshape(-1, 1)
     return vals[0] if single else vals
@@ -152,12 +151,12 @@ class Coordinate(MapExpr):
     def input_dim(self):
         return self.dim
 
-    def _eval(self, z, ctx):
-        return z[:, self.index]
+    def _at(self, x):
+        return x[:, self.index]
 
     def _tangent(self, z, v, ctx):
-        # real-linear, as is ConjugateCoordinate: the derivative along v is the value at v
-        return self._eval(z, ctx), self._eval(v, ctx)
+        # real-linear, as are ConjugateCoordinate and LinearMatrix: d/dv is the value at v
+        return self._at(z), None if v is None else self._at(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +170,8 @@ class ConjugateCoordinate(Coordinate):
     def is_holomorphic(self):
         return False
 
-    def _eval(self, z, ctx):
-        return np.conj(z[:, self.index])
+    def _at(self, x):
+        return np.conj(x[:, self.index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,11 +191,9 @@ class Constant(MapExpr):
     def input_dim(self):
         return self.dim
 
-    def _eval(self, z, ctx):
-        return np.full(z.shape[0], self.value, dtype=complex)
-
     def _tangent(self, z, v, ctx):
-        return self._eval(z, ctx), np.zeros(z.shape[0], dtype=complex)
+        val = np.full(z.shape[0], self.value, dtype=complex)
+        return val, None if v is None else np.zeros(z.shape[0], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +223,11 @@ class Sum(MapExpr):
         object.__setattr__(self, "terms", _check_scalar_children("Sum", self.terms))
         super().__post_init__()
 
-    def _eval(self, z, ctx):
-        acc = self.terms[0]._eval(z, ctx)
-        for t in self.terms[1:]:
-            acc = acc + t._eval(z, ctx)
-        return acc
-
     def _tangent(self, z, v, ctx):
         acc, dacc = self.terms[0]._tangent(z, v, ctx)
         for t in self.terms[1:]:
             val, dval = t._tangent(z, v, ctx)
-            acc, dacc = acc + val, dacc + dval
+            acc, dacc = acc + val, None if v is None else dacc + dval
         return acc, dacc
 
 
@@ -249,17 +240,11 @@ class Product(MapExpr):
         object.__setattr__(self, "factors", _check_scalar_children("Product", self.factors))
         super().__post_init__()
 
-    def _eval(self, z, ctx):
-        acc = self.factors[0]._eval(z, ctx)
-        for t in self.factors[1:]:
-            acc = acc * t._eval(z, ctx)
-        return acc
-
     def _tangent(self, z, v, ctx):
         acc, dacc = self.factors[0]._tangent(z, v, ctx)
         for t in self.factors[1:]:
             val, dval = t._tangent(z, v, ctx)
-            acc, dacc = acc * val, dacc * val + acc * dval
+            acc, dacc = acc * val, None if v is None else dacc * val + acc * dval
         return acc, dacc
 
 
@@ -279,12 +264,9 @@ class Scale(MapExpr):
     def output_dim(self):
         return self.inner.output_dim
 
-    def _eval(self, z, ctx):
-        return self.factor * self.inner._eval(z, ctx)
-
     def _tangent(self, z, v, ctx):
         val, dval = self.inner._tangent(z, v, ctx)
-        return self.factor * val, self.factor * dval
+        return self.factor * val, None if v is None else self.factor * dval
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,13 +285,10 @@ class Power(MapExpr):
             raise BadParams("Power applies to scalar maps")
         super().__post_init__()
 
-    def _eval(self, z, ctx):
-        return self.inner._eval(z, ctx) ** self.exponent
-
     def _tangent(self, z, v, ctx):
         w, dw = self.inner._tangent(z, v, ctx)
         k = self.exponent
-        return w**k, (k * w ** max(k - 1, 0)) * dw
+        return w**k, None if v is None else (k * w ** max(k - 1, 0)) * dw
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +315,8 @@ class MoebiusDisk(MapExpr):
             raise BadParams("MoebiusDisk applies to scalar maps")
         super().__post_init__()
 
-    def _rotated(self, u, ctx):
-        """(rotation * u, its denominator 1 + conj(a) rotation u), guarding the pole."""
+    def _tangent(self, z, v, ctx):
+        u, du = self.inner._tangent(z, v, ctx)
         w = self.rotation * u
         den = 1.0 + np.conj(self.a) * w
         dmin = float(np.abs(den).min())
@@ -345,17 +324,9 @@ class MoebiusDisk(MapExpr):
             ctx.min_denominator = dmin
         if dmin <= _POLE_TOL:
             raise PoleHit("Moebius denominator vanished")
-        return w, den
-
-    def _eval(self, z, ctx):
-        w, den = self._rotated(self.inner._eval(z, ctx), ctx)
-        return (self.a + w) / den
-
-    def _tangent(self, z, v, ctx):
-        u, du = self.inner._tangent(z, v, ctx)
-        w, den = self._rotated(u, ctx)
         # d/du (a + rotation u) / den = rotation (1 - |a|^2) / den^2
-        return (self.a + w) / den, (self.rotation * (1.0 - abs(self.a) ** 2) / den**2) * du
+        return (self.a + w) / den, None if v is None else (
+            self.rotation * (1.0 - abs(self.a) ** 2) / den**2) * du
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +357,12 @@ class LinearMatrix(MapExpr):
     def output_dim(self):
         return self.matrix.shape[0]
 
-    def _eval(self, z, ctx):
-        out = z @ self.matrix.T
+    def _at(self, x):
+        out = x @ self.matrix.T
         return out[:, 0] if self.is_scalar else out  # (k,) rows, as every scalar node
 
     def _tangent(self, z, v, ctx):
-        return self._eval(z, ctx), self._eval(v, ctx)
+        return self._at(z), None if v is None else self._at(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,17 +385,12 @@ class Compose(MapExpr):
     def output_dim(self):
         return self.outer.output_dim
 
-    def _eval(self, z, ctx):
-        mid = self.inner._eval(z, ctx)
-        if mid.ndim == 1:
-            mid = mid.reshape(-1, 1)
-        return self.outer._eval(mid, ctx)
-
     def _tangent(self, z, v, ctx):
         # chain rule: the inner derivative is the outer map's direction
         mid, dmid = self.inner._tangent(z, v, ctx)
         if mid.ndim == 1:
-            mid, dmid = mid.reshape(-1, 1), dmid.reshape(-1, 1)
+            mid = mid.reshape(-1, 1)
+            dmid = None if v is None else dmid.reshape(-1, 1)
         return self.outer._tangent(mid, dmid, ctx)
 
 
@@ -445,14 +411,14 @@ class MapTuple(MapExpr):
     def output_dim(self):
         return len(self.components)
 
-    def _eval(self, z, ctx):
-        out = np.empty((z.shape[0], len(self.components)), dtype=complex)
-        for j, c in enumerate(self.components):
-            out[:, j] = c._eval(z, ctx)
-        return out
-
     def _tangent(self, z, v, ctx):
-        val, dval = np.empty((2, z.shape[0], len(self.components)), dtype=complex)
+        shape = (z.shape[0], len(self.components))
+        if v is None:
+            val = np.empty(shape, dtype=complex)
+            for j, c in enumerate(self.components):
+                val[:, j] = c._tangent(z, None, ctx)[0]
+            return val, None
+        val, dval = np.empty((2, *shape), dtype=complex)
         for j, c in enumerate(self.components):
             val[:, j], dval[:, j] = c._tangent(z, v, ctx)
         return val, dval

@@ -184,21 +184,17 @@ def _first_primes(k: int) -> np.ndarray:
 
 def _halton_column(base: int, count: int, out: np.ndarray) -> np.ndarray:
     """out[:] = the van der Corput sequence in `base` at indices 1..count, in place.
-    Digit k takes the values 0..base - 1 in turn, each for base**k indices, so its
-    terms digit * b2r are one cycle (cut at count + 1 entries) copied along the
-    column.  Digits add lowest first, b2r = 1/base then /= base: the roundings
+    Level k holds the sums of the k lowest digits of the indices 0..base**k - 1;
+    level k + 1 is base copies of it, copy d plus digit k's term d * b2r, and
+    the last level stops at index count, so none holds over 2(count + 1)
+    entries.  Digits add lowest first, b2r = 1/base then /= base: the roundings
     tests/test_rigidity.py pins to the reference Halton sampler bit for bit."""
-    term = np.empty(count + 1)  # one digit's terms at the indices 0..count
-    out[:] = 0.0
-    b2r, hold = 1.0 / base, 1
-    while hold <= count:
-        cycle = min(base * hold, count + 1)
-        term[:cycle] = np.arange(cycle) // hold * b2r
-        reps = (count + 1) // cycle
-        term[cycle:reps * cycle].reshape(reps - 1, cycle)[:] = term[:cycle]
-        term[reps * cycle:] = term[:count + 1 - reps * cycle]
-        out += term[1:]
-        b2r, hold = b2r / base, hold * base
+    vals, b2r = np.zeros(1), 1.0 / base
+    while vals.size <= count:
+        digits = min(base, -(-(count + 1) // vals.size))
+        vals = (vals + (np.arange(digits) * b2r)[:, None]).ravel()
+        b2r /= base
+    out[:] = vals[1:count + 1]
     return out
 
 

@@ -204,10 +204,11 @@ def test_tangent_values_are_the_evaluated_values(f, seed):
     z = 0.4 * (gen.standard_normal((3, n)) + 1j * gen.standard_normal((3, n)))
     v = gen.standard_normal((3, n)) + 1j * gen.standard_normal((3, n))
     try:
-        want = f._eval(z, _EvalCtx())
+        want = f._tangent(z, None, _EvalCtx())[0]
     except PoleHit:
         reject()
     assert f._tangent(z, v, _EvalCtx())[0].tobytes() == want.tobytes()
+    assert evaluate(f, z).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -319,14 +319,27 @@ def test_tuple_values_and_tangents_equal_the_stacked_components(f, seed):
         gen = stream(seed, "tuple-stack", n)
         z, v = 0.5 * (gen.standard_normal((2, 6, n)) + 1j * gen.standard_normal((2, 6, n)))
         try:
-            vals = [c._eval(z, _EvalCtx()) for c in node.components]
+            vals = [c._tangent(z, None, _EvalCtx())[0] for c in node.components]
             parts = [c._tangent(z, v, _EvalCtx()) for c in node.components]
         except PoleHit:
             reject()
         val, dval = node._tangent(z, v, _EvalCtx())
-        assert node._eval(z, _EvalCtx()).tobytes() == np.stack(vals, axis=-1).tobytes()
+        assert (node._tangent(z, None, _EvalCtx())[0].tobytes()
+                == np.stack(vals, axis=-1).tobytes())
         assert val.tobytes() == np.stack([p[0] for p in parts], axis=-1).tobytes()
         assert dval.tobytes() == np.stack([p[1] for p in parts], axis=-1).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_trees)
+def test_tangent_is_the_only_node_arithmetic_and_gives_no_derivative_without_a_direction(f):
+    for cls in NODES.values():
+        assert not hasattr(cls, "_eval"), cls.__name__
+    for node in _nodes(f):
+        try:
+            assert node._tangent(_points(node.input_dim), None, _EvalCtx())[1] is None
+        except PoleHit:
+            reject()
 
 
 def _subclasses(cls):

@@ -21,7 +21,9 @@ from schwarz_lab import (
     MapTuple,
     MoebiusDisk,
     PoleHit,
+    Power,
     Scale,
+    Sum,
     complex_jacobian,
     evaluate,
     gallery,
@@ -274,6 +276,36 @@ def test_selfmap_gate_admits_escapes_up_to_1e_10(factor, reason):
     f = _scaled_identity(n, factor / m)
     rep = check_rigidity(RigidityInstance(f, basis_anchors(n, p), p, "schwarz_v"), FAST)
     assert (rep.verdict, rep.reason) == ("hypotheses_fail", reason)
+
+
+@pytest.mark.parametrize("t, verdict, reason", [
+    (1 - 5e-8, "hypotheses_fail", "anchor is not a fixed point"),
+    (1 - 5e-9, "certified", ""),
+])
+def test_fixed_point_gate_admits_residuals_up_to_1e_8(t, verdict, reason):
+    # f = t z moves each anchor e_j by 1 - t; fixed_tol at 1e-7 certifies the
+    # first map, and at 1e-9 refuses the second
+    inst = RigidityInstance(_scaled_identity(2, t), basis_anchors(2, 2), 2, "p2")
+    rep = check_rigidity(inst, FAST)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    assert max(rep.fixed_point_residuals) == pytest.approx(1 - t, rel=1e-6)
+
+
+@pytest.mark.parametrize("eps, verdict, reason", [
+    (5e-7, "equations_fail", "pairing equations miss the target 1.0"),
+    (3e-8, "certified", ""),
+])
+def test_equation_gate_admits_gaps_up_to_1e_7(eps, verdict, reason):
+    # f = (z_1 + eps (z_1^2 - z_1), z_2) fixes e_1 and e_2 with df_1/dz_1 = 1 + eps
+    # at e_1, so the equation gap is eps; equation_tol at 1e-6 passes the first
+    # map's equations (its identity residual, about 2 eps, then refuses it), and
+    # at 1e-8 refuses the second
+    z1 = Coordinate(0, 2)
+    bend = Scale(eps, Sum((Power(2, z1), Scale(-1.0, z1))))
+    f = MapTuple((Sum((z1, bend)), Coordinate(1, 2)))
+    rep = check_rigidity(RigidityInstance(f, basis_anchors(2, 2), 2, "p2"), FAST)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    assert rep.quantities["equation_gap"] == pytest.approx(eps, rel=1e-6)
 
 
 def test_proof_chain_identity_all_links():
